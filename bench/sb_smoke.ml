@@ -1,9 +1,12 @@
 (* sb-smoke: a seconds-scale superblock-invisibility gate for CI.
 
-   Runs one short campaign twice — superblocks on (the default) and off
+   Runs short campaigns twice each — superblocks on (the default) and off
    ([Memory.set_superblocks_default false]) — and exits non-zero unless both
    produce bit-identical records, telemetry, traces and columnar-store
-   bytes, and the translated run actually executed through superblocks. *)
+   bytes, and the translated run actually executed through superblocks.
+   Per architecture it runs a stack campaign and a code campaign; the code
+   trials arm an execute breakpoint, so blocks also run (and are cut)
+   inside the injection window. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -24,9 +27,9 @@ let store_bytes res =
   Sys.remove path;
   bytes
 
-let run arch =
+let run arch kind =
   let cfg =
-    { (Campaign.default ~arch ~kind:Target.Stack ~injections:12) with
+    { (Campaign.default ~arch ~kind ~injections:12) with
       Campaign.seed = 0x2004L }
   in
   let tracer = Ferrite_trace.Tracer.default_config in
@@ -34,7 +37,11 @@ let run arch =
   Memory.set_superblocks_default false;
   let off = Campaign.run ~tracer cfg in
   Memory.set_superblocks_default true;
-  let name = match arch with Image.Cisc -> "p4" | Image.Risc -> "g4" in
+  let name =
+    Printf.sprintf "%s %s"
+      (match arch with Image.Cisc -> "p4" | Image.Risc -> "g4")
+      (match kind with Target.Code -> "code" | _ -> "stack")
+  in
   if on.Campaign.records <> off.Campaign.records then
     fail "%s: records differ between superblock and precise execution" name;
   if on.Campaign.traces <> off.Campaign.traces then
@@ -50,10 +57,13 @@ let run arch =
   on
 
 let () =
-  let p4 = run Image.Cisc in
-  let g4 = run Image.Risc in
+  let p4 = run Image.Cisc Target.Stack in
+  let g4 = run Image.Risc Target.Stack in
+  let p4_code = run Image.Cisc Target.Code in
+  let g4_code = run Image.Risc Target.Code in
+  let render (r : Campaign.result) = Format.asprintf "%a" Cache_stats.render r.Campaign.cache in
   Printf.printf
-    "sb-smoke ok: 24 injections, records/traces/telemetry/store bytes \
-     identical with superblocks on and off\n  p4: %s\n  g4: %s\n"
-    (Format.asprintf "%a" Cache_stats.render p4.Campaign.cache)
-    (Format.asprintf "%a" Cache_stats.render g4.Campaign.cache)
+    "sb-smoke ok: 48 injections, records/traces/telemetry/store bytes \
+     identical with superblocks on and off\n\
+    \  p4 stack: %s\n  g4 stack: %s\n  p4 code: %s\n  g4 code: %s\n"
+    (render p4) (render g4) (render p4_code) (render g4_code)

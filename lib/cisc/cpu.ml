@@ -80,6 +80,7 @@ type t = {
   mutable sb_blocks : int;  (* blocks built *)
   mutable sb_insns : int;  (* micro-ops retired inside blocks *)
   mutable sb_fallbacks : int;  (* precise-interpreter excursions *)
+  mutable run_retired : int;  (* cleanly retired by the last [run] *)
   mutable dc_warm_hits : int;  (* decode hits on pre-warmed entries *)
   mutable prewarmed : int;  (* entries + blocks installed by [prewarm] *)
   mutable warming : bool;  (* inside [prewarm]: mark inserts as warm *)
@@ -139,7 +140,9 @@ let fresh_dentry () =
     d_warm = false;
   }
 
-let sbcache_bits = 12
+(* Byte-indexed, so the table spans 16 KB of text: no two pcs of the ~11 KB
+   kernel text share a slot. *)
+let sbcache_bits = 14
 let sbcache_size = 1 lsl sbcache_bits
 let sbcache_mask = sbcache_size - 1
 
@@ -165,6 +168,25 @@ let fresh_sblock () =
     b_wg1 = 0;
     b_pg2 = Memory.null_page;
     b_wg2 = 0;
+  }
+
+(* Every slot of a fresh table holds this one shared block; [sb_slot]
+   replaces it with a private block on the first build there, so a CPU
+   allocates only the blocks it builds. It is never written, and its
+   generation [-1] is one no page ever has, so it never validates. *)
+let empty_sblock =
+  {
+    b_pc = -1;
+    b_len = 0;
+    b_decs = [||];
+    b_pcs = [||];
+    b_nexts = [||];
+    b_succ = [||];
+    b_flags = [||];
+    b_pg1 = Memory.null_page;
+    b_wg1 = -1;
+    b_pg2 = Memory.null_page;
+    b_wg2 = -1;
   }
 
 let create ~mem ~stop_addr =
@@ -200,12 +222,13 @@ let create ~mem ~stop_addr =
     dc_streak = 0;
     wm_memo = Array.init 256 (fun _ -> fresh_dentry ());
     last_cost = 0;
-    sbcache = Array.init sbcache_size (fun _ -> fresh_sblock ());
+    sbcache = Array.make sbcache_size empty_sblock;
     sb_enabled = Memory.superblocks mem;
     sb_hits = 0;
     sb_blocks = 0;
     sb_insns = 0;
     sb_fallbacks = 0;
+    run_retired = 0;
     dc_warm_hits = 0;
     prewarmed = 0;
     warming = false;
@@ -518,6 +541,12 @@ let exec_shift t op size dst count =
     write_operand t size dst r
   end
 
+let sext size v =
+  match size with
+  | S8 -> Word.signed (Word.sign_extend8 v)
+  | S16 -> Word.signed (Word.sign_extend16 v)
+  | S32 -> Word.signed v
+
 let exec_muldiv t g size op1 =
   let m = size_mask size in
   match g with
@@ -551,22 +580,18 @@ let exec_muldiv t g size op1 =
       setf t flag_of (p lsr size_bits size <> 0))
   | Imul1 ->
     let a = read_operand t size op1 in
-    let sext v =
-      match size with
-      | S8 -> Word.signed (Word.sign_extend8 v)
-      | S16 -> Word.signed (Word.sign_extend16 v)
-      | S32 -> Word.signed v
-    in
     (match size with
     | S32 ->
-      let p = Int64.mul (Int64.of_int (sext t.regs.(eax))) (Int64.of_int (sext a)) in
+      let p =
+        Int64.mul (Int64.of_int (sext size t.regs.(eax))) (Int64.of_int (sext size a))
+      in
       t.regs.(eax) <- Int64.to_int (Int64.logand p 0xFFFFFFFFL);
       t.regs.(edx) <- Int64.to_int (Int64.logand (Int64.shift_right p 32) 0xFFFFFFFFL);
       let fits = Int64.equal p (Int64.of_int32 (Int64.to_int32 p)) in
       setf t flag_cf (not fits);
       setf t flag_of (not fits)
     | S16 | S8 ->
-      let p = sext (read_reg t size eax) * sext a in
+      let p = sext size (read_reg t size eax) * sext size a in
       write_reg t size eax p;
       write_reg t size edx (p asr size_bits size);
       let fits = p >= - (sign_bit size) && p < sign_bit size in
@@ -634,21 +659,19 @@ let string_step t size ~src ~dst =
     t.regs.(esi) <- Word.add t.regs.(esi) delta
   | false, false -> ())
 
-(* Execute up to [budget] REP iterations; x86 string instructions are
+(* Execute up to [n] REP iterations; x86 string instructions are
    restartable, so a partially completed REP leaves EIP on itself. *)
-let exec_rep t size ~src ~dst ~pc =
-  let budget = 64 in
-  let rec go n =
-    if t.regs.(ecx) = 0 then ()
-    else if n = 0 then t.eip <- pc  (* resume this instruction next step *)
-    else begin
-      string_step t size ~src ~dst;
-      t.regs.(ecx) <- Word.sub t.regs.(ecx) 1;
-      Counters.idle t.counters 3;
-      go (n - 1)
-    end
-  in
-  go budget
+let rec exec_rep_n t size ~src ~dst ~pc n =
+  if t.regs.(ecx) = 0 then ()
+  else if n = 0 then t.eip <- pc  (* resume this instruction next step *)
+  else begin
+    string_step t size ~src ~dst;
+    t.regs.(ecx) <- Word.sub t.regs.(ecx) 1;
+    Counters.idle t.counters 3;
+    exec_rep_n t size ~src ~dst ~pc (n - 1)
+  end
+
+let exec_rep t size ~src ~dst ~pc = exec_rep_n t size ~src ~dst ~pc 64
 
 let exec t pc (d : decoded) =
   match d.insn with
@@ -1120,9 +1143,13 @@ let sb_may_store (d : decoded) =
    recorded. Stops at capacity, a terminator, an indirect redirect, the
    two-distinct-page cap, or a fetch/decode fault — the faulting pc is left
    outside the block, so the precise interpreter delivers that exception
-   with exact semantics if execution ever reaches it. *)
+   with exact semantics if execution ever reaches it. A terminator at [pc]
+   itself still installs [b], as a zero-length block validated by the
+   terminator's pages: the run loop then steps that pc precisely at once
+   instead of decoding and failing a build on every visit. *)
 let sb_build t b pc =
   b.b_pc <- -1;
+  let entry_terminator = ref false in
   let n = ref 0 in
   let p = ref pc in
   (* a block is validated by two generation checks, so its micro-ops may
@@ -1153,8 +1180,12 @@ let sb_build t b pc =
        (* followed targets must satisfy the same wrap guard as entry pcs *)
        if !p < 0 || !p > 0xFFFFFE00 then raise Exit;
        let d = decode_at t !p in
-       if is_sb_terminator d.insn then raise Exit;
        let last = !p + d.length - 1 in
+       if is_sb_terminator d.insn then begin
+         entry_terminator :=
+           !n = 0 && claim !p && (!p lsr 12 = last lsr 12 || claim last);
+         raise Exit
+       end;
        if not (claim !p && (!p lsr 12 = last lsr 12 || claim last)) then
          raise Exit;
        let next = !p + d.length in
@@ -1182,26 +1213,54 @@ let sb_build t b pc =
    with
   | Exit | Cpu_fault _ | Decode.Undefined_opcode | Invalid_argument _
   | Memory.Fault _ -> ());
-  !n > 0
-  && begin
+  if !n > 0 || !entry_terminator then begin
     if !npg = 1 then pg2 := !pg1;
     b.b_len <- !n;
     b.b_pg1 <- !pg1;
     b.b_wg1 <- Memory.page_generation !pg1;
     b.b_pg2 <- !pg2;
     b.b_wg2 <- Memory.page_generation !pg2;
-    b.b_pc <- pc;
-    true
+    b.b_pc <- pc
+  end;
+  !n > 0
+
+let sb_slot_of pc = pc land sbcache_mask
+
+let[@inline] sb_valid b pc =
+  b.b_pc = pc
+  && Memory.page_generation b.b_pg1 = b.b_wg1
+  && Memory.page_generation b.b_pg2 = b.b_wg2
+
+(* The block in [slot], first replacing the shared empty block with a
+   private one, so it can be built into. *)
+let sb_slot t slot =
+  let b = Array.unsafe_get t.sbcache slot in
+  if b != empty_sblock then b
+  else begin
+    let b = fresh_sblock () in
+    Array.unsafe_set t.sbcache slot b;
+    b
   end
+
+(* How many leading micro-ops of [b] may run while execute breakpoints are
+   armed: the block is cut just before its first micro-op past the entry
+   whose pc is armed, so the next loop iteration reaches that pc as a block
+   entry and [step] reports [Hit_ibp] there, as the precise loop would. The
+   precise loop tests breakpoints only at the pcs it executes, and these are
+   the same pcs, so the cut is exact. Call with [k = 1]. *)
+let rec sb_cut t b limit k =
+  if k >= limit || Debug_regs.check_exec t.dr (Array.unsafe_get b.b_pcs k) then k
+  else sb_cut t b limit (k + 1)
 
 (* Run up to [max_steps] instructions, preferring translated superblock
    execution and falling back to the precise [step] whenever translation
-   cannot reproduce its observable semantics (armed execute breakpoints,
-   poisoned translation, a terminator instruction). Same contract as the
-   RISC twin: returns [(n, r)] with [n] the cleanly retired count; for
-   [Hit_dbp]/[Stopped] the event-carrying instruction has retired (counters
-   include it) but is excluded from [n]; for [Faulted] the exception has
-   been delivered exactly as [step] would. *)
+   cannot reproduce its observable semantics (an armed execute breakpoint at
+   the block entry, poisoned translation, a terminator instruction). Same
+   contract as the RISC twin: returns the first event and leaves the
+   cleanly retired count [n] in [run_retired]; for [Hit_dbp]/[Stopped] the
+   event-carrying instruction has retired (counters include it) but is
+   excluded from [n]; for [Faulted] the exception has been delivered
+   exactly as [step] would. *)
 let run t ~max_steps =
   if max_steps <= 0 then invalid_arg "Cpu.run: max_steps must be positive";
   let retired = ref 0 in
@@ -1210,14 +1269,16 @@ let run t ~max_steps =
      call; translation poison can, but only under the precise interpreter
      (control-register writes are terminators), so the eligibility chain is
      re-evaluated after fallback excursions instead of at every entry *)
-  let forced_static = (not t.sb_enabled) || Debug_regs.exec_armed t.dr in
+  let forced_static = not t.sb_enabled in
+  let bp_armed = Debug_regs.exec_armed t.dr in
   let forced = ref (forced_static || t.tlb_poisoned) in
-  while !fin = None && !retired < max_steps do
+  while Option.is_none !fin && !retired < max_steps do
     let pc = t.eip in
     if
       !forced
       || pc < 0
       || pc > 0xFFFFFE00  (* a block near the top of the space would wrap *)
+      || (bp_armed && Debug_regs.check_exec t.dr pc)  (* [step] reports it *)
     then begin
       t.sb_fallbacks <- t.sb_fallbacks + 1;
       (match step t with
@@ -1226,19 +1287,25 @@ let run t ~max_steps =
       forced := forced_static || t.tlb_poisoned
     end
     else begin
-      let b = Array.unsafe_get t.sbcache (pc land sbcache_mask) in
-      let valid =
-        b.b_pc = pc
-        && Memory.page_generation b.b_pg1 = b.b_wg1
-        && Memory.page_generation b.b_pg2 = b.b_wg2
-      in
-      if valid then t.sb_hits <- t.sb_hits + 1;
+      let slot = sb_slot_of pc in
+      let b = Array.unsafe_get t.sbcache slot in
+      let valid = sb_valid b pc in
+      (* wild execution: don't build *)
+      let buildable = (not valid) && t.dc_streak < dc_bypass_streak in
+      let b = if buildable then sb_slot t slot else b in
       let have =
-        valid
-        || t.dc_streak < dc_bypass_streak  (* wild execution: don't build *)
-           && (let built = sb_build t b pc in
-               if built then t.sb_blocks <- t.sb_blocks + 1;
-               built)
+        if valid then begin
+          (* a zero-length block remembers a terminator at the entry *)
+          if b.b_len > 0 then t.sb_hits <- t.sb_hits + 1;
+          b.b_len > 0
+        end
+        else
+          buildable
+          && begin
+            let built = sb_build t b pc in
+            if built then t.sb_blocks <- t.sb_blocks + 1;
+            built
+          end
       in
       if not have then begin
         t.sb_fallbacks <- t.sb_fallbacks + 1;
@@ -1252,7 +1319,8 @@ let run t ~max_steps =
         let pcs = b.b_pcs and nexts = b.b_nexts and succs = b.b_succ in
         let limit =
           let budget = max_steps - !retired in
-          if b.b_len < budget then b.b_len else budget
+          let limit = if b.b_len < budget then b.b_len else budget in
+          if bp_armed then sb_cut t b limit 1 else limit
         in
         (match t.pending_hit with Some _ -> t.pending_hit <- None | None -> ());
         t.stopped <- false;
@@ -1367,7 +1435,8 @@ let run t ~max_steps =
       end
     end
   done;
-  (!retired, match !fin with None -> Retired | Some r -> r)
+  t.run_retired <- !retired;
+  match !fin with None -> Retired | Some r -> r
 
 (* Pre-warm the decode and superblock caches from the kernel image's function
    ranges, so the first trial does not pay the cold-miss tail on paths the
@@ -1406,14 +1475,12 @@ let prewarm t funcs =
           List.iter
             (fun e ->
               if e >= addr && e < fin then begin
-                let b = Array.unsafe_get t.sbcache (e land sbcache_mask) in
-                let valid =
-                  b.b_pc = e
-                  && Memory.page_generation b.b_pg1 = b.b_wg1
-                  && Memory.page_generation b.b_pg2 = b.b_wg2
-                in
+                let slot = sb_slot_of e in
                 t.dc_streak <- 0;
-                if (not valid) && sb_build t b e then begin
+                if
+                  (not (sb_valid (Array.unsafe_get t.sbcache slot) e))
+                  && sb_build t (sb_slot t slot) e
+                then begin
                   t.sb_blocks <- t.sb_blocks + 1;
                   t.prewarmed <- t.prewarmed + 1
                 end
@@ -1424,6 +1491,11 @@ let prewarm t funcs =
   end
 
 let superblock_stats t = (t.sb_hits, t.sb_blocks, t.sb_insns, t.sb_fallbacks)
+
+let cached_block_len t pc =
+  let b = Array.unsafe_get t.sbcache (sb_slot_of pc) in
+  if sb_valid b pc then b.b_len else -1
+
 let decode_warm_stats t = (t.dc_warm_hits, t.prewarmed)
 
 (* --- system registers (the P4 injection targets, §5.2) ------------------ *)

@@ -59,7 +59,9 @@ type t = {
       (** content-keyed decode memos (by first opcode byte) for bypass streaks *)
   mutable last_cost : int;
       (** cycle cost of the instruction the last decode returned *)
-  sbcache : sblock array;  (** PC-keyed superblock cache *)
+  sbcache : sblock array;
+      (** PC-keyed superblock cache, one slot per kernel-text byte; slots
+          are allocated on their first build *)
   mutable sb_enabled : bool;
       (** captured from [Memory.superblocks] at {!create}; [false] makes
           {!run} take the precise per-step path for every instruction *)
@@ -67,6 +69,8 @@ type t = {
   mutable sb_blocks : int;
   mutable sb_insns : int;
   mutable sb_fallbacks : int;
+  mutable run_retired : int;
+      (** instructions cleanly retired by the last {!run} *)
   mutable dc_warm_hits : int;
   mutable prewarmed : int;
   mutable warming : bool;
@@ -125,19 +129,21 @@ val step : ?skip_ibp:bool -> t -> step_result
     instruction-breakpoint check once, so the injector can resume after
     servicing a hit. *)
 
-val run : t -> max_steps:int -> int * step_result
+val run : t -> max_steps:int -> step_result
 (** [run t ~max_steps] executes up to [max_steps] instructions, using cached
     superblocks (built on demand) for straight-line code and falling back to
     the precise {!step} whenever translated execution could not reproduce
-    its observable semantics: armed execute breakpoints, poisoned
-    translation, or a terminator instruction (HLT/IRET/INT/INT3/UD2/
-    MOV-to-CR). Returns [(n, r)] where [n] is the number of cleanly retired
-    instructions and [r] the first event ([Retired] when the budget ran
-    out). For [Hit_dbp]/[Stopped] the event-carrying instruction has retired
-    (counters include it) but is excluded from [n]; for [Faulted] the
-    exception has been delivered exactly as {!step} would. Observable
-    behaviour is bit-identical to calling {!step} in a loop; only the
-    diagnostic cache counters differ. *)
+    its observable semantics: an armed execute breakpoint at the block entry
+    (blocks are cut just before a later armed pc), poisoned translation, or
+    a terminator instruction (HLT/IRET/INT/INT3/UD2/MOV-to-CR). Returns the
+    first event ([Retired] when the budget ran out) and leaves the number of
+    cleanly retired instructions, [n], in [run_retired]. For
+    [Hit_dbp]/[Stopped] the event-carrying instruction has retired (counters
+    include it) but is excluded from [n]; for [Faulted] the exception has
+    been delivered exactly as {!step} would. Observable behaviour is
+    bit-identical to calling {!step} in a loop; only the diagnostic cache
+    counters differ. Once its blocks are built, a run allocates nothing
+    unless it ends on an event. *)
 
 val prewarm : t -> (int * int) list -> unit
 (** [prewarm t funcs] pre-decodes the given [(addr, size)] code ranges into
@@ -150,6 +156,11 @@ val prewarm : t -> (int * int) list -> unit
 val superblock_stats : t -> int * int * int * int
 (** [(hits, blocks_built, insns_retired_in_blocks, fallbacks)] — monotonic
     diagnostics, excluded from {!snapshot}/{!restore}. *)
+
+val cached_block_len : t -> int -> int
+(** [cached_block_len t pc] is the micro-op count of the valid superblock
+    cached for entry [pc]: [0] when the cache remembers a terminator at
+    [pc], [-1] when no valid block is cached there. Diagnostics. *)
 
 val decode_warm_stats : t -> int * int
 (** [(warm_hits, prewarmed_entries)] of the decode/superblock pre-warm. *)

@@ -315,14 +315,15 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
       when (not st.injected) && counters.Counters.instructions >= at_instr ->
       reg_inject ()
     | _ -> ());
-    (* Superblock fast path: outside the injection window (no armed execute
-       breakpoint, no pending skip), batch execution up to the next event
-       the precise loop would observe — the next workload tick, the watchdog
-       budget, or an un-fired register injection's instruction boundary.
+    (* Superblock fast path: unless a breakpoint skip is pending, batch
+       execution up to the next event the precise loop would observe — the
+       next workload tick, the watchdog budget, an un-fired register
+       injection's instruction boundary, or an armed execute breakpoint
+       (the batch stops on it and reports [Hit_ibp], as [step] would).
        Every retired instruction advances the counter by exactly one, so
        bounding the batch by [at_instr - instructions] reproduces the
        per-step poll exactly. *)
-    if use_sb && (not skip_ibp) && not (Debug_regs.exec_armed dr) then begin
+    if use_sb && not skip_ibp then begin
       let allow =
         let a = config.tick_interval - (steps land tick_mask) in
         let a = min a (config.step_budget - steps) in
@@ -333,11 +334,11 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
       in
       if allow > 1 then begin
         match System.run sys ~max_steps:allow with
-        | n, (System.Retired | System.Halted) -> loop (steps + n) false
-        | n, System.Hit_ibp -> on_hit_ibp (steps + n)
-        | n, System.Hit_dbp hit -> on_hit_dbp (steps + n) hit
-        | _, System.Stopped -> finish Outcome.Unknown_crash
-        | _, System.Faulted fault -> crash fault
+        | System.Retired | System.Halted -> loop (steps + System.run_retired sys) false
+        | System.Hit_ibp -> on_hit_ibp (steps + System.run_retired sys)
+        | System.Hit_dbp hit -> on_hit_dbp (steps + System.run_retired sys) hit
+        | System.Stopped -> finish Outcome.Unknown_crash
+        | System.Faulted fault -> crash fault
       end
       else precise_step steps skip_ibp
     end

@@ -46,26 +46,27 @@ let step ?(skip_ibp = false) t =
 
 let run t ~max_steps =
   match t.cpu with
-  | Ccpu cpu ->
-    let n, r = Ferrite_cisc.Cpu.run cpu ~max_steps in
-    ( n,
-      match r with
-      | Ferrite_cisc.Cpu.Retired -> Retired
-      | Ferrite_cisc.Cpu.Halted -> Halted
-      | Ferrite_cisc.Cpu.Hit_ibp -> Hit_ibp
-      | Ferrite_cisc.Cpu.Hit_dbp h -> Hit_dbp h
-      | Ferrite_cisc.Cpu.Stopped -> Stopped
-      | Ferrite_cisc.Cpu.Faulted e -> Faulted (Cisc_fault e) )
-  | Rcpu cpu ->
-    let n, r = Ferrite_risc.Cpu.run cpu ~max_steps in
-    ( n,
-      match r with
-      | Ferrite_risc.Cpu.Retired -> Retired
-      | Ferrite_risc.Cpu.Halted -> Halted
-      | Ferrite_risc.Cpu.Hit_ibp -> Hit_ibp
-      | Ferrite_risc.Cpu.Hit_dbp h -> Hit_dbp h
-      | Ferrite_risc.Cpu.Stopped -> Stopped
-      | Ferrite_risc.Cpu.Faulted e -> Faulted (Risc_fault e) )
+  | Ccpu cpu -> (
+    match Ferrite_cisc.Cpu.run cpu ~max_steps with
+    | Ferrite_cisc.Cpu.Retired -> Retired
+    | Ferrite_cisc.Cpu.Halted -> Halted
+    | Ferrite_cisc.Cpu.Hit_ibp -> Hit_ibp
+    | Ferrite_cisc.Cpu.Hit_dbp h -> Hit_dbp h
+    | Ferrite_cisc.Cpu.Stopped -> Stopped
+    | Ferrite_cisc.Cpu.Faulted e -> Faulted (Cisc_fault e))
+  | Rcpu cpu -> (
+    match Ferrite_risc.Cpu.run cpu ~max_steps with
+    | Ferrite_risc.Cpu.Retired -> Retired
+    | Ferrite_risc.Cpu.Halted -> Halted
+    | Ferrite_risc.Cpu.Hit_ibp -> Hit_ibp
+    | Ferrite_risc.Cpu.Hit_dbp h -> Hit_dbp h
+    | Ferrite_risc.Cpu.Stopped -> Stopped
+    | Ferrite_risc.Cpu.Faulted e -> Faulted (Risc_fault e))
+
+let run_retired t =
+  match t.cpu with
+  | Ccpu c -> c.Ferrite_cisc.Cpu.run_retired
+  | Rcpu r -> r.Ferrite_risc.Cpu.run_retired
 
 let superblocks_on t =
   match t.cpu with

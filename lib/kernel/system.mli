@@ -29,15 +29,19 @@ val arch_name : t -> string
 
 val step : ?skip_ibp:bool -> t -> step_result
 
-val run : t -> max_steps:int -> int * step_result
+val run : t -> max_steps:int -> step_result
 (** [run t ~max_steps] executes up to [max_steps] instructions through the
     CPU's superblock engine, falling back to the precise per-step interpreter
     whenever translated execution could not reproduce its observable
-    semantics. Returns [(n, r)]: [n] cleanly retired instructions and the
-    first event [r] ([Retired] when the budget ran out). For [Hit_dbp]/
-    [Stopped] the event-carrying instruction has retired (counters include
-    it) but is excluded from [n]; for [Faulted] the exception has been
-    delivered. Observable behaviour is bit-identical to a {!step} loop. *)
+    semantics. Returns the first event ([Retired] when the budget ran out);
+    {!run_retired} then gives the [n] cleanly retired instructions. For
+    [Hit_dbp]/[Stopped] the event-carrying instruction has retired (counters
+    include it) but is excluded from [n]; for [Faulted] the exception has
+    been delivered. Observable behaviour is bit-identical to a {!step}
+    loop. *)
+
+val run_retired : t -> int
+(** The number of instructions the last {!run} cleanly retired. *)
 
 val superblocks_on : t -> bool
 (** Whether this CPU executes through superblocks (set at creation from

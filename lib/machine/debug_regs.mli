@@ -35,9 +35,9 @@ val armed_count : t -> int
 
 val exec_armed : t -> bool
 (** Whether any {e instruction} breakpoint is armed. The superblock engine
-    consults this before entering translated execution: armed execute
-    breakpoints force the precise per-step interpreter (data watchpoints do
-    not — they are checked inside the load/store helpers either way). *)
+    consults this once per block entry: while one is armed, a block is cut
+    just before its first micro-op at an armed pc (data watchpoints need no
+    cut — they are checked inside the load/store helpers either way). *)
 
 val check_exec : t -> int -> bool
 (** [check_exec t pc] is [true] when an instruction breakpoint is armed at
@@ -46,4 +46,4 @@ val check_exec : t -> int -> bool
 val check_data : t -> addr:int -> len:int -> is_write:bool -> data_hit option
 (** [check_data t ~addr ~len ~is_write] reports a hit when the access range
     [\[addr, addr+len)] overlaps an armed watchpoint. The CPU consults this
-    after each data access. *)
+    after each data access; it allocates only on a hit. *)

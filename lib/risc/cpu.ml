@@ -71,6 +71,7 @@ type t = {
   mutable sb_blocks : int;  (* blocks built *)
   mutable sb_insns : int;  (* micro-ops retired inside blocks *)
   mutable sb_fallbacks : int;  (* precise-interpreter excursions *)
+  mutable run_retired : int;  (* cleanly retired by the last [run] *)
   mutable dc_warm_hits : int;  (* decode hits on pre-warmed entries *)
   mutable prewarmed : int;  (* entries + blocks installed by [prewarm] *)
   mutable warming : bool;  (* inside [prewarm]: mark inserts as warm *)
@@ -154,7 +155,9 @@ let fresh_dentry () =
     d_warm = false;
   }
 
-let sbcache_bits = 11
+(* Word-indexed, so the table spans 32 KB of text: no two pcs of the ~10 KB
+   kernel text share a slot. *)
+let sbcache_bits = 13
 let sbcache_size = 1 lsl sbcache_bits
 let sbcache_mask = sbcache_size - 1
 
@@ -179,6 +182,24 @@ let fresh_sblock () =
     b_wg1 = 0;
     b_pg2 = Memory.null_page;
     b_wg2 = 0;
+  }
+
+(* Every slot of a fresh table holds this one shared block; [sb_slot]
+   replaces it with a private block on the first build there, so a CPU
+   allocates only the blocks it builds. It is never written, and its
+   generation [-1] is one no page ever has, so it never validates. *)
+let empty_sblock =
+  {
+    b_pc = -1;
+    b_len = 0;
+    b_insns = [||];
+    b_pcs = [||];
+    b_succ = [||];
+    b_flags = [||];
+    b_pg1 = Memory.null_page;
+    b_wg1 = -1;
+    b_pg2 = Memory.null_page;
+    b_wg2 = -1;
   }
 
 let create ~mem ~stop_addr =
@@ -216,12 +237,13 @@ let create ~mem ~stop_addr =
     dc_misses = 0;
     dc_streak = 0;
     last_cost = 0;
-    sbcache = Array.init sbcache_size (fun _ -> fresh_sblock ());
+    sbcache = Array.make sbcache_size empty_sblock;
     sb_enabled = Memory.superblocks mem;
     sb_hits = 0;
     sb_blocks = 0;
     sb_insns = 0;
     sb_fallbacks = 0;
+    run_retired = 0;
     dc_warm_hits = 0;
     prewarmed = 0;
     warming = false;
@@ -481,15 +503,23 @@ let trap_fires to_ a b =
 
 let ea_update t ra addr = if ra <> 0 then t.gpr.(ra) <- addr
 
+(* The (rA|0) base operand. Top-level, not a closure in [exec], which would
+   allocate on every call. *)
+let[@inline] base g ra = if ra = 0 then 0 else g.(ra)
+
+let rec count_leading_zeros v i =
+  if i = 32 then 32
+  else if v land (1 lsl (31 - i)) <> 0 then i
+  else count_leading_zeros v (i + 1)
+
 let exec t pc insn =
   let g = t.gpr in
-  let base ra = if ra = 0 then 0 else g.(ra) in
   match insn with
   | Darith (op, rd, ra, simm) ->
     let v =
       match op with
-      | Addi -> Word.add (base ra) simm
-      | Addis -> Word.add (base ra) (Word.shl simm 16)
+      | Addi -> Word.add (base g ra) simm
+      | Addis -> Word.add (base g ra) (Word.shl simm 16)
       | Addic -> Word.add g.(ra) simm
       | Mulli -> Word.mul g.(ra) simm
       | Subfic -> Word.sub simm g.(ra)
@@ -508,34 +538,34 @@ let exec t pc insn =
     g.(ra) <- Word.mask v;
     (match op with Andi_rc | Andis_rc -> record_cr0 t g.(ra) | _ -> ())
   | Load (m, rd, ra, d) ->
-    let addr = Word.add (if m.update then g.(ra) else base ra) d in
+    let addr = Word.add (if m.update then g.(ra) else base g ra) d in
     let v = data_read t m.width addr in
     let v = if m.algebraic && m.width = Half then Word.sign_extend16 v else v in
     g.(rd) <- v;
     if m.update then ea_update t ra addr
   | Store (m, rs, ra, d) ->
-    let addr = Word.add (if m.update then g.(ra) else base ra) d in
+    let addr = Word.add (if m.update then g.(ra) else base g ra) d in
     data_write t m.width addr g.(rs);
     if m.update then ea_update t ra addr
   | Load_idx (m, rd, ra, rb) ->
-    let addr = Word.add (base ra) g.(rb) in
+    let addr = Word.add (base g ra) g.(rb) in
     let v = data_read t m.width addr in
     let v = if m.algebraic && m.width = Half then Word.sign_extend16 v else v in
     g.(rd) <- v;
     if m.update then ea_update t ra addr
   | Store_idx (m, rs, ra, rb) ->
-    let addr = Word.add (base ra) g.(rb) in
+    let addr = Word.add (base g ra) g.(rb) in
     data_write t m.width addr g.(rs);
     if m.update then ea_update t ra addr
   | Lmw (rd, ra, d) ->
-    let addr = ref (Word.add (base ra) d) in
+    let addr = ref (Word.add (base g ra) d) in
     check_multiword_alignment !addr;
     for r = rd to 31 do
       g.(r) <- data_read t Word !addr;
       addr := Word.add !addr 4
     done
   | Stmw (rs, ra, d) ->
-    let addr = ref (Word.add (base ra) d) in
+    let addr = ref (Word.add (base g ra) d) in
     check_multiword_alignment !addr;
     for r = rs to 31 do
       data_write t Word !addr g.(r);
@@ -648,9 +678,7 @@ let exec t pc insn =
     g.(ra) <- Word.sign_extend16 g.(rs);
     if rc then record_cr0 t g.(ra)
   | Cntlzw (ra, rs, rc) ->
-    let v = g.(rs) in
-    let rec count i = if i = 32 then 32 else if v land (1 lsl (31 - i)) <> 0 then i else count (i + 1) in
-    g.(ra) <- count 0;
+    g.(ra) <- count_leading_zeros g.(rs) 0;
     if rc then record_cr0 t g.(ra)
   | B (li, aa, lk) ->
     if lk then t.lr <- Word.add pc 4;
@@ -771,9 +799,13 @@ let sb_may_store = function Store _ | Store_idx _ | Stmw _ -> true | _ -> false
    recorded. Stops at capacity, a terminator, an indirect redirect, the
    two-distinct-page cap, or a fetch/decode fault — the faulting pc is left
    outside the block, so the precise interpreter delivers that exception
-   with exact semantics if execution ever reaches it. *)
+   with exact semantics if execution ever reaches it. A terminator at [pc]
+   itself still installs [b], as a zero-length block validated by the
+   terminator's page: the run loop then steps that pc precisely at once
+   instead of decoding and failing a build on every visit. *)
 let sb_build t b pc =
   b.b_pc <- -1;
+  let entry_terminator = ref false in
   let n = ref 0 in
   let p = ref pc in
   (* a block is validated by two generation checks, so its micro-ops may
@@ -804,7 +836,10 @@ let sb_build t b pc =
        (* followed targets must satisfy the same wrap guard as entry pcs *)
        if !p < 0 || !p > 0xFFFFFF00 then raise Exit;
        let insn = decode_at t !p in
-       if is_sb_terminator insn then raise Exit;
+       if is_sb_terminator insn then begin
+         entry_terminator := !n = 0 && claim !p;
+         raise Exit
+       end;
        if not (claim !p) then raise Exit;
        let next = !p + 4 in
        let succ, ends =
@@ -829,33 +864,60 @@ let sb_build t b pc =
        if ends then raise Exit
      done
    with Exit | Cpu_fault _ | Decode.Undefined_opcode -> ());
-  !n > 0
-  && begin
+  if !n > 0 || !entry_terminator then begin
     if !npg = 1 then pg2 := !pg1;
     b.b_len <- !n;
     b.b_pg1 <- !pg1;
     b.b_wg1 <- Memory.page_generation !pg1;
     b.b_pg2 <- !pg2;
     b.b_wg2 <- Memory.page_generation !pg2;
-    b.b_pc <- pc;
-    true
+    b.b_pc <- pc
+  end;
+  !n > 0
+
+let sb_slot_of pc = (pc lsr 2) land sbcache_mask
+
+let[@inline] sb_valid b pc =
+  b.b_pc = pc
+  && Memory.page_generation b.b_pg1 = b.b_wg1
+  && Memory.page_generation b.b_pg2 = b.b_wg2
+
+(* The block in [slot], first replacing the shared empty block with a
+   private one, so it can be built into. *)
+let sb_slot t slot =
+  let b = Array.unsafe_get t.sbcache slot in
+  if b != empty_sblock then b
+  else begin
+    let b = fresh_sblock () in
+    Array.unsafe_set t.sbcache slot b;
+    b
   end
 
-(* Run up to [max_steps] instructions, preferring translated superblock
-   execution and falling back to the precise [step] whenever translation
-   cannot reproduce its observable semantics (armed execute breakpoints,
-   poisoned address translation, misaligned or wrapping pc, a terminator
-   instruction). Returns [(n, r)] where [n] counts cleanly retired
-   instructions and [r] is the first event, or [Retired] when the budget was
-   exhausted without one. For [Hit_dbp]/[Stopped] the event-carrying
-   instruction has retired (counters include it) but is not part of [n];
-   for [Faulted] the faulting instruction did not retire and the exception
-   has been delivered exactly as [step] would. *)
+(* How many leading micro-ops of [b] may run while execute breakpoints are
+   armed: the block is cut just before its first micro-op past the entry
+   whose pc is armed, so the next loop iteration reaches that pc as a block
+   entry and [step] reports [Hit_ibp] there, as the precise loop would. The
+   precise loop tests breakpoints only at the pcs it executes, and these are
+   the same pcs, so the cut is exact. Call with [k = 1]. *)
+let rec sb_cut t b limit k =
+  if k >= limit || Debug_regs.check_exec t.dr (Array.unsafe_get b.b_pcs k) then k
+  else sb_cut t b limit (k + 1)
+
 let sb_poisoned t =
   t.translation_broken || t.bat_poisoned || t.sdr1_poisoned
   || t.sr_poisoned.(12) || t.sr_poisoned.(13) || t.sr_poisoned.(14)
   || t.sr_poisoned.(15)
 
+(* Run up to [max_steps] instructions, preferring translated superblock
+   execution and falling back to the precise [step] whenever translation
+   cannot reproduce its observable semantics (an armed execute breakpoint at
+   the block entry, poisoned address translation, misaligned or wrapping pc,
+   a terminator instruction). Returns the first event, or [Retired] when the
+   budget was exhausted without one, and leaves the count [n] of cleanly
+   retired instructions in [run_retired]. For [Hit_dbp]/[Stopped] the
+   event-carrying instruction has retired (counters include it) but is not
+   part of [n]; for [Faulted] the faulting instruction did not retire and
+   the exception has been delivered exactly as [step] would. *)
 let run t ~max_steps =
   if max_steps <= 0 then invalid_arg "Cpu.run: max_steps must be positive";
   let retired = ref 0 in
@@ -864,15 +926,17 @@ let run t ~max_steps =
      call; translation poison can, but only under the precise interpreter
      ([Mtspr]/[Mtmsr]/[Rfi] are terminators), so the eligibility chain is
      re-evaluated after fallback excursions instead of at every entry *)
-  let forced_static = (not t.sb_enabled) || Debug_regs.exec_armed t.dr in
+  let forced_static = not t.sb_enabled in
+  let bp_armed = Debug_regs.exec_armed t.dr in
   let forced = ref (forced_static || sb_poisoned t) in
-  while !fin = None && !retired < max_steps do
+  while Option.is_none !fin && !retired < max_steps do
     let pc = t.pc in
     if
       !forced
       || pc land 3 <> 0
       || pc < 0
       || pc > 0xFFFFFF00  (* a block near the top of the space would wrap *)
+      || (bp_armed && Debug_regs.check_exec t.dr pc)  (* [step] reports it *)
     then begin
       t.sb_fallbacks <- t.sb_fallbacks + 1;
       (match step t with
@@ -881,19 +945,25 @@ let run t ~max_steps =
       forced := forced_static || sb_poisoned t
     end
     else begin
-      let b = Array.unsafe_get t.sbcache ((pc lsr 2) land sbcache_mask) in
-      let valid =
-        b.b_pc = pc
-        && Memory.page_generation b.b_pg1 = b.b_wg1
-        && Memory.page_generation b.b_pg2 = b.b_wg2
-      in
-      if valid then t.sb_hits <- t.sb_hits + 1;
+      let slot = sb_slot_of pc in
+      let b = Array.unsafe_get t.sbcache slot in
+      let valid = sb_valid b pc in
+      (* wild execution: don't build *)
+      let buildable = (not valid) && t.dc_streak < dc_bypass_streak in
+      let b = if buildable then sb_slot t slot else b in
       let have =
-        valid
-        || t.dc_streak < dc_bypass_streak  (* wild execution: don't build *)
-           && (let built = sb_build t b pc in
-               if built then t.sb_blocks <- t.sb_blocks + 1;
-               built)
+        if valid then begin
+          (* a zero-length block remembers a terminator at the entry *)
+          if b.b_len > 0 then t.sb_hits <- t.sb_hits + 1;
+          b.b_len > 0
+        end
+        else
+          buildable
+          && begin
+            let built = sb_build t b pc in
+            if built then t.sb_blocks <- t.sb_blocks + 1;
+            built
+          end
       in
       if not have then begin
         t.sb_fallbacks <- t.sb_fallbacks + 1;
@@ -907,7 +977,8 @@ let run t ~max_steps =
         let pcs = b.b_pcs and succs = b.b_succ in
         let limit =
           let budget = max_steps - !retired in
-          if b.b_len < budget then b.b_len else budget
+          let limit = if b.b_len < budget then b.b_len else budget in
+          if bp_armed then sb_cut t b limit 1 else limit
         in
         (match t.pending_hit with Some _ -> t.pending_hit <- None | None -> ());
         t.stopped <- false;
@@ -988,7 +1059,8 @@ let run t ~max_steps =
       end
     end
   done;
-  (!retired, match !fin with None -> Retired | Some r -> r)
+  t.run_retired <- !retired;
+  match !fin with None -> Retired | Some r -> r
 
 (* Pre-warm the decode and superblock caches from the kernel image's function
    ranges, so the first trial does not pay the cold-miss tail on paths the
@@ -1023,14 +1095,12 @@ let prewarm t funcs =
           List.iter
             (fun e ->
               if e >= addr && e < fin && e land 3 = 0 then begin
-                let b = Array.unsafe_get t.sbcache ((e lsr 2) land sbcache_mask) in
-                let valid =
-                  b.b_pc = e
-                  && Memory.page_generation b.b_pg1 = b.b_wg1
-                  && Memory.page_generation b.b_pg2 = b.b_wg2
-                in
+                let slot = sb_slot_of e in
                 t.dc_streak <- 0;
-                if (not valid) && sb_build t b e then begin
+                if
+                  (not (sb_valid (Array.unsafe_get t.sbcache slot) e))
+                  && sb_build t (sb_slot t slot) e
+                then begin
                   t.sb_blocks <- t.sb_blocks + 1;
                   t.prewarmed <- t.prewarmed + 1
                 end
@@ -1041,6 +1111,11 @@ let prewarm t funcs =
   end
 
 let superblock_stats t = (t.sb_hits, t.sb_blocks, t.sb_insns, t.sb_fallbacks)
+
+let cached_block_len t pc =
+  let b = Array.unsafe_get t.sbcache (sb_slot_of pc) in
+  if sb_valid b pc then b.b_len else -1
+
 let decode_warm_stats t = (t.dc_warm_hits, t.prewarmed)
 
 (* --- system registers (the G4 injection targets, §5.2) -------------------- *)

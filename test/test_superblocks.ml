@@ -52,6 +52,15 @@ let cisc_pair setup =
   in
   (make true, make false)
 
+(* [Cpu.run] as a [(retired, result)] pair, so the two sides compare whole *)
+let risc_run (cpu : Ferrite_risc.Cpu.t) n =
+  let r = Ferrite_risc.Cpu.run cpu ~max_steps:n in
+  (cpu.Ferrite_risc.Cpu.run_retired, r)
+
+let cisc_run (cpu : Ferrite_cisc.Cpu.t) n =
+  let r = Ferrite_cisc.Cpu.run cpu ~max_steps:n in
+  (cpu.Ferrite_cisc.Cpu.run_retired, r)
+
 let check_risc_agree msg (a : Ferrite_risc.Cpu.t) (b : Ferrite_risc.Cpu.t) =
   check_int (msg ^ ": pc") b.Ferrite_risc.Cpu.pc a.Ferrite_risc.Cpu.pc;
   for i = 0 to 31 do
@@ -94,8 +103,8 @@ let test_risc_smc_invalidates () =
   in
   let sb, precise = risc_pair setup in
   let module Cpu = Ferrite_risc.Cpu in
-  let ra = Cpu.run sb ~max_steps:3 in
-  let rb = Cpu.run precise ~max_steps:3 in
+  let ra = risc_run sb 3 in
+  let rb = risc_run precise 3 in
   check_bool "same run result" true (ra = rb);
   check_int "rewritten instruction executed, not the stale block" 9
     sb.Cpu.gpr.(4);
@@ -118,8 +127,8 @@ let test_cisc_smc_invalidates () =
   in
   let sb, precise = cisc_pair setup in
   let module Cpu = Ferrite_cisc.Cpu in
-  let ra = Cpu.run sb ~max_steps:2 in
-  let rb = Cpu.run precise ~max_steps:2 in
+  let ra = cisc_run sb 2 in
+  let rb = cisc_run precise 2 in
   check_bool "same run result" true (ra = rb);
   check_int "rewritten immediate executed, not the stale block" 0x22
     sb.Cpu.regs.(Cpu.eax);
@@ -142,8 +151,8 @@ let test_risc_midblock_exception () =
   in
   let sb, precise = risc_pair setup in
   let module Cpu = Ferrite_risc.Cpu in
-  let ra = Cpu.run sb ~max_steps:10 in
-  let rb = Cpu.run precise ~max_steps:10 in
+  let ra = risc_run sb 10 in
+  let rb = risc_run precise 10 in
   check_bool "same run result" true (ra = rb);
   (match ra with
   | 1, Cpu.Faulted (Ferrite_risc.Exn.Dsi _) -> ()
@@ -165,8 +174,8 @@ let test_cisc_midblock_exception () =
   in
   let sb, precise = cisc_pair setup in
   let module Cpu = Ferrite_cisc.Cpu in
-  let ra = Cpu.run sb ~max_steps:10 in
-  let rb = Cpu.run precise ~max_steps:10 in
+  let ra = cisc_run sb 10 in
+  let rb = cisc_run precise 10 in
   check_bool "same run result" true (ra = rb);
   (match ra with
   | 1, Cpu.Faulted (Ferrite_cisc.Exn.Page_fault _) -> ()
@@ -177,12 +186,12 @@ let test_cisc_midblock_exception () =
 
 (* --- fallback edge: breakpoint armed over a cached block ------------------ *)
 
-(* The injector arms an execute breakpoint between two runs. Even though a
-   superblock covering the armed pc is cached and valid, the next run must
-   take the precise path and report [Hit_ibp] before executing anything at
-   the armed address. *)
+(* The injector arms an execute breakpoint between two runs. A superblock
+   covering the armed pc is cached and valid; the next run must cut it just
+   before the armed address, retiring only the micro-op ahead of it, and
+   report [Hit_ibp] there without executing the armed instruction. *)
 
-let test_risc_breakpoint_forces_precise () =
+let test_risc_breakpoint_on_cached_block () =
   let setup mem (cpu : Ferrite_risc.Cpu.t) =
     Memory.poke32_be mem code_base 0x38600005;
     (* li r3, 5 *)
@@ -195,12 +204,12 @@ let test_risc_breakpoint_forces_precise () =
   let sb, precise = risc_pair setup in
   let module Cpu = Ferrite_risc.Cpu in
   (* first run caches the block on the sb side *)
-  check_bool "warm run" true (Cpu.run sb ~max_steps:3 = Cpu.run precise ~max_steps:3);
+  check_bool "warm run" true (risc_run sb 3 = risc_run precise 3);
   let again (cpu : Cpu.t) =
     cpu.Cpu.pc <- code_base;
     cpu.Cpu.gpr.(4) <- 0;
     Debug_regs.set_instruction_bp cpu.Cpu.dr (code_base + 4);
-    Cpu.run cpu ~max_steps:3
+    risc_run cpu 3
   in
   let ra = again sb in
   let rb = again precise in
@@ -211,6 +220,348 @@ let test_risc_breakpoint_forces_precise () =
   check_int "armed instruction did not execute" 0 sb.Cpu.gpr.(4);
   check_int "pc parked on the breakpoint" (code_base + 4) sb.Cpu.pc;
   check_risc_agree "armed bp" sb precise
+
+(* --- breakpoints inside blocks: where the cut falls ----------------------- *)
+
+(* One program per ISA: three straight-line ops, a direct jump the builder
+   follows over two skipped ops, and three more ops at its target. After
+   [prewarm], a valid block at the entry covers all seven executed ops. Each
+   case arms breakpoints on both CPUs of a pair and checks that the
+   translated run stops exactly where the precise one does. *)
+
+let risc_bp_program mem (cpu : Ferrite_risc.Cpu.t) =
+  List.iteri
+    (fun i w -> Memory.poke32_be mem (code_base + (4 * i)) w)
+    [
+      0x38600001 (* +0  li r3, 1 *);
+      0x38800002 (* +4  li r4, 2 *);
+      0x38A00003 (* +8  li r5, 3 *);
+      0x4800000C (* +12 b +12 *);
+      0x38600063 (* +16 li r3, 99 — skipped *);
+      0x38600062 (* +20 li r3, 98 — skipped *);
+      0x38C00004 (* +24 li r6, 4 — the branch target *);
+      0x38E00005 (* +28 li r7, 5 *);
+      0x39000006 (* +32 li r8, 6 *);
+    ];
+  cpu.Ferrite_risc.Cpu.pc <- code_base
+
+let cisc_bp_program mem (cpu : Ferrite_cisc.Cpu.t) =
+  List.iteri
+    (fun i b -> Memory.poke8 mem (code_base + i) b)
+    ([ 0xB8; 1; 0; 0; 0 ] (* +0  mov eax, 1 *)
+    @ [ 0xB9; 2; 0; 0; 0 ] (* +5  mov ecx, 2 *)
+    @ [ 0xBA; 3; 0; 0; 0 ] (* +10 mov edx, 3 *)
+    @ [ 0xEB; 5 ] (* +15 jmp +5 *)
+    @ [ 0xB8; 99; 0; 0; 0 ] (* +17 mov eax, 99 — skipped *)
+    @ [ 0xBB; 4; 0; 0; 0 ] (* +22 mov ebx, 4 — the branch target *)
+    @ [ 0xBE; 5; 0; 0; 0 ] (* +27 mov esi, 5 *)
+    @ [ 0xBF; 6; 0; 0; 0 ] (* +32 mov edi, 6 *)
+    @ [ 0xF4 ] (* +37 hlt *));
+  cpu.Ferrite_cisc.Cpu.eip <- code_base
+
+(* Seven executed ops: enough to reach every breakpoint, never the end. *)
+let bp_steps = 7
+
+let risc_armed offsets =
+  let ((sb, _) as pair) = risc_pair risc_bp_program in
+  let arm (cpu : Ferrite_risc.Cpu.t) =
+    Ferrite_risc.Cpu.prewarm cpu [ (code_base, 36) ];
+    List.iter
+      (fun o -> Debug_regs.set_instruction_bp cpu.Ferrite_risc.Cpu.dr (code_base + o))
+      offsets
+  in
+  arm (fst pair);
+  arm (snd pair);
+  check_int "a warm block covers the entry" bp_steps
+    (Ferrite_risc.Cpu.cached_block_len sb code_base);
+  pair
+
+let cisc_armed offsets =
+  let ((sb, _) as pair) = cisc_pair cisc_bp_program in
+  let arm (cpu : Ferrite_cisc.Cpu.t) =
+    Ferrite_cisc.Cpu.prewarm cpu [ (code_base, 38) ];
+    List.iter
+      (fun o -> Debug_regs.set_instruction_bp cpu.Ferrite_cisc.Cpu.dr (code_base + o))
+      offsets
+  in
+  arm (fst pair);
+  arm (snd pair);
+  check_int "a warm block covers the entry" bp_steps
+    (Ferrite_cisc.Cpu.cached_block_len sb code_base);
+  pair
+
+let risc_hits msg (sb, precise) ~retired ~at =
+  let ra = risc_run sb bp_steps in
+  let rb = risc_run precise bp_steps in
+  check_bool (msg ^ ": same run result") true (ra = rb);
+  check_bool (msg ^ ": Hit_ibp") true (snd ra = Ferrite_risc.Cpu.Hit_ibp);
+  check_int (msg ^ ": retired") retired (fst ra);
+  check_int (msg ^ ": pc parked on the breakpoint") (code_base + at)
+    sb.Ferrite_risc.Cpu.pc;
+  check_risc_agree msg sb precise
+
+let cisc_hits msg (sb, precise) ~retired ~at =
+  let ra = cisc_run sb bp_steps in
+  let rb = cisc_run precise bp_steps in
+  check_bool (msg ^ ": same run result") true (ra = rb);
+  check_bool (msg ^ ": Hit_ibp") true (snd ra = Ferrite_cisc.Cpu.Hit_ibp);
+  check_int (msg ^ ": retired") retired (fst ra);
+  check_int (msg ^ ": eip parked on the breakpoint") (code_base + at)
+    sb.Ferrite_cisc.Cpu.eip;
+  check_cisc_agree msg sb precise
+
+let risc_sb_insns cpu =
+  let _, _, insns, _ = Ferrite_risc.Cpu.superblock_stats cpu in
+  insns
+
+let cisc_sb_insns cpu =
+  let _, _, insns, _ = Ferrite_cisc.Cpu.superblock_stats cpu in
+  insns
+
+let test_risc_bp_on_entry () =
+  risc_hits "entry" (risc_armed [ 0 ]) ~retired:0 ~at:0
+
+let test_cisc_bp_on_entry () =
+  cisc_hits "entry" (cisc_armed [ 0 ]) ~retired:0 ~at:0
+
+let test_risc_bp_mid_block () =
+  let ((sb, _) as pair) = risc_armed [ 8 ] in
+  risc_hits "micro-op 2" pair ~retired:2 ~at:8;
+  check_int "the prefix ran in the block" 2 (risc_sb_insns sb)
+
+let test_cisc_bp_mid_block () =
+  let ((sb, _) as pair) = cisc_armed [ 10 ] in
+  cisc_hits "micro-op 2" pair ~retired:2 ~at:10;
+  check_int "the prefix ran in the block" 2 (cisc_sb_insns sb)
+
+let test_risc_bp_on_branch_target () =
+  let ((sb, _) as pair) = risc_armed [ 24 ] in
+  risc_hits "branch target" pair ~retired:4 ~at:24;
+  check_int "the jump ran in the block" 4 (risc_sb_insns sb)
+
+let test_cisc_bp_on_branch_target () =
+  let ((sb, _) as pair) = cisc_armed [ 22 ] in
+  cisc_hits "branch target" pair ~retired:4 ~at:22;
+  check_int "the jump ran in the block" 4 (cisc_sb_insns sb)
+
+(* Two armed: the first reached stops the run; stepping over it (the
+   injector's [skip_ibp] resume) and running on stops at the second. *)
+let test_risc_two_bps () =
+  let ((sb, precise) as pair) = risc_armed [ 28; 8 ] in
+  risc_hits "first of two" pair ~retired:2 ~at:8;
+  let sa = Ferrite_risc.Cpu.step ~skip_ibp:true sb in
+  let sp = Ferrite_risc.Cpu.step ~skip_ibp:true precise in
+  check_bool "skip step retires" true (sa = Ferrite_risc.Cpu.Retired && sa = sp);
+  risc_hits "second of two" pair ~retired:2 ~at:28
+
+let test_cisc_two_bps () =
+  let ((sb, precise) as pair) = cisc_armed [ 27; 10 ] in
+  cisc_hits "first of two" pair ~retired:2 ~at:10;
+  let sa = Ferrite_cisc.Cpu.step ~skip_ibp:true sb in
+  let sp = Ferrite_cisc.Cpu.step ~skip_ibp:true precise in
+  check_bool "skip step retires" true (sa = Ferrite_cisc.Cpu.Retired && sa = sp);
+  cisc_hits "second of two" pair ~retired:2 ~at:27
+
+(* --- the block table ------------------------------------------------------ *)
+
+(* A fresh table shares one empty block across its slots; it must never
+   validate, for any pc — including its own sentinel pc — and a built block
+   must not make other slots validate. *)
+let test_unbuilt_slot_never_validates () =
+  let sb, _ = risc_pair risc_bp_program in
+  let probes = [ -1; 0; code_base; code_base + 4; code_base + 0x8000 ] in
+  List.iter
+    (fun pc ->
+      check_int (Printf.sprintf "risc fresh 0x%x" pc) (-1)
+        (Ferrite_risc.Cpu.cached_block_len sb pc))
+    probes;
+  ignore (risc_run sb 3);
+  check_bool "risc built entry validates" true
+    (Ferrite_risc.Cpu.cached_block_len sb code_base > 0);
+  List.iter
+    (fun pc ->
+      check_int (Printf.sprintf "risc unbuilt 0x%x" pc) (-1)
+        (Ferrite_risc.Cpu.cached_block_len sb pc))
+    [ -1; 0; code_base + 4; code_base + 0x8000 ];
+  let sb, _ = cisc_pair cisc_bp_program in
+  List.iter
+    (fun pc ->
+      check_int (Printf.sprintf "cisc fresh 0x%x" pc) (-1)
+        (Ferrite_cisc.Cpu.cached_block_len sb pc))
+    probes;
+  ignore (cisc_run sb 3);
+  check_bool "cisc built entry validates" true
+    (Ferrite_cisc.Cpu.cached_block_len sb code_base > 0);
+  List.iter
+    (fun pc ->
+      check_int (Printf.sprintf "cisc unbuilt 0x%x" pc) (-1)
+        (Ferrite_cisc.Cpu.cached_block_len sb pc))
+    [ -1; 0; code_base + 5; code_base + 0x4000 ]
+
+(* The table spans the whole kernel text, so nothing [prewarm] builds is
+   evicted by a later build: every function start still validates after
+   the pass (with a direct-mapped table smaller than the text, the tail of
+   the text would evict the head). *)
+let test_prewarmed_entries_validate () =
+  List.iter
+    (fun arch ->
+      let sys = Boot.boot arch in
+      System.prewarm sys;
+      let len pc =
+        match sys.System.cpu with
+        | System.Ccpu c -> Ferrite_cisc.Cpu.cached_block_len c pc
+        | System.Rcpu r -> Ferrite_risc.Cpu.cached_block_len r pc
+      in
+      Array.iter
+        (fun (f : Image.func_sym) ->
+          if f.Image.fs_size > 0 then
+            check_bool
+              (Printf.sprintf "%s %s validates" (System.arch_name sys) f.Image.fs_name)
+              true
+              (len f.Image.fs_addr >= 0))
+        sys.System.image.Image.img_funcs)
+    [ Image.Cisc; Image.Risc ]
+
+(* A terminator at a block entry is remembered as a zero-length block: the
+   revisit steps it precisely without a rebuild, and stays exact. *)
+let test_terminator_entry_remembered () =
+  let setup mem (cpu : Ferrite_risc.Cpu.t) =
+    Memory.poke32_be mem code_base 0x7C7043A6;
+    (* mtsprg0 r3 — a terminator *)
+    Memory.poke32_be mem (code_base + 4) 0x38800001;
+    (* li r4, 1 *)
+    cpu.Ferrite_risc.Cpu.pc <- code_base
+  in
+  let sb, precise = risc_pair setup in
+  let module Cpu = Ferrite_risc.Cpu in
+  check_bool "first visit" true (risc_run sb 2 = risc_run precise 2);
+  check_int "terminator remembered" 0 (Cpu.cached_block_len sb code_base);
+  let _, built, _, _ = Cpu.superblock_stats sb in
+  sb.Cpu.pc <- code_base;
+  precise.Cpu.pc <- code_base;
+  check_bool "revisit" true (risc_run sb 2 = risc_run precise 2);
+  let _, rebuilt, _, _ = Cpu.superblock_stats sb in
+  check_int "no rebuild on the revisit" built rebuilt;
+  check_risc_agree "terminator entry" sb precise;
+  let setup mem (cpu : Ferrite_cisc.Cpu.t) =
+    Memory.poke8 mem code_base 0xF4;
+    (* hlt, interrupts enabled — a terminator *)
+    Memory.poke8 mem (code_base + 1) 0xB8;
+    Memory.poke32_le mem (code_base + 2) 1;
+    (* mov eax, 1 *)
+    cpu.Ferrite_cisc.Cpu.eip <- code_base
+  in
+  let sb, precise = cisc_pair setup in
+  let module Cpu = Ferrite_cisc.Cpu in
+  check_bool "first visit" true (cisc_run sb 2 = cisc_run precise 2);
+  check_int "terminator remembered" 0 (Cpu.cached_block_len sb code_base);
+  let _, built, _, _ = Cpu.superblock_stats sb in
+  sb.Cpu.eip <- code_base;
+  precise.Cpu.eip <- code_base;
+  check_bool "revisit" true (cisc_run sb 2 = cisc_run precise 2);
+  let _, rebuilt, _, _ = Cpu.superblock_stats sb in
+  check_int "no rebuild on the revisit" built rebuilt;
+  check_cisc_agree "terminator entry" sb precise
+
+(* --- allocation-free hot path --------------------------------------------- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* No watch, one, and all four armed, none hit: the per-access check the
+   CPUs make on every load and store must not allocate. *)
+let test_check_data_allocates_nothing () =
+  List.iter
+    (fun armed ->
+      let d = Debug_regs.create () in
+      for i = 1 to armed do
+        Debug_regs.set_data_bp d ~addr:(0x10000 * i) ~len:4
+      done;
+      let words =
+        minor_words (fun () ->
+            for i = 1 to 10_000 do
+              match Debug_regs.check_data d ~addr:(i land 0xFFF) ~len:4 ~is_write:false with
+              | None -> ()
+              | Some _ -> Alcotest.fail "unexpected hit"
+            done)
+      in
+      check_int (Printf.sprintf "minor words, %d armed" armed) 0 (int_of_float words))
+    [ 0; 1; 4 ]
+
+(* A straight-line block of loads, stores and arithmetic, warmed by one run
+   and then run again from its entry, with and without a (missed)
+   watchpoint armed. *)
+let test_risc_run_allocates_nothing () =
+  let data = code_base + 0x1000 in
+  let setup mem (cpu : Ferrite_risc.Cpu.t) =
+    List.iteri
+      (fun i w -> Memory.poke32_be mem (code_base + (4 * i)) w)
+      [
+        0x38600005 (* li r3, 5 *);
+        0x80860000 (* lwz r4, 0(r6) *);
+        0x90860004 (* stw r4, 4(r6) *);
+        0x80A60008 (* lwz r5, 8(r6) *);
+        0x90A6000C (* stw r5, 12(r6) *);
+        0x88E60001 (* lbz r7, 1(r6) *);
+        0x98E60010 (* stb r7, 16(r6) *);
+        0x7D042A14 (* add r8, r4, r5 *);
+      ];
+    Memory.poke32_be mem data 0x11223344;
+    Memory.poke32_be mem (data + 8) 0x01010101;
+    cpu.Ferrite_risc.Cpu.gpr.(6) <- data;
+    cpu.Ferrite_risc.Cpu.pc <- code_base
+  in
+  let sb, precise = risc_pair setup in
+  let module Cpu = Ferrite_risc.Cpu in
+  let again (cpu : Cpu.t) =
+    cpu.Cpu.pc <- code_base;
+    Cpu.run cpu ~max_steps:8
+  in
+  check_bool "warm run" true (again sb = again precise);
+  check_int "one block" 8 (Cpu.cached_block_len sb code_base);
+  check_int "unwatched run" 0 (int_of_float (minor_words (fun () -> ignore (again sb))));
+  Debug_regs.set_data_bp sb.Cpu.dr ~addr:(data + 0x100) ~len:4;
+  Debug_regs.set_data_bp precise.Cpu.dr ~addr:(data + 0x100) ~len:4;
+  check_int "watched run" 0 (int_of_float (minor_words (fun () -> ignore (again sb))));
+  ignore (again precise);
+  ignore (again precise);
+  check_risc_agree "load/store block" sb precise
+
+let test_cisc_run_allocates_nothing () =
+  let data = code_base + 0x1000 in
+  let setup mem (cpu : Ferrite_cisc.Cpu.t) =
+    List.iteri
+      (fun i b -> Memory.poke8 mem (code_base + i) b)
+      ([ 0x8B; 0x06 ] (* mov eax, [esi] *)
+      @ [ 0x89; 0x46; 0x04 ] (* mov [esi+4], eax *)
+      @ [ 0x8B; 0x4E; 0x08 ] (* mov ecx, [esi+8] *)
+      @ [ 0x89; 0x4E; 0x0C ] (* mov [esi+12], ecx *)
+      @ [ 0x01; 0xC8 ] (* add eax, ecx *)
+      @ [ 0x0F; 0xB6; 0x56; 0x01 ] (* movzx edx, byte [esi+1] *)
+      @ [ 0x88; 0x56; 0x10 ] (* mov [esi+16], dl *)
+      @ [ 0xF4 ] (* hlt *));
+    Memory.poke32_le mem data 0x11223344;
+    Memory.poke32_le mem (data + 8) 0x01010101;
+    cpu.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.esi) <- data;
+    cpu.Ferrite_cisc.Cpu.eip <- code_base
+  in
+  let sb, precise = cisc_pair setup in
+  let module Cpu = Ferrite_cisc.Cpu in
+  let again (cpu : Cpu.t) =
+    cpu.Cpu.eip <- code_base;
+    Cpu.run cpu ~max_steps:7
+  in
+  check_bool "warm run" true (again sb = again precise);
+  check_int "one block" 7 (Cpu.cached_block_len sb code_base);
+  check_int "unwatched run" 0 (int_of_float (minor_words (fun () -> ignore (again sb))));
+  Debug_regs.set_data_bp sb.Cpu.dr ~addr:(data + 0x100) ~len:4;
+  Debug_regs.set_data_bp precise.Cpu.dr ~addr:(data + 0x100) ~len:4;
+  check_int "watched run" 0 (int_of_float (minor_words (fun () -> ignore (again sb))));
+  ignore (again precise);
+  ignore (again precise);
+  check_cisc_agree "load/store block" sb precise
 
 (* --- fallback edge: block-boundary branch to an uncached pc --------------- *)
 
@@ -232,8 +583,8 @@ let test_risc_branch_to_uncached () =
   in
   let sb, precise = risc_pair setup in
   let module Cpu = Ferrite_risc.Cpu in
-  let ra = Cpu.run sb ~max_steps:3 in
-  let rb = Cpu.run precise ~max_steps:3 in
+  let ra = risc_run sb 3 in
+  let rb = risc_run precise 3 in
   check_bool "same run result" true (ra = rb);
   check_int "retired across the boundary" 3 (fst ra);
   check_int "branch taken" 1 sb.Cpu.gpr.(3);
@@ -393,9 +744,40 @@ let () =
           Alcotest.test_case "cisc mid-block exception" `Quick
             test_cisc_midblock_exception;
           Alcotest.test_case "risc armed breakpoint" `Quick
-            test_risc_breakpoint_forces_precise;
+            test_risc_breakpoint_on_cached_block;
           Alcotest.test_case "risc branch to uncached pc" `Quick
             test_risc_branch_to_uncached;
+        ] );
+      ( "breakpoints",
+        [
+          Alcotest.test_case "risc on the entry" `Quick test_risc_bp_on_entry;
+          Alcotest.test_case "cisc on the entry" `Quick test_cisc_bp_on_entry;
+          Alcotest.test_case "risc on micro-op 2" `Quick test_risc_bp_mid_block;
+          Alcotest.test_case "cisc on micro-op 2" `Quick test_cisc_bp_mid_block;
+          Alcotest.test_case "risc on a followed branch target" `Quick
+            test_risc_bp_on_branch_target;
+          Alcotest.test_case "cisc on a followed branch target" `Quick
+            test_cisc_bp_on_branch_target;
+          Alcotest.test_case "risc two armed" `Quick test_risc_two_bps;
+          Alcotest.test_case "cisc two armed" `Quick test_cisc_two_bps;
+        ] );
+      ( "block table",
+        [
+          Alcotest.test_case "unbuilt slot never validates" `Quick
+            test_unbuilt_slot_never_validates;
+          Alcotest.test_case "prewarmed entries validate" `Quick
+            test_prewarmed_entries_validate;
+          Alcotest.test_case "terminator entry remembered" `Quick
+            test_terminator_entry_remembered;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "check_data allocates nothing" `Quick
+            test_check_data_allocates_nothing;
+          Alcotest.test_case "risc warm run allocates nothing" `Quick
+            test_risc_run_allocates_nothing;
+          Alcotest.test_case "cisc warm run allocates nothing" `Quick
+            test_cisc_run_allocates_nothing;
         ] );
       ( "cache stats",
         [
