@@ -4,9 +4,11 @@
    ([Memory.set_superblocks_default false]) — and exits non-zero unless both
    produce bit-identical records, telemetry, traces and columnar-store
    bytes, and the translated run actually executed through superblocks.
-   Per architecture it runs a stack campaign and a code campaign; the code
+   Per architecture it runs a stack, a data and a code campaign. The code
    trials arm an execute breakpoint, so blocks also run (and are cut)
-   inside the injection window. *)
+   inside the injection window. The data trials arm data watchpoints, so
+   watchpoint hits end blocks from inside; data errors rarely activate, so
+   those campaigns run 200 trials and must activate at least one. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -27,9 +29,9 @@ let store_bytes res =
   Sys.remove path;
   bytes
 
-let run arch kind =
+let run ?(injections = 12) arch kind =
   let cfg =
-    { (Campaign.default ~arch ~kind ~injections:12) with
+    { (Campaign.default ~arch ~kind ~injections) with
       Campaign.seed = 0x2004L }
   in
   let tracer = Ferrite_trace.Tracer.default_config in
@@ -40,7 +42,7 @@ let run arch kind =
   let name =
     Printf.sprintf "%s %s"
       (match arch with Image.Cisc -> "p4" | Image.Risc -> "g4")
-      (match kind with Target.Code -> "code" | _ -> "stack")
+      (match kind with Target.Code -> "code" | Target.Data -> "data" | _ -> "stack")
   in
   if on.Campaign.records <> off.Campaign.records then
     fail "%s: records differ between superblock and precise execution" name;
@@ -54,6 +56,10 @@ let run arch kind =
     fail "%s: translated run retired no instructions in superblocks" name;
   if off.Campaign.cache.Cache_stats.cs_sb_blocks <> 0 then
     fail "%s: precise run built superblocks" name;
+  if
+    kind = Target.Data
+    && not (List.exists (fun r -> r.Ferrite_injection.Outcome.r_activated) on.Campaign.records)
+  then fail "%s: no trial activated, so no watchpoint hit was compared" name;
   on
 
 let () =
@@ -61,9 +67,13 @@ let () =
   let g4 = run Image.Risc Target.Stack in
   let p4_code = run Image.Cisc Target.Code in
   let g4_code = run Image.Risc Target.Code in
+  let p4_data = run ~injections:200 Image.Cisc Target.Data in
+  let g4_data = run ~injections:200 Image.Risc Target.Data in
   let render (r : Campaign.result) = Format.asprintf "%a" Cache_stats.render r.Campaign.cache in
   Printf.printf
-    "sb-smoke ok: 48 injections, records/traces/telemetry/store bytes \
+    "sb-smoke ok: 448 injections, records/traces/telemetry/store bytes \
      identical with superblocks on and off\n\
-    \  p4 stack: %s\n  g4 stack: %s\n  p4 code: %s\n  g4 code: %s\n"
-    (render p4) (render g4) (render p4_code) (render g4_code)
+    \  p4 stack: %s\n  g4 stack: %s\n  p4 code: %s\n  g4 code: %s\n\
+    \  p4 data: %s\n  g4 data: %s\n"
+    (render p4) (render g4) (render p4_code) (render g4_code) (render p4_data)
+    (render g4_data)

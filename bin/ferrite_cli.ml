@@ -243,18 +243,6 @@ let run_fabric ~workers ~distributed ?policy ?chaos ~tracer ?wire_chaos ?journal
   done;
   Fabric.Controller.finish c
 
-let no_superblocks_arg =
-  let doc =
-    "Disable the superblock translation engine: every instruction runs \
-     through the precise per-step interpreter. Results are bit-identical \
-     either way (enforced by the sb-smoke CI gate); only wall-clock time \
-     changes. For differential debugging."
-  in
-  Arg.(value & flag & info [ "no-superblocks" ] ~doc)
-
-let apply_superblocks no_sb =
-  if no_sb then Ferrite_machine.Memory.set_superblocks_default false
-
 (* --- boot --- *)
 
 let boot_cmd =
@@ -594,10 +582,9 @@ let with_journal_errors f =
     exit 2
 
 let inject_cmd =
-  let run arch kind n seed progress jobs no_superblocks trace_dir journal resume
-      max_retries chaos collector_loss collector_retries fault_model targeting store
-      store_append workers distributed wire_chaos io_chaos io_enospc_after =
-    apply_superblocks no_superblocks;
+  let run arch kind n seed progress jobs trace_dir journal resume max_retries chaos
+      collector_loss collector_retries fault_model targeting store store_append workers
+      distributed wire_chaos io_chaos io_enospc_after =
     arm_io_chaos ~io_chaos ~io_enospc_after;
     let cfg =
       {
@@ -695,7 +682,7 @@ let inject_cmd =
   Cmd.v (Cmd.info "inject" ~doc:"Run one error-injection campaign")
     Term.(
       const run $ arch_arg $ kind_arg $ count_arg $ seed_arg $ progress_arg $ jobs_arg
-      $ no_superblocks_arg $ trace_dir_arg $ journal_arg $ resume_arg $ max_retries_arg
+      $ trace_dir_arg $ journal_arg $ resume_arg $ max_retries_arg
       $ chaos_arg $ collector_loss_arg $ collector_retries_arg $ fault_model_arg
       $ targeting_arg $ store_arg $ store_append_arg $ workers_arg $ distributed_arg
       $ wire_chaos_arg $ io_chaos_arg $ io_enospc_after_arg)
@@ -711,8 +698,7 @@ let matrix_cmd =
     let doc = "Injections per (model, platform) cell." in
     Arg.(value & opt int 200 & info [ "n" ] ~docv:"N" ~doc)
   in
-  let run arch_opt kind n seed progress jobs no_superblocks targeting =
-    apply_superblocks no_superblocks;
+  let run arch_opt kind n seed progress jobs targeting =
     let module Table = Ferrite_stats.Table in
     let arches =
       match arch_opt with Some a -> [ a ] | None -> [ Image.Cisc; Image.Risc ]
@@ -777,7 +763,7 @@ let matrix_cmd =
           platforms and print the grouped Table 5/6-style breakout")
     Term.(
       const run $ arch_opt_arg $ kind_arg $ matrix_count_arg $ seed_arg $ progress_arg
-      $ jobs_arg $ no_superblocks_arg $ targeting_arg)
+      $ jobs_arg $ targeting_arg)
 
 (* --- suite / report --- *)
 
@@ -805,9 +791,7 @@ let suite_campaigns (suite : Ferrite.Suite.t) =
   ]
 
 let suite_cmd =
-  let run arch scale seed progress jobs no_superblocks store store_append io_chaos
-      io_enospc_after =
-    apply_superblocks no_superblocks;
+  let run arch scale seed progress jobs store store_append io_chaos io_enospc_after =
     arm_io_chaos ~io_chaos ~io_enospc_after;
     let sc = Ferrite.Suite.scaled arch scale in
     let suite =
@@ -828,7 +812,7 @@ let suite_cmd =
   Cmd.v (Cmd.info "suite" ~doc:"Run the four campaigns of Table 5/6 for one platform")
     Term.(
       const run $ arch_arg $ scale_arg $ seed_arg $ progress_arg $ jobs_arg
-      $ no_superblocks_arg $ store_arg $ store_append_arg $ io_chaos_arg
+      $ store_arg $ store_append_arg $ io_chaos_arg
       $ io_enospc_after_arg)
 
 let from_store_arg =

@@ -75,7 +75,7 @@ type t = {
   wm_memo : dentry array;  (* content-keyed decode memos, by first byte *)
   mutable last_cost : int;  (* cycle cost of the insn decode_at just returned *)
   sbcache : sblock array;
-  mutable sb_enabled : bool;
+  sb_enabled : bool;
   mutable sb_hits : int;  (* block entries served from the cache *)
   mutable sb_blocks : int;  (* blocks built *)
   mutable sb_insns : int;  (* micro-ops retired inside blocks *)
@@ -1038,8 +1038,6 @@ let decode_at t pc =
     end
   end
 
-let decode_cache_stats t = (t.dc_hits, t.dc_misses)
-
 let deliver_fault t pc e =
   t.eip <- pc;
   Counters.idle t.counters exception_dispatch_cycles;
@@ -1308,10 +1306,13 @@ let run t ~max_steps =
           end
       in
       if not have then begin
+        (* a terminator remembered at the entry runs here and may poison
+           translation, so re-evaluate as after the excursion above *)
         t.sb_fallbacks <- t.sb_fallbacks + 1;
-        match step t with
+        (match step t with
         | Retired | Halted -> incr retired
-        | r -> fin := Some r
+        | r -> fin := Some r);
+        forced := forced_static || t.tlb_poisoned
       end
       else begin
         (* the tight loop: no per-step dispatch, batched accounting *)
@@ -1490,13 +1491,22 @@ let prewarm t funcs =
     t.warming <- false
   end
 
-let superblock_stats t = (t.sb_hits, t.sb_blocks, t.sb_insns, t.sb_fallbacks)
+let cache_stats t =
+  {
+    Cache_stats.zero with
+    Cache_stats.cs_decode_hits = t.dc_hits;
+    cs_decode_misses = t.dc_misses;
+    cs_decode_warm_hits = t.dc_warm_hits;
+    cs_prewarmed = t.prewarmed;
+    cs_sb_hits = t.sb_hits;
+    cs_sb_blocks = t.sb_blocks;
+    cs_sb_insns = t.sb_insns;
+    cs_sb_fallbacks = t.sb_fallbacks;
+  }
 
 let cached_block_len t pc =
   let b = Array.unsafe_get t.sbcache (sb_slot_of pc) in
   if sb_valid b pc then b.b_len else -1
-
-let decode_warm_stats t = (t.dc_warm_hits, t.prewarmed)
 
 (* --- system registers (the P4 injection targets, §5.2) ------------------ *)
 

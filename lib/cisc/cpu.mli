@@ -12,7 +12,7 @@
     crash the kernel. *)
 
 type dentry
-(** A decode-cache slot (see {!decode_cache_stats}); validated against page
+(** A decode-cache slot (see {!cache_stats}); validated against page
     generation counters so stores, pokes and injected bit flips evict. *)
 
 type sblock
@@ -62,7 +62,7 @@ type t = {
   sbcache : sblock array;
       (** PC-keyed superblock cache, one slot per kernel-text byte; slots
           are allocated on their first build *)
-  mutable sb_enabled : bool;
+  sb_enabled : bool;
       (** captured from [Memory.superblocks] at {!create}; [false] makes
           {!run} take the precise per-step path for every instruction *)
   mutable sb_hits : int;
@@ -75,10 +75,6 @@ type t = {
   mutable prewarmed : int;
   mutable warming : bool;
 }
-
-val decode_cache_stats : t -> int * int
-(** [(hits, misses)] of the decode cache — monotonic diagnostics, excluded
-    from {!snapshot}/{!restore}. *)
 
 (** Register indices. *)
 
@@ -153,17 +149,14 @@ val prewarm : t -> (int * int) list -> unit
     diagnostic counters; architectural state is unaffected. No-op when the
     decode cache is disabled. *)
 
-val superblock_stats : t -> int * int * int * int
-(** [(hits, blocks_built, insns_retired_in_blocks, fallbacks)] — monotonic
-    diagnostics, excluded from {!snapshot}/{!restore}. *)
+val cache_stats : t -> Ferrite_machine.Cache_stats.t
+(** The decode, pre-warm and superblock counters — monotonic diagnostics,
+    excluded from {!snapshot}/{!restore}; the memory fields are zero. *)
 
 val cached_block_len : t -> int -> int
 (** [cached_block_len t pc] is the micro-op count of the valid superblock
     cached for entry [pc]: [0] when the cache remembers a terminator at
     [pc], [-1] when no valid block is cached there. Diagnostics. *)
-
-val decode_warm_stats : t -> int * int
-(** [(warm_hits, prewarmed_entries)] of the decode/superblock pre-warm. *)
 
 val push32 : t -> int -> unit
 (** Harness primitive: push a word on the current stack (bypasses nothing —

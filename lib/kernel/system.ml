@@ -73,11 +73,6 @@ let superblocks_on t =
   | Ccpu c -> c.Ferrite_cisc.Cpu.sb_enabled
   | Rcpu r -> r.Ferrite_risc.Cpu.sb_enabled
 
-let set_superblocks t on =
-  match t.cpu with
-  | Ccpu c -> c.Ferrite_cisc.Cpu.sb_enabled <- on
-  | Rcpu r -> r.Ferrite_risc.Cpu.sb_enabled <- on
-
 let prewarm t =
   let funcs =
     Array.fold_right
@@ -180,30 +175,12 @@ let current_task_index t =
 let idle_cycles t n = Counters.idle (counters t) n
 
 let cache_stats t =
-  let mem = Memory.cache_stats t.mem in
-  let (hits, misses), (warm_hits, prewarmed), (sb_hits, sb_blocks, sb_insns, sb_fallbacks)
-      =
+  let cpu =
     match t.cpu with
-    | Ccpu c ->
-      ( Ferrite_cisc.Cpu.decode_cache_stats c,
-        Ferrite_cisc.Cpu.decode_warm_stats c,
-        Ferrite_cisc.Cpu.superblock_stats c )
-    | Rcpu r ->
-      ( Ferrite_risc.Cpu.decode_cache_stats r,
-        Ferrite_risc.Cpu.decode_warm_stats r,
-        Ferrite_risc.Cpu.superblock_stats r )
+    | Ccpu c -> Ferrite_cisc.Cpu.cache_stats c
+    | Rcpu r -> Ferrite_risc.Cpu.cache_stats r
   in
-  {
-    mem with
-    Cache_stats.cs_decode_hits = hits;
-    cs_decode_misses = misses;
-    cs_decode_warm_hits = warm_hits;
-    cs_prewarmed = prewarmed;
-    cs_sb_hits = sb_hits;
-    cs_sb_blocks = sb_blocks;
-    cs_sb_insns = sb_insns;
-    cs_sb_fallbacks = sb_fallbacks;
-  }
+  Cache_stats.merge (Memory.cache_stats t.mem) cpu
 
 (* --- snapshot/restore ------------------------------------------------- *)
 

@@ -45,11 +45,7 @@ val run_retired : t -> int
 
 val superblocks_on : t -> bool
 (** Whether this CPU executes through superblocks (set at creation from
-    {!Ferrite_machine.Memory.superblocks}; can be overridden per CPU). *)
-
-val set_superblocks : t -> bool -> unit
-(** Per-CPU override of the superblock toggle (used by differential tests
-    and the [--no-superblocks] CLI flag plumbing). *)
+    {!Ferrite_machine.Memory.superblocks}). *)
 
 val prewarm : t -> unit
 (** Pre-decode the image's function ranges into the decode cache and build

@@ -33,7 +33,7 @@ let test_cisc_poke_evicts () =
   check_int "first decode" 0x11 cpu.Cpu.regs.(Cpu.eax);
   cpu.Cpu.eip <- code_base;
   ignore (Cpu.step cpu);
-  let hits, _ = Cpu.decode_cache_stats cpu in
+  let hits = (Cpu.cache_stats cpu).Cache_stats.cs_decode_hits in
   check_bool "re-decode of an untouched page hits the cache" true (hits > 0);
   (* overwrite the immediate in place: the cached decode is now stale *)
   Memory.poke8 mem (code_base + 1) 0x22;
@@ -54,7 +54,7 @@ let test_risc_flip_evicts () =
   check_int "li executed" 5 cpu.Cpu.gpr.(3);
   cpu.Cpu.pc <- code_base;
   ignore (Cpu.step cpu);
-  let hits, _ = Cpu.decode_cache_stats cpu in
+  let hits = (Cpu.cache_stats cpu).Cache_stats.cs_decode_hits in
   check_bool "re-decode of an untouched page hits the cache" true (hits > 0);
   (* an injected code error: flip bit 1 of the word (LSB lives at the
      highest byte address on the big-endian fetch path) *)
@@ -108,6 +108,118 @@ let test_risc_cpu_store_evicts () =
   cpu.Cpu.pc <- code_base;
   ignore (Cpu.step cpu);
   check_int "CPU store invalidated the cached decode" 7 cpu.Cpu.gpr.(3)
+
+(* --- decode-cache refinements, on both ISAs ------------------------------- *)
+
+(* One CPU as these tests drive it: [load k addr] writes "load the
+   immediate [k] into the first register" at [addr], [width] bytes long. *)
+type machine = {
+  name : string;
+  width : int;
+  load : int -> int -> unit;
+  reg : unit -> int;
+  set_pc : int -> unit;
+  step : unit -> unit;
+  run1 : unit -> unit;
+  stats : unit -> Cache_stats.t;
+  block_len : int -> int;
+}
+
+let risc mem =
+  let module Cpu = Ferrite_risc.Cpu in
+  let cpu = Cpu.create ~mem ~stop_addr in
+  {
+    name = "risc";
+    width = 4;
+    load = (fun k addr -> Memory.poke32_be mem addr (0x38600000 lor k) (* li r3, k *));
+    reg = (fun () -> cpu.Cpu.gpr.(3));
+    set_pc = (fun pc -> cpu.Cpu.pc <- pc);
+    step = (fun () -> ignore (Cpu.step cpu));
+    run1 = (fun () -> ignore (Cpu.run cpu ~max_steps:1));
+    stats = (fun () -> Cpu.cache_stats cpu);
+    block_len = Cpu.cached_block_len cpu;
+  }
+
+let cisc mem =
+  let module Cpu = Ferrite_cisc.Cpu in
+  let cpu = Cpu.create ~mem ~stop_addr in
+  {
+    name = "cisc";
+    width = 5;
+    load =
+      (fun k addr ->
+        Memory.poke8 mem addr 0xB8;
+        (* mov eax, k *)
+        Memory.poke32_le mem (addr + 1) k);
+    reg = (fun () -> cpu.Cpu.regs.(Cpu.eax));
+    set_pc = (fun pc -> cpu.Cpu.eip <- pc);
+    step = (fun () -> ignore (Cpu.step cpu));
+    run1 = (fun () -> ignore (Cpu.run cpu ~max_steps:1));
+    stats = (fun () -> Cpu.cache_stats cpu);
+    block_len = Cpu.cached_block_len cpu;
+  }
+
+let on_both f =
+  List.iter
+    (fun make ->
+      let mem = Memory.create () in
+      Memory.map mem ~addr:code_base ~size:0x1000 ~perm:Memory.perm_rx;
+      f mem (make mem))
+    [ risc; cisc ]
+
+(* A poke elsewhere on the code page moves its generation but not the
+   instruction's bytes: the decode is reused and counted as a hit. A poke to
+   the instruction itself is decoded afresh. *)
+let test_byte_revalidation () =
+  on_both (fun mem m ->
+      let msg s = m.name ^ ": " ^ s in
+      m.load 5 code_base;
+      m.set_pc code_base;
+      m.step ();
+      let s0 = m.stats () in
+      Memory.poke8 mem (code_base + 0x800) 0xAA;
+      m.set_pc code_base;
+      m.step ();
+      let s1 = m.stats () in
+      check_int (msg "reused as a hit") (s0.Cache_stats.cs_decode_hits + 1)
+        s1.Cache_stats.cs_decode_hits;
+      check_int (msg "no miss") s0.Cache_stats.cs_decode_misses
+        s1.Cache_stats.cs_decode_misses;
+      check_int (msg "executed") 5 (m.reg ());
+      m.load 9 code_base;
+      m.set_pc code_base;
+      m.step ();
+      let s2 = m.stats () in
+      check_int (msg "re-decoded") (s1.Cache_stats.cs_decode_misses + 1)
+        s2.Cache_stats.cs_decode_misses;
+      check_int (msg "the new bytes executed") 9 (m.reg ()))
+
+(* 256 consecutive decode misses (the thrash bypass) stop block building;
+   the first decode hit re-arms it. *)
+let test_thrash_bypass () =
+  on_both (fun _ m ->
+      let msg s = m.name ^ ": " ^ s in
+      let n = 256 in
+      for k = 0 to n + 40 do
+        m.load k (code_base + (k * m.width))
+      done;
+      m.set_pc code_base;
+      for _ = 1 to n do
+        m.step ()
+      done;
+      check_int (msg "every cold decode missed") n (m.stats ()).Cache_stats.cs_decode_misses;
+      let fresh = code_base + ((n + 20) * m.width) in
+      m.set_pc fresh;
+      m.run1 ();
+      check_int (msg "the fresh pc ran") (n + 20) (m.reg ());
+      check_int (msg "no block built after the streak") 0 (m.stats ()).Cache_stats.cs_sb_blocks;
+      check_int (msg "none cached at the fresh pc") (-1) (m.block_len fresh);
+      m.set_pc code_base;
+      m.step ();
+      m.set_pc fresh;
+      m.run1 ();
+      check_int (msg "the first hit re-arms building") 1 (m.stats ()).Cache_stats.cs_sb_blocks;
+      check_bool (msg "a block is cached at the fresh pc") true (m.block_len fresh > 0))
 
 (* --- differential property ------------------------------------------------ *)
 
@@ -175,6 +287,11 @@ let () =
           Alcotest.test_case "risc flip evicts" `Quick test_risc_flip_evicts;
           Alcotest.test_case "cisc CPU store evicts" `Quick test_cisc_cpu_store_evicts;
           Alcotest.test_case "risc CPU store evicts" `Quick test_risc_cpu_store_evicts;
+        ] );
+      ( "both ISAs",
+        [
+          Alcotest.test_case "byte revalidation" `Quick test_byte_revalidation;
+          Alcotest.test_case "thrash bypass" `Quick test_thrash_bypass;
         ] );
       ( "differential",
         [

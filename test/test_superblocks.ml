@@ -30,12 +30,19 @@ let stop_addr = 0xFFFF0000
    [sb_enabled] differs. Every architecturally visible observable must agree:
    result, retired count, pc, registers, and the counter stamps. *)
 
+(* A memory whose CPUs run superblocks ([sb]) or step every instruction. *)
+let code_memory ~sb =
+  Memory.set_superblocks_default sb;
+  let mem =
+    Fun.protect ~finally:(fun () -> Memory.set_superblocks_default true) Memory.create
+  in
+  Memory.map mem ~addr:code_base ~size:0x2000 ~perm:Memory.perm_rwx;
+  mem
+
 let risc_pair setup =
   let make sb =
-    let mem = Memory.create () in
-    Memory.map mem ~addr:code_base ~size:0x2000 ~perm:Memory.perm_rwx;
+    let mem = code_memory ~sb in
     let cpu = Ferrite_risc.Cpu.create ~mem ~stop_addr in
-    cpu.Ferrite_risc.Cpu.sb_enabled <- sb;
     setup mem cpu;
     cpu
   in
@@ -43,10 +50,8 @@ let risc_pair setup =
 
 let cisc_pair setup =
   let make sb =
-    let mem = Memory.create () in
-    Memory.map mem ~addr:code_base ~size:0x2000 ~perm:Memory.perm_rwx;
+    let mem = code_memory ~sb in
     let cpu = Ferrite_cisc.Cpu.create ~mem ~stop_addr in
-    cpu.Ferrite_cisc.Cpu.sb_enabled <- sb;
     setup mem cpu;
     cpu
   in
@@ -60,6 +65,9 @@ let risc_run (cpu : Ferrite_risc.Cpu.t) n =
 let cisc_run (cpu : Ferrite_cisc.Cpu.t) n =
   let r = Ferrite_cisc.Cpu.run cpu ~max_steps:n in
   (cpu.Ferrite_cisc.Cpu.run_retired, r)
+
+let sb_insns (cs : Cache_stats.t) = cs.Cache_stats.cs_sb_insns
+let sb_blocks (cs : Cache_stats.t) = cs.Cache_stats.cs_sb_blocks
 
 let check_risc_agree msg (a : Ferrite_risc.Cpu.t) (b : Ferrite_risc.Cpu.t) =
   check_int (msg ^ ": pc") b.Ferrite_risc.Cpu.pc a.Ferrite_risc.Cpu.pc;
@@ -109,8 +117,7 @@ let test_risc_smc_invalidates () =
   check_int "rewritten instruction executed, not the stale block" 9
     sb.Cpu.gpr.(4);
   check_risc_agree "smc" sb precise;
-  let _, _, insns, _ = Cpu.superblock_stats sb in
-  check_bool "translated execution actually ran" true (insns > 0)
+  check_bool "translated execution actually ran" true (sb_insns (Cpu.cache_stats sb) > 0)
 
 let test_cisc_smc_invalidates () =
   let setup mem (cpu : Ferrite_cisc.Cpu.t) =
@@ -183,6 +190,74 @@ let test_cisc_midblock_exception () =
   check_int "eip parked on the faulting instruction" (code_base + 5)
     sb.Cpu.eip;
   check_cisc_agree "mid-block fault" sb precise
+
+(* --- fallback edge: translation poisoned by a terminator entry ----------- *)
+
+(* A terminator at a block entry is stepped precisely (a remembered
+   zero-length block). When it poisons translation, the next pc must take
+   the precise path and fault at its fetch, even though a block cached
+   there on an earlier, clean pass is still valid. *)
+
+let test_risc_poisoning_terminator () =
+  let setup mem (cpu : Ferrite_risc.Cpu.t) =
+    Memory.poke32_be mem code_base 0x7C600124;
+    (* mtmsr r3 *)
+    Memory.poke32_be mem (code_base + 4) 0x38800001;
+    (* li r4, 1 *)
+    Memory.poke32_be mem (code_base + 8) 0x38A00002;
+    (* li r5, 2 *)
+    cpu.Ferrite_risc.Cpu.gpr.(3) <- cpu.Ferrite_risc.Cpu.msr;
+    cpu.Ferrite_risc.Cpu.pc <- code_base
+  in
+  let sb, precise = risc_pair setup in
+  let module Cpu = Ferrite_risc.Cpu in
+  check_bool "clean pass" true (risc_run sb 3 = risc_run precise 3);
+  check_bool "a block is cached after the mtmsr" true
+    (Cpu.cached_block_len sb (code_base + 4) > 0);
+  let poison (cpu : Cpu.t) =
+    cpu.Cpu.pc <- code_base;
+    cpu.Cpu.gpr.(4) <- 0;
+    cpu.Cpu.gpr.(3) <- cpu.Cpu.msr land lnot Cpu.msr_ir;
+    risc_run cpu 3
+  in
+  let ra = poison sb in
+  let rb = poison precise in
+  check_bool "same run result" true (ra = rb);
+  (match ra with
+  | 1, Cpu.Faulted (Ferrite_risc.Exn.Machine_check _) -> ()
+  | _ -> Alcotest.fail "expected (1, Faulted Machine_check)");
+  check_int "the cached block did not run" 0 sb.Cpu.gpr.(4);
+  check_risc_agree "poisoning terminator" sb precise
+
+let test_cisc_poisoning_terminator () =
+  let setup mem (cpu : Ferrite_cisc.Cpu.t) =
+    List.iteri
+      (fun i b -> Memory.poke8 mem (code_base + i) b)
+      ([ 0x0F; 0x22; 0xD8 ] (* mov cr3, eax *)
+      @ [ 0xB9; 1; 0; 0; 0 ] (* mov ecx, 1 *)
+      @ [ 0xBA; 2; 0; 0; 0 ] (* mov edx, 2 *));
+    cpu.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.eax) <- cpu.Ferrite_cisc.Cpu.cr3;
+    cpu.Ferrite_cisc.Cpu.eip <- code_base
+  in
+  let sb, precise = cisc_pair setup in
+  let module Cpu = Ferrite_cisc.Cpu in
+  check_bool "clean pass" true (cisc_run sb 3 = cisc_run precise 3);
+  check_bool "a block is cached after the mov to cr3" true
+    (Cpu.cached_block_len sb (code_base + 3) > 0);
+  let poison (cpu : Cpu.t) =
+    cpu.Cpu.eip <- code_base;
+    cpu.Cpu.regs.(Cpu.ecx) <- 0;
+    cpu.Cpu.regs.(Cpu.eax) <- cpu.Cpu.cr3 lxor 0x1000;
+    cisc_run cpu 3
+  in
+  let ra = poison sb in
+  let rb = poison precise in
+  check_bool "same run result" true (ra = rb);
+  (match ra with
+  | 1, Cpu.Faulted (Ferrite_cisc.Exn.Page_fault _) -> ()
+  | _ -> Alcotest.fail "expected (1, Faulted Page_fault)");
+  check_int "the cached block did not run" 0 sb.Cpu.regs.(Cpu.ecx);
+  check_cisc_agree "poisoning terminator" sb precise
 
 (* --- fallback edge: breakpoint armed over a cached block ------------------ *)
 
@@ -310,13 +385,8 @@ let cisc_hits msg (sb, precise) ~retired ~at =
     sb.Ferrite_cisc.Cpu.eip;
   check_cisc_agree msg sb precise
 
-let risc_sb_insns cpu =
-  let _, _, insns, _ = Ferrite_risc.Cpu.superblock_stats cpu in
-  insns
-
-let cisc_sb_insns cpu =
-  let _, _, insns, _ = Ferrite_cisc.Cpu.superblock_stats cpu in
-  insns
+let risc_sb_insns cpu = sb_insns (Ferrite_risc.Cpu.cache_stats cpu)
+let cisc_sb_insns cpu = sb_insns (Ferrite_cisc.Cpu.cache_stats cpu)
 
 let test_risc_bp_on_entry () =
   risc_hits "entry" (risc_armed [ 0 ]) ~retired:0 ~at:0
@@ -436,11 +506,11 @@ let test_terminator_entry_remembered () =
   let module Cpu = Ferrite_risc.Cpu in
   check_bool "first visit" true (risc_run sb 2 = risc_run precise 2);
   check_int "terminator remembered" 0 (Cpu.cached_block_len sb code_base);
-  let _, built, _, _ = Cpu.superblock_stats sb in
+  let built = sb_blocks (Cpu.cache_stats sb) in
   sb.Cpu.pc <- code_base;
   precise.Cpu.pc <- code_base;
   check_bool "revisit" true (risc_run sb 2 = risc_run precise 2);
-  let _, rebuilt, _, _ = Cpu.superblock_stats sb in
+  let rebuilt = sb_blocks (Cpu.cache_stats sb) in
   check_int "no rebuild on the revisit" built rebuilt;
   check_risc_agree "terminator entry" sb precise;
   let setup mem (cpu : Ferrite_cisc.Cpu.t) =
@@ -455,11 +525,11 @@ let test_terminator_entry_remembered () =
   let module Cpu = Ferrite_cisc.Cpu in
   check_bool "first visit" true (cisc_run sb 2 = cisc_run precise 2);
   check_int "terminator remembered" 0 (Cpu.cached_block_len sb code_base);
-  let _, built, _, _ = Cpu.superblock_stats sb in
+  let built = sb_blocks (Cpu.cache_stats sb) in
   sb.Cpu.eip <- code_base;
   precise.Cpu.eip <- code_base;
   check_bool "revisit" true (cisc_run sb 2 = cisc_run precise 2);
-  let _, rebuilt, _, _ = Cpu.superblock_stats sb in
+  let rebuilt = sb_blocks (Cpu.cache_stats sb) in
   check_int "no rebuild on the revisit" built rebuilt;
   check_cisc_agree "terminator entry" sb precise
 
@@ -590,7 +660,7 @@ let test_risc_branch_to_uncached () =
   check_int "branch taken" 1 sb.Cpu.gpr.(3);
   check_int "target block executed" 2 sb.Cpu.gpr.(4);
   check_risc_agree "block-boundary branch" sb precise;
-  let _, blocks, insns, _ = Cpu.superblock_stats sb in
+  let blocks = sb_blocks (Cpu.cache_stats sb) and insns = sb_insns (Cpu.cache_stats sb) in
   check_bool "the branch was followed into one block" true (blocks >= 1);
   check_int "all three instructions retired in superblocks" 3 insns
 
@@ -747,6 +817,10 @@ let () =
             test_risc_breakpoint_on_cached_block;
           Alcotest.test_case "risc branch to uncached pc" `Quick
             test_risc_branch_to_uncached;
+          Alcotest.test_case "risc terminator poisons translation" `Quick
+            test_risc_poisoning_terminator;
+          Alcotest.test_case "cisc terminator poisons translation" `Quick
+            test_cisc_poisoning_terminator;
         ] );
       ( "breakpoints",
         [
