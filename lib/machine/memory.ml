@@ -15,11 +15,14 @@ let page_size = 4096
 let page_shift = 12
 let offset_mask = page_size - 1
 
-(* [wgen] counts mutations of this page object (content writes, permission
-   changes, restore blits) and is bumped one last time when the page is
-   unmapped or replaced — decode-cache entries validate against it, so any
-   entry holding a stale page object or stale bytes misses. [dirty] marks
-   membership in the owning memory's dirty list since the last restore. *)
+(* [wgen] names this page object's contents: every mutation (content write,
+   permission change, unmap or drop) sets it to a fresh value from the owning
+   memory's clock, and a restore from that memory's own snapshot sets it back
+   to the value the snapshot recorded, together with the recorded bytes and
+   permissions. So one page object never carries the same generation with
+   different contents, and translations validated against it come back
+   valid after the per-trial rewind. [dirty] marks membership in the owning
+   memory's dirty list since the last restore. *)
 type page = {
   data : Bytes.t;
   mutable perm : perm;
@@ -31,6 +34,8 @@ let null_page =
   { data = Bytes.create 0; perm = perm_rw; wgen = min_int; dirty = true }
 
 let page_generation p = p.wgen
+let page_dirty p = p.dirty
+let page_perm p = p.perm
 
 (* Software TLB: per-access-class direct-mapped (page index -> page). *)
 let tlb_bits = 7
@@ -50,6 +55,8 @@ let sb_default = ref true
 let set_superblocks_default b = sb_default := b
 
 type t = {
+  id : int;  (* tells this memory's snapshots from other memories' *)
+  mutable clock : int;  (* the last generation handed out *)
   pages : (int, page) Hashtbl.t;
   (* Direct-mapped ("lowmem") window: pages in [lo, hi) materialise
      zero-filled on first access instead of faulting, as the kernel's linear
@@ -74,8 +81,13 @@ type t = {
   mutable stat_restore_pages : int;
 }
 
+(* Process-global, like snapshot ids below, so no two memories share one. *)
+let memory_ids = Atomic.make 0
+
 let create () =
   {
+    id = Atomic.fetch_and_add memory_ids 1;
+    clock = 0;
     pages = Hashtbl.create 256;
     auto_lo = 0;
     auto_hi = 0;
@@ -112,10 +124,15 @@ let set_auto_map t ~lo ~hi ~perm =
 
 let page_index addr = (addr land 0xFFFFFFFF) lsr page_shift
 
-(* Record a mutation of [page] (at table slot [idx]): bump its generation for
-   the decode caches and enrol it in the dirty list for the next restore. *)
+let[@inline] fresh t =
+  t.clock <- t.clock + 1;
+  t.clock
+
+(* Record a mutation of [page] (at table slot [idx]): give it a fresh
+   generation for the translation caches and enrol it in the dirty list for
+   the next restore. *)
 let[@inline] touch t idx page =
-  page.wgen <- page.wgen + 1;
+  page.wgen <- fresh t;
   if not page.dirty then begin
     page.dirty <- true;
     t.dirty_list <- idx :: t.dirty_list
@@ -459,10 +476,15 @@ let swap_page_contents t a b =
 
 let snapshot_page_count t = Hashtbl.length t.pages
 
+(* One captured page: its bytes, permissions and the generation that names
+   them. *)
+type spage = { sp_idx : int; sp_data : Bytes.t; sp_perm : perm; sp_gen : int }
+
 type snapshot = {
   s_id : int;
-  s_pages : (int * Bytes.t * perm) array;
-  s_index : (int, Bytes.t * perm) Hashtbl.t;
+  s_mem : int;  (* id of the memory the snapshot was taken from *)
+  s_pages : spage array;
+  s_index : (int, spage) Hashtbl.t;
   s_auto_lo : int;
   s_auto_hi : int;
   s_auto_perm : perm;
@@ -474,21 +496,41 @@ let snapshot_ids = Atomic.make 0
 
 let snapshot t =
   let pages =
-    Hashtbl.fold (fun idx p acc -> (idx, Bytes.copy p.data, p.perm) :: acc) t.pages []
+    Hashtbl.fold
+      (fun idx p acc ->
+        { sp_idx = idx; sp_data = Bytes.copy p.data; sp_perm = p.perm; sp_gen = p.wgen } :: acc)
+      t.pages []
   in
   let arr = Array.of_list pages in
   (* canonical order: hashtable fold order is arbitrary *)
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) arr;
+  Array.sort (fun a b -> compare a.sp_idx b.sp_idx) arr;
   let index = Hashtbl.create (Array.length arr) in
-  Array.iter (fun (idx, data, perm) -> Hashtbl.replace index idx (data, perm)) arr;
+  Array.iter (fun sp -> Hashtbl.replace index sp.sp_idx sp) arr;
   {
     s_id = Atomic.fetch_and_add snapshot_ids 1;
+    s_mem = t.id;
     s_pages = arr;
     s_index = index;
     s_auto_lo = t.auto_lo;
     s_auto_hi = t.auto_hi;
     s_auto_perm = t.auto_perm;
   }
+
+(* The generation a page rewound to [sp] takes: the recorded one when the
+   snapshot came from this memory, whose clock issued it for exactly these
+   contents; a fresh one otherwise, since another memory's clock may have
+   issued the same value for different contents here. *)
+let rewound_gen t s sp = if s.s_mem = t.id then sp.sp_gen else fresh t
+
+let rewind t s page sp =
+  Bytes.blit sp.sp_data 0 page.data 0 page_size;
+  page.perm <- sp.sp_perm;
+  page.wgen <- rewound_gen t s sp;
+  page.dirty <- false
+
+let recreate t s sp =
+  Hashtbl.replace t.pages sp.sp_idx
+    { data = Bytes.copy sp.sp_data; perm = sp.sp_perm; wgen = rewound_gen t s sp; dirty = false }
 
 let restore_full t s =
   (* blit into pages that still exist, drop the rest, re-create the missing:
@@ -501,21 +543,15 @@ let restore_full t s =
   List.iter
     (fun idx ->
       (match Hashtbl.find_opt t.pages idx with
-      | Some page -> page.wgen <- page.wgen + 1
+      | Some page -> page.wgen <- fresh t
       | None -> ());
       Hashtbl.remove t.pages idx)
     stale;
   Array.iter
-    (fun (idx, data, perm) ->
-      match Hashtbl.find_opt t.pages idx with
-      | Some page ->
-        Bytes.blit data 0 page.data 0 page_size;
-        page.perm <- perm;
-        page.wgen <- page.wgen + 1;
-        page.dirty <- false
-      | None ->
-        Hashtbl.replace t.pages idx
-          { data = Bytes.copy data; perm; wgen = 0; dirty = false })
+    (fun sp ->
+      match Hashtbl.find_opt t.pages sp.sp_idx with
+      | Some page -> rewind t s page sp
+      | None -> recreate t s sp)
     s.s_pages;
   t.stat_restore_full <- t.stat_restore_full + 1;
   t.stat_restore_pages <- t.stat_restore_pages + Array.length s.s_pages
@@ -527,19 +563,15 @@ let restore_dirty t s =
   List.iter
     (fun idx ->
       match (Hashtbl.find_opt s.s_index idx, Hashtbl.find_opt t.pages idx) with
-      | Some (data, perm), Some page ->
-        Bytes.blit data 0 page.data 0 page_size;
-        page.perm <- perm;
-        page.wgen <- page.wgen + 1;
-        page.dirty <- false;
+      | Some sp, Some page ->
+        rewind t s page sp;
         t.stat_restore_pages <- t.stat_restore_pages + 1
-      | Some (data, perm), None ->
-        Hashtbl.replace t.pages idx
-          { data = Bytes.copy data; perm; wgen = 0; dirty = false };
+      | Some sp, None ->
+        recreate t s sp;
         t.stat_restore_pages <- t.stat_restore_pages + 1
       | None, Some page ->
         (* mapped since the snapshot: drop it *)
-        page.wgen <- page.wgen + 1;
+        page.wgen <- fresh t;
         Hashtbl.remove t.pages idx
       | None, None -> ())
     touched;

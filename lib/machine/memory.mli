@@ -116,8 +116,8 @@ val blit_string : t -> addr:int -> string -> unit
 
 val swap_page_contents : t -> int -> int -> unit
 (** [swap_page_contents t a b] exchanges the byte contents of the two mapped
-    pages containing addresses [a] and [b] (permissions stay put), bumping
-    both pages' write generations and flushing the TLB. This models a
+    pages containing addresses [a] and [b] (permissions stay put), giving
+    both pages fresh generations and flushing the TLB. This models a
     corrupted translation structure: accesses to either page now resolve to
     the other's data. Raises [Invalid_argument] if the addresses share a page
     or either page is unmapped. *)
@@ -125,12 +125,19 @@ val swap_page_contents : t -> int -> int -> unit
 val snapshot_page_count : t -> int
 (** Number of mapped pages (used by tests and the campaign "reboot" audit). *)
 
-(** {2 Page handles (decode-cache support)}
+(** {2 Page handles (translation-cache support)}
 
-    The CPUs' decode caches validate entries against the generation counter
-    of the page(s) the instruction bytes came from. Any mutation of a page —
-    store, poke, bit flip, permission change, restore blit, unmap — bumps its
-    generation, so a cached decode of stale bytes can never hit. *)
+    The CPUs' decode caches and superblock tables validate entries against
+    the generation of the page object(s) the instruction bytes came from.
+    A generation names a page object's contents: any mutation — store, poke,
+    bit flip, permission change, unmap, or a restore that drops the page —
+    gives the page a fresh value from its memory's clock, and a restore from
+    a snapshot of the same memory gives each rewound page back the
+    generation the snapshot recorded, with the recorded bytes and
+    permissions. Hence the contract: a given page object never carries the
+    same generation with different bytes or permissions. A cached decode of
+    stale bytes can never hit, and one built from the snapshot's bytes
+    validates again after the per-trial restore. *)
 
 type page
 (** A live page object. Identity is only meaningful together with
@@ -146,7 +153,17 @@ val page_at_opt : t -> int -> page option
     faults. *)
 
 val page_generation : page -> int
-(** Mutation counter of this page object (monotonic while mapped). *)
+(** The generation naming this page object's current bytes and permissions
+    (see above). Not monotonic: a restore can rewind it. Never [-1] or
+    [min_int]. *)
+
+val page_dirty : page -> bool
+(** Whether the page has been mutated since its memory's last restore, so
+    the next restore will rewind it. A page never restored counts as dirty;
+    so does {!null_page}. *)
+
+val page_perm : page -> perm
+(** The page object's current permissions. Diagnostics. *)
 
 val cache_stats : t -> Cache_stats.t
 (** Monotonic fast-path counters for this memory (TLB hits/misses, restore
@@ -167,4 +184,6 @@ val restore : t -> snapshot -> unit
     [restore t s], [t] is observationally identical to the memory at the time
     [s] was taken — the primitive behind the executor's cheap "logical
     reboot". Restoring to the same snapshot repeatedly (the per-trial reboot
-    pattern) only rewinds pages touched since the previous restore. *)
+    pattern) only rewinds pages touched since the previous restore. Each
+    rewound page takes back the generation {!snapshot} recorded for it when
+    [s] was taken from [t], and a fresh one otherwise. *)

@@ -66,6 +66,7 @@ type t = {
   mutable dc_streak : int;  (* consecutive misses; long streaks bypass insert *)
   mutable last_cost : int;  (* cycle cost of the insn decode_at just returned *)
   sbcache : sblock array;
+  sbcache1 : sblock array;  (* way 1: rebuilds of blocks stale in this trial *)
   sb_enabled : bool;
   mutable sb_hits : int;  (* block entries served from the cache *)
   mutable sb_blocks : int;  (* blocks built *)
@@ -238,6 +239,7 @@ let create ~mem ~stop_addr =
     dc_streak = 0;
     last_cost = 0;
     sbcache = Array.make sbcache_size empty_sblock;
+    sbcache1 = Array.make sbcache_size empty_sblock;
     sb_enabled = Memory.superblocks mem;
     sb_hits = 0;
     sb_blocks = 0;
@@ -880,16 +882,37 @@ let[@inline] sb_valid b pc =
   && Memory.page_generation b.b_pg1 = b.b_wg1
   && Memory.page_generation b.b_pg2 = b.b_wg2
 
-(* The block in [slot], first replacing the shared empty block with a
-   private one, so it can be built into. *)
-let sb_slot t slot =
-  let b = Array.unsafe_get t.sbcache slot in
+(* The block in [slot] of [table], first replacing the shared empty block
+   with a private one, so it can be built into. *)
+let sb_slot table slot =
+  let b = Array.unsafe_get table slot in
   if b != empty_sblock then b
   else begin
     let b = fresh_sblock () in
-    Array.unsafe_set t.sbcache slot b;
+    Array.unsafe_set table slot b;
     b
   end
+
+(* The valid block cached for entry [pc], from way 0 or else way 1, or
+   [empty_sblock] when neither validates. *)
+let[@inline] sb_lookup t slot pc =
+  let b = Array.unsafe_get t.sbcache slot in
+  if sb_valid b pc then b
+  else
+    let b = Array.unsafe_get t.sbcache1 slot in
+    if sb_valid b pc then b else empty_sblock
+
+(* The block to build entry [pc] into: way 0, unless way 0 holds [pc]'s
+   block on a page mutated since the last restore. That block went stale in
+   this trial (an injected flip, typically) and validates again once the
+   restore rewinds the page's generation, so the rebuild goes to way 1 and
+   leaves it in place. Placement affects speed only: every entry is still
+   validated by its generations. *)
+let sb_victim t slot pc =
+  let b = Array.unsafe_get t.sbcache slot in
+  if b.b_pc = pc && (Memory.page_dirty b.b_pg1 || Memory.page_dirty b.b_pg2) then
+    sb_slot t.sbcache1 slot
+  else sb_slot t.sbcache slot
 
 (* How many leading micro-ops of [b] may run while execute breakpoints are
    armed: the block is cut just before its first micro-op past the entry
@@ -944,11 +967,11 @@ let run t ~max_steps =
     end
     else begin
       let slot = sb_slot_of pc in
-      let b = Array.unsafe_get t.sbcache slot in
-      let valid = sb_valid b pc in
+      let b = sb_lookup t slot pc in
+      let valid = b != empty_sblock in
       (* wild execution: don't build *)
       let buildable = (not valid) && t.dc_streak < dc_bypass_streak in
-      let b = if buildable then sb_slot t slot else b in
+      let b = if buildable then sb_victim t slot pc else b in
       let have =
         if valid then begin
           (* a zero-length block remembers a terminator at the entry *)
@@ -1099,8 +1122,8 @@ let prewarm t funcs =
                 let slot = sb_slot_of e in
                 t.dc_streak <- 0;
                 if
-                  (not (sb_valid (Array.unsafe_get t.sbcache slot) e))
-                  && sb_build t (sb_slot t slot) e
+                  sb_lookup t slot e == empty_sblock
+                  && sb_build t (sb_victim t slot e) e
                 then begin
                   t.sb_blocks <- t.sb_blocks + 1;
                   t.prewarmed <- t.prewarmed + 1
@@ -1125,8 +1148,8 @@ let cache_stats t =
   }
 
 let cached_block_len t pc =
-  let b = Array.unsafe_get t.sbcache (sb_slot_of pc) in
-  if sb_valid b pc then b.b_len else -1
+  let b = sb_lookup t (sb_slot_of pc) pc in
+  if b == empty_sblock then -1 else b.b_len
 
 (* --- system registers (the G4 injection targets, §5.2) -------------------- *)
 

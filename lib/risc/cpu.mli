@@ -53,6 +53,11 @@ type t = {
   sbcache : sblock array;
       (** PC-keyed superblock cache, one slot per kernel-text word; slots
           are allocated on their first build *)
+  sbcache1 : sblock array;
+      (** the table's second way, its blocks also allocated on their first
+          build: a block is rebuilt here when the way-0 block for its pc went
+          stale on a page mutated since the last restore, which will rewind
+          it *)
   sb_enabled : bool;
       (** captured from [Memory.superblocks] at {!create}; [false] makes
           {!run} take the precise per-step path for every instruction *)
@@ -129,8 +134,9 @@ val cache_stats : t -> Ferrite_machine.Cache_stats.t
 
 val cached_block_len : t -> int -> int
 (** [cached_block_len t pc] is the micro-op count of the valid superblock
-    cached for entry [pc]: [0] when the cache remembers a terminator at
-    [pc], [-1] when no valid block is cached there. Diagnostics. *)
+    cached for entry [pc] in either way of the table: [0] when the cache
+    remembers a terminator at [pc], [-1] when no valid block is cached
+    there. Diagnostics. *)
 
 type sysreg = {
   sr_name : string;

@@ -221,6 +221,122 @@ let test_thrash_bypass () =
       check_int (msg "the first hit re-arms building") 1 (m.stats ()).Cache_stats.cs_sb_blocks;
       check_bool (msg "a block is cached at the fresh pc") true (m.block_len fresh > 0))
 
+(* --- the generation contract ---------------------------------------------- *)
+
+(* A page's generation names its contents: a restore from the memory's own
+   snapshot gives a page back the generation the snapshot recorded, so that
+   translations built from the snapshot's bytes validate again. That is only
+   sound if one page object never carries the same generation with different
+   bytes or permissions. Random mutations, snapshots and restores over a few
+   pages check it, including restores to a snapshot of another memory, whose
+   clock may have issued the same values for other contents. *)
+
+type mem_op =
+  | Store of int * int * int  (* page, offset, byte *)
+  | Poke of int * int * int
+  | Flip of int * int * int  (* page, offset, bit *)
+  | Set_perm of int * int  (* page, perm *)
+  | Map of int
+  | Unmap of int
+  | Swap of int * int
+  | Snapshot
+  | Restore of int  (* one of the snapshots taken so far *)
+  | Restore_foreign
+
+let gen_pages = 3
+let gen_span = 64  (* ops write only the first bytes of a page *)
+let gen_base = 0xC0200000
+let gen_addr page off = gen_base + (page * Memory.page_size) + off
+let gen_perms = [| Memory.perm_rw; Memory.perm_ro; Memory.perm_rx; Memory.perm_rwx |]
+
+let mem_op_gen ~foreign =
+  let open QCheck.Gen in
+  let page = int_bound (gen_pages - 1) and off = int_bound (gen_span - 1) in
+  frequency
+    ([
+       (6, map3 (fun p o v -> Store (p, o, v)) page off (int_bound 255));
+       (3, map3 (fun p o v -> Poke (p, o, v)) page off (int_bound 255));
+       (3, map3 (fun p o b -> Flip (p, o, b)) page off (int_bound 7));
+       (2, map2 (fun p k -> Set_perm (p, k)) page (int_bound (Array.length gen_perms - 1)));
+       (1, map (fun p -> Map p) page);
+       (1, map (fun p -> Unmap p) page);
+       (1, map2 (fun a b -> Swap (a, b)) page page);
+       (2, return Snapshot);
+       (3, map (fun i -> Restore i) (int_bound 7));
+     ]
+    @ if foreign then [ (1, return Restore_foreign) ] else [])
+
+let apply_op mem ~snaps ~foreign op =
+  let attempt f = try f () with Memory.Fault _ | Invalid_argument _ -> () in
+  match op with
+  | Store (p, o, v) -> attempt (fun () -> Memory.store8 mem (gen_addr p o) v)
+  | Poke (p, o, v) -> attempt (fun () -> Memory.poke8 mem (gen_addr p o) v)
+  | Flip (p, o, bit) -> attempt (fun () -> Memory.flip_bit mem ~addr:(gen_addr p o) ~bit)
+  | Set_perm (p, k) ->
+    attempt (fun () ->
+        Memory.set_perm mem ~addr:(gen_addr p 0) ~size:Memory.page_size ~perm:gen_perms.(k))
+  | Map p -> Memory.map mem ~addr:(gen_addr p 0) ~size:Memory.page_size ~perm:Memory.perm_rw
+  | Unmap p -> Memory.unmap mem ~addr:(gen_addr p 0) ~size:Memory.page_size
+  | Swap (a, b) -> attempt (fun () -> Memory.swap_page_contents mem (gen_addr a 0) (gen_addr b 0))
+  | Snapshot -> snaps := Memory.snapshot mem :: !snaps
+  | Restore i -> (
+    match !snaps with
+    | [] -> ()
+    | l -> Memory.restore mem (List.nth l (i mod List.length l)))
+  | Restore_foreign -> Option.iter (Memory.restore mem) foreign
+
+let gen_memory () =
+  let mem = Memory.create () in
+  Memory.map mem ~addr:gen_base ~size:(gen_pages * Memory.page_size) ~perm:Memory.perm_rw;
+  mem
+
+let prop_generation_names_contents =
+  QCheck.Test.make ~name:"a page object's generation names its contents" ~count:300
+    QCheck.(
+      pair
+        (make QCheck.Gen.(list_size (int_range 1 60) (mem_op_gen ~foreign:true)))
+        (make QCheck.Gen.(list_size (int_range 1 60) (mem_op_gen ~foreign:false))))
+    (fun (ops, foreign_ops) ->
+      let other = gen_memory () in
+      List.iter (apply_op other ~snaps:(ref []) ~foreign:None) foreign_ops;
+      let foreign = Some (Memory.snapshot other) in
+      let mem = gen_memory () in
+      let snaps = ref [] in
+      (* every page object seen, with the contents seen under each generation *)
+      let seen : (Memory.page * (int, string * Memory.perm) Hashtbl.t) list ref = ref [] in
+      let observe () =
+        List.for_all
+          (fun p ->
+            match Memory.page_at_opt mem (gen_addr p 0) with
+            | None -> true
+            | Some pg ->
+              let contents =
+                ( String.init gen_span (fun o -> Char.chr (Memory.peek8 mem (gen_addr p o))),
+                  Memory.page_perm pg )
+              in
+              let gens =
+                match List.assq_opt pg !seen with
+                | Some g -> g
+                | None ->
+                  let g = Hashtbl.create 16 in
+                  seen := (pg, g) :: !seen;
+                  g
+              in
+              let gen = Memory.page_generation pg in
+              (match Hashtbl.find_opt gens gen with
+              | Some c -> c = contents
+              | None ->
+                Hashtbl.replace gens gen contents;
+                true))
+          (List.init gen_pages Fun.id)
+      in
+      observe ()
+      && List.for_all
+           (fun op ->
+             apply_op mem ~snaps ~foreign op;
+             observe ())
+           ops)
+
 (* --- differential property ------------------------------------------------ *)
 
 let run_campaign ~fast ~executor cfg =
@@ -293,6 +409,7 @@ let () =
           Alcotest.test_case "byte revalidation" `Quick test_byte_revalidation;
           Alcotest.test_case "thrash bypass" `Quick test_thrash_bypass;
         ] );
+      ("generations", [ q prop_generation_names_contents ]);
       ( "differential",
         [
           q prop_fast_paths_invisible;

@@ -492,6 +492,81 @@ let test_prewarmed_entries_validate () =
         sys.System.image.Image.img_funcs)
     [ Image.Cisc; Image.Risc ]
 
+(* A code trial flips a bit of kernel text and the next trial's restore
+   rewinds it. The restore gives the page back the generation its snapshot
+   recorded, so the blocks prewarmed before the snapshot validate again; and
+   the flipped page's rebuilds go to the table's second way, so they do not
+   evict those blocks meanwhile. A twin booted without superblocks takes the
+   same steps, and every phase must leave both in the same state. *)
+let test_translations_survive_restore () =
+  List.iter
+    (fun arch ->
+      let boot sb =
+        Memory.set_superblocks_default sb;
+        let sys =
+          Fun.protect
+            ~finally:(fun () -> Memory.set_superblocks_default true)
+            (fun () -> Boot.boot arch)
+        in
+        System.prewarm sys;
+        (sys, System.snapshot sys)
+      in
+      let sys, snap = boot true and twin, twin_snap = boot false in
+      let name = System.arch_name sys in
+      let len pc =
+        match sys.System.cpu with
+        | System.Ccpu c -> Ferrite_cisc.Cpu.cached_block_len c pc
+        | System.Rcpu r -> Ferrite_risc.Cpu.cached_block_len r pc
+      in
+      let blocks () = sb_blocks (System.cache_stats sys) in
+      let regs (s : System.t) =
+        match s.System.cpu with
+        | System.Ccpu c -> Array.to_list c.Ferrite_cisc.Cpu.regs
+        | System.Rcpu r -> Array.to_list r.Ferrite_risc.Cpu.gpr
+      in
+      let agree what =
+        let msg s = Printf.sprintf "%s %s: %s" name what s in
+        check_int (msg "pc") (System.pc twin) (System.pc sys);
+        check_bool (msg "registers") true (regs twin = regs sys);
+        check_bool (msg "counters") true
+          (Counters.stamp (System.counters twin) = Counters.stamp (System.counters sys))
+      in
+      (* enter [pc] on both systems, running one micro-op there *)
+      let enter pc =
+        List.iter
+          (fun s ->
+            System.set_pc s pc;
+            ignore (System.run s ~max_steps:1))
+          [ sys; twin ]
+      in
+      let entry =
+        (Array.to_list sys.System.image.Image.img_funcs
+        |> List.find (fun (f : Image.func_sym) -> f.Image.fs_size > 0 && len f.Image.fs_addr > 0))
+          .Image.fs_addr
+      in
+      let pristine = len entry in
+      (* a bit of the entry's page, half a page away from the entry *)
+      let flip = (entry land lnot 0xFFF) lor ((entry + 0x800) land 0xFFF) in
+      List.iter (fun s -> Memory.flip_bit s.System.mem ~addr:flip ~bit:3) [ sys; twin ];
+      check_int (name ^ ": the flip invalidates the block") (-1) (len entry);
+      let b0 = blocks () in
+      for _ = 1 to 4 do
+        enter entry
+      done;
+      agree "after the flip";
+      check_int (name ^ ": re-entering the flipped block builds it once") (b0 + 1) (blocks ());
+      check_bool (name ^ ": the rebuilt block is cached") true (len entry >= 0);
+      System.restore sys snap;
+      System.restore twin twin_snap;
+      let b1 = blocks () in
+      for _ = 1 to 2 do
+        enter entry
+      done;
+      agree "after the restore";
+      check_int (name ^ ": running the restored entry builds nothing") b1 (blocks ());
+      check_int (name ^ ": the pristine block is cached") pristine (len entry))
+    [ Image.Cisc; Image.Risc ]
+
 (* A terminator at a block entry is remembered as a zero-length block: the
    revisit steps it precisely without a rebuild, and stays exact. *)
 let test_terminator_entry_remembered () =
@@ -843,6 +918,8 @@ let () =
             test_prewarmed_entries_validate;
           Alcotest.test_case "terminator entry remembered" `Quick
             test_terminator_entry_remembered;
+          Alcotest.test_case "translations survive restore" `Quick
+            test_translations_survive_restore;
         ] );
       ( "allocation",
         [
