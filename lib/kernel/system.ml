@@ -6,13 +6,15 @@ type fault =
   | Cisc_fault of Ferrite_cisc.Exn.t
   | Risc_fault of Ferrite_risc.Exn.t
 
-type step_result =
+type 'fault step = 'fault Step.result =
   | Retired
   | Halted
   | Hit_ibp
   | Hit_dbp of Debug_regs.data_hit
   | Stopped
-  | Faulted of fault
+  | Faulted of 'fault
+
+type step_result = fault step
 
 type cpu = Ccpu of Ferrite_cisc.Cpu.t | Rcpu of Ferrite_risc.Cpu.t
 
@@ -25,53 +27,33 @@ type t = {
 
 let arch_name t = match t.arch with Image.Cisc -> "P4" | Image.Risc -> "G4"
 
+(* The CPUs' results differ only in the fault they carry. *)
+let[@inline] lift wrap = function
+  | Faulted e -> Faulted (wrap e)
+  | (Retired | Halted | Hit_ibp | Hit_dbp _ | Stopped) as r -> r
+
+let cisc e = Cisc_fault e
+let risc e = Risc_fault e
+
 let step ?(skip_ibp = false) t =
   match t.cpu with
-  | Ccpu cpu ->
-    (match Ferrite_cisc.Cpu.step ~skip_ibp cpu with
-    | Ferrite_cisc.Cpu.Retired -> Retired
-    | Ferrite_cisc.Cpu.Halted -> Halted
-    | Ferrite_cisc.Cpu.Hit_ibp -> Hit_ibp
-    | Ferrite_cisc.Cpu.Hit_dbp h -> Hit_dbp h
-    | Ferrite_cisc.Cpu.Stopped -> Stopped
-    | Ferrite_cisc.Cpu.Faulted e -> Faulted (Cisc_fault e))
-  | Rcpu cpu ->
-    (match Ferrite_risc.Cpu.step ~skip_ibp cpu with
-    | Ferrite_risc.Cpu.Retired -> Retired
-    | Ferrite_risc.Cpu.Halted -> Halted
-    | Ferrite_risc.Cpu.Hit_ibp -> Hit_ibp
-    | Ferrite_risc.Cpu.Hit_dbp h -> Hit_dbp h
-    | Ferrite_risc.Cpu.Stopped -> Stopped
-    | Ferrite_risc.Cpu.Faulted e -> Faulted (Risc_fault e))
+  | Ccpu c -> lift cisc (Ferrite_cisc.Cpu.step ~skip_ibp c)
+  | Rcpu r -> lift risc (Ferrite_risc.Cpu.step ~skip_ibp r)
 
 let run t ~max_steps =
   match t.cpu with
-  | Ccpu cpu -> (
-    match Ferrite_cisc.Cpu.run cpu ~max_steps with
-    | Ferrite_cisc.Cpu.Retired -> Retired
-    | Ferrite_cisc.Cpu.Halted -> Halted
-    | Ferrite_cisc.Cpu.Hit_ibp -> Hit_ibp
-    | Ferrite_cisc.Cpu.Hit_dbp h -> Hit_dbp h
-    | Ferrite_cisc.Cpu.Stopped -> Stopped
-    | Ferrite_cisc.Cpu.Faulted e -> Faulted (Cisc_fault e))
-  | Rcpu cpu -> (
-    match Ferrite_risc.Cpu.run cpu ~max_steps with
-    | Ferrite_risc.Cpu.Retired -> Retired
-    | Ferrite_risc.Cpu.Halted -> Halted
-    | Ferrite_risc.Cpu.Hit_ibp -> Hit_ibp
-    | Ferrite_risc.Cpu.Hit_dbp h -> Hit_dbp h
-    | Ferrite_risc.Cpu.Stopped -> Stopped
-    | Ferrite_risc.Cpu.Faulted e -> Faulted (Risc_fault e))
+  | Ccpu c -> lift cisc (Ferrite_cisc.Cpu.run c ~max_steps)
+  | Rcpu r -> lift risc (Ferrite_risc.Cpu.run r ~max_steps)
 
 let run_retired t =
   match t.cpu with
-  | Ccpu c -> c.Ferrite_cisc.Cpu.run_retired
-  | Rcpu r -> r.Ferrite_risc.Cpu.run_retired
+  | Ccpu c -> Ferrite_cisc.Cpu.run_retired c
+  | Rcpu r -> Ferrite_risc.Cpu.run_retired r
 
 let superblocks_on t =
   match t.cpu with
-  | Ccpu c -> c.Ferrite_cisc.Cpu.sb_enabled
-  | Rcpu r -> r.Ferrite_risc.Cpu.sb_enabled
+  | Ccpu c -> Ferrite_cisc.Cpu.superblocks_on c
+  | Rcpu r -> Ferrite_risc.Cpu.superblocks_on r
 
 let prewarm t =
   let funcs =

@@ -7,13 +7,15 @@ type fault =
   | Cisc_fault of Ferrite_cisc.Exn.t
   | Risc_fault of Ferrite_risc.Exn.t
 
-type step_result =
+type 'fault step = 'fault Ferrite_machine.Step.result =
   | Retired
   | Halted
   | Hit_ibp
   | Hit_dbp of Ferrite_machine.Debug_regs.data_hit
   | Stopped
-  | Faulted of fault
+  | Faulted of 'fault
+
+type step_result = fault step
 
 type cpu = Ccpu of Ferrite_cisc.Cpu.t | Rcpu of Ferrite_risc.Cpu.t
 

@@ -7,15 +7,10 @@
     SPRG2 = SPR274 (kernel stack switch), SDR1 and the BAT0/segment registers
     (translation), and HID0 = SPR1008 (branch-target instruction cache). *)
 
-type dentry
-(** A decode-cache slot (see {!cache_stats}); validated against the
-    backing page's generation counter so stores, pokes and injected bit flips
-    evict. *)
-
-type sblock
-(** A superblock: a straight-line instruction run flattened into parallel
-    micro-op arrays and executed by {!run} with no per-step dispatch.
-    Validated by the same page-generation scheme as the decode cache. *)
+type cache
+(** The decode cache and the two-way superblock table, with their counters
+    (see {!cache_stats}). Both are validated against the backing pages'
+    generation counters, so stores, pokes and injected bit flips evict. *)
 
 type t = {
   mem : Ferrite_machine.Memory.t;
@@ -40,36 +35,10 @@ type t = {
   mutable pending_hit : Ferrite_machine.Debug_regs.data_hit option;
   mutable stopped : bool;
   mutable last_store_addr : int;
-  dcache : dentry array;  (** PC-keyed decode cache *)
-  dc_enabled : bool;
-      (** captured from [Memory.fast_paths] at {!create}; [false] forces the
-          uncached fetch+decode path (differential testing) *)
-  mutable dc_hits : int;
-  mutable dc_misses : int;
-  mutable dc_streak : int;
-      (** consecutive decode-cache misses; long streaks bypass insertion *)
-  mutable last_cost : int;
-      (** cycle cost of the instruction the last decode returned *)
-  sbcache : sblock array;
-      (** PC-keyed superblock cache, one slot per kernel-text word; slots
-          are allocated on their first build *)
-  sbcache1 : sblock array;
-      (** the table's second way, its blocks also allocated on their first
-          build: a block is rebuilt here when the way-0 block for its pc went
-          stale on a page mutated since the last restore, which will rewind
-          it *)
-  sb_enabled : bool;
-      (** captured from [Memory.superblocks] at {!create}; [false] makes
-          {!run} take the precise per-step path for every instruction *)
-  mutable sb_hits : int;
-  mutable sb_blocks : int;
-  mutable sb_insns : int;
-  mutable sb_fallbacks : int;
-  mutable run_retired : int;
-      (** instructions cleanly retired by the last {!run} *)
-  mutable dc_warm_hits : int;
-  mutable prewarmed : int;
-  mutable warming : bool;
+  cache : cache;
+      (** set up at {!create} from [Memory.fast_paths] (decode cache) and
+          [Memory.superblocks] (block table); either off forces the precise
+          path, for differential testing *)
 }
 
 (** MSR bit masks (standard PowerPC encodings). *)
@@ -94,13 +63,15 @@ val create : mem:Ferrite_machine.Memory.t -> stop_addr:int -> t
 val cr_field : t -> int -> int
 (** [cr_field t n] reads 4-bit condition field [n] (0 = CR0). *)
 
-type step_result =
+type 'fault step = 'fault Ferrite_machine.Step.result =
   | Retired
   | Halted  (** the idle loop's wait instruction with EE set *)
   | Hit_ibp
   | Hit_dbp of Ferrite_machine.Debug_regs.data_hit
   | Stopped  (** control returned to the harness (BLR/RFI to the stop address) *)
-  | Faulted of Exn.t
+  | Faulted of 'fault
+
+type step_result = Exn.t step
 
 val step : ?skip_ibp:bool -> t -> step_result
 
@@ -113,12 +84,19 @@ val run : t -> max_steps:int -> step_result
     translation, misaligned pc, or a terminator instruction ([sc]/[rfi]/
     [mtspr]/[mtmsr]). Returns the first event ([Retired] when the budget ran
     out) and leaves the number of cleanly retired instructions, [n], in
-    [run_retired]. For [Hit_dbp]/[Stopped] the event-carrying instruction
+    {!run_retired}. For [Hit_dbp]/[Stopped] the event-carrying instruction
     has retired (counters include it) but is excluded from [n]; for
     [Faulted] the exception has been delivered exactly as {!step} would.
     Observable behaviour is bit-identical to calling {!step} in a loop; only
     the diagnostic cache counters differ. Once its blocks are built, a run
     allocates nothing unless it ends on an event. *)
+
+val run_retired : t -> int
+(** The number of instructions the last {!run} cleanly retired. *)
+
+val superblocks_on : t -> bool
+(** Whether {!run} executes through superblocks ([Memory.superblocks] at
+    {!create}); [false] makes it take the precise per-step path. *)
 
 val prewarm : t -> (int * int) list -> unit
 (** [prewarm t funcs] pre-decodes the given [(addr, size)] code ranges into

@@ -60,11 +60,11 @@ let cisc_pair setup =
 (* [Cpu.run] as a [(retired, result)] pair, so the two sides compare whole *)
 let risc_run (cpu : Ferrite_risc.Cpu.t) n =
   let r = Ferrite_risc.Cpu.run cpu ~max_steps:n in
-  (cpu.Ferrite_risc.Cpu.run_retired, r)
+  (Ferrite_risc.Cpu.run_retired cpu, r)
 
 let cisc_run (cpu : Ferrite_cisc.Cpu.t) n =
   let r = Ferrite_cisc.Cpu.run cpu ~max_steps:n in
-  (cpu.Ferrite_cisc.Cpu.run_retired, r)
+  (Ferrite_cisc.Cpu.run_retired cpu, r)
 
 let sb_insns (cs : Cache_stats.t) = cs.Cache_stats.cs_sb_insns
 let sb_blocks (cs : Cache_stats.t) = cs.Cache_stats.cs_sb_blocks
@@ -739,6 +739,136 @@ let test_risc_branch_to_uncached () =
   check_bool "the branch was followed into one block" true (blocks >= 1);
   check_int "all three instructions retired in superblocks" 3 insns
 
+(* --- block exits on events: watchpoints, self-stores, the stop address ---- *)
+
+(* Each case ends a run inside a block on an event the precise loop reports
+   after the event-carrying instruction retires. The translated side must
+   stop at the same micro-op with the same pc, retired count and counters. *)
+
+let data = code_base + 0x1000
+
+let test_risc_watch_in_block () =
+  let setup mem (cpu : Ferrite_risc.Cpu.t) =
+    List.iteri
+      (fun i w -> Memory.poke32_be mem (code_base + (4 * i)) w)
+      [
+        0x38600005 (* li r3, 5 *);
+        0x90660000 (* stw r3, 0(r6) — watched *);
+        0x38800001 (* li r4, 1 *);
+        0x38A00002 (* li r5, 2 *);
+      ];
+    cpu.Ferrite_risc.Cpu.gpr.(6) <- data;
+    Debug_regs.set_data_bp cpu.Ferrite_risc.Cpu.dr ~addr:data ~len:4;
+    cpu.Ferrite_risc.Cpu.pc <- code_base
+  in
+  let sb, precise = risc_pair setup in
+  let ra = risc_run sb 4 in
+  check_bool "same run result" true (ra = risc_run precise 4);
+  (match ra with
+  | 1, Ferrite_risc.Cpu.Hit_dbp _ -> ()
+  | _ -> Alcotest.fail "expected (1, Hit_dbp)");
+  check_int "pc after the store" (code_base + 8) sb.Ferrite_risc.Cpu.pc;
+  check_risc_agree "watch in block" sb precise;
+  check_int "the store ran in the block" 2 (sb_insns (Ferrite_risc.Cpu.cache_stats sb))
+
+let test_cisc_watch_in_block () =
+  let setup mem (cpu : Ferrite_cisc.Cpu.t) =
+    List.iteri
+      (fun i b -> Memory.poke8 mem (code_base + i) b)
+      ([ 0xB8; 5; 0; 0; 0 ] (* mov eax, 5 *)
+      @ [ 0x89; 0x06 ] (* mov [esi], eax — watched *)
+      @ [ 0xB9; 1; 0; 0; 0 ] (* mov ecx, 1 *)
+      @ [ 0xBA; 2; 0; 0; 0 ] (* mov edx, 2 *));
+    cpu.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.esi) <- data;
+    Debug_regs.set_data_bp cpu.Ferrite_cisc.Cpu.dr ~addr:data ~len:4;
+    cpu.Ferrite_cisc.Cpu.eip <- code_base
+  in
+  let sb, precise = cisc_pair setup in
+  let ra = cisc_run sb 4 in
+  check_bool "same run result" true (ra = cisc_run precise 4);
+  (match ra with
+  | 1, Ferrite_cisc.Cpu.Hit_dbp _ -> ()
+  | _ -> Alcotest.fail "expected (1, Hit_dbp)");
+  check_int "eip after the store" (code_base + 7) sb.Ferrite_cisc.Cpu.eip;
+  check_cisc_agree "watch in block" sb precise;
+  check_int "the store ran in the block" 2 (sb_insns (Ferrite_cisc.Cpu.cache_stats sb))
+
+(* A call the builder follows, its target in the same block. [esp] decides
+   where the return address lands: on a watched slot, or over the target's
+   own immediate. *)
+let cisc_call_program ~esp mem (cpu : Ferrite_cisc.Cpu.t) =
+  List.iteri
+    (fun i b -> Memory.poke8 mem (code_base + i) b)
+    ([ 0xB8; 1; 0; 0; 0 ] (* +0  mov eax, 1 *)
+    @ [ 0xE8; 5; 0; 0; 0 ] (* +5  call +5 *)
+    @ [ 0xB8; 99; 0; 0; 0 ] (* +10 mov eax, 99 — skipped *)
+    @ [ 0xB9; 2; 0; 0; 0 ] (* +15 mov ecx, 2 — the call target *)
+    @ [ 0xF4 ] (* +20 hlt *));
+  cpu.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.esp) <- esp;
+  cpu.Ferrite_cisc.Cpu.eip <- code_base
+
+let test_cisc_call_push_watched () =
+  let setup mem (cpu : Ferrite_cisc.Cpu.t) =
+    cisc_call_program ~esp:(data + 0x100) mem cpu;
+    Debug_regs.set_data_bp cpu.Ferrite_cisc.Cpu.dr ~addr:(data + 0xFC) ~len:4
+  in
+  let sb, precise = cisc_pair setup in
+  let ra = cisc_run sb 3 in
+  check_bool "same run result" true (ra = cisc_run precise 3);
+  (match ra with
+  | 1, Ferrite_cisc.Cpu.Hit_dbp { Debug_regs.is_write = true; _ } -> ()
+  | _ -> Alcotest.fail "expected (1, Hit_dbp write)");
+  check_int "eip on the call target" (code_base + 15) sb.Ferrite_cisc.Cpu.eip;
+  check_cisc_agree "call push watched" sb precise;
+  check_int "the call ran in the block" 2 (sb_insns (Ferrite_cisc.Cpu.cache_stats sb))
+
+let test_cisc_call_push_into_block () =
+  (* the push writes the return address over the immediate at +16 *)
+  let sb, precise = cisc_pair (cisc_call_program ~esp:(code_base + 20)) in
+  let ra = cisc_run sb 3 in
+  check_bool "same run result" true (ra = cisc_run precise 3);
+  check_bool "three retired" true (ra = (3, Ferrite_cisc.Cpu.Retired));
+  check_int "the rewritten immediate executed, not the stale block"
+    (code_base + 10)
+    sb.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.ecx);
+  check_cisc_agree "call push into block" sb precise
+
+let test_risc_stop_in_block () =
+  let setup mem (cpu : Ferrite_risc.Cpu.t) =
+    Memory.poke32_be mem code_base 0x38600001;
+    (* li r3, 1 *)
+    Memory.poke32_be mem (code_base + 4) 0x4E800020;
+    (* blr to the stop address *)
+    cpu.Ferrite_risc.Cpu.lr <- stop_addr;
+    cpu.Ferrite_risc.Cpu.pc <- code_base
+  in
+  let sb, precise = risc_pair setup in
+  let ra = risc_run sb 4 in
+  check_bool "same run result" true (ra = risc_run precise 4);
+  check_bool "(1, Stopped)" true (ra = (1, Ferrite_risc.Cpu.Stopped));
+  check_int "pc on the stop address" stop_addr sb.Ferrite_risc.Cpu.pc;
+  check_risc_agree "stop in block" sb precise;
+  check_int "the return ran in the block" 2 (sb_insns (Ferrite_risc.Cpu.cache_stats sb))
+
+let test_cisc_stop_in_block () =
+  let setup mem (cpu : Ferrite_cisc.Cpu.t) =
+    Memory.poke8 mem code_base 0xB8;
+    Memory.poke32_le mem (code_base + 1) 1;
+    (* mov eax, 1 *)
+    Memory.poke8 mem (code_base + 5) 0xC3;
+    (* ret to the stop address *)
+    Memory.poke32_le mem data stop_addr;
+    cpu.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.esp) <- data;
+    cpu.Ferrite_cisc.Cpu.eip <- code_base
+  in
+  let sb, precise = cisc_pair setup in
+  let ra = cisc_run sb 4 in
+  check_bool "same run result" true (ra = cisc_run precise 4);
+  check_bool "(1, Stopped)" true (ra = (1, Ferrite_cisc.Cpu.Stopped));
+  check_int "eip on the stop address" stop_addr sb.Ferrite_cisc.Cpu.eip;
+  check_cisc_agree "stop in block" sb precise;
+  check_int "the return ran in the block" 2 (sb_insns (Ferrite_cisc.Cpu.cache_stats sb))
+
 (* --- Cache_stats: overflow-safe merge, monotonicity ----------------------- *)
 
 (* Pre-fix, [merge] summed fields with plain [+]: two near-[max_int] counters
@@ -909,6 +1039,21 @@ let () =
             test_cisc_bp_on_branch_target;
           Alcotest.test_case "risc two armed" `Quick test_risc_two_bps;
           Alcotest.test_case "cisc two armed" `Quick test_cisc_two_bps;
+        ] );
+      ( "block exits",
+        [
+          Alcotest.test_case "risc watchpoint in a block" `Quick
+            test_risc_watch_in_block;
+          Alcotest.test_case "cisc watchpoint in a block" `Quick
+            test_cisc_watch_in_block;
+          Alcotest.test_case "cisc call push watched" `Quick
+            test_cisc_call_push_watched;
+          Alcotest.test_case "cisc call push into its block" `Quick
+            test_cisc_call_push_into_block;
+          Alcotest.test_case "risc stop address in a block" `Quick
+            test_risc_stop_in_block;
+          Alcotest.test_case "cisc stop address in a block" `Quick
+            test_cisc_stop_in_block;
         ] );
       ( "block table",
         [
