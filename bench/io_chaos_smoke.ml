@@ -1,6 +1,12 @@
 (* io-chaos-smoke: a seconds-scale gate for the seeded I/O fault layer.
 
-   Two legs, one short campaign each:
+   Three legs, one short campaign each:
+
+   - Quiet plan: a journalled in-process campaign and its store, run once
+     disarmed and once under an armed plan whose every fault rate is zero.
+     Both must make the same read/write/fsync calls and write the same
+     journal and store bytes: arming the shim costs a draw per call and
+     changes nothing else.
 
    - Recoverable seed: the campaign runs on a 2-worker fabric with a journal
      while an all-retriable fault plan is armed. Faults must actually fire,
@@ -14,7 +20,8 @@
      records, the on-disk prefix must recover cleanly, and a --resume from
      that prefix must finish the journal — the reported-salvage half.
 
-   Exit 0 means both halves of the invariant held: byte-identical completion
+   Exit 0 means the quiet plan was invisible and both halves of the
+   invariant held: byte-identical completion
    or an explicitly-reported salvage state, never silent corruption. *)
 
 module Image = Ferrite_kir.Image
@@ -76,6 +83,39 @@ let () =
   let reference = Campaign.run cfg in
   let ref_records = Array.of_list reference.Campaign.records in
   let ref_store = store_bytes reference in
+
+  (* ---- leg 0: an armed plan that draws no fault is invisible ---- *)
+  let quiet_plan =
+    {
+      Iofault.recoverable_plan with
+      Iofault.pl_eintr = 0.0;
+      pl_eagain = 0.0;
+      pl_short_write = 0.0;
+      pl_short_read = 0.0;
+      pl_delay = 0.0;
+    }
+  in
+  let journalled () =
+    let journal = Filename.temp_file "ferrite_iochaos" ".journal" in
+    let r = Campaign.run ~supervision:(sv journal false) cfg in
+    let store = store_bytes r in
+    let s = Iofault.stats () in
+    let bytes = read_file journal in
+    Sys.remove journal;
+    ((s.Iofault.st_reads, s.Iofault.st_writes, s.Iofault.st_fsyncs), bytes, store)
+  in
+  Iofault.reset_stats ();
+  let ((_, writes, _) as calls), journal_bytes, store = journalled () in
+  Iofault.arm ~plan:quiet_plan ~seed:1L ();
+  let quiet_calls, quiet_journal, quiet_store =
+    Fun.protect ~finally:Iofault.disarm journalled
+  in
+  if (Iofault.stats ()).Iofault.st_faults <> 0 then fail "the quiet plan injected a fault";
+  if writes = 0 then fail "the journalled campaign wrote nothing through the shim";
+  if quiet_calls <> calls then fail "the quiet plan changed the read/write/fsync call counts";
+  if quiet_journal <> journal_bytes then fail "the quiet plan changed the journal bytes";
+  if quiet_store <> store || store <> ref_store then
+    fail "the quiet plan changed the store bytes";
 
   (* ---- leg 1: recoverable chaos over a 2-worker fabric, with journal ---- *)
   let recoverable_seed = find_seed false in
@@ -149,8 +189,9 @@ let () =
     fail "resume left the journal at %d of 48 entries" (List.length rc3.Journal.rc_entries);
   Sys.remove journal;
   Printf.printf
-    "io-chaos-smoke ok: 48 injections byte-identical through %d recoverable fault(s) \
+    "io-chaos-smoke ok: a quiet plan made the disarmed run's %d write call(s) and bytes; \
+     48 injections byte-identical through %d recoverable fault(s) \
      (%d retries) on a 2-worker fabric; ENOSPC at 1200 bytes salvaged %d entries, \
      campaign completed, resume finished the journal\n"
-    stats.Iofault.st_faults stats.Iofault.st_retries
+    writes stats.Iofault.st_faults stats.Iofault.st_retries
     (List.length rc2.Journal.rc_entries)

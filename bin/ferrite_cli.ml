@@ -211,10 +211,12 @@ let print_fabric_report (rep : Fabric.report) =
    --progress can watch trials merge, and so SIGTERM/SIGINT can flip the
    drain flag: the loop below exits, [finish] salvages what is merged, and
    the process still prints a (partial) report and a valid journal. *)
-let run_fabric ~workers ~distributed ?policy ?chaos ~tracer ?wire_chaos ?journal ?resume
-    ?(worker_args = [||]) ~progress cfg =
+let run_fabric ~workers ~distributed ~(supervision : Campaign.supervision) ~tracer ?wire_chaos
+    ~worker_args ~progress cfg =
+  let { Campaign.sv_policy; sv_chaos; sv_journal; sv_resume } = supervision in
   let c =
-    Fabric.Controller.create ?policy ?chaos ~tracer ?wire_chaos ?journal ?resume cfg
+    Fabric.Controller.create ~policy:sv_policy ~chaos:sv_chaos ~tracer ?wire_chaos
+      ?journal:sv_journal ~resume:sv_resume cfg
   in
   let install signal =
     try
@@ -530,39 +532,33 @@ let collector_retries_arg =
   in
   Arg.(value & opt (some int) None & info [ "collector-retries" ] ~docv:"N" ~doc)
 
-(* --journal/--resume resolve to one (path, resuming) pair: --resume names
-   the journal it keeps appending to. Shared by the in-process supervisor
-   and the fabric controller. *)
-let resolve_journal ~journal ~resume =
-  match (resume, journal) with
-  | Some r, Some j when r <> j ->
-    Printf.eprintf
-      "ferrite: --journal and --resume name different files; --resume %s already \
-       appends to the journal it resumes\n"
-      r;
-    exit 2
-  | Some r, _ -> (Some r, true)
-  | None, j -> (j, false)
-
+(* The one supervision value of an inject run, for the in-process
+   supervisor and the fabric controller alike. --journal/--resume resolve
+   to one (path, resuming) pair: --resume names the journal it keeps
+   appending to. *)
 let supervision_of ~journal ~resume ~max_retries ~chaos ~seed ~injections =
-  match (journal, resume, max_retries, chaos) with
-  | None, None, None, false -> None
-  | _ ->
-    let journal, resume_flag = resolve_journal ~journal ~resume in
-    let policy =
-      match max_retries with
-      | None -> Supervisor.default_policy
-      | Some n -> { Supervisor.default_policy with Supervisor.sp_max_retries = n }
-    in
-    let chaos =
-      if chaos then Supervisor.drill_plan ~seed ~injections else Supervisor.no_chaos
-    in
+  let sv_journal, sv_resume =
+    match (resume, journal) with
+    | Some r, Some j when r <> j ->
+      Printf.eprintf
+        "ferrite: --journal and --resume name different files; --resume %s already \
+         appends to the journal it resumes\n"
+        r;
+      exit 2
+    | Some r, _ -> (Some r, true)
+    | None, j -> (j, false)
+  in
+  if sv_journal = None && max_retries = None && not chaos then None
+  else
     Some
       {
-        Campaign.sv_policy = policy;
-        sv_chaos = chaos;
-        sv_journal = journal;
-        sv_resume = resume_flag;
+        Campaign.sv_policy =
+          Option.fold max_retries ~none:Supervisor.default_policy ~some:(fun n ->
+              { Supervisor.default_policy with Supervisor.sp_max_retries = n });
+        sv_chaos =
+          (if chaos then Supervisor.drill_plan ~seed ~injections else Supervisor.no_chaos);
+        sv_journal;
+        sv_resume;
       }
 
 (* Both the in-process supervisor and the fabric controller recover a
@@ -609,18 +605,14 @@ let inject_cmd =
       | None -> Ferrite_trace.Tracer.telemetry_only
       | Some _ -> Ferrite_trace.Tracer.default_config
     in
+    (* one supervision value feeds both schedulers: the fabric controller
+       takes the same policy, drill plan and journal as the in-process run *)
+    let supervision =
+      supervision_of ~journal ~resume ~max_retries ~chaos ~seed:cfg.Campaign.seed
+        ~injections:n
+    in
     let res, fabric_report =
       if workers > 0 || distributed then begin
-        let fab_journal, fab_resume = resolve_journal ~journal ~resume in
-        let policy =
-          Option.map
-            (fun r -> { Supervisor.default_policy with Supervisor.sp_max_retries = r })
-            max_retries
-        in
-        let chaos =
-          if chaos then Some (Supervisor.drill_plan ~seed:cfg.Campaign.seed ~injections:n)
-          else None
-        in
         (* exec'd workers are fresh processes: the fault plan must ride the
            argv (forked workers inherit the armed state) *)
         let worker_args =
@@ -638,8 +630,9 @@ let inject_cmd =
           with_journal_errors (fun () ->
               run_fabric
                 ~workers:(if workers > 0 then workers else 2)
-                ~distributed ?policy ?chaos ~tracer ?wire_chaos ?journal:fab_journal
-                ~resume:fab_resume ~worker_args ~progress cfg)
+                ~distributed
+                ~supervision:(Option.value supervision ~default:Campaign.default_supervision)
+                ~tracer ?wire_chaos ~worker_args ~progress cfg)
         in
         (r, Some rep)
       end
@@ -648,10 +641,6 @@ let inject_cmd =
           Printf.eprintf "ferrite: --wire-chaos needs --workers or --distributed\n";
           exit 2
         end;
-        let supervision =
-          supervision_of ~journal ~resume ~max_retries ~chaos ~seed:cfg.Campaign.seed
-            ~injections:n
-        in
         let progress_fn ~done_ ~total =
           if progress && (done_ mod 100 = 0 || done_ = total) then
             Printf.eprintf "\r%d/%d%!" done_ total

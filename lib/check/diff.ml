@@ -15,6 +15,7 @@
 open Ferrite_machine
 module Campaign = Ferrite_injection.Campaign
 module Executor = Ferrite_injection.Executor
+module Trial_table = Ferrite_injection.Trial_table
 module Engine = Ferrite_injection.Engine
 module Fault_model = Ferrite_injection.Fault_model
 module Target = Ferrite_injection.Target
@@ -137,25 +138,25 @@ let first_diff a b =
   go 0
 
 let compare_outcomes name (base : Executor.outcome) (o : Executor.outcome) =
-  if base.Executor.records <> o.Executor.records then
+  if base.Trial_table.records <> o.Trial_table.records then
     Error
       {
         mm_config = name;
         mm_what = "records";
-        mm_trial = first_diff base.Executor.records o.Executor.records;
+        mm_trial = first_diff base.Trial_table.records o.Trial_table.records;
       }
-  else if base.Executor.traces <> o.Executor.traces then
+  else if base.Trial_table.traces <> o.Trial_table.traces then
     Error
       {
         mm_config = name;
         mm_what = "traces";
-        mm_trial = first_diff base.Executor.traces o.Executor.traces;
+        mm_trial = first_diff base.Trial_table.traces o.Trial_table.traces;
       }
   else if
-    Telemetry.with_boots base.Executor.telemetry 0
-    <> Telemetry.with_boots o.Executor.telemetry 0
+    Telemetry.with_boots base.Trial_table.telemetry 0
+    <> Telemetry.with_boots o.Trial_table.telemetry 0
   then Error { mm_config = name; mm_what = "telemetry"; mm_trial = -1 }
-  else if base.Executor.collector <> o.Executor.collector then
+  else if base.Trial_table.collector <> o.Trial_table.collector then
     Error { mm_config = name; mm_what = "collector stats"; mm_trial = -1 }
   else Ok ()
 

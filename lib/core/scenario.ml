@@ -15,6 +15,7 @@ module Target = Ferrite_injection.Target
 module Engine = Ferrite_injection.Engine
 module Trial = Ferrite_injection.Trial
 module Executor = Ferrite_injection.Executor
+module Trial_table = Ferrite_injection.Trial_table
 module Outcome = Ferrite_injection.Outcome
 module Tracer = Ferrite_trace.Tracer
 module Printer = Ferrite_trace.Printer
@@ -145,9 +146,9 @@ let run ?(executor = Executor.Sequential) ?(trace = Tracer.default_config) sc =
   {
     scenario = sc;
     target;
-    outcome = out.Executor.records.(0);
-    trace = out.Executor.traces.(0);
-    dump = out.Executor.dumps.(0);
+    outcome = out.Trial_table.records.(0);
+    trace = out.Trial_table.traces.(0);
+    dump = out.Trial_table.dumps.(0);
   }
 
 let render r =

@@ -1,13 +1,12 @@
 module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Journal = Ferrite_injection.Journal
-module Collector = Ferrite_injection.Collector
-module Crash_dump = Ferrite_injection.Crash_dump
 module Executor = Ferrite_injection.Executor
 module Fault_model = Ferrite_injection.Fault_model
+module Lease = Ferrite_injection.Lease
 module Trial = Ferrite_injection.Trial
+module Trial_table = Ferrite_injection.Trial_table
 module Tracer = Ferrite_trace.Tracer
-module Telemetry = Ferrite_trace.Telemetry
 module Rng = Ferrite_machine.Rng
 module Cache_stats = Ferrite_machine.Cache_stats
 module Iofault = Ferrite_iofault.Iofault
@@ -391,9 +390,8 @@ module Controller = struct
     t_max_deaths : int;
     t_heartbeat : float;
     t_journal : Journal.writer option;
-    t_lease : Lease.t;
-    t_entries : Journal.entry option array;
-    t_dumps : Crash_dump.t option array;
+    t_table : Trial_table.t;
+    t_lease : Lease.t;  (* the table's *)
     mutable t_conns : conn list;
     mutable t_next_worker : int;
     mutable t_finishing : bool;
@@ -427,71 +425,49 @@ module Controller = struct
         c
       | None -> Executor.chunk_size ~total ~workers:4
     in
-    (* The controller's journal mirrors the in-process supervisor's: every
-       merged entry is appended as it lands, so a drained (SIGTERM) or
-       degraded campaign leaves a valid journal any later run can resume. *)
-    let writer, recovered =
-      match journal with
-      | None -> (None, [])
-      | Some path ->
-        (* hash with the supervision fingerprint the in-process supervisor
-           would use under the same policy/chaos, so fabric journals and
-           supervisor journals resume each other *)
-        let sv =
-          {
-            Campaign.sv_policy = policy;
-            sv_chaos = chaos;
-            sv_journal = Some path;
-            sv_resume = resume;
-          }
-        in
-        let hash =
-          Journal.plan_hash_of_string (Campaign.plan_fingerprint ~supervision:sv cfg)
-        in
-        if (not resume) && Sys.file_exists path then Sys.remove path;
-        let w, rc = Journal.open_for_append ~path ~plan_hash:hash in
-        (Some w, if resume then rc.Journal.rc_entries else [])
+    (* The table appends every merged entry as it lands, so a drained
+       (SIGTERM) or degraded campaign leaves a valid journal any later run
+       can resume. *)
+    let writer, recovery =
+      Campaign.open_journal
+        { Campaign.sv_policy = policy; sv_chaos = chaos; sv_journal = journal; sv_resume = resume }
+        cfg
     in
-    let t =
-      {
-        t_cfg = cfg;
-        t_specs = specs;
-        t_policy = Supervisor.validated_policy policy;
-        t_chaos = chaos;
-        t_tracer = Tracer.validated tracer;
-        t_wire_chaos = Option.map Wire.validated_chaos wire_chaos;
-        t_wire_seed = wire_seed;
-        t_max_deaths = max_worker_deaths;
-        t_heartbeat = heartbeat_timeout;
-        t_journal = writer;
-        t_lease = Lease.create ~total ~chunk ~timeout:lease_timeout ~max_deaths:max_worker_deaths;
-        t_entries = Array.make total None;
-        t_dumps = Array.make total None;
-        t_conns = [];
-        t_next_worker = 0;
-        t_finishing = false;
-        t_draining = false;
-        t_results = 0;
-        t_dup_results = 0;
-        t_steals = 0;
-        t_steal_returns = 0;
-        t_expired = 0;
-        t_deaths = 0;
-        t_hung = 0;
-        t_requeued = 0;
-        t_left = 0;
-        t_quarantined = [];
-      }
+    let table =
+      Trial_table.create ?journal:writer ~timeout:lease_timeout ~max_deaths:max_worker_deaths
+        ~chunk total
     in
     List.iter
-      (fun (e : Journal.entry) ->
-        let i = e.Journal.je_index in
-        if i >= 0 && i < total && t.t_entries.(i) = None then begin
-          t.t_entries.(i) <- Some e;
-          ignore (Lease.complete t.t_lease ~index:i)
-        end)
-      recovered;
-    t
+      (fun e -> ignore (Trial_table.complete ~recovered:true table e None))
+      recovery.Journal.rc_entries;
+    {
+      t_cfg = cfg;
+      t_specs = specs;
+      t_policy = Supervisor.validated_policy policy;
+      t_chaos = chaos;
+      t_tracer = Tracer.validated tracer;
+      t_wire_chaos = Option.map Wire.validated_chaos wire_chaos;
+      t_wire_seed = wire_seed;
+      t_max_deaths = max_worker_deaths;
+      t_heartbeat = heartbeat_timeout;
+      t_journal = writer;
+      t_table = table;
+      t_lease = Trial_table.lease table;
+      t_conns = [];
+      t_next_worker = 0;
+      t_finishing = false;
+      t_draining = false;
+      t_results = 0;
+      t_dup_results = 0;
+      t_steals = 0;
+      t_steal_returns = 0;
+      t_expired = 0;
+      t_deaths = 0;
+      t_hung = 0;
+      t_requeued = 0;
+      t_left = 0;
+      t_quarantined = [];
+    }
 
   let welcome t ~worker =
     Wire.Welcome
@@ -573,14 +549,11 @@ module Controller = struct
         ~model:(Fault_model.validated t.t_cfg.Campaign.fault_model)
         t.t_specs.(index) reasons
     in
-    let entry =
-      { Journal.je_index = index; je_record = record; je_stats = stats; je_trace = trace }
-    in
-    t.t_entries.(index) <- Some entry;
-    Option.iter (fun w -> Journal.append w entry) t.t_journal;
-    t.t_dumps.(index) <- dump;
-    t.t_quarantined <- t.t_quarantined @ [ (index, List.nth reasons (deaths - 1)) ];
-    ignore (Lease.complete t.t_lease ~index)
+    ignore
+      (Trial_table.complete t.t_table
+         { Journal.je_index = index; je_record = record; je_stats = stats; je_trace = trace }
+         dump);
+    t.t_quarantined <- t.t_quarantined @ [ (index, List.nth reasons (deaths - 1)) ]
 
   let conn_of t worker = List.find_opt (fun c -> c.c_worker = worker) t.t_conns
 
@@ -662,12 +635,8 @@ module Controller = struct
       (* always ack — the worker retransmits until we do, and dedup is ours *)
       send_to t conn (Wire.Ack { ak_seq = rs_seq });
       if rs_entry.Journal.je_index = rs_index then (
-        match Lease.complete t.t_lease ~index:rs_index with
-        | Lease.Fresh ->
-          t.t_entries.(rs_index) <- Some rs_entry;
-          Option.iter (fun w -> Journal.append w rs_entry) t.t_journal;
-          t.t_dumps.(rs_index) <- rs_dump;
-          t.t_results <- t.t_results + 1
+        match Trial_table.complete t.t_table rs_entry rs_dump with
+        | Lease.Fresh -> t.t_results <- t.t_results + 1
         | Lease.Duplicate -> t.t_dup_results <- t.t_dup_results + 1)
     | Wire.Bye { bye_stats } ->
       conn.c_bye <- true;
@@ -763,34 +732,9 @@ module Controller = struct
           wait ())
       t.t_conns
 
-  (* The completed-only merge. On a finished campaign every entry is present
-     and this is exactly the sequential executor's fold; on a drained one it
-     folds the completed prefix-subset in trial-index order — the salvage
-     state: partial but internally consistent Tables 5/6, never a mix of
-     real and invented trials. *)
-  let merge_present t =
-    let entries =
-      Array.to_list t.t_entries |> List.filteri (fun _ e -> e <> None) |> List.map Option.get
-    in
-    let present_dumps =
-      Array.to_list t.t_entries
-      |> List.mapi (fun i e -> (i, e))
-      |> List.filter_map (fun (i, e) -> if e = None then None else Some t.t_dumps.(i))
-    in
-    let records = List.map (fun e -> e.Journal.je_record) entries in
-    let traces = List.map (fun e -> e.Journal.je_trace) entries in
-    (* identical folds to the sequential executor: collector stats and
-       telemetry accumulate in trial-index order from the same zeros *)
-    let collector =
-      List.fold_left
-        (fun acc e -> Collector.merge_stats acc e.Journal.je_stats)
-        Collector.zero_stats entries
-    in
-    let telemetry =
-      List.fold_left
-        (fun acc e -> Telemetry.merge acc e.Journal.je_trace.Tracer.tr_telemetry)
-        Telemetry.zero entries
-    in
+  (* Workers report their diagnostics in their goodbye; the table folds the
+     merged trials — the salvage subset after a drain. *)
+  let merge t =
     let reboots, cache =
       List.fold_left
         (fun (rb, cs) c ->
@@ -799,21 +743,8 @@ module Controller = struct
           | None -> (rb, cs))
         (0, Cache_stats.zero) t.t_conns
     in
-    let env = Campaign.environment t.t_cfg in
-    {
-      Campaign.cfg = t.t_cfg;
-      records;
-      traces;
-      dumps = present_dumps;
-      telemetry = Telemetry.with_boots telemetry reboots;
-      hot_profile = env.Trial.env_hot;
-      reboots;
-      collector;
-      cache;
-      supervision = None;
-    }
-
-  let missing t = Array.fold_left (fun n e -> if e = None then n + 1 else n) 0 t.t_entries
+    Campaign.of_outcome t.t_cfg ~hot:(Campaign.environment t.t_cfg).Trial.env_hot
+      (Trial_table.outcome t.t_table ~reboots ~cache)
 
   let report t =
     let retransmitted =
@@ -834,7 +765,7 @@ module Controller = struct
       fb_hung = t.t_hung;
       fb_requeued = t.t_requeued;
       fb_left = t.t_left;
-      fb_missing = missing t;
+      fb_missing = Trial_table.missing t.t_table;
       fb_quarantined = t.t_quarantined;
     }
 
@@ -873,9 +804,8 @@ module Controller = struct
       t.t_conns;
     reap t;
     Option.iter Journal.close t.t_journal;
-    let left_out = missing t in
-    if left_out > 0 then Iofault.note_salvage "drain";
-    (merge_present t, report t)
+    if Trial_table.missing t.t_table > 0 then Iofault.note_salvage "drain";
+    (merge t, report t)
 end
 
 let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk

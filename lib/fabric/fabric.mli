@@ -4,8 +4,10 @@
     The fabric is the process-level sibling of
     {!Ferrite_injection.Executor.Parallel}: the same plan → execute → merge
     decomposition, with OS processes over stream sockets instead of domains
-    over shared memory. The controller owns the {!Lease} table and the merge
-    arrays; workers own everything expensive (boot, profile, trial
+    over shared memory — and the same scheduler and merge: the controller
+    owns a {!Ferrite_injection.Trial_table} (the {!Ferrite_injection.Lease}
+    table plus the completed-trial slots), exactly as the in-process
+    executor does; workers own everything expensive (boot, profile, trial
     execution). Workers self-schedule by leasing trial-index chunks, steal
     work from each other through the controller when the tail drains, may
     join and leave mid-campaign, and are survived by it: a killed worker's
@@ -103,10 +105,11 @@ module Controller : sig
       its process is still running.
 
       [journal] appends every merged entry (results and quarantines) to a
-      campaign journal as it lands, bound to the plan fingerprint exactly
-      like the in-process supervisor's; with [resume] the journal's valid
-      prefix is recovered first and those trials are never re-granted. An
-      existing journal without [resume] is replaced. *)
+      campaign journal as it lands. It is opened by
+      {!Ferrite_injection.Campaign.open_journal}, exactly as the in-process
+      run opens its own, so either resumes the other's file; with [resume]
+      the journal's valid prefix is recovered first and those trials are
+      never re-granted. An existing journal without [resume] is replaced. *)
 
   val add_worker : ?die_at:int -> ?max_leases:int -> t -> int
   (** Fork a worker process connected over a socketpair and brief it;

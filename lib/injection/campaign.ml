@@ -146,53 +146,56 @@ let environment cfg =
   let image = Boot.build_image ~variant:cfg.variant cfg.arch in
   env_of cfg image (hot_profile image cfg.arch)
 
+(* The one journal open, for the in-process run and the fabric controller
+   alike: the journal is bound to the supervision fingerprint, so either
+   can resume the other's file. Without [sv_resume] the path names a new
+   journal: an old file there (same plan or not) is replaced, never
+   continued. *)
+let open_journal sv cfg =
+  match sv.sv_journal with
+  | None -> (None, Journal.empty_recovery)
+  | Some path ->
+    let plan_hash = Journal.plan_hash_of_string (plan_fingerprint ~supervision:sv cfg) in
+    if (not sv.sv_resume) && Sys.file_exists path then Sys.remove path;
+    let w, rc = Journal.open_for_append ~path ~plan_hash in
+    (Some w, rc)
+
+let of_outcome cfg ~hot ?supervision (out : Executor.outcome) =
+  {
+    cfg;
+    records = Array.to_list out.Trial_table.records;
+    traces = Array.to_list out.Trial_table.traces;
+    dumps = Array.to_list out.Trial_table.dumps;
+    telemetry = Ferrite_trace.Telemetry.with_boots out.Trial_table.telemetry out.reboots;
+    hot_profile = hot;
+    reboots = out.reboots;
+    collector = out.collector;
+    cache = out.cache;
+    supervision;
+  }
+
 let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
     ?(tracer = Ferrite_trace.Tracer.telemetry_only) ?supervision cfg =
   (* plan → execute → merge: build shared read-only inputs once, decompose
      the campaign into pure trial specs, hand them to the executor *)
   let image = Boot.build_image ~variant:cfg.variant cfg.arch in
   let hot = hot_profile image cfg.arch in
-  let specs = plan cfg in
-  let supervisor, writer =
-    match supervision with
-    | None -> (None, None)
-    | Some sv ->
-      let hash = Journal.plan_hash_of_string (plan_fingerprint ~supervision:sv cfg) in
-      let writer, recovery =
-        match sv.sv_journal with
-        | None -> (None, Journal.empty_recovery)
-        | Some path ->
-          (* without --resume the path names a *new* journal: an old file
-             there (same plan or not) is replaced, never continued *)
-          if (not sv.sv_resume) && Sys.file_exists path then Sys.remove path;
-          let w, rc = Journal.open_for_append ~path ~plan_hash:hash in
-          (Some w, rc)
-      in
-      ( Some
-          (Supervisor.create ~policy:sv.sv_policy ~chaos:sv.sv_chaos ?journal:writer
-             ~recovery ()),
-        writer )
+  let writer, recovery =
+    Option.fold supervision ~none:(None, Journal.empty_recovery) ~some:(fun sv -> open_journal sv cfg)
+  in
+  let supervisor =
+    Option.map
+      (fun sv -> Supervisor.create ~policy:sv.sv_policy ~chaos:sv.sv_chaos ~recovery ())
+      supervision
   in
   let out =
     Fun.protect
       ~finally:(fun () -> Option.iter Journal.close writer)
       (fun () ->
-        Executor.run ~progress ~trace:tracer ?supervisor executor (env_of cfg image hot)
-          specs)
+        Executor.run ~progress ~trace:tracer ?supervisor ?journal:writer
+          ~recovered:recovery.Journal.rc_entries executor (env_of cfg image hot) (plan cfg))
   in
-  {
-    cfg;
-    records = Array.to_list out.Executor.records;
-    traces = Array.to_list out.Executor.traces;
-    dumps = Array.to_list out.Executor.dumps;
-    telemetry =
-      Ferrite_trace.Telemetry.with_boots out.Executor.telemetry out.Executor.reboots;
-    hot_profile = hot;
-    reboots = out.Executor.reboots;
-    collector = out.Executor.collector;
-    cache = out.Executor.cache;
-    supervision = Option.map Supervisor.report supervisor;
-  }
+  of_outcome cfg ~hot ?supervision:(Option.map Supervisor.report supervisor) out
 
 type summary = {
   injected : int;

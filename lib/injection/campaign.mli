@@ -101,6 +101,23 @@ val environment : config -> Trial.env
     of the fabric's byte-identity argument (the other is {!Trial.run}'s
     purity in the spec). *)
 
+val open_journal : supervision -> config -> Journal.writer option * Journal.recovery
+(** Open [sv_journal] (if any) for appending, bound to
+    [plan_fingerprint ~supervision config]: the file is replaced unless
+    [sv_resume], and the returned recovery holds the trials it already
+    completed. The in-process {!run} and the distributed controller both
+    open their journal here, so each resumes the other's file. Raises
+    {!Journal.Header_mismatch} for a journal of another plan. *)
+
+val of_outcome :
+  config ->
+  hot:(string * float) list ->
+  ?supervision:Supervisor.report ->
+  Executor.outcome ->
+  result
+(** Wrap a merged {!Executor.outcome} as a campaign result, filling
+    [tl_boots] from its [reboots]. *)
+
 val run :
   ?progress:(done_:int -> total:int -> unit) ->
   ?executor:Executor.t ->

@@ -1,5 +1,3 @@
-open Ferrite_machine
-
 type t =
   | Sequential
   | Parallel of { domains : int }
@@ -17,172 +15,94 @@ let of_jobs n =
 
 let auto () = of_jobs (Domain.recommended_domain_count ())
 
-let describe = function
-  | Sequential -> "sequential"
-  | Parallel { domains } -> Printf.sprintf "parallel:%d" domains
-
-type outcome = {
-  records : Outcome.record array;  (* indexed by trial index *)
-  traces : Ferrite_trace.Tracer.trial array;  (* same indexing *)
-  dumps : Crash_dump.t option array;  (* same indexing; [Some] iff Known_crash *)
-  telemetry : Ferrite_trace.Telemetry.t;
-  reboots : int;
-  collector : Collector.stats;
-  cache : Cache_stats.t;  (* summed over workers; diagnostics like reboots *)
-}
-
-(* Telemetry is merged by folding the per-trial traces in index order, never
-   per worker: component sums are commutative, so every executor reports the
-   same numbers. Only [tl_boots] is executor-dependent (each worker boots its
-   own machine); the campaign fills it in from [reboots]. *)
-let merge_telemetry traces =
-  Array.fold_left
-    (fun acc tr ->
-      Ferrite_trace.Telemetry.merge acc tr.Ferrite_trace.Tracer.tr_telemetry)
-    Ferrite_trace.Telemetry.zero traces
+type outcome = Trial_table.outcome
 
 let no_progress ~done_:_ ~total:_ = ()
-
-(* One trial, through the supervision layer when present: a trial already
-   completed by a previous run (journal recovery) is served verbatim from its
-   entry — never re-run, so resumed campaigns reproduce uninterrupted ones
-   byte for byte — and a freshly-run trial is streamed to the journal before
-   the executor moves on, so a kill can only lose the trial in flight. *)
-let run_spec ~supervisor ~trace env cache (spec : Trial.spec) =
-  match supervisor with
-  | None -> Trial.run ~trace env cache spec
-  | Some sv -> (
-    match Supervisor.lookup sv spec.Trial.index with
-    | Some e ->
-      Supervisor.note_skip sv spec.Trial.index;
-      (* journal-served trials carry no dump — the v2 on-disk format predates
-         structured dumps, and re-running the trial to recover one would break
-         the resumed == uninterrupted byte-identity *)
-      (e.Journal.je_record, e.Journal.je_stats, e.Journal.je_trace, None)
-    | None ->
-      let record, st, tr, dump = Supervisor.run_trial sv ~trace env cache spec in
-      Supervisor.journal_append sv
-        { Journal.je_index = spec.Trial.index; je_record = record; je_stats = st; je_trace = tr };
-      (record, st, tr, dump))
-
-let run_sequential ~progress ~trace ~supervisor env specs =
-  let total = Array.length specs in
-  let cache = Trial.cache_create () in
-  let stats = ref Collector.zero_stats in
-  let traces = Array.make total None in
-  let dumps = Array.make total None in
-  let records =
-    Array.mapi
-      (fun i spec ->
-        let record, st, tr, dump = run_spec ~supervisor ~trace env cache spec in
-        stats := Collector.merge_stats !stats st;
-        traces.(i) <- Some tr;
-        dumps.(i) <- dump;
-        progress ~done_:(i + 1) ~total;
-        record)
-      specs
-  in
-  let traces = Array.map (function Some t -> t | None -> assert false) traces in
-  {
-    records;
-    traces;
-    dumps;
-    telemetry = merge_telemetry traces;
-    reboots = Trial.reboots cache;
-    collector = !stats;
-    cache = Trial.cache_stats cache;
-  }
 
 (* Contiguous chunks keep per-worker scheduling overhead low; chunks smaller
    than total/workers rebalance the long tail, because trial costs vary by
    two orders of magnitude between a Not-Activated run and a watchdog Hang.
-   Shared by the in-process domain pool below and the distributed fabric's
-   lease table, so both shard one plan the same way. *)
+   The lease table grants at this grain for the domain pool and, by
+   default, for the distributed fabric, so both shard one plan the same way. *)
 let chunk_size ~total ~workers = max 1 (total / (max 1 workers * 8))
 
-(* Chunked self-scheduling: workers atomically claim contiguous chunks of
-   trials. Contiguous claims keep the per-worker chunk count (and hence
-   scheduler overhead) low; chunks smaller than total/domains rebalance the
-   long tail, because trial costs vary by two orders of magnitude between a
-   Not-Activated run and a watchdog Hang. The records array is indexed by
-   trial index and each slot is written by exactly one worker, so the merged
-   output is already in campaign order — bit-identical to Sequential. *)
-let run_parallel ~progress ~trace ~supervisor ~domains env specs =
-  let total = Array.length specs in
-  (* Never spin up a worker for fewer than ~4 trials: a worker's first act is
-     a full boot, which only amortises over a handful of trials. *)
-  let domains = max 1 (min domains (max 1 (total / 4))) in
-  let chunk = chunk_size ~total ~workers:domains in
-  let results = Array.make total None in
-  let next = Atomic.make 0 in
-  (* [finished] is read and bumped inside the mutex: the progress callback
-     sees a strictly increasing [done_] (see the .mli contract), which a
-     fetch-and-add outside the lock could not guarantee — two workers could
-     acquire the mutex in the opposite order of their increments. *)
-  let finished = ref 0 in
-  let progress_mutex = Mutex.create () in
-  let worker () =
-    let cache = Trial.cache_create () in
-    let stats = ref Collector.zero_stats in
-    let rec claim () =
-      let lo = Atomic.fetch_and_add next chunk in
-      if lo < total then begin
-        let hi = min total (lo + chunk) in
-        for i = lo to hi - 1 do
-          let record, st, tr, dump = run_spec ~supervisor ~trace env cache specs.(i) in
-          results.(i) <- Some (record, tr, dump);
-          stats := Collector.merge_stats !stats st;
-          Mutex.protect progress_mutex (fun () ->
-              incr finished;
-              progress ~done_:!finished ~total)
-        done;
-        claim ()
-      end
-    in
-    claim ();
-    (Trial.reboots cache, !stats, Trial.cache_stats cache)
-  in
-  let handles = List.init domains (fun _ -> Domain.spawn worker) in
-  let reboots, stats, cache =
-    List.fold_left
-      (fun (rb, st, cs) h ->
-        let r, s, c = Domain.join h in
-        (rb + r, Collector.merge_stats st s, Cache_stats.merge cs c))
-      (0, Collector.zero_stats, Cache_stats.zero) handles
-  in
-  let records =
-    Array.map
-      (function Some (r, _, _) -> r | None -> assert false (* every slot claimed *))
-      results
-  in
-  let traces =
-    Array.map (function Some (_, t, _) -> t | None -> assert false) results
-  in
-  let dumps =
-    Array.map (function Some (_, _, d) -> d | None -> assert false) results
-  in
-  { records; traces; dumps; telemetry = merge_telemetry traces; reboots; collector = stats; cache }
+let empty =
+  {
+    Trial_table.records = [||];
+    traces = [||];
+    dumps = [||];
+    telemetry = Ferrite_trace.Telemetry.zero;
+    reboots = 0;
+    collector = Collector.zero_stats;
+    cache = Ferrite_machine.Cache_stats.zero;
+  }
 
 let run ?(progress = no_progress) ?(trace = Ferrite_trace.Tracer.telemetry_only) ?supervisor
-    t env specs =
-  if Array.length specs = 0 then
-    {
-      records = [||];
-      traces = [||];
-      dumps = [||];
-      telemetry = Ferrite_trace.Telemetry.zero;
-      reboots = 0;
-      collector = Collector.zero_stats;
-      cache = Cache_stats.zero;
-    }
+    ?journal ?(recovered = []) t env specs =
+  let total = Array.length specs in
+  if total = 0 then empty
   else
-    let effective_domains domains =
-      min domains
-        (min (Domain.recommended_domain_count ()) (max 1 (Array.length specs / 4)))
+    (* Never spin up a worker for fewer than ~4 trials: a worker's first act
+       is a full boot, which only amortises over a handful of trials. *)
+    let workers =
+      match t with
+      | Sequential -> 1
+      | Parallel { domains } ->
+        max 1 (min domains (min (Domain.recommended_domain_count ()) (total / 4)))
     in
-    match t with
-    | Sequential -> run_sequential ~progress ~trace ~supervisor env specs
-    | Parallel { domains } when effective_domains domains <= 1 ->
-      run_sequential ~progress ~trace ~supervisor env specs
-    | Parallel { domains } ->
-      run_parallel ~progress ~trace ~supervisor ~domains:(effective_domains domains) env specs
+    let table = Trial_table.create ?journal ~chunk:(chunk_size ~total ~workers) total in
+    let lock = Mutex.create () in
+    (* [done_] is read inside the lock that completes the trial, so the
+       callback sees 1, 2, ..., total in order (the .mli contract) *)
+    let complete ?recovered entry dump =
+      Mutex.protect lock (fun () ->
+          match Trial_table.complete ?recovered table entry dump with
+          | Lease.Fresh ->
+            progress ~done_:(Lease.completed (Trial_table.lease table)) ~total;
+            true
+          | Lease.Duplicate -> false)
+    in
+    (* Journal-served trials complete before any worker starts, so they are
+       never re-run: a resumed campaign reproduces an uninterrupted one byte
+       for byte. *)
+    List.iter
+      (fun (e : Journal.entry) ->
+        if complete ~recovered:true e None then
+          Option.iter (fun sv -> Supervisor.note_skip sv e.Journal.je_index) supervisor)
+      recovered;
+    let run_one =
+      match supervisor with
+      | None -> Trial.run ~trace env
+      | Some sv -> Supervisor.run_trial sv ~trace env
+    in
+    (* One in-process worker: lease a range, run it, complete each trial, ask
+       again. It never steals: [Steal_from] and [Wait] both mean nothing is
+       left unleased, so it stops and the live leases' owners finish them. *)
+    let work id () =
+      let cache = Trial.cache_create () in
+      let rec loop () =
+        match
+          Mutex.protect lock (fun () ->
+              Lease.request (Trial_table.lease table) ~worker:id ~now:0.0)
+        with
+        | Lease.Grant { d_lo; d_hi; _ } ->
+          for i = d_lo to d_hi - 1 do
+            let je_record, je_stats, je_trace, dump = run_one cache specs.(i) in
+            ignore (complete { Journal.je_index = i; je_record; je_stats; je_trace } dump)
+          done;
+          loop ()
+        | Lease.Steal_from _ | Lease.Wait | Lease.Drained -> ()
+      in
+      loop ();
+      (Trial.reboots cache, Trial.cache_stats cache)
+    in
+    let per_worker =
+      if workers = 1 then [ work 0 () ]
+      else List.map Domain.join (List.init workers (fun id -> Domain.spawn (work id)))
+    in
+    let reboots, cache =
+      List.fold_left
+        (fun (rb, cs) (r, c) -> (rb + r, Ferrite_machine.Cache_stats.merge cs c))
+        (0, Ferrite_machine.Cache_stats.zero) per_worker
+    in
+    Trial_table.outcome table ~reboots ~cache

@@ -1,19 +1,22 @@
-(** Campaign executors: the {e execute} and {e merge} halves of the
+(** Campaign executors: the in-process {e execute} half of the
     plan → execute → merge pipeline.
 
-    Both executors consume the same {!Trial.spec} array and produce the same
-    {!outcome} — bit-identical records in trial-index order — because each
-    trial's record is a pure function of its spec (see {!Trial}).  The only
-    fields allowed to differ between executors are the diagnostics [reboots]
-    and [cache]: every worker boots its own machine once, so a parallel run
-    reports up to [domains - 1] extra boots (and correspondingly different
-    cache counters). *)
+    Both executors run one worker loop — request a grant from the
+    {!Lease} table, run the range, complete each trial in the
+    {!Trial_table} — on the calling domain ([Sequential]) or on a pool of
+    domains sharing the table behind one mutex ([Parallel]). Both produce
+    the same {!outcome} — bit-identical records in trial-index order —
+    because each trial's record is a pure function of its spec (see
+    {!Trial}) and the table merges by index. The only fields allowed to
+    differ between executors are the diagnostics [reboots] and [cache]:
+    every worker boots its own machine once, so a parallel run reports up
+    to [domains - 1] extra boots (and correspondingly different cache
+    counters). *)
 
 type t =
   | Sequential  (** one worker, in-order — the default, today's behaviour *)
   | Parallel of { domains : int }
-      (** an OCaml 5 [Domain] pool with chunked self-scheduling and
-          deterministic merge *)
+      (** an OCaml 5 [Domain] pool leasing chunks from one table *)
 
 val default : t
 (** {!Sequential}. *)
@@ -28,45 +31,26 @@ val of_jobs : int -> t
 val auto : unit -> t
 (** [of_jobs (Domain.recommended_domain_count ())]. *)
 
-val describe : t -> string
-(** ["sequential"] or ["parallel:N"], for logs and bench output. *)
-
 val chunk_size : total:int -> workers:int -> int
-(** The chunked-plan-iterator granularity both executors use:
+(** The lease table's grant size for [workers] workers:
     [max 1 (total / (workers * 8))]. Small enough to rebalance the long tail
     (trial costs vary ~100× between Not-Activated and Hang), large enough to
-    amortise claim overhead. The distributed fabric's lease table shards with
-    the same function, so a fabric campaign and a domain-pool campaign cut
+    amortise lease overhead. The distributed fabric shards with the same
+    function by default, so a fabric campaign and a domain-pool campaign cut
     one plan identically. *)
 
-type outcome = {
-  records : Outcome.record array;
-      (** one record per trial, indexed by {!Trial.spec.index} — already
-          sorted by trial regardless of completion order *)
-  traces : Ferrite_trace.Tracer.trial array;
-      (** per-trial event traces, same indexing — they survive the parallel
-          merge in trial order, so Sequential and Parallel render the same
-          timelines byte for byte *)
-  dumps : Crash_dump.t option array;
-      (** structured crash dumps, same indexing; [Some] exactly for
-          [Known_crash] records of freshly-run trials. Journal-served trials
-          (resume) carry [None]: the v2 on-disk format predates dumps. *)
-  telemetry : Ferrite_trace.Telemetry.t;
-      (** folded from [traces] in index order; every field except [tl_boots]
-          (filled by the campaign) is executor-independent *)
-  reboots : int;  (** summed over workers *)
-  collector : Collector.stats;  (** merged delivery tallies *)
-  cache : Ferrite_machine.Cache_stats.t;
-      (** TLB / dirty-restore / decode-cache counters summed over workers.
-          Like [reboots], these depend on scheduling and on whether the fast
-          paths are enabled — diagnostics only, never folded into records or
-          telemetry *)
-}
+type outcome = Trial_table.outcome
+(** Records, traces and dumps in trial-index order; collector stats and
+    telemetry folded in that order; [reboots] and [cache] summed over
+    workers. Only [reboots] and [cache] (and the boots the campaign derives
+    from them) depend on the executor. *)
 
 val run :
   ?progress:(done_:int -> total:int -> unit) ->
   ?trace:Ferrite_trace.Tracer.config ->
   ?supervisor:Supervisor.t ->
+  ?journal:Journal.writer ->
+  ?recovered:Journal.entry list ->
   t ->
   Trial.env ->
   Trial.spec array ->
@@ -85,8 +69,12 @@ val run :
     trial's tracer capacity.
 
     [supervisor] threads every trial through the supervision layer
-    ({!Supervisor.run_trial}): trials already present in its recovery set are
-    served from the journal (resume skip) instead of re-run, fresh results
-    are streamed to its journal, and contained failures yield quarantined
-    {!Outcome.Infrastructure_failure} records. Without a supervisor the
-    executor behaves exactly as before — any exception aborts the run. *)
+    ({!Supervisor.run_trial}): contained failures yield quarantined
+    {!Outcome.Infrastructure_failure} records. Without a supervisor any
+    exception aborts the run.
+
+    [journal] receives every freshly-run trial as it completes, so a kill
+    can only lose the trials in flight. [recovered] (a journal's entries,
+    see {!Journal.open_for_append}) complete before any worker starts: they
+    are served verbatim, never re-run, each counted as a resume skip on
+    [supervisor], and reported to [progress] first. *)

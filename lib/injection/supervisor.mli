@@ -100,9 +100,11 @@ val create :
   ?recovery:Journal.recovery ->
   unit ->
   t
-(** [journal] receives one entry per freshly-completed trial (appends are
-    serialized internally); [recovery]'s entries become the completed set
-    that {!lookup} serves and executors skip. *)
+(** [journal] is the writer {!journal_append} appends to (serialized
+    internally); [recovery] sets the journal counters of {!report} and the
+    completed set {!lookup} serves. {!Campaign.run} passes only the
+    recovery: its trial table appends fresh results and completes the
+    recovered ones before any worker starts. *)
 
 val report : t -> report
 
@@ -110,7 +112,7 @@ val lookup : t -> int -> Journal.entry option
 (** The journal entry for a trial completed by a previous run, if any. *)
 
 val note_skip : t -> int -> unit
-(** Count a resume skip (the executor served the trial from {!lookup}). *)
+(** Count a resume skip: the executor served the trial from the journal. *)
 
 val journal_append : t -> Journal.entry -> unit
 (** Append one completed trial to the journal (no-op without one). *)
@@ -141,4 +143,10 @@ val run_trial :
     (so the retry starts from a fresh boot), retries back off exponentially,
     and a trial whose every attempt failed yields an
     {!Outcome.Infrastructure_failure} record with a zero collector tally and
-    a synthesized trace carrying its failed attempts. *)
+    a synthesized trace carrying its failed attempts.
+
+    Retry is for a failure the worker survives and can report. A worker
+    process that vanishes mid-trial reports nothing; the distributed
+    fabric's lease table charges that death to the trials it held
+    ({!Lease.worker_dead}) instead. Both paths quarantine through
+    {!quarantine_entry}, so the two verdicts have one shape. *)

@@ -87,6 +87,9 @@ type stats = {
   st_delays : int;
   st_retries : int;
   st_salvages : int;
+  st_reads : int;
+  st_writes : int;
+  st_fsyncs : int;
 }
 
 let zero_stats =
@@ -102,6 +105,9 @@ let zero_stats =
     st_delays = 0;
     st_retries = 0;
     st_salvages = 0;
+    st_reads = 0;
+    st_writes = 0;
+    st_fsyncs = 0;
   }
 
 type ambient = { am_seed : int64; am_plan : plan }
@@ -116,6 +122,14 @@ let label_instances : (string, int) Hashtbl.t = Hashtbl.create 16
    budget. Mutex-protected like the counters. *)
 let file_bytes = ref 0
 
+(* Calls through every handle, armed or not: an atomic bump each, so the
+   passthrough path takes no lock. *)
+let reads = Atomic.make 0
+let writes = Atomic.make 0
+let fsyncs = Atomic.make 0
+
+let reset_calls () = List.iter (fun c -> Atomic.set c 0) [ reads; writes; fsyncs ]
+
 let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
@@ -127,18 +141,27 @@ let arm ?plan ~seed () =
       counters := zero_stats;
       salvages := [];
       file_bytes := 0;
+      reset_calls ();
       Hashtbl.reset label_instances)
 
 let disarm () = with_lock (fun () -> ambient := None)
 let armed () = !ambient <> None
 let armed_seed () = match !ambient with Some a -> Some a.am_seed | None -> None
-let stats () = with_lock (fun () -> !counters)
+let stats () =
+  with_lock (fun () ->
+      {
+        !counters with
+        st_reads = Atomic.get reads;
+        st_writes = Atomic.get writes;
+        st_fsyncs = Atomic.get fsyncs;
+      })
 
 let reset_stats () =
   with_lock (fun () ->
       counters := zero_stats;
       salvages := [];
-      file_bytes := 0)
+      file_bytes := 0;
+      reset_calls ())
 
 type kind =
   | Eintr
@@ -260,6 +283,7 @@ let enospc_claim cs n =
           granted)
 
 let read t buf pos len =
+  Atomic.incr reads;
   match t.t_chaos with
   | None -> Unix.read t.t_fd buf pos len
   | Some cs ->
@@ -267,6 +291,7 @@ let read t buf pos len =
       Unix.read t.t_fd buf pos len'
 
 let write_substring t s pos len =
+  Atomic.incr writes;
   match t.t_chaos with
   | None -> Unix.write_substring t.t_fd s pos len
   | Some cs ->
@@ -321,6 +346,7 @@ let write_fully t s =
   done
 
 let fsync t =
+  Atomic.incr fsyncs;
   match t.t_chaos with
   | None -> Unix.fsync t.t_fd
   | Some cs ->

@@ -7,9 +7,11 @@
     [Rng.derive] splits trials — so any observed failure is replayable from
     the seed alone.
 
-    When no plan is armed the handle is a passthrough: one match on an
-    immutable field, then the raw syscall. The fault-free overhead of the
-    shim is bounded by the @bench gate (< 2%).
+    When no plan is armed the handle is a passthrough: a call counter bump,
+    one match on an immutable field, then the raw syscall. An armed plan
+    that draws no fault must be invisible: the @io-chaos-smoke gate checks
+    that an armed-but-quiet campaign makes the same read/write/fsync calls,
+    and writes the same journal and store bytes, as a disarmed one.
 
     Fault taxonomy (see DESIGN.md §14):
     - {e retried}: EINTR, EAGAIN, short reads/writes, injected delays —
@@ -22,7 +24,7 @@
       and counted, never fatal.
 
     The global fault/retry/salvage counters are mutex-protected and folded
-    into the CLI report lines and BENCH_campaign.json. *)
+    into the CLI report lines. *)
 
 type plan = {
   pl_eintr : float;  (** probability a syscall raises [EINTR] *)
@@ -103,10 +105,15 @@ type stats = {
   st_delays : int;
   st_retries : int;  (** faults absorbed by retry loops *)
   st_salvages : int;  (** degradation events reported via {!note_salvage} *)
+  st_reads : int;  (** {!read} calls through any handle, armed or not *)
+  st_writes : int;  (** {!write_substring} calls, including each {!write_fully} attempt *)
+  st_fsyncs : int;  (** {!fsync} calls *)
 }
 
 val stats : unit -> stats
+
 val reset_stats : unit -> unit
+(** Zero every counter, the call counts included ({!arm} does too). *)
 
 val note_retry : unit -> unit
 (** Count a retry absorbed by an external retry loop (e.g. the fabric's

@@ -115,20 +115,6 @@ let decode_warm_rate t =
   if t.cs_decode_hits = 0 then 0.0
   else float_of_int t.cs_decode_warm_hits /. float_of_int t.cs_decode_hits
 
-let to_json t =
-  let ints =
-    List.map (fun (k, v) -> Printf.sprintf "    \"%s\": %d" k v) (fields t)
-  in
-  let rates =
-    [
-      Printf.sprintf "    \"tlb_hit_rate\": %.4f" (tlb_hit_rate t);
-      Printf.sprintf "    \"decode_hit_rate\": %.4f" (decode_hit_rate t);
-      Printf.sprintf "    \"decode_warm_rate\": %.4f" (decode_warm_rate t);
-      Printf.sprintf "    \"sb_hit_rate\": %.4f" (sb_hit_rate t);
-    ]
-  in
-  "{\n" ^ String.concat ",\n" (ints @ rates) ^ "\n  }"
-
 let render ppf t =
   Format.fprintf ppf
     "tlb %d/%d (%.1f%%)  decode %d/%d (%.1f%%, %.1f%% warm)  sb %d blk / %d insn (%.1f%% hit, %d fb)  restores %d fast / %d full (%d pages)"

@@ -60,7 +60,4 @@ val decode_warm_rate : t -> float
 val sb_hit_rate : t -> float
 (** Superblock entries served from cache / (served + built). *)
 
-val to_json : t -> string
-(** A JSON object literal (indented for embedding in BENCH_campaign.json). *)
-
 val render : Format.formatter -> t -> unit

@@ -105,10 +105,7 @@ let test_executor_helpers () =
   check_bool "negative jobs rejected" true
     (match Executor.of_jobs (-2) with
     | exception Invalid_argument _ -> true
-    | _ -> false);
-  check_bool "describe" true
-    (Executor.describe Executor.Sequential = "sequential"
-    && Executor.describe (Executor.Parallel { domains = 2 }) = "parallel:2")
+    | _ -> false)
 
 (* ---------- system cache / logical reboot ---------- *)
 
