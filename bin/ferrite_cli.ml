@@ -4,6 +4,7 @@
      boot      boot a kernel and print a health summary
      profile   profile the kernel under the workload (paper §3.5 "Location")
      inject    run a single injection campaign and print its statistics
+     matrix    sweep the canonical fault models over one campaign kind
      suite     run all four campaigns on one platform (Table 5 / Table 6)
      report    run both platforms and print every table and figure
      ablate    rebuild with one mechanism changed and measure the effect
@@ -11,13 +12,20 @@
      disasm    disassemble a kernel function on either platform
      trace     replay a paper scenario (fig7/fig13/fig14) as an event timeline
      triage    bucket crashes into the paper's sec. 5 root-cause families
-     worker    serve one campaign as a fabric worker over stdin/stdout *)
+     fuzz      fuzz the codecs and the differential trial oracle
+     worker    serve one campaign as a fabric worker over stdin/stdout
+
+   Every flag is declared once. The campaign commands assemble theirs from
+   shared terms: the campaign config, the run (executor and progress), the
+   outputs, supervision, and the harness-fault seed. *)
 
 open Cmdliner
+open Term.Syntax
 module Image = Ferrite_kir.Image
 module System = Ferrite_kernel.System
 module Boot = Ferrite_kernel.Boot
 module Campaign = Ferrite_injection.Campaign
+module Executor = Ferrite_injection.Executor
 module Target = Ferrite_injection.Target
 module Crash_cause = Ferrite_injection.Crash_cause
 module Supervisor = Ferrite_injection.Supervisor
@@ -29,145 +37,395 @@ module Triage = Ferrite_injection.Triage
 module Fabric = Ferrite_fabric.Fabric
 module Wire = Ferrite_fabric.Wire
 module Iofault = Ferrite_iofault.Iofault
+module Tracer = Ferrite_trace.Tracer
+module Scenario = Ferrite.Scenario
 
+(* --- converters --- *)
+
+let count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%d is negative; expected a count" n))
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a probability in [0,1]" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* [Arg.enum] prints a value by the last name listed for it, so aliases
+   come first. *)
 let arch_conv =
-  let parse = function
-    | "p4" | "P4" | "cisc" -> Ok Image.Cisc
-    | "g4" | "G4" | "risc" -> Ok Image.Risc
-    | s -> Error (`Msg (Printf.sprintf "unknown architecture %S (use p4 or g4)" s))
-  in
-  let print fmt a =
-    Format.pp_print_string fmt (match a with Image.Cisc -> "p4" | Image.Risc -> "g4")
-  in
+  Arg.enum
+    [
+      ("cisc", Image.Cisc); ("risc", Image.Risc); ("P4", Image.Cisc); ("G4", Image.Risc);
+      ("p4", Image.Cisc); ("g4", Image.Risc);
+    ]
+
+let arch_name = Format.asprintf "%a" (Arg.conv_printer arch_conv)
+let arch_label arch = String.uppercase_ascii (arch_name arch)
+
+let kind_conv =
+  Arg.enum
+    [
+      ("sysreg", Target.Register); ("stack", Target.Stack); ("data", Target.Data);
+      ("code", Target.Code); ("register", Target.Register);
+    ]
+
+let kind_name = Format.asprintf "%a" (Arg.conv_printer kind_conv)
+
+let fault_model_conv =
+  let parse s = Result.map_error (fun e -> `Msg e) (Fault_model.of_string s) in
+  let print fmt m = Format.pp_print_string fmt (Fault_model.tag m) in
   Arg.conv (parse, print)
+
+let targeting_conv =
+  let parse s = Result.map_error (fun e -> `Msg e) (Target.targeting_of_string s) in
+  let print fmt t = Format.pp_print_string fmt (Target.targeting_tag t) in
+  Arg.conv (parse, print)
+
+(* --- flags shared by several commands --- *)
 
 let arch_arg =
   let doc = "Target platform: p4 (CISC) or g4 (RISC)." in
   Arg.(value & opt arch_conv Image.Cisc & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
-let seed_arg =
-  let doc = "Deterministic seed for the campaign RNG." in
-  Arg.(value & opt int 0x2004 & info [ "seed" ] ~docv:"SEED" ~doc)
+let kind_arg =
+  let doc = "Campaign kind: stack, data, code or register." in
+  Arg.(value & opt kind_conv Target.Stack & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
 
-let progress_arg =
-  let doc = "Print progress to stderr." in
-  Arg.(value & flag & info [ "progress" ] ~doc)
+let seed_arg default =
+  let doc = "Deterministic seed: the same seed replays the same run." in
+  Arg.(value & opt int64 default & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-    | Some n when n < 0 ->
-      Error (`Msg (Printf.sprintf "--jobs %d: a worker count cannot be negative" n))
-    | Some n -> Ok n
+let scale_arg =
+  let doc =
+    "Scale factor applied to the paper's campaign sizes (1.0 = the full \
+     115,000-injection study)."
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.(value & opt float 0.02 & info [ "scale" ] ~docv:"S" ~doc)
 
-let jobs_arg =
+let from_store_arg =
+  let doc =
+    "Answer from the columnar result store at $(docv) instead of running \
+     campaigns: a single streaming pass rebuilds Table 5/6, the per-model \
+     breakouts and the triage tables — byte-identical to the in-memory \
+     report over the same records."
+  in
+  Arg.(value & opt (some string) None & info [ "from-store" ] ~docv:"FILE" ~doc)
+
+let trace_dir_arg =
+  let doc =
+    "Write the event stream to $(docv) as JSONL (one file per campaign or \
+     scenario; a campaign adds a telemetry .json); implies per-trial event \
+     retention."
+  in
+  Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR" ~doc)
+
+(* --- the campaign config: every flag that shapes a campaign's records --- *)
+
+let paper_config = Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:0
+
+let fault_model_arg =
+  let doc =
+    "Fault model to inject (single_bit is the paper's transient flip). Accepts "
+    ^ Fault_model.spec_doc ^ "."
+  in
+  Arg.(
+    value
+    & opt fault_model_conv paper_config.Campaign.fault_model
+    & info [ "fault-model" ] ~docv:"MODEL" ~doc)
+
+(* [arch] and [fault_model] are parameters because the matrix sweeps both
+   itself. *)
+let config_term ?(arch = arch_arg) ?(fault_model = fault_model_arg) ~injections () =
+  let+ arch = arch
+  and+ kind = kind_arg
+  and+ injections =
+    let doc = "Error injections per campaign." in
+    Arg.(value & opt count injections & info [ "n" ] ~docv:"N" ~doc)
+  and+ seed = seed_arg 0x2004L
+  and+ fault_model = fault_model
+  and+ targeting =
+    let doc =
+      "Targeting policy for the STEP-1 draw (uniform is the paper's). Accepts "
+      ^ Target.targeting_doc ^ "."
+    in
+    Arg.(value & opt targeting_conv Target.Uniform & info [ "targeting" ] ~docv:"POLICY" ~doc)
+  and+ collector_loss =
+    let doc = "Crash-dump loss probability of the collector channel." in
+    Arg.(
+      value
+      & opt probability paper_config.Campaign.collector_loss
+      & info [ "collector-loss" ] ~docv:"P" ~doc)
+  and+ collector_retries =
+    let doc =
+      "Bounded dump-retransmission budget per crash (0 = the paper's \
+       single-shot channel). Duplicates are dropped by sequence number."
+    in
+    Arg.(
+      value
+      & opt count paper_config.Campaign.collector_retries
+      & info [ "collector-retries" ] ~docv:"N" ~doc)
+  in
+  {
+    (Campaign.default ~arch ~kind ~injections) with
+    Campaign.seed;
+    fault_model;
+    targeting;
+    collector_loss;
+    collector_retries;
+  }
+
+(* --- the run: executor and progress --- *)
+
+let executor_term =
   let doc =
     "Number of worker domains for campaign execution (0 = one per core; \
      values beyond the core count are clamped, since extra domains only add \
      per-worker boots). Results are bit-identical for every value; only \
      wall-clock time changes."
   in
-  Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Term.(
+    const (function 0 -> Executor.auto () | n -> Executor.of_jobs n)
+    $ Arg.(value & opt count 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc))
 
-let executor_of_jobs jobs =
-  if jobs = 0 then Ferrite_injection.Executor.auto ()
-  else Ferrite_injection.Executor.of_jobs jobs
+type exec = { executor : Executor.t; progress : bool }
 
-(* --- distributed fabric flags (inject) --- *)
+let exec_term =
+  let+ executor = executor_term
+  and+ progress = Arg.(value & flag & info [ "progress" ] ~doc:"Print progress to stderr.") in
+  { executor; progress }
 
-let workers_arg =
-  let doc =
-    "Run the campaign on the distributed fabric with $(docv) worker \
-     processes (forked; see --distributed for exec'd workers). The merged \
-     records, traces and store bytes are byte-identical to --jobs 1 for \
-     every worker count; only the fabric diagnostics differ."
-  in
-  Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N" ~doc)
+(* The one progress line, redrawn on stderr every 100 trials and at the
+   end; [label] names the campaign when a command runs several. *)
+let progress_fn exec label ~done_ ~total =
+  if exec.progress && (done_ mod 100 = 0 || done_ = total) then
+    Printf.eprintf "\r%s%d/%d%!" label done_ total
 
-let distributed_arg =
-  let doc =
-    "Spawn fabric workers as fresh 'ferrite worker' processes over \
-     stdin/stdout links instead of forked copies (implies --workers 2 \
-     unless --workers is given)."
-  in
-  Arg.(value & flag & info [ "distributed" ] ~doc)
+let end_progress exec = if exec.progress then prerr_newline ()
 
-let wire_chaos_conv =
-  let parse s =
-    let mk d u r = { Wire.wc_drop = d; wc_dup = u; wc_reorder = r } in
-    let chaos =
-      match List.map float_of_string_opt (String.split_on_char ',' s) with
-      | [ Some d ] -> Some (mk d 0.0 0.0)
-      | [ Some d; Some u; Some r ] -> Some (mk d u r)
-      | _ -> None
+(* --- outputs: result store and event traces --- *)
+
+type outputs = { store : string option; store_append : bool; trace_dir : string option }
+
+let outputs_term ?(trace_dir = trace_dir_arg) () =
+  let+ store =
+    let doc =
+      "Write every trial's result (outcome, cause, latency, triage bucket, \
+       ...) to the columnar store at $(docv); an existing file is replaced \
+       unless --store-append is given. Query later with 'report --from-store' \
+       and 'triage --from-store'."
     in
-    match chaos with
-    | None ->
-      Error (`Msg (Printf.sprintf "%S is not DROP or DROP,DUP,REORDER" s))
-    | Some c ->
-      (match Wire.validated_chaos c with
-      | c -> Ok c
-      | exception Invalid_argument msg -> Error (`Msg msg))
-  in
-  let print fmt c =
-    Format.fprintf fmt "%g,%g,%g" c.Wire.wc_drop c.Wire.wc_dup c.Wire.wc_reorder
-  in
-  Arg.conv (parse, print)
+    Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
+  and+ store_append =
+    let doc = "With --store, append to an existing store instead of replacing it." in
+    Arg.(value & flag & info [ "store-append" ] ~doc)
+  and+ trace_dir = trace_dir in
+  { store; store_append; trace_dir }
 
-let wire_chaos_arg =
-  let doc =
-    "Arm seeded drop/duplicate/reorder chaos on every fabric link, both \
-     directions ($(docv) = DROP or DROP,DUP,REORDER, rates in [0,1]). The \
-     campaign still merges byte-identical; only retransmission and lease \
-     diagnostics move. Requires --workers/--distributed."
-  in
-  Arg.(value & opt (some wire_chaos_conv) None & info [ "wire-chaos" ] ~docv:"RATES" ~doc)
+(* Trace files go through the I/O fault layer like every other artifact. *)
+let write_jsonl dir stem trials =
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then failwith (dir ^ " exists and is not a directory");
+  let path = Filename.concat dir (stem ^ ".jsonl") in
+  if not (Ferrite_trace.Jsonl.write_trials_path path trials) then
+    Printf.eprintf "ferrite: %s is a partial trace (writer degraded)\n" path;
+  path
 
-(* --- seeded I/O fault layer (inject / suite / worker) --- *)
+(* --trace-dir: the campaign's event stream as JSONL plus its telemetry
+   counters, one file pair per campaign *)
+let dump_campaign_trace dir (res : Campaign.result) =
+  let cfg = res.Campaign.cfg in
+  let stem = Printf.sprintf "%s-%s" (arch_name cfg.Campaign.arch) (kind_name cfg.Campaign.kind) in
+  let jsonl = write_jsonl dir stem res.Campaign.traces in
+  let telemetry = Filename.concat dir (stem ^ "-telemetry.json") in
+  let oc = open_out telemetry in
+  output_string oc (Ferrite_trace.Telemetry.to_json res.Campaign.telemetry);
+  output_char oc '\n';
+  close_out oc;
+  Printf.eprintf "wrote %s and %s\n" jsonl telemetry
 
-let io_chaos_arg =
-  let doc =
-    "Arm the seeded I/O fault layer with seed $(docv): every journal, store, \
-     trace and fabric-wire descriptor is perturbed with EINTR/EAGAIN, short \
-     reads and writes, delays, and (on half the seeds) a disk-full onset \
-     drawn in [16 KiB, 64 KiB). Retriable faults are absorbed and the output \
-     stays byte-identical; ENOSPC/EIO degrade loudly to a reported salvage \
-     state. Deterministic: the same seed replays the same faults."
-  in
-  Arg.(value & opt (some int64) None & info [ "io-chaos" ] ~docv:"SEED" ~doc)
+let write_store ~append path results =
+  let w = if append then Store.open_append path else Store.create path in
+  List.iter (Result_store.append_result w) results;
+  Store.close w;
+  (* read after close: the final block flush may itself have degraded *)
+  let dropped = Store.rows_dropped w in
+  let degraded = Store.degraded w in
+  (match Store.scan path with
+  | sc ->
+    Printf.eprintf "wrote %s (%d rows, %d blocks, %d bytes)\n" path sc.Store.sc_rows
+      sc.Store.sc_blocks sc.Store.sc_bytes
+  | exception Store.Not_a_store _ when degraded ->
+    (* the header itself never landed: nothing scannable, by design *)
+    Printf.eprintf "wrote %s (no scannable prefix: the header write failed)\n" path);
+  if degraded then
+    Printf.eprintf
+      "ferrite: store %s DEGRADED: %d row(s) dropped after a write failure; what is \
+       on disk is a valid prefix\n"
+      path dropped
 
-let io_enospc_after_arg =
-  let doc =
-    "With --io-chaos, override the plan's disk-full onset: the global byte \
-     budget shared by all file writers is exhausted after $(docv) bytes \
-     (the ENOSPC-onset sweep knob from EXPERIMENTS.md)."
-  in
-  Arg.(value & opt (some int) None & info [ "io-enospc-after" ] ~docv:"BYTES" ~doc)
+let write_outputs outputs results =
+  Option.iter (fun dir -> List.iter (dump_campaign_trace dir) results) outputs.trace_dir;
+  Option.iter (fun path -> write_store ~append:outputs.store_append path results) outputs.store
 
-let arm_io_chaos ~io_chaos ~io_enospc_after =
-  match (io_chaos, io_enospc_after) with
-  | None, None -> ()
-  | None, Some _ ->
-    Printf.eprintf "ferrite: --io-enospc-after needs --io-chaos\n";
+let load_aggregates path =
+  match Result_store.aggregate path with
+  | aggs, sc ->
+    if sc.Store.sc_truncated_bytes > 0 then
+      Printf.eprintf "note: %s has a torn tail; %d byte(s) ignored\n" path
+        sc.Store.sc_truncated_bytes;
+    (aggs, sc)
+  | exception Store.Not_a_store p ->
+    Printf.eprintf "ferrite: %s is not a ferrite result store\n" p;
     exit 2
-  | Some seed, onset ->
-    let plan = Iofault.plan_of_seed seed in
-    let plan =
-      match onset with
-      | None -> plan
-      | Some n ->
-        if n < 0 then begin
-          Printf.eprintf "ferrite: --io-enospc-after must be non-negative\n";
-          exit 2
-        end;
-        { plan with Iofault.pl_enospc_after = Some n }
-    in
-    Iofault.arm ~plan ~seed ()
+  | exception Sys_error msg ->
+    Printf.eprintf "ferrite: %s\n" msg;
+    exit 2
 
-(* Printed after any campaign that ran with --io-chaos: the fault/retry
+(* --- supervision --- *)
+
+(* The one supervision of an inject run, for the in-process supervisor and
+   the fabric controller alike. The chaos drill is planned from the
+   campaign's seed and size, so the term yields a function of the config.
+   --resume names the journal it keeps appending to. *)
+let supervision_term =
+  Term.term_result ~usage:true
+  @@ let+ journal =
+       let doc =
+         "Checkpoint every completed trial to $(docv) (CRC-framed, append-only). \
+          Names a new journal: an existing file at the path is replaced."
+       in
+       Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
+     and+ resume =
+       let doc =
+         "Resume the campaign recorded in $(docv): trials already journalled are \
+          served from the file instead of re-run, the torn tail (if the previous \
+          run was killed mid-append) is truncated, and new trials keep appending. \
+          The result is byte-identical to an uninterrupted run for every --jobs. \
+          A journal written for a different plan (seed, kind, count, ...) is \
+          rejected."
+       in
+       Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
+     and+ max_retries =
+       let doc =
+         "Retry a trial that crashed the harness (or overran its host deadline) \
+          up to $(docv) times from a fresh boot, with exponential backoff, before \
+          quarantining it as an infrastructure failure; quarantined trials are \
+          excluded from the outcome percentages. Passing the flag enables \
+          supervision even without a journal."
+       in
+       Arg.(value & opt (some count) None & info [ "max-retries" ] ~docv:"N" ~doc)
+     and+ chaos =
+       let doc =
+         "Chaos drill: plant worker exceptions, a host-deadline overrun and a \
+          collector outage window at seeded trial indices, then let supervision \
+          prove it degrades gracefully. Kept apart from --harness-fault: the \
+          drill changes records, so it is part of the journal's plan hash."
+       in
+       Arg.(value & flag & info [ "chaos" ] ~doc)
+     in
+     match (resume, journal) with
+     | Some r, Some j when r <> j ->
+       Error
+         (`Msg
+           (Printf.sprintf
+              "--journal and --resume name different files; --resume %s already \
+               appends to the journal it resumes"
+              r))
+     | _ ->
+       let sv_journal, sv_resume =
+         match resume with Some r -> (Some r, true) | None -> (journal, false)
+       in
+       Ok
+         (fun (cfg : Campaign.config) ->
+           if sv_journal = None && max_retries = None && not chaos then None
+           else
+             Some
+               {
+                 Campaign.sv_policy =
+                   Option.fold max_retries ~none:Supervisor.default_policy ~some:(fun n ->
+                       { Supervisor.default_policy with Supervisor.sp_max_retries = n });
+                 sv_chaos =
+                   (if chaos then
+                      Supervisor.drill_plan ~seed:cfg.Campaign.seed
+                        ~injections:cfg.Campaign.injections
+                    else Supervisor.no_chaos);
+                 sv_journal;
+                 sv_resume;
+               })
+
+(* Both the in-process supervisor and the fabric controller recover a
+   --resume journal; the refusal messages are identical either way. *)
+let with_journal_errors f =
+  try f () with
+  | Journal.Header_mismatch { hm_path; hm_expected; hm_found } ->
+    Printf.eprintf
+      "ferrite: %s was written for a different campaign plan (journal hash %Lx, \
+       this plan %Lx); refusing to mix campaigns. Re-run with matching \
+       --arch/--kind/-n/--seed/... flags, or start a fresh journal with \
+       --journal.\n"
+      hm_path hm_found hm_expected;
+    exit 2
+  | Journal.Not_a_journal path ->
+    Printf.eprintf "ferrite: %s is not a ferrite journal; refusing to touch it\n" path;
+    exit 2
+
+(* --- the harness-fault seed --- *)
+
+(* [Some (seed, onset override)]: the seed is the whole plan, its I/O half
+   [Iofault.plan_of_seed] and its link half [Wire.chaos_of_seed]. *)
+let harness_fault_term =
+  Term.term_result ~usage:true
+  @@ let+ seed =
+       let doc =
+         "Inject faults into the harness itself, all drawn from seed $(docv): \
+          every journal, store, trace and fabric-wire descriptor sees \
+          EINTR/EAGAIN, short reads and writes, delays and (on half the seeds) \
+          a disk-full onset drawn in [16 KiB, 64 KiB); with --workers or \
+          --distributed every fabric link also drops, duplicates and reorders \
+          messages. Retriable faults are absorbed and the results stay \
+          byte-identical; ENOSPC/EIO degrade loudly to a reported salvage \
+          state. The same seed replays the same faults."
+       in
+       Arg.(value & opt (some int64) None & info [ "harness-fault" ] ~docv:"SEED" ~doc)
+     and+ onset =
+       let doc =
+         "With --harness-fault, override the plan's disk-full onset: the global \
+          byte budget shared by all file writers is exhausted after $(docv) \
+          bytes (the ENOSPC-onset sweep knob from EXPERIMENTS.md)."
+       in
+       Arg.(value & opt (some count) None & info [ "io-enospc-after" ] ~docv:"BYTES" ~doc)
+     in
+     match (seed, onset) with
+     | None, Some _ -> Error (`Msg "--io-enospc-after needs --harness-fault")
+     | None, None -> Ok None
+     | Some seed, onset -> Ok (Some (seed, onset))
+
+let arm_harness_fault =
+  Option.iter (fun (seed, onset) ->
+      let plan = Iofault.plan_of_seed seed in
+      let plan =
+        Option.fold onset ~none:plan ~some:(fun n -> { plan with Iofault.pl_enospc_after = Some n })
+      in
+      Iofault.arm ~plan ~seed ())
+
+(* exec'd workers are fresh processes: the seed rides their argv (forked
+   workers inherit the armed state; link rates arrive in the handshake) *)
+let harness_fault_argv = function
+  | None -> []
+  | Some (seed, onset) ->
+    "--harness-fault" :: Int64.to_string seed
+    :: Option.fold onset ~none:[] ~some:(fun n -> [ "--io-enospc-after"; string_of_int n ])
+
+(* Printed after any campaign run under --harness-fault: the fault/retry
    counters, and — when any writer degraded — a loud salvage banner. The
    banner is the invariant's second arm: either byte-identical completion,
    or this. *)
@@ -183,6 +441,8 @@ let print_io_chaos_report () =
         "  DEGRADED STATE: %s salvaged — on-disk artifacts are valid, explicitly \
          partial prefixes; results above cover what completed\n"
         (String.concat ", " labels))
+
+(* --- the fabric --- *)
 
 let print_fabric_report (rep : Fabric.report) =
   Printf.printf "fabric:          %d worker(s): %d fresh result(s), %d duplicate(s) dropped\n"
@@ -210,13 +470,17 @@ let print_fabric_report (rep : Fabric.report) =
 (* Drive the controller by hand (rather than [Fabric.run_campaign]) so
    --progress can watch trials merge, and so SIGTERM/SIGINT can flip the
    drain flag: the loop below exits, [finish] salvages what is merged, and
-   the process still prints a (partial) report and a valid journal. *)
-let run_fabric ~workers ~distributed ~(supervision : Campaign.supervision) ~tracer ?wire_chaos
-    ~worker_args ~progress cfg =
+   the process still prints a (partial) report and a valid journal. Leases
+   are sized for the fleet, as [Fabric.run_campaign] sizes them. *)
+let run_fabric ~workers ~distributed ~(supervision : Campaign.supervision) ~tracer ~harness ~exec
+    cfg =
   let { Campaign.sv_policy; sv_chaos; sv_journal; sv_resume } = supervision in
+  let total = cfg.Campaign.injections in
+  let wire = Option.map (fun (seed, _) -> Wire.chaos_of_seed seed) harness in
   let c =
-    Fabric.Controller.create ~policy:sv_policy ~chaos:sv_chaos ~tracer ?wire_chaos
-      ?journal:sv_journal ~resume:sv_resume cfg
+    Fabric.Controller.create ~policy:sv_policy ~chaos:sv_chaos ~tracer
+      ?wire_chaos:(Option.map fst wire) ?wire_seed:(Option.map snd wire)
+      ~chunk:(Executor.chunk_size ~total ~workers) ?journal:sv_journal ~resume:sv_resume cfg
   in
   let install signal =
     try
@@ -226,21 +490,19 @@ let run_fabric ~workers ~distributed ~(supervision : Campaign.supervision) ~trac
   in
   install Sys.sigterm;
   install Sys.sigint;
+  let args = Array.of_list (Sys.executable_name :: "worker" :: harness_fault_argv harness) in
   for _ = 1 to workers do
     if distributed then
-      ignore
-        (Fabric.Controller.add_exec_worker c ~prog:Sys.executable_name
-           ~args:(Array.append [| Sys.executable_name; "worker" |] worker_args))
+      ignore (Fabric.Controller.add_exec_worker c ~prog:Sys.executable_name ~args)
     else ignore (Fabric.Controller.add_worker c)
   done;
-  let total = cfg.Campaign.injections in
   let last = ref (-1) in
   while (not (Fabric.Controller.finished c)) && not (Fabric.Controller.draining c) do
     Fabric.Controller.step c ~timeout:0.05;
     let done_ = Fabric.Controller.completed c in
-    if progress && done_ <> !last && (done_ mod 100 = 0 || done_ = total) then begin
+    if done_ <> !last then begin
       last := done_;
-      Printf.eprintf "\r%d/%d%!" done_ total
+      progress_fn exec "" ~done_ ~total
     end
   done;
   Fabric.Controller.finish c
@@ -287,59 +549,6 @@ let profile_cmd =
     Term.(const run $ arch_arg)
 
 (* --- inject --- *)
-
-let kind_conv =
-  let parse = function
-    | "stack" -> Ok Target.Stack
-    | "data" -> Ok Target.Data
-    | "code" -> Ok Target.Code
-    | "register" | "sysreg" -> Ok Target.Register
-    | s -> Error (`Msg (Printf.sprintf "unknown campaign kind %S" s))
-  in
-  let print fmt k =
-    Format.pp_print_string fmt
-      (match k with
-      | Target.Stack -> "stack"
-      | Target.Data -> "data"
-      | Target.Code -> "code"
-      | Target.Register -> "register")
-  in
-  Arg.conv (parse, print)
-
-let kind_arg =
-  let doc = "Campaign kind: stack, data, code or register." in
-  Arg.(value & opt kind_conv Target.Stack & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
-
-let count_arg =
-  let doc = "Number of error injections." in
-  Arg.(value & opt int 500 & info [ "n" ] ~docv:"N" ~doc)
-
-let fault_model_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Fault_model.of_string s) in
-  let print fmt m = Format.pp_print_string fmt (Fault_model.tag m) in
-  Arg.conv (parse, print)
-
-let fault_model_arg =
-  let doc =
-    "Fault model to inject (default single_bit, the paper's transient flip). \
-     Accepts " ^ Fault_model.spec_doc ^ "."
-  in
-  Arg.(
-    value
-    & opt fault_model_conv Fault_model.Single_bit_transient
-    & info [ "fault-model" ] ~docv:"MODEL" ~doc)
-
-let targeting_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Target.targeting_of_string s) in
-  let print fmt t = Format.pp_print_string fmt (Target.targeting_tag t) in
-  Arg.conv (parse, print)
-
-let targeting_arg =
-  let doc =
-    "Targeting policy for the STEP-1 draw (default uniform, the paper's). \
-     Accepts " ^ Target.targeting_doc ^ "."
-  in
-  Arg.(value & opt targeting_conv Target.Uniform & info [ "targeting" ] ~docv:"POLICY" ~doc)
 
 let print_campaign (res : Campaign.result) =
   let s = Campaign.summarize res in
@@ -397,336 +606,87 @@ let print_campaign (res : Campaign.result) =
     (Format.asprintf "%a" Ferrite_machine.Cache_stats.render res.Campaign.cache);
   Printf.printf "telemetry:\n%s\n" (Ferrite_trace.Telemetry.render res.Campaign.telemetry)
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then failwith (dir ^ " exists and is not a directory")
-
-let kind_name = function
-  | Target.Stack -> "stack"
-  | Target.Data -> "data"
-  | Target.Code -> "code"
-  | Target.Register -> "register"
-
-(* --trace-dir: dump the campaign's event stream as JSONL plus its telemetry
-   counters, one file pair per campaign *)
-let dump_campaign_trace dir (res : Campaign.result) =
-  ensure_dir dir;
-  let stem =
-    Printf.sprintf "%s-%s"
-      (match res.Campaign.cfg.Campaign.arch with Image.Cisc -> "p4" | Image.Risc -> "g4")
-      (kind_name res.Campaign.cfg.Campaign.kind)
-  in
-  let jsonl = Filename.concat dir (stem ^ ".jsonl") in
-  let complete = Ferrite_trace.Jsonl.write_trials_path jsonl res.Campaign.traces in
-  if not complete then
-    Printf.eprintf "ferrite: %s is a partial trace (writer degraded)\n" jsonl;
-  let telemetry = Filename.concat dir (stem ^ "-telemetry.json") in
-  let oc = open_out telemetry in
-  output_string oc (Ferrite_trace.Telemetry.to_json res.Campaign.telemetry);
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "wrote %s and %s\n" jsonl telemetry
-
-let trace_dir_arg =
-  let doc =
-    "Write the campaign's event stream to $(docv) as JSONL (one file per \
-     campaign, plus a telemetry .json); implies per-trial event retention."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR" ~doc)
-
-(* --- columnar result store --- *)
-
-let store_arg =
-  let doc =
-    "Write every trial's result (outcome, cause, latency, triage bucket, \
-     ...) to the columnar store at $(docv); an existing file is replaced \
-     unless --store-append is given. Query later with 'report --from-store' \
-     and 'triage --from-store'."
-  in
-  Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
-
-let store_append_arg =
-  let doc = "With --store, append to an existing store instead of replacing it." in
-  Arg.(value & flag & info [ "store-append" ] ~doc)
-
-let write_store ?(append = false) path results =
-  let w = if append then Store.open_append path else Store.create path in
-  List.iter (Result_store.append_result w) results;
-  Store.close w;
-  (* read after close: the final block flush may itself have degraded *)
-  let dropped = Store.rows_dropped w in
-  let degraded = Store.degraded w in
-  (match Store.scan path with
-  | sc ->
-    Printf.eprintf "wrote %s (%d rows, %d blocks, %d bytes)\n" path sc.Store.sc_rows
-      sc.Store.sc_blocks sc.Store.sc_bytes
-  | exception Store.Not_a_store _ when degraded ->
-    (* the header itself never landed: nothing scannable, by design *)
-    Printf.eprintf "wrote %s (no scannable prefix: the header write failed)\n" path);
-  if degraded then
-    Printf.eprintf
-      "ferrite: store %s DEGRADED: %d row(s) dropped after a write failure; what is \
-       on disk is a valid prefix\n"
-      path dropped
-
-let load_aggregates path =
-  match Result_store.aggregate path with
-  | aggs, sc ->
-    if sc.Store.sc_truncated_bytes > 0 then
-      Printf.eprintf "note: %s has a torn tail; %d byte(s) ignored\n" path
-        sc.Store.sc_truncated_bytes;
-    (aggs, sc)
-  | exception Store.Not_a_store p ->
-    Printf.eprintf "ferrite: %s is not a ferrite result store\n" p;
-    exit 2
-  | exception Sys_error msg ->
-    Printf.eprintf "ferrite: %s\n" msg;
-    exit 2
-
-(* --- supervision flags (inject) --- *)
-
-let journal_arg =
-  let doc =
-    "Checkpoint every completed trial to $(docv) (CRC-framed, append-only). \
-     Names a new journal: an existing file at the path is replaced."
-  in
-  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume the campaign recorded in $(docv): trials already journalled are \
-     served from the file instead of re-run, the torn tail (if the previous \
-     run was killed mid-append) is truncated, and new trials keep appending. \
-     The result is byte-identical to an uninterrupted run for every --jobs. \
-     A journal written for a different plan (seed, kind, count, ...) is \
-     rejected."
-  in
-  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
-
-let max_retries_arg =
-  let doc =
-    "Retry a trial that crashed the harness (or overran its host deadline) \
-     up to $(docv) times from a fresh boot, with exponential backoff, before \
-     quarantining it as an infrastructure failure; quarantined trials are \
-     excluded from the outcome percentages. Passing the flag enables \
-     supervision even without a journal."
-  in
-  Arg.(value & opt (some int) None & info [ "max-retries" ] ~docv:"N" ~doc)
-
-let chaos_arg =
-  let doc =
-    "Chaos drill: plant worker exceptions, a host-deadline overrun and a \
-     collector outage window at seeded trial indices, then let supervision \
-     prove it degrades gracefully."
-  in
-  Arg.(value & flag & info [ "chaos" ] ~doc)
-
-let collector_loss_arg =
-  let doc = "Crash-dump loss probability of the collector channel (default 0.12)." in
-  Arg.(value & opt (some float) None & info [ "collector-loss" ] ~docv:"P" ~doc)
-
-let collector_retries_arg =
-  let doc =
-    "Bounded dump-retransmission budget per crash (default 0 = the paper's \
-     single-shot channel). Duplicates are dropped by sequence number."
-  in
-  Arg.(value & opt (some int) None & info [ "collector-retries" ] ~docv:"N" ~doc)
-
-(* The one supervision value of an inject run, for the in-process
-   supervisor and the fabric controller alike. --journal/--resume resolve
-   to one (path, resuming) pair: --resume names the journal it keeps
-   appending to. *)
-let supervision_of ~journal ~resume ~max_retries ~chaos ~seed ~injections =
-  let sv_journal, sv_resume =
-    match (resume, journal) with
-    | Some r, Some j when r <> j ->
-      Printf.eprintf
-        "ferrite: --journal and --resume name different files; --resume %s already \
-         appends to the journal it resumes\n"
-        r;
-      exit 2
-    | Some r, _ -> (Some r, true)
-    | None, j -> (j, false)
-  in
-  if sv_journal = None && max_retries = None && not chaos then None
-  else
-    Some
-      {
-        Campaign.sv_policy =
-          Option.fold max_retries ~none:Supervisor.default_policy ~some:(fun n ->
-              { Supervisor.default_policy with Supervisor.sp_max_retries = n });
-        sv_chaos =
-          (if chaos then Supervisor.drill_plan ~seed ~injections else Supervisor.no_chaos);
-        sv_journal;
-        sv_resume;
-      }
-
-(* Both the in-process supervisor and the fabric controller recover a
-   --resume journal; the refusal messages are identical either way. *)
-let with_journal_errors f =
-  try f () with
-  | Journal.Header_mismatch { hm_path; hm_expected; hm_found } ->
-    Printf.eprintf
-      "ferrite: %s was written for a different campaign plan (journal hash %Lx, \
-       this plan %Lx); refusing to mix campaigns. Re-run with matching \
-       --arch/--kind/-n/--seed/... flags, or start a fresh journal with \
-       --journal.\n"
-      hm_path hm_found hm_expected;
-    exit 2
-  | Journal.Not_a_journal path ->
-    Printf.eprintf "ferrite: %s is not a ferrite journal; refusing to touch it\n" path;
-    exit 2
-
 let inject_cmd =
-  let run arch kind n seed progress jobs trace_dir journal resume max_retries chaos
-      collector_loss collector_retries fault_model targeting store store_append workers
-      distributed wire_chaos io_chaos io_enospc_after =
-    arm_io_chaos ~io_chaos ~io_enospc_after;
-    let cfg =
-      {
-        (Campaign.default ~arch ~kind ~injections:n) with
-        Campaign.seed = Int64.of_int seed;
-        fault_model;
-        targeting;
-      }
+  let fleet_term =
+    let+ workers =
+      let doc =
+        "Run the campaign on the distributed fabric with $(docv) worker \
+         processes (forked; see --distributed for exec'd workers). The merged \
+         records, traces and store bytes are byte-identical to --jobs 1 for \
+         every worker count; only the fabric diagnostics differ."
+      in
+      Arg.(value & opt count 0 & info [ "workers" ] ~docv:"N" ~doc)
+    and+ distributed =
+      let doc =
+        "Spawn fabric workers as fresh 'ferrite worker' processes over \
+         stdin/stdout links instead of forked copies (implies --workers 2 \
+         unless --workers is given)."
+      in
+      Arg.(value & flag & info [ "distributed" ] ~doc)
     in
-    let cfg =
-      match collector_loss with
-      | None -> cfg
-      | Some p -> { cfg with Campaign.collector_loss = p }
-    in
-    let cfg =
-      match collector_retries with
-      | None -> cfg
-      | Some r -> { cfg with Campaign.collector_retries = r }
-    in
+    if workers > 0 then Some (workers, distributed) else if distributed then Some (2, true) else None
+  in
+  let run cfg exec outputs supervision harness fleet =
+    arm_harness_fault harness;
     let tracer =
-      match trace_dir with
-      | None -> Ferrite_trace.Tracer.telemetry_only
-      | Some _ -> Ferrite_trace.Tracer.default_config
+      if outputs.trace_dir = None then Tracer.telemetry_only else Tracer.default_config
     in
     (* one supervision value feeds both schedulers: the fabric controller
        takes the same policy, drill plan and journal as the in-process run *)
-    let supervision =
-      supervision_of ~journal ~resume ~max_retries ~chaos ~seed:cfg.Campaign.seed
-        ~injections:n
-    in
+    let supervision = supervision cfg in
     let res, fabric_report =
-      if workers > 0 || distributed then begin
-        (* exec'd workers are fresh processes: the fault plan must ride the
-           argv (forked workers inherit the armed state) *)
-        let worker_args =
-          match io_chaos with
-          | None -> [||]
-          | Some s ->
-            Array.of_list
-              ([ "--io-chaos"; Int64.to_string s ]
-              @
-              match io_enospc_after with
-              | None -> []
-              | Some b -> [ "--io-enospc-after"; string_of_int b ])
-        in
-        let r, rep =
-          with_journal_errors (fun () ->
-              run_fabric
-                ~workers:(if workers > 0 then workers else 2)
-                ~distributed
+      with_journal_errors (fun () ->
+          match fleet with
+          | None ->
+            ( Campaign.run ~progress:(progress_fn exec "") ~executor:exec.executor ~tracer
+                ?supervision cfg,
+              None )
+          | Some (workers, distributed) ->
+            let res, rep =
+              run_fabric ~workers ~distributed
                 ~supervision:(Option.value supervision ~default:Campaign.default_supervision)
-                ~tracer ?wire_chaos ~worker_args ~progress cfg)
-        in
-        (r, Some rep)
-      end
-      else begin
-        if wire_chaos <> None then begin
-          Printf.eprintf "ferrite: --wire-chaos needs --workers or --distributed\n";
-          exit 2
-        end;
-        let progress_fn ~done_ ~total =
-          if progress && (done_ mod 100 = 0 || done_ = total) then
-            Printf.eprintf "\r%d/%d%!" done_ total
-        in
-        let res =
-          with_journal_errors (fun () ->
-              Campaign.run ~progress:progress_fn ~executor:(executor_of_jobs jobs)
-                ~tracer ?supervision cfg)
-        in
-        (res, None)
-      end
+                ~tracer ~harness ~exec cfg
+            in
+            (res, Some rep))
     in
-    if progress then Printf.eprintf "\n";
+    end_progress exec;
     print_campaign res;
     Option.iter print_fabric_report fabric_report;
     (* non-legacy config: add the per-model Table 5/6 breakout (a resumed
        journal may carry several models, hence groups, not one row) *)
-    if fault_model <> Fault_model.Single_bit_transient || targeting <> Target.Uniform
+    if
+      cfg.Campaign.fault_model <> Fault_model.Single_bit_transient
+      || cfg.Campaign.targeting <> Target.Uniform
     then begin
       print_newline ();
       print_endline (Ferrite.Report.model_breakout res)
     end;
-    Option.iter (fun dir -> dump_campaign_trace dir res) trace_dir;
-    Option.iter (fun path -> write_store ~append:store_append path [ res ]) store;
+    write_outputs outputs [ res ];
     (* last: the store/trace writers above may add salvage labels *)
     print_io_chaos_report ()
   in
   Cmd.v (Cmd.info "inject" ~doc:"Run one error-injection campaign")
     Term.(
-      const run $ arch_arg $ kind_arg $ count_arg $ seed_arg $ progress_arg $ jobs_arg
-      $ trace_dir_arg $ journal_arg $ resume_arg $ max_retries_arg
-      $ chaos_arg $ collector_loss_arg $ collector_retries_arg $ fault_model_arg
-      $ targeting_arg $ store_arg $ store_append_arg $ workers_arg $ distributed_arg
-      $ wire_chaos_arg $ io_chaos_arg $ io_enospc_after_arg)
+      const run
+      $ config_term ~injections:500 ()
+      $ exec_term $ outputs_term () $ supervision_term $ harness_fault_term $ fleet_term)
 
 (* --- matrix --- *)
 
 let matrix_cmd =
-  let arch_opt_arg =
+  let arches_arg =
     let doc = "Restrict the sweep to one platform (default: both p4 and g4)." in
-    Arg.(value & opt (some arch_conv) None & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
+    Term.(
+      const (Option.fold ~none:[ Image.Cisc; Image.Risc ] ~some:(fun a -> [ a ]))
+      $ Arg.(value & opt (some arch_conv) None & info [ "a"; "arch" ] ~docv:"ARCH" ~doc))
   in
-  let matrix_count_arg =
-    let doc = "Injections per (model, platform) cell." in
-    Arg.(value & opt int 200 & info [ "n" ] ~docv:"N" ~doc)
-  in
-  let run arch_opt kind n seed progress jobs targeting =
-    let module Table = Ferrite_stats.Table in
-    let arches =
-      match arch_opt with Some a -> [ a ] | None -> [ Image.Cisc; Image.Risc ]
-    in
-    let executor = executor_of_jobs jobs in
+  let run arches cfg exec =
+    let kind = kind_name cfg.Campaign.kind in
     let cell arch model =
-      let cfg =
-        {
-          (Campaign.default ~arch ~kind ~injections:n) with
-          Campaign.seed = Int64.of_int seed;
-          fault_model = model;
-          targeting;
-        }
-      in
-      let progress_fn ~done_ ~total =
-        if progress && (done_ mod 50 = 0 || done_ = total) then
-          Printf.eprintf "\r%-4s %-16s %5d/%d%!"
-            (match arch with Image.Cisc -> "P4" | Image.Risc -> "G4")
-            (Fault_model.tag model) done_ total
-      in
-      let res = Campaign.run ~progress:progress_fn ~executor cfg in
-      let s = Campaign.summarize res in
-      let d =
-        if s.Campaign.activation_known then max 1 s.Campaign.activated
-        else max 1 s.Campaign.injected
-      in
-      [
-        (match arch with Image.Cisc -> "P4" | Image.Risc -> "G4")
-        ^ " " ^ kind_name kind;
-        string_of_int s.Campaign.injected;
-        (if s.Campaign.activation_known then
-           Printf.sprintf "%d (%s)" s.Campaign.activated
-             (Table.pct s.Campaign.activated s.Campaign.injected)
-         else "N/A");
-        Table.count_pct s.Campaign.not_manifested d;
-        Table.count_pct s.Campaign.fsv d;
-        Table.count_pct s.Campaign.known_crash d;
-        Table.count_pct s.Campaign.hang_or_unknown d;
-      ]
+      let cfg = { cfg with Campaign.arch; fault_model = model } in
+      let label = Printf.sprintf "%-4s %-16s " (arch_label arch) (Fault_model.tag model) in
+      let res = Campaign.run ~progress:(progress_fn exec label) ~executor:exec.executor cfg in
+      Ferrite.Report.summary_row (arch_label arch ^ " " ^ kind) (Campaign.summarize res)
     in
     let groups =
       List.map
@@ -735,14 +695,14 @@ let matrix_cmd =
            List.map (fun arch -> cell arch model) arches))
         Fault_model.sweep_models
     in
-    if progress then Printf.eprintf "\n";
+    end_progress exec;
     let header =
       [ "Campaign"; "Injected"; "Activated"; "Not Manifested"; "FSV"; "Known Crash";
         "Hang/Unknown" ]
     in
-    Printf.printf "Fault-model matrix (%s targets, %s targeting, %d injections per cell)\n"
-      (kind_name kind) (Target.targeting_tag targeting) n;
-    print_string (Table.render_grouped ~header groups);
+    Printf.printf "Fault-model matrix (%s targets, %s targeting, %d injections per cell)\n" kind
+      (Target.targeting_tag cfg.Campaign.targeting) cfg.Campaign.injections;
+    print_string (Ferrite_stats.Table.render_grouped ~header groups);
     print_endline "\n(percentages w.r.t. activated errors; activation w.r.t. injected)"
   in
   Cmd.v
@@ -751,70 +711,43 @@ let matrix_cmd =
          "Sweep the canonical fault models over one campaign kind on both \
           platforms and print the grouped Table 5/6-style breakout")
     Term.(
-      const run $ arch_opt_arg $ kind_arg $ matrix_count_arg $ seed_arg $ progress_arg
-      $ jobs_arg $ targeting_arg)
+      const run $ arches_arg
+      $ config_term ~arch:(Term.const Image.Cisc)
+          ~fault_model:(Term.const Fault_model.Single_bit_transient) ~injections:200 ()
+      $ exec_term)
 
 (* --- suite / report --- *)
 
-let scale_arg =
-  let doc =
-    "Scale factor applied to the paper's campaign sizes (1.0 = the full \
-     115,000-injection study)."
+let run_suite exec ~seed ~scale arch =
+  let progress name = progress_fn exec (Printf.sprintf "%-4s %-8s " (arch_label arch) name) in
+  let suite =
+    Ferrite.Suite.run ~seed ~progress ~executor:exec.executor
+      ~scale:(Ferrite.Suite.scaled arch scale) arch
   in
-  Arg.(value & opt float 0.02 & info [ "scale" ] ~docv:"S" ~doc)
-
-let progress_fn progress arch =
-  if progress then (fun name ~done_ ~total ->
-    if done_ mod 100 = 0 || done_ = total then
-      Printf.eprintf "\r%-4s %-8s %6d/%d%!"
-        (match arch with Image.Cisc -> "P4" | Image.Risc -> "G4")
-        name done_ total)
-  else fun _ ~done_:_ ~total:_ -> ()
-
-let suite_campaigns (suite : Ferrite.Suite.t) =
-  [
-    suite.Ferrite.Suite.stack;
-    suite.Ferrite.Suite.sysreg;
-    suite.Ferrite.Suite.data;
-    suite.Ferrite.Suite.code;
-  ]
+  end_progress exec;
+  suite
 
 let suite_cmd =
-  let run arch scale seed progress jobs store store_append io_chaos io_enospc_after =
-    arm_io_chaos ~io_chaos ~io_enospc_after;
-    let sc = Ferrite.Suite.scaled arch scale in
-    let suite =
-      Ferrite.Suite.run ~seed:(Int64.of_int seed) ~progress:(progress_fn progress arch)
-        ~executor:(executor_of_jobs jobs) ~scale:sc arch
-    in
-    if progress then Printf.eprintf "\n";
+  let run arch scale seed exec outputs harness =
+    arm_harness_fault harness;
+    let suite = run_suite exec ~seed ~scale arch in
     print_string
       (match arch with
       | Image.Cisc -> Ferrite.Report.table5 suite
       | Image.Risc -> Ferrite.Report.table6 suite);
     print_newline ();
-    Option.iter
-      (fun path -> write_store ~append:store_append path (suite_campaigns suite))
-      store;
+    write_outputs outputs
+      Ferrite.Suite.[ suite.stack; suite.sysreg; suite.data; suite.code ];
     print_io_chaos_report ()
   in
   Cmd.v (Cmd.info "suite" ~doc:"Run the four campaigns of Table 5/6 for one platform")
     Term.(
-      const run $ arch_arg $ scale_arg $ seed_arg $ progress_arg $ jobs_arg
-      $ store_arg $ store_append_arg $ io_chaos_arg
-      $ io_enospc_after_arg)
-
-let from_store_arg =
-  let doc =
-    "Answer from the columnar result store at $(docv) instead of running \
-     campaigns: a single streaming pass rebuilds Table 5/6, the per-model \
-     breakouts and the triage tables — byte-identical to the in-memory \
-     report over the same records."
-  in
-  Arg.(value & opt (some string) None & info [ "from-store" ] ~docv:"FILE" ~doc)
+      const run $ arch_arg $ scale_arg $ seed_arg 0x2004L $ exec_term
+      $ outputs_term ~trace_dir:(Term.const None) ()
+      $ harness_fault_term)
 
 let report_cmd =
-  let run scale seed progress jobs from_store =
+  let run scale seed exec from_store =
     match from_store with
     | Some path ->
       let aggs, sc = load_aggregates path in
@@ -823,18 +756,8 @@ let report_cmd =
       Printf.eprintf "(%d rows scanned in %d blocks, %d bytes)\n" sc.Store.sc_rows
         sc.Store.sc_blocks sc.Store.sc_bytes
     | None ->
-      let seed = Int64.of_int seed in
-      let executor = executor_of_jobs jobs in
-      let p4 =
-        Ferrite.Suite.run ~seed ~progress:(progress_fn progress Image.Cisc) ~executor
-          ~scale:(Ferrite.Suite.scaled Image.Cisc scale) Image.Cisc
-      in
-      if progress then Printf.eprintf "\n";
-      let g4 =
-        Ferrite.Suite.run ~seed ~progress:(progress_fn progress Image.Risc) ~executor
-          ~scale:(Ferrite.Suite.scaled Image.Risc scale) Image.Risc
-      in
-      if progress then Printf.eprintf "\n";
+      let p4 = run_suite exec ~seed ~scale Image.Cisc in
+      let g4 = run_suite exec ~seed ~scale Image.Risc in
       print_string (Ferrite.Report.full_report ~p4 ~g4);
       print_newline ()
   in
@@ -843,7 +766,7 @@ let report_cmd =
        ~doc:
          "Run both platforms and regenerate every table and figure of the paper \
           (or answer from a result store with --from-store)")
-    Term.(const run $ scale_arg $ seed_arg $ progress_arg $ jobs_arg $ from_store_arg)
+    Term.(const run $ scale_arg $ seed_arg 0x2004L $ exec_term $ from_store_arg)
 
 (* --- oops --- *)
 
@@ -851,7 +774,7 @@ let oops_cmd =
   let run arch kind seed =
     (* inject until something crashes, then print the kernel's crash dump *)
     let image = Boot.build_image arch in
-    let rng = Ferrite_machine.Rng.create ~seed:(Int64.of_int seed) in
+    let rng = Ferrite_machine.Rng.create ~seed in
     let hot = [ ("kmemcpy", 0.4); ("schedule", 0.3); ("getblk", 0.3) ] in
     let rec attempt n =
       if n = 0 then prerr_endline "no crash in 200 injections; try another seed"
@@ -889,7 +812,7 @@ let oops_cmd =
   in
   Cmd.v
     (Cmd.info "oops" ~doc:"Inject errors until one crashes, then print the kernel crash dump")
-    Term.(const run $ arch_arg $ kind_arg $ seed_arg)
+    Term.(const run $ arch_arg $ kind_arg $ seed_arg 0x2004L)
 
 (* --- ablate --- *)
 
@@ -900,7 +823,7 @@ let ablate_cmd =
   in
   let n_arg =
     let doc = "Override the per-arm injection count." in
-    Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some count) None & info [ "n" ] ~docv:"N" ~doc)
   in
   let run study n =
     let studies =
@@ -929,42 +852,39 @@ let ablate_cmd =
        ~doc:"Rebuild the kernel with one mechanism changed and measure the effect")
     Term.(const run $ study_arg $ n_arg)
 
-(* --- trace --- *)
+(* --- trace / triage: the paper's scenario replays --- *)
+
+let scenarios_arg =
+  let scenario =
+    let parse n =
+      match Scenario.find n with
+      | Some sc -> Ok sc
+      | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown scenario %S; available: %s" n
+               (String.concat ", " (List.map (fun sc -> sc.Scenario.sc_name) Scenario.all))))
+    in
+    Arg.conv (parse, fun fmt sc -> Format.pp_print_string fmt sc.Scenario.sc_name)
+  in
+  let doc =
+    "Paper scenario: fig7, fig13 or fig14 (omit for all three; triage \
+     --from-store ignores it)."
+  in
+  Term.(
+    const (Option.fold ~none:Scenario.all ~some:(fun sc -> [ sc ]))
+    $ Arg.(value & pos 0 (some scenario) None & info [] ~docv:"SCENARIO" ~doc))
 
 let trace_cmd =
-  let scenario_arg =
-    let doc =
-      "Scenario to replay: fig7, fig13 or fig14 (omit to replay all three)."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
-  in
-  let run name jobs trace_dir =
-    let scenarios =
-      match name with
-      | None -> Ferrite.Scenario.all
-      | Some n ->
-        (match Ferrite.Scenario.find n with
-        | Some sc -> [ sc ]
-        | None ->
-          Printf.eprintf "unknown scenario %S; available: %s\n" n
-            (String.concat ", "
-               (List.map (fun sc -> sc.Ferrite.Scenario.sc_name) Ferrite.Scenario.all));
-          exit 2)
-    in
-    let executor = executor_of_jobs jobs in
+  let run scenarios executor trace_dir =
     List.iteri
       (fun i sc ->
         if i > 0 then print_newline ();
-        let r = Ferrite.Scenario.run ~executor sc in
-        print_string (Ferrite.Scenario.render r);
+        let r = Scenario.run ~executor sc in
+        print_string (Scenario.render r);
         Option.iter
           (fun dir ->
-            ensure_dir dir;
-            let path = Filename.concat dir (sc.Ferrite.Scenario.sc_name ^ ".jsonl") in
-            let oc = open_out path in
-            Ferrite_trace.Jsonl.write_trials oc [ r.Ferrite.Scenario.trace ];
-            close_out oc;
-            Printf.eprintf "wrote %s\n" path)
+            Printf.eprintf "wrote %s\n" (write_jsonl dir sc.Scenario.sc_name [ r.Scenario.trace ]))
           trace_dir)
       scenarios
   in
@@ -973,19 +893,10 @@ let trace_cmd =
        ~doc:
          "Replay a paper scenario (Figs. 7/13/14) as an annotated event timeline; \
           identical output for every --jobs value")
-    Term.(const run $ scenario_arg $ jobs_arg $ trace_dir_arg)
-
-(* --- triage --- *)
+    Term.(const run $ scenarios_arg $ executor_term $ trace_dir_arg)
 
 let triage_cmd =
-  let scenario_arg =
-    let doc =
-      "Scenario to triage: fig7, fig13 or fig14 (omit to triage all three). \
-       Ignored with --from-store."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
-  in
-  let run name jobs from_store =
+  let run scenarios executor from_store =
     match from_store with
     | Some path ->
       let aggs, sc = load_aggregates path in
@@ -999,30 +910,17 @@ let triage_cmd =
       Printf.eprintf "(%d rows scanned in %d blocks, %d bytes)\n" sc.Store.sc_rows
         sc.Store.sc_blocks sc.Store.sc_bytes
     | None ->
-      let scenarios =
-        match name with
-        | None -> Ferrite.Scenario.all
-        | Some n ->
-          (match Ferrite.Scenario.find n with
-          | Some sc -> [ sc ]
-          | None ->
-            Printf.eprintf "unknown scenario %S; available: %s\n" n
-              (String.concat ", "
-                 (List.map (fun sc -> sc.Ferrite.Scenario.sc_name) Ferrite.Scenario.all));
-            exit 2)
-      in
-      let executor = executor_of_jobs jobs in
       List.iteri
         (fun i sc ->
           if i > 0 then print_newline ();
-          let r = Ferrite.Scenario.run ~executor sc in
-          let record = r.Ferrite.Scenario.outcome in
-          Printf.printf "%s\n" sc.Ferrite.Scenario.sc_title;
-          Printf.printf "  target:  %s\n" (Target.describe r.Ferrite.Scenario.target);
+          let r = Scenario.run ~executor sc in
+          let record = r.Scenario.outcome in
+          Printf.printf "%s\n" sc.Scenario.sc_title;
+          Printf.printf "  target:  %s\n" (Target.describe r.Scenario.target);
           Printf.printf "  outcome: %s\n"
             (Ferrite_injection.Outcome.outcome_label
                record.Ferrite_injection.Outcome.r_outcome);
-          (match Triage.of_record record r.Ferrite.Scenario.dump with
+          (match Triage.of_record record r.Scenario.dump with
           | None -> Printf.printf "  triage:  (not a failure)\n"
           | Some bucket -> Printf.printf "  triage:  %s\n" (Triage.label bucket));
           Option.iter
@@ -1033,7 +931,7 @@ let triage_cmd =
                 (if d.Ferrite_injection.Crash_dump.cd_sp_in_stack then "in a kernel stack"
                  else "outside every kernel stack")
                 (if d.Ferrite_injection.Crash_dump.cd_stack_repeat then "yes" else "no"))
-            r.Ferrite.Scenario.dump)
+            r.Scenario.dump)
         scenarios
   in
   Cmd.v
@@ -1041,7 +939,7 @@ let triage_cmd =
        ~doc:
          "Bucket crashes into the paper's sec. 5 root-cause families - either a \
           stored campaign (--from-store) or the Figs. 7/13/14 scenario replays")
-    Term.(const run $ scenario_arg $ jobs_arg $ from_store_arg)
+    Term.(const run $ scenarios_arg $ executor_term $ from_store_arg)
 
 (* --- fuzz --- *)
 
@@ -1049,10 +947,6 @@ let fuzz_cmd =
   let budget_arg =
     let doc = "Wall-clock budget in seconds." in
     Arg.(value & opt float 30.0 & info [ "time-budget" ] ~docv:"SECS" ~doc)
-  in
-  let seed_arg =
-    let doc = "Base PRNG seed; each round derives its own stream from it." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let out_arg =
     let doc = "Directory where shrunk reproducers are written." in
@@ -1066,9 +960,8 @@ let fuzz_cmd =
     let found = ref None in
     let round = ref 0 in
     while Option.is_none !found && Unix.gettimeofday () < deadline do
-      let rng =
-        Ferrite_machine.Rng.create_derived ~seed:(Int64.of_int seed) ~index:!round
-      in
+      (* each round derives its own stream from the base seed *)
+      let rng = Ferrite_machine.Rng.create_derived ~seed ~index:!round in
       incr round;
       let passes =
         [
@@ -1100,13 +993,13 @@ let fuzz_cmd =
        ~doc:
          "Fuzz the instruction encoders/decoders and the differential fault-trial \
           oracle until the time budget runs out; shrunk reproducers land in --out-dir")
-    Term.(const run $ budget_arg $ seed_arg $ out_arg)
+    Term.(const run $ budget_arg $ seed_arg 1L $ out_arg)
 
 (* --- worker --- *)
 
 let worker_cmd =
-  let run io_chaos io_enospc_after =
-    arm_io_chaos ~io_chaos ~io_enospc_after;
+  let run harness =
+    arm_harness_fault harness;
     (* stdout is the wire: nothing in the serve path may print to it *)
     Fabric.Worker.serve ~input:Unix.stdin ~output:Unix.stdout ()
   in
@@ -1116,10 +1009,10 @@ let worker_cmd =
          "Serve one campaign as a distributed-fabric worker: speak the fabric \
           protocol over stdin/stdout until the controller says goodbye. \
           Normally spawned by 'ferrite inject --distributed', not by hand. \
-          --io-chaos arms the same seeded fault layer the controller runs \
-          under (exec'd workers do not inherit it, so the controller passes \
-          the flag along).")
-    Term.(const run $ io_chaos_arg $ io_enospc_after_arg)
+          --harness-fault arms the I/O faults the controller runs under \
+          (exec'd workers do not inherit them, so the controller passes the \
+          flag along; link chaos arrives in the handshake).")
+    Term.(const run $ harness_fault_term)
 
 (* --- disasm --- *)
 
@@ -1135,9 +1028,8 @@ let disasm_cmd =
       ~size:(max 4096 (Image.text_size image))
       ~perm:Ferrite_machine.Memory.perm_rwx;
     Ferrite_machine.Memory.blit_string mem ~addr:image.Image.img_text_base image.Image.img_text;
-    Printf.printf "%s: %s (%d bytes at %08x)\n" fn
-      (match arch with Image.Cisc -> "P4" | Image.Risc -> "G4")
-      f.Image.fs_size f.Image.fs_addr;
+    Printf.printf "%s: %s (%d bytes at %08x)\n" fn (arch_label arch) f.Image.fs_size
+      f.Image.fs_addr;
     (match arch with
     | Image.Cisc ->
       let rec go addr =

@@ -20,6 +20,11 @@ val table5 : Suite.t -> string
 val table6 : Suite.t -> string
 (** G4 equivalent (expects a RISC suite). *)
 
+val summary_row : string -> Ferrite_injection.Campaign.summary -> string list
+(** One Table 5/6 row: [label], injected, activated (N/A for register
+    campaigns), then each outcome as a count and its share of the activated
+    errors (of the injected ones when activation is unknown). *)
+
 val table5_of :
   (string * Ferrite_injection.Campaign.summary) list -> string
 (** {!table5} from pre-tallied summaries (Stack, System Registers, Data,

@@ -146,7 +146,9 @@ module Worker = struct
     (* current lease: id, next unstarted index, exclusive end (shrinks when
        stolen from) *)
     mutable ws_cur : (int * int ref * int ref) option;
-    ws_seen : (int, unit) Hashtbl.t;  (* lease ids already accepted *)
+    ws_seen : (int, int) Hashtbl.t;
+        (* lease ids already accepted -> the exclusive end this worker runs
+           them to (lowered when a steal takes the tail) *)
     ws_unacked : (int, Wire.msg) Hashtbl.t;  (* seq -> Result awaiting ack *)
     mutable ws_seq : int;
     mutable ws_leases_done : int;
@@ -154,14 +156,35 @@ module Worker = struct
     mutable ws_controller_bye : bool;
   }
 
+  let retransmit st =
+    let pending =
+      Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) st.ws_unacked []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    List.iter
+      (fun (_, m) ->
+        st.ws_retransmitted <- st.ws_retransmitted + 1;
+        Link.send st.ws_link m)
+      pending
+
   let handle st msg =
     match msg with
     | Wire.Ack { ak_seq } -> Hashtbl.remove st.ws_unacked ak_seq
-    | Wire.Lease_grant { lg_lease; lg_lo; lg_hi } ->
-      if not (Hashtbl.mem st.ws_seen lg_lease) then begin
-        Hashtbl.replace st.ws_seen lg_lease ();
+    | Wire.Lease_grant { lg_lease; lg_lo; lg_hi } -> (
+      match Hashtbl.find_opt st.ws_seen lg_lease with
+      | None ->
+        Hashtbl.replace st.ws_seen lg_lease lg_hi;
         st.ws_cur <- Some (lg_lease, ref lg_lo, ref lg_hi)
-      end
+      | Some ran_to when st.ws_cur = None && ran_to < lg_hi ->
+        (* a lease we finished, re-granted with a tail we stole-returned:
+           the return was lost and the controller still counts that tail
+           as ours, so run it (a stale re-grant costs duplicates only) *)
+        Hashtbl.replace st.ws_seen lg_lease lg_hi;
+        st.ws_cur <- Some (lg_lease, ref ran_to, ref lg_hi)
+      | Some _ when st.ws_cur = None ->
+        (* a lease we finished is still live: a result of it was lost *)
+        retransmit st
+      | Some _ -> ())
     | Wire.Steal { st_lease } -> (
       match st.ws_cur with
       | Some (lease, next, hi) when lease = st_lease && !hi - !next >= 2 ->
@@ -169,7 +192,8 @@ module Worker = struct
            the victim always makes progress, so steals cannot ping-pong *)
         Link.send st.ws_link
           (Wire.Steal_return { sr_lease = lease; sr_lo = !next + 1; sr_hi = !hi });
-        hi := !next + 1
+        hi := !next + 1;
+        Hashtbl.replace st.ws_seen lease !hi
       | _ ->
         (* nothing to spare (or a stale lease id): empty return, so the
            controller clears the outstanding-steal flag *)
@@ -198,17 +222,6 @@ module Worker = struct
       in
       pump ();
       true
-
-  let retransmit st =
-    let pending =
-      Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) st.ws_unacked []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (_, m) ->
-        st.ws_retransmitted <- st.ws_retransmitted + 1;
-        Link.send st.ws_link m)
-      pending
 
   let stats_of st ~cache =
     {

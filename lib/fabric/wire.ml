@@ -23,6 +23,13 @@ let validated_chaos c =
     invalid_arg "Wire.validated_chaos: rates sum past 1";
   c
 
+(* Draws 0 and 1 of a seed pick its I/O fault plan (Iofault.plan_of_seed);
+   the link half starts at draw 2 so the two halves stay independent. *)
+let chaos_of_seed seed =
+  let draw i = Ferrite_machine.Rng.derive ~seed ~index:(2 + i) in
+  let rate i ceiling = ceiling *. Ferrite_machine.Rng.(float (create ~seed:(draw i))) in
+  ({ wc_drop = rate 0 0.2; wc_dup = rate 1 0.1; wc_reorder = rate 2 0.1 }, draw 3)
+
 type bye_stats = {
   by_reboots : int;
   by_cache : Ferrite_machine.Cache_stats.t;

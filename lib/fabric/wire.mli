@@ -34,6 +34,13 @@ val validated_chaos : wire_chaos -> wire_chaos
 (** Raises [Invalid_argument] unless each rate is in [0, 1] and they sum to
     at most 1. *)
 
+val chaos_of_seed : int64 -> wire_chaos * int64
+(** The link half of a harness-fault seed ([--harness-fault SEED]; the I/O
+    half is {!Ferrite_iofault.Iofault.plan_of_seed}): drop, duplicate and
+    reorder rates drawn in [0, 0.2], [0, 0.1] and [0, 0.1], the ranges the
+    fabric converges under in its tests, and the seed of the links' chaos
+    streams. Deterministic in the seed. *)
+
 type bye_stats = {
   by_reboots : int;  (** the worker's boot count (diagnostic) *)
   by_cache : Ferrite_machine.Cache_stats.t;

@@ -126,6 +126,8 @@ let plan_fingerprint ?supervision cfg =
       | Some (lo, hi) -> Printf.sprintf "%d-%d" lo hi)
 
 let env_of cfg image hot =
+  if not (cfg.collector_loss >= 0.0 && cfg.collector_loss <= 1.0) then
+    invalid_arg (Printf.sprintf "Campaign: collector_loss %g outside [0,1]" cfg.collector_loss);
   {
     Trial.env_arch = cfg.arch;
     env_kind = cfg.kind;
@@ -180,6 +182,7 @@ let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
      the campaign into pure trial specs, hand them to the executor *)
   let image = Boot.build_image ~variant:cfg.variant cfg.arch in
   let hot = hot_profile image cfg.arch in
+  let env = env_of cfg image hot in
   let writer, recovery =
     Option.fold supervision ~none:(None, Journal.empty_recovery) ~some:(fun sv -> open_journal sv cfg)
   in
@@ -193,7 +196,7 @@ let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
       ~finally:(fun () -> Option.iter Journal.close writer)
       (fun () ->
         Executor.run ~progress ~trace:tracer ?supervisor ?journal:writer
-          ~recovered:recovery.Journal.rc_entries executor (env_of cfg image hot) (plan cfg))
+          ~recovered:recovery.Journal.rc_entries executor env (plan cfg))
   in
   of_outcome cfg ~hot ?supervision:(Option.map Supervisor.report supervisor) out
 

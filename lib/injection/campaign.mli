@@ -95,8 +95,9 @@ val plan : config -> Trial.spec array
 
 val environment : config -> Trial.env
 (** The campaign's read-only execution environment — compiled image, profiled
-    hot set ([env_hot]), validated engine and fault model. Pure in the
-    config: a distributed worker process rebuilding it from the wire config
+    hot set ([env_hot]), validated engine and fault model. Raises
+    [Invalid_argument] for a [collector_loss] outside [0, 1], as {!run}
+    does before it opens a journal. Pure in the config: a distributed worker process rebuilding it from the wire config
     derives exactly the environment a sequential run uses, which is one half
     of the fabric's byte-identity argument (the other is {!Trial.run}'s
     purity in the spec). *)

@@ -85,18 +85,8 @@ let event_line ~trial ((s : Event.stamp), ev) =
 let trial_lines (tr : Tracer.trial) =
   List.map (event_line ~trial:tr.Tracer.tr_index) tr.Tracer.tr_events
 
-let write_trials oc trials =
-  List.iter
-    (fun tr ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (trial_lines tr))
-    trials
-
-(* Path-based variant routed through the seeded I/O fault layer: retriable
-   faults are absorbed, ENOSPC/EIO degrade to counting (the file keeps its
+(* Routed through the seeded I/O fault layer: retriable faults are
+   absorbed, ENOSPC/EIO degrade to counting (the file keeps its
    newline-terminated prefix, the campaign keeps running). *)
 let write_trials_path path trials =
   let module Iofault = Ferrite_iofault.Iofault in

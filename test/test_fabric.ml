@@ -49,6 +49,20 @@ let mk_entry i =
     je_trace = Tracer.trial_of tracer ~index:i ~target:"t" ~outcome:"ok";
   }
 
+(* ---------- harness-fault seeds ---------- *)
+
+let test_chaos_of_seed () =
+  for i = 0 to 199 do
+    let seed = Int64.of_int ((i * 7919) - 500) in
+    let c, link_seed = Wire.chaos_of_seed seed in
+    check_bool "drop in [0, 0.2]" true (c.Wire.wc_drop >= 0.0 && c.Wire.wc_drop <= 0.2);
+    check_bool "dup in [0, 0.1]" true (c.Wire.wc_dup >= 0.0 && c.Wire.wc_dup <= 0.1);
+    check_bool "reorder in [0, 0.1]" true (c.Wire.wc_reorder >= 0.0 && c.Wire.wc_reorder <= 0.1);
+    check_bool "valid rates" true (Wire.validated_chaos c = c);
+    check_bool "deterministic" true (Wire.chaos_of_seed seed = (c, link_seed))
+  done;
+  check_bool "seeds differ" true (Wire.chaos_of_seed 1L <> Wire.chaos_of_seed 2L)
+
 (* ---------- wire codec ---------- *)
 
 let mk_welcome i =
@@ -410,6 +424,78 @@ let test_wire_chaos_converges () =
   check_bool "the chaos left tracks in the counters" true
     (report.fb_dup_results > 0 || report.fb_retransmitted > 0 || report.fb_expired > 0)
 
+(* A worker's heartbeats keep its lease alive, so when its steal return or
+   a result is lost the controller keeps re-granting it that lease verbatim
+   whenever it asks for work. On such a re-grant the worker must run the
+   tail it returned and retransmit its unacked results, or the campaign
+   never finishes. This test plays the controller by hand and drops the
+   steal return and the first result. *)
+let test_lost_messages_recovered () =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close ours;
+    (try Worker.serve ~handle_signals:false ~input:theirs ~output:theirs ()
+     with _ -> Unix._exit 2);
+    Unix._exit 0
+  | pid ->
+    Unix.close theirs;
+    let send msgs =
+      let s = String.concat "" (List.map Wire.encode msgs) in
+      ignore (Unix.write_substring ours s 0 (String.length s))
+    in
+    let dec = Wire.decoder () in
+    let buf = Bytes.create 65536 in
+    let rec next () =
+      match Wire.next dec with
+      | Some m -> m
+      | None ->
+        let n = Unix.read ours buf 0 (Bytes.length buf) in
+        if n = 0 then Alcotest.fail "the worker hung up";
+        Wire.feed dec buf n;
+        next ()
+    in
+    let welcome =
+      {
+        Wire.w_worker = 0;
+        w_total = 4;
+        w_config = small_cfg 4;
+        w_policy = Supervisor.default_policy;
+        w_chaos = Supervisor.no_chaos;
+        w_tracer = Tracer.telemetry_only;
+        w_wire_chaos = None;
+        w_wire_seed = 0L;
+      }
+    in
+    let grant = Wire.Lease_grant { lg_lease = 0; lg_lo = 0; lg_hi = 4 } in
+    let ran = Array.make 4 false in
+    let requests = ref 0 in
+    let steal_returns = ref 0 in
+    let dropped_a_result = ref false in
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while not (Array.for_all Fun.id ran) do
+      if Unix.gettimeofday () > deadline then Alcotest.fail "a lost message was never recovered";
+      match next () with
+      | Wire.Hello _ -> send [ Wire.Welcome welcome ]
+      | Wire.Lease_request _ ->
+        incr requests;
+        (* the first ask is granted the whole campaign and robbed at once;
+           every later ask gets the verbatim re-grant *)
+        send (if !requests = 1 then [ grant; Wire.Steal { st_lease = 0 } ] else [ grant ])
+      | Wire.Result { rs_seq; rs_index; _ } ->
+        if not !dropped_a_result then dropped_a_result := true
+        else begin
+          ran.(rs_index) <- true;
+          send [ Wire.Ack { ak_seq = rs_seq } ]
+        end
+      | Wire.Steal_return _ -> incr steal_returns
+      | _ -> ()
+    done;
+    send [ Wire.Bye { bye_stats = None } ];
+    ignore (Unix.waitpid [] pid);
+    Unix.close ours;
+    check_int "the worker returned a tail" 1 !steal_returns
+
 (* A trial that kills every worker that touches it must not kill the
    campaign: after max deaths it is quarantined exactly like an in-process
    poison trial, and every other record stays byte-identical. *)
@@ -671,6 +757,7 @@ let () =
     [
       ( "codec",
         [
+          Alcotest.test_case "harness-fault link rates" `Quick test_chaos_of_seed;
           prop_codec_roundtrip;
           prop_torn_stream;
           Alcotest.test_case "bad crc" `Quick test_codec_rejects_bad_crc;
@@ -690,6 +777,8 @@ let () =
           Alcotest.test_case "2 workers byte-identical" `Quick test_two_workers_identical;
           Alcotest.test_case "kill and rejoin" `Quick test_kill_and_rejoin;
           Alcotest.test_case "wire chaos converges" `Quick test_wire_chaos_converges;
+          Alcotest.test_case "lost messages recovered on a re-grant" `Quick
+            test_lost_messages_recovered;
           Alcotest.test_case "poison trial quarantined" `Quick
             test_poison_trial_quarantined;
           Alcotest.test_case "hung worker declared dead" `Quick

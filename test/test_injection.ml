@@ -499,6 +499,25 @@ let test_campaign_seed_changes_results () =
     (List.map (fun r -> r.Outcome.r_target) r1.Campaign.records
     <> List.map (fun r -> r.Outcome.r_target) r2.Campaign.records)
 
+(* A loss probability outside [0,1] is refused before a journal is opened,
+   so it never reaches a journal's plan hash. *)
+let test_campaign_rejects_bad_collector_loss () =
+  let journal = Filename.temp_file "ferrite_loss" ".journal" in
+  Sys.remove journal;
+  List.iter
+    (fun loss ->
+      let cfg =
+        { (Campaign.default ~arch:Image.Risc ~kind:Target.Data ~injections:2) with
+          Campaign.collector_loss = loss }
+      in
+      let supervision = { Campaign.default_supervision with Campaign.sv_journal = Some journal } in
+      check_bool (Printf.sprintf "loss %g refused" loss) true
+        (match Campaign.run ~supervision cfg with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      check_bool "no journal written" false (Sys.file_exists journal))
+    [ -0.5; 1.5; Float.nan ]
+
 let () =
   Alcotest.run "ferrite_injection"
     [
@@ -541,5 +560,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
           Alcotest.test_case "accounting" `Quick test_campaign_accounting;
           Alcotest.test_case "seed sensitivity" `Quick test_campaign_seed_changes_results;
+          Alcotest.test_case "collector loss validated" `Quick
+            test_campaign_rejects_bad_collector_loss;
         ] );
     ]
