@@ -1,5 +1,6 @@
 include Isa
 
+let step = Fetch.step
 let run = Translate.run
 let prewarm = Translate.prewarm
 let cached_block_len = Translate.cached_block_len

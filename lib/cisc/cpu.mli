@@ -12,10 +12,12 @@
     crash the kernel. *)
 
 type cache
-(** The decode cache, its wild-march memo and the two-way superblock table,
-    with their counters (see {!cache_stats}). Entries are validated against
-    the backing pages' generation counters, so stores, pokes and injected
-    bit flips evict. *)
+(** The translation caches ({!Ferrite_machine.Tcache}, written once for
+    both CPUs): the PC-keyed decode cache, its wild-march memo and the
+    two-way superblock table, with their counters (see {!cache_stats}).
+    Decode entries and blocks are validated against the backing pages'
+    generation counters, so stores, pokes and injected bit flips evict; an
+    instruction that straddles two pages is validated by both. *)
 
 type t = {
   mem : Ferrite_machine.Memory.t;

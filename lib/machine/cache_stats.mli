@@ -30,8 +30,9 @@ type t = {
   cs_sb_blocks : int;  (** superblocks built (the block cache's misses) *)
   cs_sb_insns : int;  (** instructions retired inside superblocks *)
   cs_sb_fallbacks : int;
-      (** mid-block exits to the precise interpreter: taken branch,
-          self-modifying store, armed breakpoint, exception, watchpoint hit *)
+      (** precise steps taken by the run loop, plus block exits that end on
+          a fault, a watchpoint hit or a stop; a taken branch or a
+          self-modifying store ends a block without counting here *)
 }
 
 val zero : t

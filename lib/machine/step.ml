@@ -2,7 +2,7 @@
     Both CPUs return it; ['fault] is the ISA's architectural exception. *)
 type 'fault result =
   | Retired  (** one instruction completed *)
-  | Halted  (** the idle loop's wait instruction, interrupts enabled *)
+  | Halted  (** CISC [hlt] with interrupts enabled; the RISC CPU never halts *)
   | Hit_ibp  (** armed instruction breakpoint at the pc; nothing executed *)
   | Hit_dbp of Debug_regs.data_hit
       (** the instruction retired and touched a watched location *)

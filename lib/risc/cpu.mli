@@ -8,9 +8,12 @@
     (translation), and HID0 = SPR1008 (branch-target instruction cache). *)
 
 type cache
-(** The decode cache and the two-way superblock table, with their counters
-    (see {!cache_stats}). Both are validated against the backing pages'
-    generation counters, so stores, pokes and injected bit flips evict. *)
+(** The translation caches ({!Ferrite_machine.Tcache}, written once for
+    both CPUs): the PC-keyed decode cache, its wild-march memo and the
+    two-way superblock table, with their counters (see {!cache_stats}).
+    Decode entries and blocks are validated against the backing pages'
+    generation counters, so stores, pokes and injected bit flips evict; an
+    instruction that straddles two pages is validated by both. *)
 
 type t = {
   mem : Ferrite_machine.Memory.t;
@@ -65,7 +68,10 @@ val cr_field : t -> int -> int
 
 type 'fault step = 'fault Ferrite_machine.Step.result =
   | Retired
-  | Halted  (** the idle loop's wait instruction with EE set *)
+  | Halted
+      (** the shared {!Ferrite_machine.Step.result} constructor: only the
+          CISC [hlt] produces it; the G4 model has no wait instruction, so
+          this CPU never returns it *)
   | Hit_ibp
   | Hit_dbp of Ferrite_machine.Debug_regs.data_hit
   | Stopped  (** control returned to the harness (BLR/RFI to the stop address) *)
