@@ -447,15 +447,16 @@ let print_io_chaos_report () =
 let print_fabric_report (rep : Fabric.report) =
   Printf.printf "fabric:          %d worker(s): %d fresh result(s), %d duplicate(s) dropped\n"
     rep.Fabric.fb_workers rep.Fabric.fb_results rep.Fabric.fb_dup_results;
-  if rep.Fabric.fb_steals > 0 || rep.Fabric.fb_expired > 0 then
-    Printf.printf "  work stealing: %d steal(s), %d non-empty return(s), %d lease(s) expired\n"
-      rep.Fabric.fb_steals rep.Fabric.fb_steal_returns rep.Fabric.fb_expired;
+  if rep.Fabric.fb_steals > 0 then
+    Printf.printf "  work stealing: %d steal(s), %d non-empty return(s)\n" rep.Fabric.fb_steals
+      rep.Fabric.fb_steal_returns;
   if rep.Fabric.fb_worker_deaths > 0 || rep.Fabric.fb_left > 0 then
     Printf.printf "  fleet churn:   %d death(s) (%d trial(s) re-leased), %d orderly leave(s)\n"
       rep.Fabric.fb_worker_deaths rep.Fabric.fb_requeued rep.Fabric.fb_left;
   if rep.Fabric.fb_hung > 0 then
-    Printf.printf "  hung workers:  %d declared dead past the heartbeat deadline\n"
-      rep.Fabric.fb_hung;
+    Printf.printf
+      "  hung workers:  %d declared dead past the heartbeat deadline, %d lease(s) reclaimed\n"
+      rep.Fabric.fb_hung rep.Fabric.fb_expired;
   if rep.Fabric.fb_missing > 0 then
     Printf.printf
       "  SALVAGE STATE: %d trial(s) not merged (drained); percentages above cover the \

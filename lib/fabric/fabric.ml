@@ -146,19 +146,20 @@ module Worker = struct
     (* current lease: id, next unstarted index, exclusive end (shrinks when
        stolen from) *)
     mutable ws_cur : (int * int ref * int ref) option;
-    ws_seen : (int, int) Hashtbl.t;
+    ws_seen : (int, int * int) Hashtbl.t;
         (* lease ids already accepted -> the exclusive end this worker runs
-           them to (lowered when a steal takes the tail) *)
+           them to (lowered when a steal takes the tail) and [ws_seq] when it
+           finished them ([max_int] until then) *)
     ws_unacked : (int, Wire.msg) Hashtbl.t;  (* seq -> Result awaiting ack *)
-    mutable ws_seq : int;
+    mutable ws_seq : int;  (* results sent so far: the next result's seq *)
     mutable ws_leases_done : int;
     mutable ws_retransmitted : int;
     mutable ws_controller_bye : bool;
   }
 
-  let retransmit st =
+  let retransmit ?(below = max_int) st =
     let pending =
-      Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) st.ws_unacked []
+      Hashtbl.fold (fun seq m acc -> if seq < below then (seq, m) :: acc else acc) st.ws_unacked []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
     List.iter
@@ -170,21 +171,22 @@ module Worker = struct
   let handle st msg =
     match msg with
     | Wire.Ack { ak_seq } -> Hashtbl.remove st.ws_unacked ak_seq
-    | Wire.Lease_grant { lg_lease; lg_lo; lg_hi } -> (
+    | Wire.Lease_grant { lg_lease; lg_lo; lg_hi; lg_results } -> (
+      let run lo =
+        Hashtbl.replace st.ws_seen lg_lease (lg_hi, max_int);
+        st.ws_cur <- Some (lg_lease, ref lo, ref lg_hi)
+      in
       match Hashtbl.find_opt st.ws_seen lg_lease with
-      | None ->
-        Hashtbl.replace st.ws_seen lg_lease lg_hi;
-        st.ws_cur <- Some (lg_lease, ref lg_lo, ref lg_hi)
-      | Some ran_to when st.ws_cur = None && ran_to < lg_hi ->
-        (* a lease we finished, re-granted with a tail we stole-returned:
-           the return was lost and the controller still counts that tail
-           as ours, so run it (a stale re-grant costs duplicates only) *)
-        Hashtbl.replace st.ws_seen lg_lease lg_hi;
-        st.ws_cur <- Some (lg_lease, ref ran_to, ref lg_hi)
-      | Some _ when st.ws_cur = None ->
-        (* a lease we finished is still live: a result of it was lost *)
-        retransmit st
-      | Some _ -> ())
+      | None -> run lg_lo
+      | Some (ran_to, finished_at) when st.ws_cur = None && lg_results >= finished_at ->
+        (* the answer to a request sent after we finished the lease, and the
+           controller still counts it live: a steal return of it was lost
+           (run the tail it still counts as ours) or a result was *)
+        if ran_to < lg_hi then run ran_to else retransmit ~below:lg_results st
+      | Some _ ->
+        (* stale: it answers a request sent before the lease began, or it
+           reached us busy with a lease *)
+        ())
     | Wire.Steal { st_lease } -> (
       match st.ws_cur with
       | Some (lease, next, hi) when lease = st_lease && !hi - !next >= 2 ->
@@ -193,7 +195,7 @@ module Worker = struct
         Link.send st.ws_link
           (Wire.Steal_return { sr_lease = lease; sr_lo = !next + 1; sr_hi = !hi });
         hi := !next + 1;
-        Hashtbl.replace st.ws_seen lease !hi
+        Hashtbl.replace st.ws_seen lease (!hi, max_int)
       | _ ->
         (* nothing to spare (or a stale lease id): empty return, so the
            controller clears the outstanding-steal flag *)
@@ -262,7 +264,7 @@ module Worker = struct
     ignore_sigpipe ();
     (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial,
        flush unacked results, say Bye. A worker that must die NOW is
-       SIGKILLed, and the lease-expiry/death machinery covers that. *)
+       SIGKILLed, and the controller's death path covers that. *)
     let stop = ref false in
     if handle_signals then begin
       let h = Sys.Signal_handle (fun _ -> stop := true) in
@@ -315,7 +317,7 @@ module Worker = struct
          ignore (drain st);
          if (not st.ws_controller_bye) && not !stop then begin
            match st.ws_cur with
-           | Some (_, next, hi) when !next < !hi ->
+           | Some (lease, next, hi) when !next < !hi ->
              let i = !next in
              (match die_at with
              | Some d when d = i ->
@@ -348,6 +350,7 @@ module Worker = struct
              Link.send st.ws_link msg;
              if !next >= !hi then begin
                st.ws_cur <- None;
+               Hashtbl.replace st.ws_seen lease (!hi, st.ws_seq);
                st.ws_leases_done <- st.ws_leases_done + 1;
                match max_leases with
                | Some n when st.ws_leases_done >= n -> leaving := true
@@ -359,8 +362,8 @@ module Worker = struct
                flush_and_leave st ~cache;
                raise Exit
              end;
-             Link.send st.ws_link (Wire.Lease_request { lr_worker = st.ws_worker });
-             if not (drain ~timeout:0.03 st) then retransmit st
+             Link.send st.ws_link (Wire.Lease_request { lr_results = st.ws_seq });
+             ignore (drain ~timeout:0.03 st)
          end
        done;
        if !stop && not st.ws_controller_bye then
@@ -388,7 +391,7 @@ module Controller = struct
     c_dec : Wire.decoder;
     mutable c_alive : bool;
     mutable c_bye : bool;  (* said goodbye: a later EOF is not a death *)
-    mutable c_last_heard : float;  (* liveness clock for the hung-worker deadline *)
+    mutable c_last_heard : float;  (* when a byte last arrived: the one deadline's clock *)
     mutable c_stats : Wire.bye_stats option;
   }
 
@@ -423,8 +426,7 @@ module Controller = struct
 
   let create ?(policy = Supervisor.default_policy) ?(chaos = Supervisor.no_chaos)
       ?(tracer = Tracer.telemetry_only) ?wire_chaos ?(wire_seed = 0xFAB71CL) ?chunk
-      ?(lease_timeout = 5.0) ?(max_worker_deaths = 2) ?(heartbeat_timeout = 30.0) ?journal
-      ?(resume = false) cfg =
+      ?(max_worker_deaths = 2) ?(heartbeat_timeout = 30.0) ?journal ?(resume = false) cfg =
     ignore_sigpipe ();
     let specs = Campaign.plan cfg in
     let total = Array.length specs in
@@ -446,10 +448,7 @@ module Controller = struct
         { Campaign.sv_policy = policy; sv_chaos = chaos; sv_journal = journal; sv_resume = resume }
         cfg
     in
-    let table =
-      Trial_table.create ?journal:writer ~timeout:lease_timeout ~max_deaths:max_worker_deaths
-        ~chunk total
-    in
+    let table = Trial_table.create ?journal:writer ~max_deaths:max_worker_deaths ~chunk total in
     List.iter
       (fun e -> ignore (Trial_table.complete ~recovered:true table e None))
       recovery.Journal.rc_entries;
@@ -603,7 +602,7 @@ module Controller = struct
     let rec pump () =
       match Wire.next conn.c_dec with
       | Some m ->
-        handle t conn ~now:(Unix.gettimeofday ()) m;
+        handle t conn m;
         pump ()
       | None -> ()
       | exception Wire.Corrupt _ -> ()
@@ -622,18 +621,18 @@ module Controller = struct
     go 64;
     pump ()
 
-  and handle t conn ~now msg =
-    Lease.touch t.t_lease ~worker:conn.c_worker ~now;
-    conn.c_last_heard <- now;
+  and handle t conn msg =
     match msg with
     | Wire.Hello { h_pid; h_protocol } ->
       if h_protocol <> Wire.protocol_version then
         raise (Wire.Corrupt (Printf.sprintf "worker speaks protocol %d" h_protocol));
       if conn.c_pid = None then conn.c_pid <- Some h_pid
-    | Wire.Lease_request { lr_worker = _ } -> (
-      match Lease.request t.t_lease ~worker:conn.c_worker ~now with
+    | Wire.Lease_request { lr_results } -> (
+      match Lease.request t.t_lease ~worker:conn.c_worker with
       | Lease.Grant { d_lease; d_lo; d_hi } ->
-        send_to t conn (Wire.Lease_grant { lg_lease = d_lease; lg_lo = d_lo; lg_hi = d_hi })
+        send_to t conn
+          (Wire.Lease_grant
+             { lg_lease = d_lease; lg_lo = d_lo; lg_hi = d_hi; lg_results = lr_results })
       | Lease.Steal_from { d_victim; d_lease } -> (
         match conn_of t d_victim with
         | Some victim when victim.c_alive ->
@@ -658,9 +657,7 @@ module Controller = struct
         t.t_left <- t.t_left + 1;
         ignore (Lease.worker_leave t.t_lease ~worker:conn.c_worker)
       end
-    | Wire.Heartbeat _ ->
-      (* liveness only; [c_last_heard] and [Lease.touch] above did the work *)
-      ()
+    | Wire.Heartbeat _ (* liveness only: any byte read resets [c_last_heard] *)
     | Wire.Welcome _ | Wire.Lease_grant _ | Wire.Steal _ | Wire.Ack _ ->
       (* workers never send these *)
       ()
@@ -672,21 +669,28 @@ module Controller = struct
      campaign work, so its leases must move. Treat it exactly like a death —
      [on_death] reclaims leases exactly once ([c_alive] guards re-entry) and
      closing our end of the socket makes the worker's next send EPIPE, so a
-     worker that un-wedges later exits instead of double-reporting. *)
+     worker that un-wedges later exits instead of double-reporting. This is
+     the fabric's only deadline: a lease lives until its owner finishes,
+     returns, leaves or is declared dead here. *)
   let expire_hung t ~now =
     List.iter
       (fun c ->
         if c.c_alive && (not c.c_bye) && now -. c.c_last_heard > t.t_heartbeat then begin
+          let held =
+            List.filter (fun (_, w, _, _) -> w = c.c_worker) (Lease.live_leases t.t_lease)
+          in
           t.t_hung <- t.t_hung + 1;
+          t.t_expired <- t.t_expired + List.length held;
           on_death t c
         end)
       t.t_conns
 
+  (* Silence is judged after every ready link has been read, against the
+     time taken before the wait: anything a worker sent by then is in its
+     link and counts, so a controller that stalls past the deadline does not
+     declare a talking worker hung. *)
   let step t ~timeout =
     let now = Unix.gettimeofday () in
-    let expired = Lease.expire t.t_lease ~now in
-    t.t_expired <- t.t_expired + List.length expired;
-    expire_hung t ~now;
     let conns = alive_conns t in
     if conns = [] then (if timeout > 0.0 then ignore (readable ~timeout []))
     else begin
@@ -705,13 +709,14 @@ module Controller = struct
                 let rec pump () =
                   match Wire.next c.c_dec with
                   | Some m ->
-                    handle t c ~now m;
+                    handle t c m;
                     pump ()
                   | None -> ()
                 in
                 pump ()
               with Wire.Corrupt _ -> on_death t c))
-        conns
+        conns;
+      expire_hung t ~now
     end
 
   let finished t = Lease.finished t.t_lease
@@ -822,7 +827,7 @@ module Controller = struct
 end
 
 let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk
-    ?lease_timeout ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg =
+    ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg =
   let chunk =
     match chunk with
     | Some _ -> chunk
@@ -830,8 +835,8 @@ let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?c
       Some (Executor.chunk_size ~total:cfg.Campaign.injections ~workers:(max 1 workers))
   in
   let t =
-    Controller.create ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk ?lease_timeout
-      ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg
+    Controller.create ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk ?max_worker_deaths
+      ?heartbeat_timeout ?journal ?resume cfg
   in
   for _ = 1 to max 1 workers do
     ignore (Controller.add_worker t)

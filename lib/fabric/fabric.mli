@@ -31,11 +31,13 @@ module Supervisor = Ferrite_injection.Supervisor
 type report = {
   fb_workers : int;  (** workers that ever joined *)
   fb_results : int;  (** fresh results merged *)
-  fb_dup_results : int;  (** retransmitted / post-expiry duplicates dropped *)
+  fb_dup_results : int;  (** retransmitted or twice-run duplicates dropped *)
   fb_retransmitted : int;  (** result re-sends reported by departing workers *)
   fb_steals : int;  (** steal requests sent to victims *)
   fb_steal_returns : int;  (** non-empty steal returns *)
-  fb_expired : int;  (** leases reclaimed by timeout *)
+  fb_expired : int;
+      (** leases reclaimed at the heartbeat deadline, from workers declared
+          hung — the fabric's only timeout *)
   fb_worker_deaths : int;  (** links that died without a goodbye (hung included) *)
   fb_hung : int;  (** of those deaths, workers declared hung: alive but silent past the heartbeat deadline *)
   fb_requeued : int;  (** trials re-leased after a death *)
@@ -84,7 +86,6 @@ module Controller : sig
     ?wire_chaos:Wire.wire_chaos ->
     ?wire_seed:int64 ->
     ?chunk:int ->
-    ?lease_timeout:float ->
     ?max_worker_deaths:int ->
     ?heartbeat_timeout:float ->
     ?journal:string ->
@@ -92,17 +93,18 @@ module Controller : sig
     Campaign.config ->
     t
   (** A controller with no workers yet. [chunk] defaults to
-      {!Ferrite_injection.Executor.chunk_size} over four workers;
-      [lease_timeout] (default 5 s) is the liveness backstop for lost
-      messages and silent workers; a trial orphaned by more than
-      [max_worker_deaths] (default 2) deaths is quarantined. [wire_chaos]
-      arms seeded message drop/duplication/reordering on {e every} link, in
-      both directions.
+      {!Ferrite_injection.Executor.chunk_size} over four workers; a trial
+      orphaned by more than [max_worker_deaths] (default 2) deaths is
+      quarantined. [wire_chaos] arms seeded message
+      drop/duplication/reordering on {e every} link, in both directions;
+      the verbatim re-grant of a still-live lease recovers every lost
+      message (see {!Wire.Lease_grant}).
 
-      A worker silent for more than [heartbeat_timeout] seconds (default
-      30; workers heartbeat every 0.25 s between trials) is declared hung
-      and treated as dead — leases reclaimed, trials re-granted — even if
-      its process is still running.
+      [heartbeat_timeout] (default 30 s; workers heartbeat every 0.25 s
+      between trials) is the one deadline: a worker silent for longer is
+      declared hung and treated as dead — leases reclaimed, deaths charged,
+      trials re-granted — even if its process is still running. Leases
+      themselves never expire.
 
       [journal] appends every merged entry (results and quarantines) to a
       campaign journal as it lands. It is opened by
@@ -122,8 +124,11 @@ module Controller : sig
       operation than {!add_worker}'s forked address-space copy. *)
 
   val step : t -> timeout:float -> unit
-  (** One event-loop turn: expire stale leases, wait up to [timeout] seconds
-      for traffic, absorb messages, detect deaths. *)
+  (** One event-loop turn: wait up to [timeout] seconds for traffic, absorb
+      messages, detect deaths, then declare hung every worker that has sent
+      nothing for [heartbeat_timeout] up to the start of the turn. Links are
+      read before silence is judged, so a controller that itself stalls past
+      the deadline does not condemn a worker whose traffic sat unread. *)
 
   val finished : t -> bool
 
@@ -166,7 +171,6 @@ val run_campaign :
   ?wire_chaos:Wire.wire_chaos ->
   ?wire_seed:int64 ->
   ?chunk:int ->
-  ?lease_timeout:float ->
   ?max_worker_deaths:int ->
   ?heartbeat_timeout:float ->
   ?journal:string ->

@@ -3,7 +3,7 @@ module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
 
-let protocol_version = 2
+let protocol_version = 3
 
 (* Same ceiling as the journal's frame walk: a length field beyond this is
    garbage, not a message we have not finished receiving. *)
@@ -51,8 +51,8 @@ type welcome = {
 type msg =
   | Hello of { h_pid : int; h_protocol : int }
   | Welcome of welcome
-  | Lease_request of { lr_worker : int }
-  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
+  | Lease_request of { lr_results : int }
+  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int; lg_results : int }
   | Steal of { st_lease : int }
   | Steal_return of { sr_lease : int; sr_lo : int; sr_hi : int }
   | Result of {
@@ -66,8 +66,8 @@ type msg =
   | Bye of { bye_stats : bye_stats option }
 
 (* The handshake and goodbye are exempt: chaos starts only once the retry
-   machinery (lease re-request, result retransmit, lease expiry) that absorbs
-   it is live. *)
+   machinery (lease re-request, verbatim re-grant, result retransmit) that
+   absorbs it is live. *)
 let chaos_eligible = function
   | Hello _ | Welcome _ | Bye _ -> false
   | Lease_request _ | Lease_grant _ | Steal _ | Steal_return _ | Result _ | Ack _
@@ -98,14 +98,15 @@ let encode_payload msg =
   | Welcome w ->
     Buffer.add_char b 'W';
     Buffer.add_string b (Marshal.to_string w [])
-  | Lease_request { lr_worker } ->
+  | Lease_request { lr_results } ->
     Buffer.add_char b 'L';
-    put_u32 b lr_worker
-  | Lease_grant { lg_lease; lg_lo; lg_hi } ->
+    put_u32 b lr_results
+  | Lease_grant { lg_lease; lg_lo; lg_hi; lg_results } ->
     Buffer.add_char b 'G';
     put_u32 b lg_lease;
     put_u32 b lg_lo;
-    put_u32 b lg_hi
+    put_u32 b lg_hi;
+    put_u32 b lg_results
   | Steal { st_lease } ->
     Buffer.add_char b 'S';
     put_u32 b st_lease
@@ -154,12 +155,17 @@ let decode_payload s =
       match (unmarshal_from s 1 : welcome option) with
       | Some w -> Some (Welcome w)
       | None -> None)
-    | 'L' -> fixed 4 (fun () -> Some (Lease_request { lr_worker = get_u32 s 1 }))
+    | 'L' -> fixed 4 (fun () -> Some (Lease_request { lr_results = get_u32 s 1 }))
     | 'G' ->
-      fixed 12 (fun () ->
+      fixed 16 (fun () ->
           Some
             (Lease_grant
-               { lg_lease = get_u32 s 1; lg_lo = get_u32 s 5; lg_hi = get_u32 s 9 }))
+               {
+                 lg_lease = get_u32 s 1;
+                 lg_lo = get_u32 s 5;
+                 lg_hi = get_u32 s 9;
+                 lg_results = get_u32 s 13;
+               }))
     | 'S' -> fixed 4 (fun () -> Some (Steal { st_lease = get_u32 s 1 }))
     | 'T' ->
       fixed 12 (fun () ->

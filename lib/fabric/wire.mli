@@ -70,12 +70,19 @@ type msg =
   | Hello of { h_pid : int; h_protocol : int }
       (** worker → controller, first message on a fresh link *)
   | Welcome of welcome  (** controller → worker, the campaign briefing *)
-  | Lease_request of { lr_worker : int }
-      (** worker → controller: I am idle, grant me a chunk (idempotent —
-          resent on timeout, deduplicated by the controller) *)
-  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
+  | Lease_request of { lr_results : int }
+      (** worker → controller: I am idle, grant me a chunk. [lr_results]
+          counts the results the worker has sent. Resent until a grant
+          arrives; the controller answers every copy. *)
+  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int; lg_results : int }
       (** controller → worker: run trials [lg_lo, lg_hi) under lease
-          [lg_lease] (workers deduplicate by lease id) *)
+          [lg_lease]; [lg_results] echoes the request's [lr_results]. A lease
+          the worker already accepted is re-granted verbatim while the
+          controller counts it live. The worker acts on that only if it has
+          finished the lease and [lg_results] is at least its count then: a
+          result or a steal return was lost, so it retransmits its unacked
+          results below [lg_results] or runs the returned tail. Any other
+          re-grant is stale and ignored. *)
   | Steal of { st_lease : int }
       (** controller → victim: another worker is idle — return the unstarted
           tail of lease [st_lease] *)
@@ -90,7 +97,9 @@ type msg =
           (** crash dumps ride alongside the journal entry: the journal's
               on-disk format predates dumps, but the result store needs them,
               so the wire carries what the file format cannot *)
-    }  (** worker → controller, retransmitted unboundedly until acked *)
+    }
+      (** worker → controller; kept until acked, resent when a re-grant
+          shows it lost and on leaving *)
   | Ack of { ak_seq : int }  (** controller → worker, per received {!Result} *)
   | Heartbeat of { hb_worker : int }
       (** worker → controller: I am alive and making progress. Sent on a
@@ -108,7 +117,8 @@ val chaos_eligible : msg -> bool
     result, ack and heartbeat traffic — everything the retry protocol is
     built to survive. {!Hello}, {!Welcome} and {!Bye} are exempt: the handshake runs
     before any retransmission machinery exists, and a worker that dies
-    instead of saying [Bye] is already covered by the lease-expiry path. *)
+    instead of saying [Bye] is already covered by the death path (its link's
+    EOF, or the heartbeat deadline). *)
 
 (** {2 Codec} *)
 

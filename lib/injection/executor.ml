@@ -81,10 +81,7 @@ let run ?(progress = no_progress) ?(trace = Ferrite_trace.Tracer.telemetry_only)
     let work id () =
       let cache = Trial.cache_create () in
       let rec loop () =
-        match
-          Mutex.protect lock (fun () ->
-              Lease.request (Trial_table.lease table) ~worker:id ~now:0.0)
-        with
+        match Mutex.protect lock (fun () -> Lease.request (Trial_table.lease table) ~worker:id) with
         | Lease.Grant { d_lo; d_hi; _ } ->
           for i = d_lo to d_hi - 1 do
             let je_record, je_stats, je_trace, dump = run_one cache specs.(i) in

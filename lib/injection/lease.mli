@@ -4,20 +4,21 @@
     The table is the only code that picks the next trial, for every
     scheduler: the sequential loop, the domain pool ({!Executor}) and the
     distributed fabric's controller. It is the single source of truth for
-    campaign progress. It is a
-    plain state machine over explicit [now] timestamps — no clock reads, no
-    I/O — so every transition the fabric relies on (grant, steal, expiry,
-    worker death, poison quarantine) is unit-testable without processes.
+    campaign progress. It is a plain state machine with no clock and no
+    I/O, so every transition the fabric relies on (grant, steal, worker
+    death, poison quarantine) is unit-testable without processes. A lease
+    lives until its trials complete, a steal returns its tail, or its owner
+    leaves or dies: deciding that a silent owner is dead is the caller's
+    one deadline (the fabric's heartbeat timeout), which ends in
+    {!worker_dead}.
 
     {b Idempotency over reliability.} The wire may drop, duplicate or reorder
     any lease/steal/result message, so no transition assumes exactly-once
     delivery: completions are deduplicated by trial index, grants are
-    re-issued verbatim to a still-leased worker that asks again (its original
-    grant was lost), duplicated steal returns are detected by range and
-    ignored, and an expired lease's trials are simply handed to someone else —
-    if the slow original owner later delivers them anyway, the duplicate
-    results are dropped. Records are pure functions of trial specs, so
-    running a trial twice is wasteful but harmless. *)
+    re-issued verbatim to a still-leased worker that asks again (its grant, a
+    result or a steal return was lost), and duplicated steal returns are
+    detected by range and ignored. Records are pure functions of trial
+    specs, so running a trial twice is wasteful but harmless. *)
 
 type decision =
   | Grant of { d_lease : int; d_lo : int; d_hi : int }
@@ -29,20 +30,20 @@ type decision =
 
 type completion =
   | Fresh  (** first result for this trial — store it *)
-  | Duplicate  (** retransmission or post-expiry straggler — drop it *)
+  | Duplicate  (** retransmission or straggler — drop it *)
 
 type t
 
-val create : total:int -> chunk:int -> timeout:float -> max_deaths:int -> t
+val create : total:int -> chunk:int -> max_deaths:int -> t
 (** [total] trials, granted [chunk] at a time (see {!Executor.chunk_size});
-    a lease untouched for
-    [timeout] seconds may be expired; a trial orphaned by more than
-    [max_deaths] worker deaths is poisoned. Raises [Invalid_argument] on a
-    non-positive [total]/[chunk]/[timeout] or negative [max_deaths]. *)
+    a trial orphaned by more than [max_deaths] worker deaths is poisoned.
+    Raises [Invalid_argument] on a non-positive [total]/[chunk] or negative
+    [max_deaths]. *)
 
-val request : t -> worker:int -> now:float -> decision
+val request : t -> worker:int -> decision
 (** Serve a worker's request for work. A worker that still holds a live lease
-    gets that lease re-granted verbatim (the original grant was dropped);
+    gets that lease re-granted verbatim (its grant, a result or a steal
+    return of it was dropped);
     otherwise the next pending chunk, cut short before any already-completed
     trial; otherwise a steal from the live lease
     with the most incomplete trials (at most one outstanding steal per
@@ -62,16 +63,6 @@ val steal_return : t -> lease:int -> lo:int -> hi:int -> int
     0 and change nothing. An empty return ([lo = hi]) just clears the
     lease's outstanding-steal flag so it may be asked again. *)
 
-val expire : t -> now:float -> (int * int) list
-(** Expire every lease whose deadline passed: requeue its incomplete trials
-    and return [(worker, lease)] pairs. Expiry is a liveness backstop, not a
-    death verdict — no death counts are charged, and the (possibly just
-    slow) owner's later results are still accepted. *)
-
-val touch : t -> worker:int -> now:float -> unit
-(** Push the deadlines of [worker]'s leases out to [now + timeout] — called
-    on every message from the worker, so only a silent worker expires. *)
-
 val worker_dead : t -> worker:int -> requeued:int list ref -> int list
 (** The worker's link died. Its incomplete leased trials are requeued
     (appended to [requeued]) — except trials now orphaned by more than
@@ -88,4 +79,4 @@ val pending_trials : t -> int
 (** Trials neither complete nor currently leased. *)
 
 val live_leases : t -> (int * int * int * int) list
-(** [(lease, worker, lo, hi)] for every live lease, oldest first (tests). *)
+(** [(lease, worker, lo, hi)] for every live lease, oldest first. *)

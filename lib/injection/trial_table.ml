@@ -18,9 +18,9 @@ type outcome = {
   cache : Ferrite_machine.Cache_stats.t;
 }
 
-let create ?journal ?(timeout = infinity) ?(max_deaths = 0) ~chunk total =
+let create ?journal ?(max_deaths = 0) ~chunk total =
   {
-    lease = Lease.create ~total ~chunk ~timeout ~max_deaths;
+    lease = Lease.create ~total ~chunk ~max_deaths;
     entries = Array.make total None;
     dumps = Array.make total None;
     journal;

@@ -33,17 +33,15 @@ type outcome = {
           never folded into records or telemetry *)
 }
 
-val create :
-  ?journal:Journal.writer -> ?timeout:float -> ?max_deaths:int -> chunk:int -> int -> t
+val create : ?journal:Journal.writer -> ?max_deaths:int -> chunk:int -> int -> t
 (** [create ~chunk total] is an empty table over [total] (positive) trials
     whose lease table grants [chunk] at a time. [journal] receives every
-    fresh result. [timeout] and [max_deaths] go to {!Lease.create}; their
-    defaults (never expire, no death budget) suit in-process workers, which
-    neither vanish nor go silent. *)
+    fresh result. [max_deaths] goes to {!Lease.create}; its default (no
+    death budget) suits in-process workers, which never die. *)
 
 val lease : t -> Lease.t
-(** The lease table: request, steal, expire and death handling go straight
-    to it; completions go through {!complete}. *)
+(** The lease table: request, steal and death handling go straight to it;
+    completions go through {!complete}. *)
 
 val complete :
   ?recovered:bool -> t -> Journal.entry -> Crash_dump.t option -> Lease.completion
