@@ -8,7 +8,10 @@
    trials arm an execute breakpoint, so blocks also run (and are cut)
    inside the injection window. The data trials arm data watchpoints, so
    watchpoint hits end blocks from inside; data errors rarely activate, so
-   those campaigns run 200 trials and must activate at least one. *)
+   those campaigns run 200 trials and must activate at least one. A second
+   P4 stack campaign (seed 11, 14 trials) ends one trial in a wild march
+   through zero-filled lowmem; the translated run must fast-forward it
+   ([cs_march_steps > 0]) and the precise run must not. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -29,11 +32,8 @@ let store_bytes res =
   Sys.remove path;
   bytes
 
-let run ?(injections = 12) arch kind =
-  let cfg =
-    { (Campaign.default ~arch ~kind ~injections) with
-      Campaign.seed = 0x2004L }
-  in
+let run ?(seed = 0x2004L) ?(injections = 12) ?(march = false) arch kind =
+  let cfg = { (Campaign.default ~arch ~kind ~injections) with Campaign.seed = seed } in
   let tracer = Ferrite_trace.Tracer.default_config in
   let on = Campaign.run ~tracer cfg in
   Memory.set_superblocks_default false;
@@ -56,6 +56,10 @@ let run ?(injections = 12) arch kind =
     fail "%s: translated run retired no instructions in superblocks" name;
   if off.Campaign.cache.Cache_stats.cs_sb_blocks <> 0 then
     fail "%s: precise run built superblocks" name;
+  if off.Campaign.cache.Cache_stats.cs_march_steps <> 0 then
+    fail "%s: precise run fast-forwarded a wild march" name;
+  if march && on.Campaign.cache.Cache_stats.cs_march_steps = 0 then
+    fail "%s: translated run fast-forwarded no wild march" name;
   if
     kind = Target.Data
     && not (List.exists (fun r -> r.Ferrite_injection.Outcome.r_activated) on.Campaign.records)
@@ -69,11 +73,12 @@ let () =
   let g4_code = run Image.Risc Target.Code in
   let p4_data = run ~injections:200 Image.Cisc Target.Data in
   let g4_data = run ~injections:200 Image.Risc Target.Data in
+  let p4_march = run ~seed:11L ~injections:14 ~march:true Image.Cisc Target.Stack in
   let render (r : Campaign.result) = Format.asprintf "%a" Cache_stats.render r.Campaign.cache in
   Printf.printf
-    "sb-smoke ok: 448 injections, records/traces/telemetry/store bytes \
+    "sb-smoke ok: 462 injections, records/traces/telemetry/store bytes \
      identical with superblocks on and off\n\
     \  p4 stack: %s\n  g4 stack: %s\n  p4 code: %s\n  g4 code: %s\n\
-    \  p4 data: %s\n  g4 data: %s\n"
+    \  p4 data: %s\n  g4 data: %s\n  p4 stack march: %s\n"
     (render p4) (render g4) (render p4_code) (render g4_code) (render p4_data)
-    (render g4_data)
+    (render g4_data) (render p4_march)

@@ -7,7 +7,10 @@
    small code campaign per architecture cached and on the reference
    interpreter (no fast paths, no superblocks): code trials flip kernel text,
    so their restores rewind the generations of pages whose translations the
-   next trial reuses, and the two runs must still agree byte for byte. *)
+   next trial reuses, and the two runs must still agree byte for byte. Last,
+   a P4 stack campaign (seed 11, 14 trials) whose one wild march through
+   zero-filled lowmem the cached run must fast-forward, against the
+   reference interpreter the same way. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -18,13 +21,15 @@ module Cache_stats = Ferrite_machine.Cache_stats
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("bench-smoke: " ^ s); exit 1) fmt
 
-(* The cached run of a code campaign against the reference interpreter. *)
-let check_code arch =
-  let cfg =
-    { (Campaign.default ~arch ~kind:Target.Code ~injections:40) with Campaign.seed = 0x2004L }
-  in
+(* The cached run of a campaign against the reference interpreter. *)
+let check_reference ?(seed = 0x2004L) ?(march = false) arch kind ~injections =
+  let cfg = { (Campaign.default ~arch ~kind ~injections) with Campaign.seed = seed } in
   let tracer = Ferrite_trace.Tracer.default_config in
-  let name = match arch with Image.Cisc -> "p4" | Image.Risc -> "g4" in
+  let name =
+    Printf.sprintf "%s %s"
+      (match arch with Image.Cisc -> "p4" | Image.Risc -> "g4")
+      (match kind with Target.Code -> "code" | Target.Data -> "data" | _ -> "stack")
+  in
   let cached = Campaign.run ~tracer cfg in
   Memory.set_fast_paths_default false;
   Memory.set_superblocks_default false;
@@ -32,14 +37,18 @@ let check_code arch =
   Memory.set_fast_paths_default true;
   Memory.set_superblocks_default true;
   if cached.Campaign.records <> reference.Campaign.records then
-    fail "%s code campaign: records differ from the reference interpreter" name;
+    fail "%s campaign: records differ from the reference interpreter" name;
   if cached.Campaign.traces <> reference.Campaign.traces then
-    fail "%s code campaign: event traces differ from the reference interpreter" name;
+    fail "%s campaign: event traces differ from the reference interpreter" name;
   if cached.Campaign.telemetry <> reference.Campaign.telemetry then
-    fail "%s code campaign: telemetry differs from the reference interpreter" name;
+    fail "%s campaign: telemetry differs from the reference interpreter" name;
   if cached.Campaign.cache.Cache_stats.cs_sb_hits = 0 then
-    fail "%s code campaign: cached run reports no superblock hits" name;
-  Printf.printf "bench-smoke ok: %s code campaign, %d injections identical to the reference\n"
+    fail "%s campaign: cached run reports no superblock hits" name;
+  if march && cached.Campaign.cache.Cache_stats.cs_march_steps = 0 then
+    fail "%s campaign: cached run fast-forwarded no wild march" name;
+  if reference.Campaign.cache.Cache_stats.cs_march_steps <> 0 then
+    fail "%s campaign: reference run fast-forwarded a wild march" name;
+  Printf.printf "bench-smoke ok: %s campaign, %d injections identical to the reference\n"
     name (List.length cached.Campaign.records)
 
 let () =
@@ -70,5 +79,6 @@ let () =
      fast-path modes (%s)\n"
     (List.length seq.Campaign.records)
     (Format.asprintf "%a" Cache_stats.render seq.Campaign.cache);
-  check_code Image.Cisc;
-  check_code Image.Risc
+  check_reference Image.Cisc Target.Code ~injections:40;
+  check_reference Image.Risc Target.Code ~injections:40;
+  check_reference ~seed:11L ~march:true Image.Cisc Target.Stack ~injections:14

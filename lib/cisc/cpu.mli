@@ -114,10 +114,12 @@ val run : t -> max_steps:int -> step_result
     cleanly retired instructions, [n], in {!run_retired}. For
     [Hit_dbp]/[Stopped] the event-carrying instruction has retired (counters
     include it) but is excluded from [n]; for [Faulted] the exception has
-    been delivered exactly as {!step} would. Observable behaviour is
-    bit-identical to calling {!step} in a loop; only the diagnostic cache
-    counters differ. Once its blocks are built, a run allocates nothing
-    unless it ends on an event. *)
+    been delivered exactly as {!step} would. During a wild march through
+    zero-filled memory ([00 00], [add [eax],al]) it retires all but the
+    last step of each run in closed form, without a decode. Observable
+    behaviour is bit-identical to calling {!step} in a loop; only the
+    diagnostic cache counters differ. Once its blocks are built, a run
+    allocates nothing unless it ends on an event. *)
 
 val run_retired : t -> int
 (** The number of instructions the last {!run} cleanly retired. *)

@@ -894,6 +894,69 @@ let poisoned t = t.tlb_poisoned
 let[@inline] pc t = t.eip
 let[@inline] set_pc t v = t.eip <- v
 
+(* Wild-march fast-forward. A corrupted return address or code byte often
+   sends EIP into zero-filled lowmem, where [00 00] decodes as
+   [add [eax],al]: each step adds AL to the byte at [eax], sets the flags
+   and moves EIP on by two, and no register changes. [march t budget]
+   retires [n <= budget] such steps at once and returns [n]: one load and
+   one store at [eax] (the byte gains [n * AL]), the flags of the [n]th
+   add, the store address, [n] steps of counters and [EIP + 2n]. The run
+   loop calls it only while the decode miss streak is saturated, with
+   translation unpoisoned and superblocks on, and runs the step after the
+   last one precisely, so whatever ends the march (another instruction, a
+   page to demand-map, a fault, a breakpoint) comes from the real step.
+   Each skipped step is one the precise step would retire with no event:
+   - its bytes are [00 00], inside pc's page, which the execute TLB holds
+     (so it is mapped and executable);
+   - no execute breakpoint is armed at its pc;
+   - the write TLB holds [eax]'s page, which is readable, and no data
+     watch covers [eax] (else the precise step demand-maps, faults or
+     reports);
+   - [eax] lies outside the skipped bytes, which its store would rewrite.
+   An [add] never raises the stop sentinel, so none is checked. *)
+let march_op = Decode.decode ~fetch:(fun _ -> 0) 0
+let march_cost = cycles_of_insn march_op
+
+let rec unarmed dr pc i n =
+  if i >= n || Debug_regs.check_exec dr (pc + (2 * i)) then i
+  else unarmed dr pc (i + 1) n
+
+(* The march from [pc], whose page [code] the execute TLB holds. *)
+let[@inline never] march_from t budget pc code =
+  let addr = t.regs.(eax) in
+  let n = if addr >= pc && (addr - pc) / 2 < budget then (addr - pc) / 2 else budget in
+  let n = Memory.zero_run code (pc land (Memory.page_size - 1)) (2 * n) / 2 in
+  let n = if n > 0 && Debug_regs.exec_armed t.dr then unarmed t.dr pc 0 n else n in
+  if
+    n > 0
+    && (let data = Memory.tlb_page t.mem Memory.Write addr in
+        data != Memory.null_page && (Memory.page_perm data).readable)
+    && Debug_regs.check_data t.dr ~addr ~len:1 ~is_write:true = None
+  then begin
+    let al = t.regs.(eax) land 0xFF in
+    let a = (Memory.load8 t.mem addr + ((n - 1) * al)) land 0xFF in
+    Memory.store8 t.mem addr (a + al);
+    flags_add t S8 a al (a + al);
+    t.last_store_addr <- addr;
+    t.pending_hit <- None;
+    t.stopped <- false;
+    t.eip <- Word.mask (pc + (2 * n));
+    t.counters.Counters.cycles <- t.counters.Counters.cycles + (n * march_cost);
+    t.counters.Counters.instructions <- t.counters.Counters.instructions + n;
+    n
+  end
+  else 0
+
+(* A TLB hit costs no page-table lookup and tells a page mapped for the
+   access; the precise steps before filled both TLBs, and a miss (no march)
+   is left to the precise step. The first byte decides at once on any other
+   wild instruction. *)
+let march t budget =
+  let pc = t.eip in
+  let code = Memory.tlb_page t.mem Memory.Execute pc in
+  if Memory.zero_run code (pc land (Memory.page_size - 1)) 1 = 0 then 0
+  else march_from t budget pc code
+
 (* --- system registers (the P4 injection targets, §5.2) ------------------ *)
 
 type sysreg = {

@@ -12,6 +12,7 @@ type t = {
   cs_sb_blocks : int;
   cs_sb_insns : int;
   cs_sb_fallbacks : int;
+  cs_march_steps : int;
 }
 
 let zero =
@@ -29,6 +30,7 @@ let zero =
     cs_sb_blocks = 0;
     cs_sb_insns = 0;
     cs_sb_fallbacks = 0;
+    cs_march_steps = 0;
   }
 
 (* Counters are non-negative and only ever added, so the single overflow
@@ -55,6 +57,7 @@ let merge a b =
     cs_sb_blocks = sat_add a.cs_sb_blocks b.cs_sb_blocks;
     cs_sb_insns = sat_add a.cs_sb_insns b.cs_sb_insns;
     cs_sb_fallbacks = sat_add a.cs_sb_fallbacks b.cs_sb_fallbacks;
+    cs_march_steps = sat_add a.cs_march_steps b.cs_march_steps;
   }
 
 (* Per-interval view of two monotonic readings. The counters live on the
@@ -79,6 +82,7 @@ let delta ~before ~after =
     cs_sb_blocks = d after.cs_sb_blocks before.cs_sb_blocks;
     cs_sb_insns = d after.cs_sb_insns before.cs_sb_insns;
     cs_sb_fallbacks = d after.cs_sb_fallbacks before.cs_sb_fallbacks;
+    cs_march_steps = d after.cs_march_steps before.cs_march_steps;
   }
 
 let fields t =
@@ -96,6 +100,7 @@ let fields t =
     ("sb_blocks", t.cs_sb_blocks);
     ("sb_insns_retired", t.cs_sb_insns);
     ("sb_fallbacks", t.cs_sb_fallbacks);
+    ("march_steps", t.cs_march_steps);
   ]
 
 let ratio hits misses =
@@ -117,7 +122,7 @@ let decode_warm_rate t =
 
 let render ppf t =
   Format.fprintf ppf
-    "tlb %d/%d (%.1f%%)  decode %d/%d (%.1f%%, %.1f%% warm)  sb %d blk / %d insn (%.1f%% hit, %d fb)  restores %d fast / %d full (%d pages)"
+    "tlb %d/%d (%.1f%%)  decode %d/%d (%.1f%%, %.1f%% warm)  sb %d blk / %d insn (%.1f%% hit, %d fb)  march %d  restores %d fast / %d full (%d pages)"
     t.cs_tlb_hits
     (t.cs_tlb_hits + t.cs_tlb_misses)
     (100.0 *. tlb_hit_rate t)
@@ -127,5 +132,5 @@ let render ppf t =
     (100.0 *. decode_warm_rate t)
     t.cs_sb_blocks t.cs_sb_insns
     (100.0 *. sb_hit_rate t)
-    t.cs_sb_fallbacks
+    t.cs_sb_fallbacks t.cs_march_steps
     t.cs_restore_fast t.cs_restore_full t.cs_restore_pages

@@ -33,6 +33,10 @@ type t = {
       (** precise steps taken by the run loop, plus block exits that end on
           a fault, a watchpoint hit or a stop; a taken branch or a
           self-modifying store ends a block without counting here *)
+  cs_march_steps : int;
+      (** [00 00] wild-march steps the run loop retired in closed form,
+          without a decode or a precise step (the CISC [march] hook); the
+          step that ends each such run is a precise step *)
 }
 
 val zero : t

@@ -35,9 +35,9 @@ let restore t s =
   t.instr <- s.s_instr;
   t.data <- s.s_data
 
-let armed_count t = List.length t.instr + List.length t.data
-
 let[@inline] exec_armed t = t.instr <> []
+
+let[@inline] data_armed t = t.data <> []
 
 let[@inline] check_exec t pc =
   match t.instr with

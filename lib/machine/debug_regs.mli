@@ -31,13 +31,16 @@ type snapshot
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 
-val armed_count : t -> int
-
 val exec_armed : t -> bool
 (** Whether any {e instruction} breakpoint is armed. The superblock engine
     consults this once per block entry: while one is armed, a block is cut
     just before its first micro-op at an armed pc (data watchpoints need no
     cut — they are checked inside the load/store helpers either way). *)
+
+val data_armed : t -> bool
+(** Whether any {e data} watchpoint is armed. Only a data access can report
+    a watchpoint hit, so while none is armed the superblock engine skips its
+    per-micro-op hit check. *)
 
 val check_exec : t -> int -> bool
 (** [check_exec t pc] is [true] when an instruction breakpoint is armed at

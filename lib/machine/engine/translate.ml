@@ -151,6 +151,14 @@ let run t ~max_steps =
     if b == c.empty then begin
       (* the precise step; a terminator it runs may poison translation *)
       c.sb_fallbacks <- c.sb_fallbacks + 1;
+      (* a saturated miss streak is wild execution: the ISA may retire a
+         run of identical steps in closed form first ([Isa.march]), all but
+         the last, which the precise step runs *)
+      if (not !forced) && c.dc_streak >= Tcache.bypass_streak then begin
+        let n = Isa.march t (max_steps - !retired - 1) in
+        retired := !retired + n;
+        c.march_steps <- c.march_steps + n
+      end;
       (match Fetch.step t with
       | Step.Retired | Step.Halted -> incr retired
       | r -> fin := Some r);
@@ -168,9 +176,10 @@ let run t ~max_steps =
       (match t.pending_hit with Some _ -> t.pending_hit <- None | None -> ());
       t.stopped <- false;
       (* block-invariant: nothing inside a block writes the debug
-         registers, so when no watchpoint is armed [pending_hit] can never
-         become [Some] and the per-op check is skipped *)
-      let watched = Debug_regs.armed_count t.dr > 0 in
+         registers, and only a data access sets [pending_hit], so when no
+         data watch is armed it stays [None] and the per-op check is
+         skipped *)
+      let watched = Debug_regs.data_armed t.dr in
       let i = ref 0 in
       let cyc = ref 0 in
       let exit_block = ref false in

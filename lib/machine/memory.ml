@@ -37,6 +37,14 @@ let page_generation p = p.wgen
 let page_dirty p = p.dirty
 let page_perm p = p.perm
 
+let[@inline] zero_run p off len =
+  let stop = if off + len < Bytes.length p.data then off + len else Bytes.length p.data in
+  let i = ref off in
+  while !i < stop && Bytes.unsafe_get p.data !i = '\000' do
+    incr i
+  done;
+  !i - off
+
 (* Software TLB: per-access-class direct-mapped (page index -> page). *)
 let tlb_bits = 7
 let tlb_size = 1 lsl tlb_bits
@@ -265,6 +273,17 @@ let[@inline] exec_page t addr =
     end;
     page
   end
+
+let[@inline] tlb_hit idxs pgs idx =
+  let slot = idx land tlb_mask in
+  if Array.unsafe_get idxs slot = idx then Array.unsafe_get pgs slot else null_page
+
+let[@inline] tlb_page t access addr =
+  let idx = page_index addr in
+  match access with
+  | Read -> tlb_hit t.tlb_r_idx t.tlb_r_pg idx
+  | Write -> tlb_hit t.tlb_w_idx t.tlb_w_pg idx
+  | Execute -> tlb_hit t.tlb_x_idx t.tlb_x_pg idx
 
 let[@inline] load8 t addr =
   let page = read_page t addr in
@@ -602,4 +621,5 @@ let cache_stats t =
     cs_sb_blocks = 0;
     cs_sb_insns = 0;
     cs_sb_fallbacks = 0;
+    cs_march_steps = 0;
   }

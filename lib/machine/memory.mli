@@ -163,7 +163,21 @@ val page_dirty : page -> bool
     so does {!null_page}. *)
 
 val page_perm : page -> perm
-(** The page object's current permissions. Diagnostics. *)
+(** The page object's current permissions. *)
+
+val zero_run : page -> int -> int -> int
+(** [zero_run p off len] counts the zero bytes of [p] from offset [off] up
+    to the first non-zero byte, the page end or [len] bytes, whichever
+    comes first; 0 for {!null_page}. Reads the bytes as they are: no
+    permission check, no TLB, no counter. *)
+
+val tlb_page : t -> access -> int -> page
+(** [tlb_page t access addr] is the page the software TLB for [access]
+    holds for [addr], or {!null_page} when it holds none: no page-table
+    lookup, no demand-map, no fault and no counter. A page it returns is
+    mapped and permits [access] (every map, unmap, permission change and
+    restore flushes the TLBs); {!null_page} tells nothing. With the fast
+    paths off the TLBs stay empty. *)
 
 val cache_stats : t -> Cache_stats.t
 (** Monotonic fast-path counters for this memory (TLB hits/misses, restore

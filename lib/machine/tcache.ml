@@ -63,6 +63,7 @@ type 'op t = {
   mutable sb_blocks : int;  (* blocks built *)
   mutable sb_insns : int;  (* micro-ops retired inside blocks *)
   mutable sb_fallbacks : int;  (* precise-interpreter excursions *)
+  mutable march_steps : int;  (* steps retired by the ISA's [march] *)
   mutable run_retired : int;  (* cleanly retired by the last run *)
 }
 
@@ -140,6 +141,7 @@ let create mem ~slot_bits ~nop =
     sb_blocks = 0;
     sb_insns = 0;
     sb_fallbacks = 0;
+    march_steps = 0;
     run_retired = 0;
   }
 
@@ -227,4 +229,5 @@ let stats c =
     cs_sb_blocks = c.sb_blocks;
     cs_sb_insns = c.sb_insns;
     cs_sb_fallbacks = c.sb_fallbacks;
+    cs_march_steps = c.march_steps;
   }

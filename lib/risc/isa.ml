@@ -634,6 +634,11 @@ let poisoned t =
 let[@inline] pc t = t.pc
 let[@inline] set_pc t v = t.pc <- v
 
+(* The run loop's wild-march fast-forward retires nothing here: a zero word
+   is an illegal instruction on this ISA, so a march ends on its first step
+   (see the CISC [march]). *)
+let march _ _ = 0
+
 (* --- system registers (the G4 injection targets, §5.2) -------------------- *)
 
 type sysreg = {

@@ -869,6 +869,243 @@ let test_cisc_stop_in_block () =
   check_cisc_agree "stop in block" sb precise;
   check_int "the return ran in the block" 2 (sb_insns (Ferrite_cisc.Cpu.cache_stats sb))
 
+(* --- wild marches: [00 00] runs retired in closed form --------------------- *)
+
+(* Wild execution through zero-filled lowmem decodes [00 00] as
+   [add [eax],al]. Once the decode miss streak saturates, the run loop
+   retires such runs in closed form ([march]); the precise twin steps every
+   one. Each case runs both until the streak is saturated, sets up the edge
+   it pins, then compares one run: the result, the retired count, the
+   registers, EFLAGS, CR2, the store address, the pending hit, the byte at
+   [eax] and the counters. *)
+
+module Ccpu = Ferrite_cisc.Cpu
+
+let march_base = 0xC0400000  (* mapped, zero-filled *)
+let march_data = 0xC0500010  (* [eax]: a mapped data page; AL = 0x10 *)
+
+let march_steps cpu = (Ccpu.cache_stats cpu).Cache_stats.cs_march_steps
+
+let march_pair () =
+  let make sb =
+    Memory.set_superblocks_default sb;
+    let mem =
+      Fun.protect ~finally:(fun () -> Memory.set_superblocks_default true) Memory.create
+    in
+    (* the kernel's lowmem window, as [Boot] sets it up *)
+    Memory.set_auto_map mem ~lo:0xC0000000 ~hi:0xC1000000 ~perm:Memory.perm_rwx;
+    Memory.map mem ~addr:march_base ~size:0x3000 ~perm:Memory.perm_rwx;
+    Memory.map mem ~addr:(march_data land lnot 0xFFF) ~size:0x1000 ~perm:Memory.perm_rw;
+    let cpu = Ccpu.create ~mem ~stop_addr in
+    cpu.Ccpu.eip <- march_base;
+    cpu.Ccpu.regs.(Ccpu.eax) <- march_data;
+    (* 8 blocks of 32 fresh decodes saturate the streak; the rest march *)
+    ignore (Ccpu.run cpu ~max_steps:300);
+    cpu
+  in
+  let sb = make true and precise = make false in
+  check_bool "the warm-up marched" true (march_steps sb > 0);
+  (sb, precise)
+
+let check_march_agree msg (a : Ccpu.t) (b : Ccpu.t) =
+  check_cisc_agree msg a b;
+  check_int (msg ^ ": eflags") b.Ccpu.eflags a.Ccpu.eflags;
+  check_int (msg ^ ": cr2") b.Ccpu.cr2 a.Ccpu.cr2;
+  check_int (msg ^ ": store address") b.Ccpu.last_store_addr a.Ccpu.last_store_addr;
+  check_bool (msg ^ ": pending hit") true (b.Ccpu.pending_hit = a.Ccpu.pending_hit);
+  check_bool (msg ^ ": stopped") b.Ccpu.stopped a.Ccpu.stopped;
+  let at = b.Ccpu.regs.(Ccpu.eax) in
+  let byte (c : Ccpu.t) = if Memory.is_mapped c.Ccpu.mem at then Memory.peek8 c.Ccpu.mem at else -1 in
+  check_int (msg ^ ": byte at [eax]") (byte b) (byte a);
+  check_int (msg ^ ": the precise twin never marches") 0 (march_steps b)
+
+(* Apply [f] to both twins. *)
+let both (sb, precise) f = List.iter f [ sb; precise ]
+
+(* A store that leaves the byte at [addr] as it was, so that the write TLB
+   holds its page and a TLB miss cannot be what stops the march: the bound
+   under test must. *)
+let fill_write_tlb (c : Ccpu.t) addr = Memory.store8 c.Ccpu.mem addr (Memory.peek8 c.Ccpu.mem addr)
+
+(* One run of [n] steps on both; returns the translated side's result. *)
+let march_run msg (sb, precise) n =
+  let ra = cisc_run sb n in
+  check_bool (msg ^ ": same run result") true (ra = cisc_run precise n);
+  check_march_agree msg sb precise;
+  ra
+
+(* The march runs off the first mapped page onto the next: the page end
+   bounds each fast-forward, and the precise step crosses it, here onto two
+   [nop]s. *)
+let test_march_crosses_page () =
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c ->
+      Memory.poke8 c.Ccpu.mem (march_base + 0x1000) 0x90;
+      Memory.poke8 c.Ccpu.mem (march_base + 0x1001) 0x90);
+  let before = march_steps sb in
+  let r = march_run "page end" pair 0x1000 in
+  check_bool "retired the whole budget" true (r = (0x1000, Ccpu.Retired));
+  check_int "two pages on, less one add for the two nops" (march_base + 0x2256) sb.Ccpu.eip;
+  check_bool "marched in closed form" true (march_steps sb - before > 0x1000 - 16)
+
+(* [eax] points into the bytes ahead with AL = 0x01: each step bumps a byte
+   the march will reach, so it must stop there and decode what the adds
+   made of it. *)
+let test_march_store_ahead () =
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c ->
+      fill_write_tlb c (c.Ccpu.eip - 1);
+      c.Ccpu.regs.(Ccpu.eax) <- c.Ccpu.eip + 0x81);
+  let before = march_steps sb in
+  ignore (march_run "store ahead" pair 0x200);
+  check_bool "marched up to the rewritten byte" true (march_steps sb - before >= 0x3F)
+
+(* An execute breakpoint at pc+2j: the march stops short of it, and the
+   precise step reports it with the flags of the add before. *)
+let test_march_bp_ahead () =
+  let ((sb, _) as pair) = march_pair () in
+  let target = sb.Ccpu.eip + 0x42 in
+  both pair (fun c -> Debug_regs.set_instruction_bp c.Ccpu.dr target);
+  let r = march_run "breakpoint ahead" pair 100 in
+  check_bool "(0x21, Hit_ibp)" true (r = (0x21, Ccpu.Hit_ibp));
+  check_int "eip on the breakpoint" target sb.Ccpu.eip
+
+(* A data watch over [eax]: every march step touches it, so nothing is
+   fast-forwarded and the first step reports the hit. *)
+let test_march_watched () =
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c -> Debug_regs.set_data_bp c.Ccpu.dr ~addr:march_data ~len:1);
+  let before = march_steps sb in
+  (match march_run "watched [eax]" pair 50 with
+  | 0, Ccpu.Hit_dbp _ -> ()
+  | _ -> Alcotest.fail "expected (0, Hit_dbp)");
+  check_int "nothing fast-forwarded" before (march_steps sb);
+  (* the hit is left pending; the next steps clear it, so the march does *)
+  both pair (fun c ->
+      Debug_regs.clear_all c.Ccpu.dr;
+      Debug_regs.set_instruction_bp c.Ccpu.dr (c.Ccpu.eip + 8));
+  check_bool "then (4, Hit_ibp)" true (march_run "watch cleared" pair 50 = (4, Ccpu.Hit_ibp));
+  check_int "fast-forwarded" (before + 4) (march_steps sb)
+
+(* A march onto a page that is not executable: the fetch takes #GP. *)
+let test_march_not_executable () =
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c ->
+      Memory.set_perm c.Ccpu.mem ~addr:march_base ~size:0x1000 ~perm:Memory.perm_rw;
+      fill_write_tlb c march_data);
+  let before = march_steps sb in
+  (match march_run "not executable" pair 50 with
+  | 0, Ccpu.Faulted (Ferrite_cisc.Exn.General_protection _) -> ()
+  | _ -> Alcotest.fail "expected (0, #GP on the fetch)");
+  check_int "nothing fast-forwarded" before (march_steps sb)
+
+(* A march up to the top of the address space: EIP wraps to 0, where
+   nothing is mapped. *)
+let test_march_wraps () =
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c ->
+      Memory.map c.Ccpu.mem ~addr:0xFFFFF000 ~size:0x1000 ~perm:Memory.perm_rwx;
+      c.Ccpu.eip <- 0xFFFFFF80);
+  (match march_run "wrap" pair 100 with
+  | 64, Ccpu.Faulted (Ferrite_cisc.Exn.Page_fault { addr = 0; _ }) -> ()
+  | _ -> Alcotest.fail "expected (64, #PF at 0)");
+  check_int "eip wrapped" 0 sb.Ccpu.eip
+
+(* Budgets of 1 and 2: the precise step always runs the last instruction,
+   so one step fast-forwards nothing and two fast-forward one. Eight
+   single-step budgets in a row, with AL = 0x40, also end on an add that
+   overflows and one that carries. *)
+let test_march_budgets () =
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c -> c.Ccpu.regs.(Ccpu.eax) <- march_data + 0x30);
+  for i = 1 to 8 do
+    let before = march_steps sb in
+    let r = march_run (Printf.sprintf "budget 1, run %d" i) pair 1 in
+    check_bool "(1, Retired)" true (r = (1, Ccpu.Retired));
+    check_int "budget 1 fast-forwards nothing" before (march_steps sb)
+  done;
+  for i = 1 to 8 do
+    let before = march_steps sb in
+    let r = march_run (Printf.sprintf "budget 2, run %d" i) pair 2 in
+    check_bool "(2, Retired)" true (r = (2, Ccpu.Retired));
+    check_int "budget 2 fast-forwards one" (before + 1) (march_steps sb)
+  done
+
+(* The flags of the last fast-forwarded add, seen through a breakpoint
+   that stops the precise step before it runs anything: AL = 0xC0 over a
+   zero byte sums to C0, 180, 140, 100 and C0 again, which set neither CF
+   nor OF, then CF, CF and OF, CF and ZF, and neither. *)
+let test_march_last_add_flags () =
+  List.iter
+    (fun (j, cf, o, zf) ->
+      let ((sb, _) as pair) = march_pair () in
+      let target = sb.Ccpu.eip + (2 * j) in
+      both pair (fun c ->
+          c.Ccpu.regs.(Ccpu.eax) <- march_data + 0xB0;
+          Debug_regs.set_instruction_bp c.Ccpu.dr target);
+      let before = march_steps sb in
+      let msg = Printf.sprintf "%d adds" j in
+      let r = march_run msg pair 100 in
+      check_bool (msg ^ ": (j, Hit_ibp)") true (r = (j, Ccpu.Hit_ibp));
+      check_int (msg ^ ": all fast-forwarded") (before + j) (march_steps sb);
+      check_bool (msg ^ ": CF") cf (Ccpu.getf sb Ccpu.flag_cf);
+      check_bool (msg ^ ": OF") o (Ccpu.getf sb Ccpu.flag_of);
+      check_bool (msg ^ ": ZF") zf (Ccpu.getf sb Ccpu.flag_zf))
+    [ (1, false, false, false); (2, true, false, false); (3, true, true, false);
+      (4, true, false, true); (5, false, false, false) ]
+
+(* [eax] on an unmapped page inside the lowmem window: the first step
+   demand-maps it, and the march resumes from the next. Outside the window
+   the step takes a #PF with CR2 = [eax], and nothing was fast-forwarded. *)
+let test_march_unmapped_data () =
+  let ((sb, _) as pair) = march_pair () in
+  let in_window = 0xC0700005 in
+  both pair (fun c -> c.Ccpu.regs.(Ccpu.eax) <- in_window);
+  let before = march_steps sb in
+  ignore (march_run "unmapped, in the window" pair 100);
+  check_bool "demand-mapped" true (Memory.is_mapped sb.Ccpu.mem in_window);
+  check_int "then marched" (before + 98) (march_steps sb);
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c -> c.Ccpu.regs.(Ccpu.eax) <- 0x00080005);
+  let before = march_steps sb in
+  (match march_run "unmapped, outside the window" pair 100 with
+  | 0, Ccpu.Faulted (Ferrite_cisc.Exn.Page_fault { write = false; _ }) -> ()
+  | _ -> Alcotest.fail "expected (0, #PF on the read)");
+  check_int "cr2 is [eax]" 0x00080005 sb.Ccpu.cr2;
+  check_int "nothing fast-forwarded" before (march_steps sb)
+
+(* [eax] on a read-only page, or a write-only one: the store or the load
+   takes #GP, and nothing was fast-forwarded. *)
+let test_march_data_not_rw () =
+  List.iter
+    (fun (what, perm) ->
+      let ((sb, _) as pair) = march_pair () in
+      both pair (fun c ->
+          Memory.set_perm c.Ccpu.mem ~addr:march_data ~size:1 ~perm;
+          (* the permission change flushed the TLBs: refill them *)
+          ignore (Memory.fetch8 c.Ccpu.mem c.Ccpu.eip);
+          if perm.Memory.writable then fill_write_tlb c march_data);
+      let before = march_steps sb in
+      (match march_run what pair 50 with
+      | 0, Ccpu.Faulted (Ferrite_cisc.Exn.General_protection _) -> ()
+      | _ -> Alcotest.fail (what ^ ": expected (0, #GP)"));
+      check_int (what ^ ": nothing fast-forwarded") before (march_steps sb))
+    [
+      ("read-only [eax]", Memory.perm_ro);
+      ("write-only [eax]", { Memory.readable = false; writable = true; executable = false });
+    ]
+
+(* A poisoned CR3: the next fetch faults at a scrambled address, so the
+   march must not skip it. *)
+let test_march_poisoned () =
+  let ((sb, _) as pair) = march_pair () in
+  both pair (fun c -> c.Ccpu.tlb_poisoned <- true);
+  let before = march_steps sb in
+  (match march_run "poisoned" pair 100 with
+  | 0, Ccpu.Faulted (Ferrite_cisc.Exn.Page_fault _) -> ()
+  | _ -> Alcotest.fail "expected (0, scrambled #PF)");
+  check_int "nothing fast-forwarded" before (march_steps sb)
+
 (* --- Cache_stats: overflow-safe merge, monotonicity ----------------------- *)
 
 (* Pre-fix, [merge] summed fields with plain [+]: two near-[max_int] counters
@@ -876,23 +1113,31 @@ let test_cisc_stop_in_block () =
    breaking the documented monotonicity. The fixed merge saturates. *)
 
 let test_cache_stats_merge_saturates () =
-  let a = { Cache_stats.zero with Cache_stats.cs_decode_hits = max_int - 5 } in
-  let b = { Cache_stats.zero with Cache_stats.cs_decode_hits = 10 } in
+  let a =
+    { Cache_stats.zero with
+      Cache_stats.cs_decode_hits = max_int - 5; cs_march_steps = max_int - 5 }
+  in
+  let b = { Cache_stats.zero with Cache_stats.cs_decode_hits = 10; cs_march_steps = 10 } in
   let m = Cache_stats.merge a b in
-  check_bool "merge never wraps negative" true
-    (m.Cache_stats.cs_decode_hits >= 0);
   check_int "merge saturates at max_int" max_int m.Cache_stats.cs_decode_hits;
-  check_bool "merge is monotone in both operands" true
-    (m.Cache_stats.cs_decode_hits >= a.Cache_stats.cs_decode_hits
-    && m.Cache_stats.cs_decode_hits >= b.Cache_stats.cs_decode_hits)
+  check_int "so do march steps" max_int m.Cache_stats.cs_march_steps;
+  List.iter2
+    (fun ((name, va), (_, vb)) (_, vm) ->
+      check_bool (name ^ ": merge is monotone in both operands") true
+        (vm >= va && vm >= vb))
+    (List.combine (Cache_stats.fields a) (Cache_stats.fields b))
+    (Cache_stats.fields m)
 
 let test_cache_stats_delta_clamps () =
-  let before = { Cache_stats.zero with Cache_stats.cs_sb_insns = 1000 } in
-  let after = { Cache_stats.zero with Cache_stats.cs_sb_insns = 10 } in
+  let before =
+    { Cache_stats.zero with Cache_stats.cs_sb_insns = 1000; cs_march_steps = 1000 }
+  in
+  let after = { Cache_stats.zero with Cache_stats.cs_sb_insns = 10; cs_march_steps = 10 } in
   (* the machine was dropped and re-booted between readings *)
   let d = Cache_stats.delta ~before ~after in
   check_int "delta clamps at zero instead of going negative" 0
-    d.Cache_stats.cs_sb_insns
+    d.Cache_stats.cs_sb_insns;
+  check_int "march steps clamp too" 0 d.Cache_stats.cs_march_steps
 
 (* Counters are machine-lifetime diagnostics: a snapshot/restore (the logical
    reboot between trials) must not reset or replay them. *)
@@ -1074,6 +1319,20 @@ let () =
             test_risc_run_allocates_nothing;
           Alcotest.test_case "cisc warm run allocates nothing" `Quick
             test_cisc_run_allocates_nothing;
+        ] );
+      ( "wild marches",
+        [
+          Alcotest.test_case "across a page end" `Quick test_march_crosses_page;
+          Alcotest.test_case "eax in the bytes ahead" `Quick test_march_store_ahead;
+          Alcotest.test_case "breakpoint ahead" `Quick test_march_bp_ahead;
+          Alcotest.test_case "watched eax" `Quick test_march_watched;
+          Alcotest.test_case "budgets of 1 and 2" `Quick test_march_budgets;
+          Alcotest.test_case "flags of the last add" `Quick test_march_last_add_flags;
+          Alcotest.test_case "eax unmapped" `Quick test_march_unmapped_data;
+          Alcotest.test_case "eax not read-write" `Quick test_march_data_not_rw;
+          Alcotest.test_case "poisoned cr3" `Quick test_march_poisoned;
+          Alcotest.test_case "not executable" `Quick test_march_not_executable;
+          Alcotest.test_case "eip wraps" `Quick test_march_wraps;
         ] );
       ( "cache stats",
         [
