@@ -13,8 +13,8 @@
 
 type cache
 (** The translation caches ({!Ferrite_machine.Tcache}, written once for
-    both CPUs): the PC-keyed decode cache, its wild-march memo and the
-    two-way superblock table, with their counters (see {!cache_stats}).
+    both CPUs): the PC-keyed decode cache and the two-way superblock
+    table, with their counters (see {!cache_stats}).
     Decode entries and blocks are validated against the backing pages'
     generation counters, so stores, pokes and injected bit flips evict; an
     instruction that straddles two pages is validated by both. *)

@@ -143,13 +143,11 @@ module Worker = struct
     ws_in_io : Iofault.t;  (* the same fd, fault-routed for reads *)
     ws_dec : Wire.decoder;
     ws_worker : int;
-    (* current lease: id, next unstarted index, exclusive end (shrinks when
-       stolen from) *)
-    mutable ws_cur : (int * int ref * int ref) option;
-    ws_seen : (int, int * int) Hashtbl.t;
-        (* lease ids already accepted -> the exclusive end this worker runs
-           them to (lowered when a steal takes the tail) and [ws_seq] when it
-           finished them ([max_int] until then) *)
+    (* current lease: id, next unstarted index, exclusive end *)
+    mutable ws_cur : (int * int ref * int) option;
+    ws_seen : (int, int) Hashtbl.t;
+        (* lease ids already accepted -> [ws_seq] when this worker finished
+           them ([max_int] until then) *)
     ws_unacked : (int, Wire.msg) Hashtbl.t;  (* seq -> Result awaiting ack *)
     mutable ws_seq : int;  (* results sent so far: the next result's seq *)
     mutable ws_leases_done : int;
@@ -172,37 +170,20 @@ module Worker = struct
     match msg with
     | Wire.Ack { ak_seq } -> Hashtbl.remove st.ws_unacked ak_seq
     | Wire.Lease_grant { lg_lease; lg_lo; lg_hi; lg_results } -> (
-      let run lo =
-        Hashtbl.replace st.ws_seen lg_lease (lg_hi, max_int);
-        st.ws_cur <- Some (lg_lease, ref lo, ref lg_hi)
-      in
       match Hashtbl.find_opt st.ws_seen lg_lease with
-      | None -> run lg_lo
-      | Some (ran_to, finished_at) when st.ws_cur = None && lg_results >= finished_at ->
+      | None ->
+        Hashtbl.replace st.ws_seen lg_lease max_int;
+        st.ws_cur <- Some (lg_lease, ref lg_lo, lg_hi)
+      | Some finished_at when st.ws_cur = None && lg_results >= finished_at ->
         (* the answer to a request sent after we finished the lease, and the
-           controller still counts it live: a steal return of it was lost
-           (run the tail it still counts as ours) or a result was *)
-        if ran_to < lg_hi then run ran_to else retransmit ~below:lg_results st
+           controller still counts it live: a result of it was lost *)
+        retransmit ~below:lg_results st
       | Some _ ->
         (* stale: it answers a request sent before the lease began, or it
            reached us busy with a lease *)
         ())
-    | Wire.Steal { st_lease } -> (
-      match st.ws_cur with
-      | Some (lease, next, hi) when lease = st_lease && !hi - !next >= 2 ->
-        (* give away the unstarted tail, keep the trial we are about to run:
-           the victim always makes progress, so steals cannot ping-pong *)
-        Link.send st.ws_link
-          (Wire.Steal_return { sr_lease = lease; sr_lo = !next + 1; sr_hi = !hi });
-        hi := !next + 1;
-        Hashtbl.replace st.ws_seen lease (!hi, max_int)
-      | _ ->
-        (* nothing to spare (or a stale lease id): empty return, so the
-           controller clears the outstanding-steal flag *)
-        Link.send st.ws_link (Wire.Steal_return { sr_lease = st_lease; sr_lo = 0; sr_hi = 0 }))
     | Wire.Bye _ -> st.ws_controller_bye <- true
-    | Wire.Hello _ | Wire.Welcome _ | Wire.Lease_request _ | Wire.Result _
-    | Wire.Steal_return _ | Wire.Heartbeat _ ->
+    | Wire.Hello _ | Wire.Welcome _ | Wire.Lease_request _ | Wire.Result _ | Wire.Heartbeat _ ->
       (* controller never sends these; a confused frame is ignored, the
          protocol is built on retransmission anyway *)
       ()
@@ -317,7 +298,7 @@ module Worker = struct
          ignore (drain st);
          if (not st.ws_controller_bye) && not !stop then begin
            match st.ws_cur with
-           | Some (lease, next, hi) when !next < !hi ->
+           | Some (lease, next, hi) when !next < hi ->
              let i = !next in
              (match die_at with
              | Some d when d = i ->
@@ -348,9 +329,9 @@ module Worker = struct
              in
              Hashtbl.replace st.ws_unacked seq msg;
              Link.send st.ws_link msg;
-             if !next >= !hi then begin
+             if !next >= hi then begin
                st.ws_cur <- None;
-               Hashtbl.replace st.ws_seen lease (!hi, st.ws_seq);
+               Hashtbl.replace st.ws_seen lease st.ws_seq;
                st.ws_leases_done <- st.ws_leases_done + 1;
                match max_leases with
                | Some n when st.ws_leases_done >= n -> leaving := true
@@ -414,8 +395,6 @@ module Controller = struct
     mutable t_draining : bool;
     mutable t_results : int;
     mutable t_dup_results : int;
-    mutable t_steals : int;
-    mutable t_steal_returns : int;
     mutable t_expired : int;
     mutable t_deaths : int;
     mutable t_hung : int;
@@ -471,8 +450,6 @@ module Controller = struct
       t_draining = false;
       t_results = 0;
       t_dup_results = 0;
-      t_steals = 0;
-      t_steal_returns = 0;
       t_expired = 0;
       t_deaths = 0;
       t_hung = 0;
@@ -633,16 +610,7 @@ module Controller = struct
         send_to t conn
           (Wire.Lease_grant
              { lg_lease = d_lease; lg_lo = d_lo; lg_hi = d_hi; lg_results = lr_results })
-      | Lease.Steal_from { d_victim; d_lease } -> (
-        match conn_of t d_victim with
-        | Some victim when victim.c_alive ->
-          t.t_steals <- t.t_steals + 1;
-          send_to t victim (Wire.Steal { st_lease = d_lease })
-        | _ -> ())
       | Lease.Wait | Lease.Drained -> ())
-    | Wire.Steal_return { sr_lease; sr_lo; sr_hi } ->
-      if Lease.steal_return t.t_lease ~lease:sr_lease ~lo:sr_lo ~hi:sr_hi > 0 then
-        t.t_steal_returns <- t.t_steal_returns + 1
     | Wire.Result { rs_seq; rs_index; rs_entry; rs_dump } ->
       (* always ack — the worker retransmits until we do, and dedup is ours *)
       send_to t conn (Wire.Ack { ak_seq = rs_seq });
@@ -658,7 +626,7 @@ module Controller = struct
         ignore (Lease.worker_leave t.t_lease ~worker:conn.c_worker)
       end
     | Wire.Heartbeat _ (* liveness only: any byte read resets [c_last_heard] *)
-    | Wire.Welcome _ | Wire.Lease_grant _ | Wire.Steal _ | Wire.Ack _ ->
+    | Wire.Welcome _ | Wire.Lease_grant _ | Wire.Ack _ ->
       (* workers never send these *)
       ()
 
@@ -671,7 +639,7 @@ module Controller = struct
      closing our end of the socket makes the worker's next send EPIPE, so a
      worker that un-wedges later exits instead of double-reporting. This is
      the fabric's only deadline: a lease lives until its owner finishes,
-     returns, leaves or is declared dead here. *)
+     leaves or is declared dead here. *)
   let expire_hung t ~now =
     List.iter
       (fun c ->
@@ -776,8 +744,8 @@ module Controller = struct
       fb_results = t.t_results;
       fb_dup_results = t.t_dup_results;
       fb_retransmitted = retransmitted;
-      fb_steals = t.t_steals;
-      fb_steal_returns = t.t_steal_returns;
+      fb_steals = 0;
+      fb_steal_returns = 0;
       fb_expired = t.t_expired;
       fb_worker_deaths = t.t_deaths;
       fb_hung = t.t_hung;

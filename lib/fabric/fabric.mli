@@ -8,9 +8,11 @@
     owns a {!Ferrite_injection.Trial_table} (the {!Ferrite_injection.Lease}
     table plus the completed-trial slots), exactly as the in-process
     executor does; workers own everything expensive (boot, profile, trial
-    execution). Workers self-schedule by leasing trial-index chunks, steal
-    work from each other through the controller when the tail drains, may
-    join and leave mid-campaign, and are survived by it: a killed worker's
+    execution). Workers self-schedule by leasing trial-index chunks under
+    the in-process rule — the next pending chunk, or wait, or drained — so
+    a worker that runs dry while others still hold leases waits for one to
+    be requeued rather than taking work from them. Workers may join and
+    leave mid-campaign, and are survived by it: a killed worker's
     in-flight chunk is re-leased, and a trial that keeps killing its owners
     is quarantined as {!Ferrite_injection.Outcome.Infrastructure_failure} —
     exactly the in-process supervisor's verdict for a trial that keeps
@@ -33,8 +35,11 @@ type report = {
   fb_results : int;  (** fresh results merged *)
   fb_dup_results : int;  (** retransmitted or twice-run duplicates dropped *)
   fb_retransmitted : int;  (** result re-sends reported by departing workers *)
-  fb_steals : int;  (** steal requests sent to victims *)
-  fb_steal_returns : int;  (** non-empty steal returns *)
+  fb_steals : int;
+      (** always 0: the fabric no longer steals work. Kept while the
+          benchmark's [fabric.steals] reads it. *)
+  fb_steal_returns : int;
+      (** always 0, like [fb_steals]; read by [fabric.steal_returns] *)
   fb_expired : int;
       (** leases reclaimed at the heartbeat deadline, from workers declared
           hung — the fabric's only timeout *)

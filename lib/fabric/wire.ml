@@ -3,7 +3,7 @@ module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
 
-let protocol_version = 3
+let protocol_version = 4
 
 (* Same ceiling as the journal's frame walk: a length field beyond this is
    garbage, not a message we have not finished receiving. *)
@@ -53,8 +53,6 @@ type msg =
   | Welcome of welcome
   | Lease_request of { lr_results : int }
   | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int; lg_results : int }
-  | Steal of { st_lease : int }
-  | Steal_return of { sr_lease : int; sr_lo : int; sr_hi : int }
   | Result of {
       rs_seq : int;
       rs_index : int;
@@ -70,9 +68,7 @@ type msg =
    absorbs it is live. *)
 let chaos_eligible = function
   | Hello _ | Welcome _ | Bye _ -> false
-  | Lease_request _ | Lease_grant _ | Steal _ | Steal_return _ | Result _ | Ack _
-  | Heartbeat _ ->
-    true
+  | Lease_request _ | Lease_grant _ | Result _ | Ack _ | Heartbeat _ -> true
 
 (* {2 Encoding} *)
 
@@ -107,14 +103,6 @@ let encode_payload msg =
     put_u32 b lg_lo;
     put_u32 b lg_hi;
     put_u32 b lg_results
-  | Steal { st_lease } ->
-    Buffer.add_char b 'S';
-    put_u32 b st_lease
-  | Steal_return { sr_lease; sr_lo; sr_hi } ->
-    Buffer.add_char b 'T';
-    put_u32 b sr_lease;
-    put_u32 b sr_lo;
-    put_u32 b sr_hi
   | Result { rs_seq; rs_index; rs_entry; rs_dump } ->
     (* the entry blob is the journal's own payload encoding: a fabric result
        in flight is a journal frame whose file has not been written yet *)
@@ -166,12 +154,6 @@ let decode_payload s =
                  lg_hi = get_u32 s 9;
                  lg_results = get_u32 s 13;
                }))
-    | 'S' -> fixed 4 (fun () -> Some (Steal { st_lease = get_u32 s 1 }))
-    | 'T' ->
-      fixed 12 (fun () ->
-          Some
-            (Steal_return
-               { sr_lease = get_u32 s 1; sr_lo = get_u32 s 5; sr_hi = get_u32 s 9 }))
     | 'R' ->
       if n < 13 then None
       else

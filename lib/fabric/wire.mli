@@ -11,7 +11,13 @@
     The codec never trusts the peer: {!decode_prefix} never raises on torn or
     corrupt input, and the incremental {!decoder} used on live links raises
     {!Corrupt} only for a {e complete} frame whose payload is undecodable —
-    which on a TCP-like stream socket means a peer bug, not a torn tail. *)
+    which on a TCP-like stream socket means a peer bug, not a torn tail.
+
+    Scheduling takes two messages: an idle worker asks ({!Lease_request})
+    and the controller grants ({!Lease_grant}) by the lease table's one
+    rule, the rule the in-process executors follow. No message moves work
+    between workers: a lease stays its holder's until it finishes, leaves
+    or is declared dead. *)
 
 module Journal = Ferrite_injection.Journal
 module Campaign = Ferrite_injection.Campaign
@@ -19,6 +25,8 @@ module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
 
 val protocol_version : int
+(** Carried by {!Hello}; a controller treats a worker that speaks another
+    version as a corrupt link. *)
 
 (** {2 Messages} *)
 
@@ -73,22 +81,15 @@ type msg =
   | Lease_request of { lr_results : int }
       (** worker → controller: I am idle, grant me a chunk. [lr_results]
           counts the results the worker has sent. Resent until a grant
-          arrives; the controller answers every copy. *)
+          arrives; the controller answers every copy it can grant. *)
   | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int; lg_results : int }
       (** controller → worker: run trials [lg_lo, lg_hi) under lease
           [lg_lease]; [lg_results] echoes the request's [lr_results]. A lease
           the worker already accepted is re-granted verbatim while the
           controller counts it live. The worker acts on that only if it has
           finished the lease and [lg_results] is at least its count then: a
-          result or a steal return was lost, so it retransmits its unacked
-          results below [lg_results] or runs the returned tail. Any other
-          re-grant is stale and ignored. *)
-  | Steal of { st_lease : int }
-      (** controller → victim: another worker is idle — return the unstarted
-          tail of lease [st_lease] *)
-  | Steal_return of { sr_lease : int; sr_lo : int; sr_hi : int }
-      (** victim → controller: [sr_lo, sr_hi) of the lease is yours to
-          reassign (empty range = nothing to give) *)
+          result was lost, so it retransmits its unacked results below
+          [lg_results]. Any other re-grant is stale and ignored. *)
   | Result of {
       rs_seq : int;  (** per-worker sequence number, echoed by {!Ack} *)
       rs_index : int;  (** trial index — the controller's dedup key *)
@@ -113,8 +114,8 @@ type msg =
           drained); worker → controller carries [Some] diagnostics. *)
 
 val chaos_eligible : msg -> bool
-(** Messages the chaos {!Link} may drop/duplicate/reorder: lease, steal,
-    result, ack and heartbeat traffic — everything the retry protocol is
+(** Messages the chaos {!Link} may drop/duplicate/reorder: lease, result,
+    ack and heartbeat traffic — everything the retry protocol is
     built to survive. {!Hello}, {!Welcome} and {!Bye} are exempt: the handshake runs
     before any retransmission machinery exists, and a worker that dies
     instead of saying [Bye] is already covered by the death path (its link's

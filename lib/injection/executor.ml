@@ -76,8 +76,8 @@ let run ?(progress = no_progress) ?(trace = Ferrite_trace.Tracer.telemetry_only)
       | Some sv -> Supervisor.run_trial sv ~trace env
     in
     (* One in-process worker: lease a range, run it, complete each trial, ask
-       again. It never steals: [Steal_from] and [Wait] both mean nothing is
-       left unleased, so it stops and the live leases' owners finish them. *)
+       again. [Wait] means nothing is left unleased, so it stops and the
+       live leases' owners finish them. *)
     let work id () =
       let cache = Trial.cache_create () in
       let rec loop () =
@@ -88,7 +88,7 @@ let run ?(progress = no_progress) ?(trace = Ferrite_trace.Tracer.telemetry_only)
             ignore (complete { Journal.je_index = i; je_record; je_stats; je_trace } dump)
           done;
           loop ()
-        | Lease.Steal_from _ | Lease.Wait | Lease.Drained -> ()
+        | Lease.Wait | Lease.Drained -> ()
       in
       loop ();
       (Trial.reboots cache, Trial.cache_stats cache)

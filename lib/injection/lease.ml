@@ -1,6 +1,5 @@
 type decision =
   | Grant of { d_lease : int; d_lo : int; d_hi : int }
-  | Steal_from of { d_victim : int; d_lease : int }
   | Wait
   | Drained
 
@@ -10,9 +9,8 @@ type lease = {
   l_id : int;
   l_worker : int;
   l_lo : int;
-  mutable l_hi : int;  (* exclusive; shrinks when a steal returns the tail *)
+  l_hi : int;  (* exclusive *)
   mutable l_incomplete : int;  (* trials of [l_lo, l_hi) not yet complete; > 0 *)
-  mutable l_steal_sent : bool;  (* at most one outstanding steal per lease *)
 }
 
 type t = {
@@ -100,9 +98,9 @@ let request t ~worker =
   else
     match List.find_opt (fun l -> l.l_worker = worker) t.leases with
     | Some l ->
-      (* the worker is asking for work it already owns: its grant, a result
-         or a steal return was lost. Re-issue verbatim — the worker tells a
-         stale request's re-grant from news by the result count it echoes. *)
+      (* the worker is asking for work it already owns: its grant or a
+         result was lost. Re-issue verbatim — the worker tells a stale
+         request's re-grant from news by the result count it echoes. *)
       Grant { d_lease = l.l_id; d_lo = l.l_lo; d_hi = l.l_hi }
     | None -> (
       match pop_chunk t with
@@ -111,40 +109,9 @@ let request t ~worker =
         t.next_id <- id + 1;
         t.leases <-
           t.leases
-          @ [
-              {
-                l_id = id;
-                l_worker = worker;
-                l_lo = lo;
-                l_hi = hi;
-                l_incomplete = hi - lo;
-                l_steal_sent = false;
-              };
-            ];
+          @ [ { l_id = id; l_worker = worker; l_lo = lo; l_hi = hi; l_incomplete = hi - lo } ];
         Grant { d_lease = id; d_lo = lo; d_hi = hi }
-      | None -> (
-        (* nothing pending: poach from the fattest live lease that can spare
-           a trial and has no steal already in flight *)
-        let victim =
-          List.fold_left
-            (fun best l ->
-              if l.l_worker = worker || l.l_steal_sent then best
-              else
-                let rem = l.l_incomplete in
-                if rem < 2 then best
-                else
-                  match best with
-                  | Some (_, brem) when brem >= rem -> best
-                  | _ -> Some (l, rem))
-            None t.leases
-        in
-        match victim with
-        | Some (l, _) ->
-          l.l_steal_sent <- true;
-          Steal_from { d_victim = l.l_worker; d_lease = l.l_id }
-        | None -> Wait))
-
-let drop t lease = t.leases <- List.filter (fun l -> l != lease) t.leases
+      | None -> Wait)
 
 (* Live leases are disjoint, so at most one holds [index]; it leaves the
    table with its last incomplete trial. *)
@@ -156,31 +123,10 @@ let complete t ~index =
     (match List.find_opt (fun l -> l.l_lo <= index && index < l.l_hi) t.leases with
     | Some l ->
       l.l_incomplete <- l.l_incomplete - 1;
-      if l.l_incomplete = 0 then drop t l
+      if l.l_incomplete = 0 then t.leases <- List.filter (( != ) l) t.leases
     | None -> ());
     Fresh
   end
-
-let steal_return t ~lease ~lo ~hi =
-  match List.find_opt (fun l -> l.l_id = lease) t.leases with
-  | None -> 0
-  | Some l ->
-    if lo = hi then begin
-      (* nothing to give — clear the flag so the lease can be asked again *)
-      l.l_steal_sent <- false;
-      0
-    end
-    else if lo >= l.l_lo && lo < hi && hi = l.l_hi then begin
-      (* the victim returned its current tail; a duplicated return no longer
-         matches l_hi after the shrink and falls through to the stale case *)
-      l.l_hi <- lo;
-      l.l_steal_sent <- false;
-      let n = requeue t lo hi in
-      l.l_incomplete <- l.l_incomplete - n;
-      if l.l_incomplete = 0 then drop t l;
-      n
-    end
-    else 0
 
 let worker_dead t ~worker ~requeued =
   let mine, others = List.partition (fun l -> l.l_worker = worker) t.leases in

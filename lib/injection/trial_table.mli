@@ -3,8 +3,9 @@
 
     A table pairs the {!Lease} table, which alone picks the next trial, with
     one slot per trial for its journal entry and crash dump. The in-process
-    worker loop ({!Executor}) and the distributed controller both complete
-    trials here: the first result for an index is stored and appended to the
+    worker loop ({!Executor}) and the distributed controller are granted
+    work by the same rule (the next pending chunk, or wait, or drained) and
+    both complete trials here: the first result for an index is stored and appended to the
     campaign journal, any later one is a duplicate and dropped. {!outcome} is
     the single index-order fold that turns the slots into a campaign's
     records, traces, dumps, collector stats and telemetry.
@@ -40,7 +41,7 @@ val create : ?journal:Journal.writer -> ?max_deaths:int -> chunk:int -> int -> t
     death budget) suits in-process workers, which never die. *)
 
 val lease : t -> Lease.t
-(** The lease table: request, steal and death handling go straight to it;
+(** The lease table: requests, leaves and deaths go straight to it;
     completions go through {!complete}. *)
 
 val complete :

@@ -74,30 +74,16 @@ let decode t pc =
     else begin
       c.dc_misses <- c.dc_misses + 1;
       if c.dc_streak >= Tcache.bypass_streak then begin
-        (* Wild-march memo: during a bypass streak the pcs never repeat,
-           but the bytes under them usually do (zero- or pattern-filled
-           memory executed as code after a corrupted jump). A content-keyed
-           table indexed by the first byte, compared against the live bytes
-           on every probe, turns the march from a decode per step into a
-           byte compare; re-reading the bytes makes reuse exact and
-           staleness impossible. The first byte is read out of line:
-           inlined, Memory's page-fault path would put an indirect call
-           here. *)
-        let b0 = (Memory.fetch8 [@inlined never]) t.Isa.mem pc in
-        let m = Tcache.entry_at c c.memo b0 in
-        if m.d_pc >= 0 && Isa.matches t pc m 1 then begin
-          c.last_cost <- m.d_cost;
-          m.d_op
-        end
-        else begin
-          let op = fill t c m pc in
-          m.d_pc <- pc;
-          op
-        end
+        (* A bypass streak: decode afresh and insert nothing. The fetch check
+           ran above, so this is the recording decode, which does not repeat
+           it; the bytes it records go to a buffer no one reads. *)
+        let op = Isa.decode_record t pc c.bypass_bytes in
+        c.last_cost <- Isa.cycles_of_insn op;
+        op
       end
       else begin
         c.dc_streak <- c.dc_streak + 1;
-        let e = Tcache.entry_at c c.dcache slot in
+        let e = Tcache.entry_at c slot in
         let op = fill t c e pc in
         if set_pages t e pc (Isa.length op) then begin
           e.d_pc <- pc;

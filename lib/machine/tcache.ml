@@ -1,15 +1,15 @@
-(* The translation caches both CPUs keep: the decode cache, its wild-march
-   memo, the two-way superblock table and their counters. Polymorphic in the
-   ISA's decoded instruction (['op]); the fetch path and the run loop that
-   use them are compiled into each ISA library (engine/), so their calls
-   into the ISA are direct. *)
+(* The translation caches both CPUs keep: the decode cache, the two-way
+   superblock table and their counters. Polymorphic in the ISA's decoded
+   instruction (['op]); the fetch path and the run loop that use them are
+   compiled into each ISA library (engine/), so their calls into the ISA
+   are direct. *)
 
 (* Decode-cache entry: the instruction decoded at [d_pc], valid while the
    generations of the page(s) its bytes were fetched from are unchanged. Two
    page slots because an instruction may straddle a page boundary (a CISC
    instruction, or a RISC word at an injected misaligned pc); a one-page
    entry names its page twice. [d_bytes] holds the raw bytes [d_op] was
-   decoded from, for byte revalidation and the march memo. *)
+   decoded from, for byte revalidation. *)
 type 'op dentry = {
   mutable d_pc : int;  (* -1: empty *)
   mutable d_op : 'op;
@@ -44,7 +44,7 @@ type 'op block = {
 
 type 'op t = {
   dcache : 'op dentry array;  (* PC-keyed, indexed by the ISA's [slot] *)
-  memo : 'op dentry array;  (* content-keyed, indexed by the first byte *)
+  bypass_bytes : Bytes.t;  (* where a bypass-streak decode records its bytes *)
   dc_enabled : bool;
   mutable dc_hits : int;
   mutable dc_misses : int;
@@ -80,12 +80,15 @@ let bypass_streak = 256
    generation checks validate the whole run. *)
 let sb_max = 32
 
+(* The longest instruction either ISA encodes (the x86 limit), in bytes. *)
+let insn_max = 15
+
 let cost_mask = 0xFFFF
 let flag_cf = 0x10000
 let flag_st = 0x20000
 
 (* Every slot of a fresh table holds the table's one [empty] block, and
-   every decode-cache and memo slot its one [no_entry]; [block_at] and
+   every decode-cache slot its one [no_entry]; [block_at] and
    [entry_at] replace them with private ones on the first fill there, so a
    CPU allocates only what it fills. Neither is ever written: [empty]'s
    generation [-1] is one no page ever has, so it never validates, and
@@ -122,7 +125,7 @@ let create mem ~slot_bits ~nop =
   in
   {
     dcache = Array.make (1 lsl slot_bits) no_entry;
-    memo = Array.make 256 no_entry;
+    bypass_bytes = Bytes.create insn_max;
     dc_enabled = Memory.fast_paths mem;
     dc_hits = 0;
     dc_misses = 0;
@@ -145,16 +148,14 @@ let create mem ~slot_bits ~nop =
     run_retired = 0;
   }
 
-(* The entry in [slot] of [table] (the decode cache or the memo), first
-   replacing the shared [no_entry] with a private one, so it can be
-   filled. *)
-let entry_at c table slot =
-  let e = Array.unsafe_get table slot in
+(* The decode-cache entry in [slot], first replacing the shared [no_entry]
+   with a private one, so it can be filled. *)
+let entry_at c slot =
+  let e = Array.unsafe_get c.dcache slot in
   if e != c.no_entry then e
   else begin
-    (* 15 bytes: the longest instruction either ISA encodes (the x86 limit) *)
-    let e = { c.no_entry with d_bytes = Bytes.create 15 } in
-    Array.unsafe_set table slot e;
+    let e = { c.no_entry with d_bytes = Bytes.create insn_max } in
+    Array.unsafe_set c.dcache slot e;
     e
   end
 

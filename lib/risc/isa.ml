@@ -244,12 +244,11 @@ let decode_record t pc bytes =
 let matches t pc (e : op Tcache.dentry) _from =
   fetch_word t pc = Int32.to_int (Bytes.get_int32_be e.d_bytes 0) land 0xFFFFFFFF
 
-(* The fault a failed fetch or decode stands for (a [Memory.Fault] comes
-   from the march memo's first-byte read); other exceptions re-raise. *)
+(* The fault a failed fetch or decode stands for; other exceptions
+   re-raise. *)
 let decode_fault = function
   | Cpu_fault e -> e
   | Decode.Undefined_opcode -> Exn.Program_illegal
-  | Memory.Fault { addr; _ } -> Exn.Isi { addr }
   | e -> raise e
 
 (* The G4 model has no wait instruction. *)

@@ -92,18 +92,16 @@ let mk_bye i =
 (* Deterministic message zoo indexed by a small int — every constructor,
    including marshalled briefing/result/goodbye payloads. *)
 let mk_msg i =
-  match i mod 10 with
+  match i mod 8 with
   | 0 -> Wire.Hello { h_pid = 17 * i; h_protocol = Wire.protocol_version }
   | 1 -> Wire.Welcome (mk_welcome (i mod 8))
   | 2 -> Wire.Lease_request { lr_results = i }
   | 3 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7; lg_results = i / 2 }
-  | 4 -> Wire.Steal { st_lease = i }
-  | 5 -> Wire.Steal_return { sr_lease = i; sr_lo = i; sr_hi = i + (i mod 3) }
-  | 6 ->
+  | 4 ->
     Wire.Result
       { rs_seq = i; rs_index = i mod 11; rs_entry = mk_entry (i mod 11); rs_dump = None }
-  | 7 -> Wire.Ack { ak_seq = i }
-  | 8 -> Wire.Heartbeat { hb_worker = i }
+  | 5 -> Wire.Ack { ak_seq = i }
+  | 6 -> Wire.Heartbeat { hb_worker = i }
   | _ -> Wire.Bye { bye_stats = (if i land 1 = 0 then None else Some (mk_bye i)) }
 
 let prop_codec_roundtrip =
@@ -210,32 +208,28 @@ let test_lease_grant_and_drain () =
   check_bool "finished" true (Lease.finished t);
   check_bool "drained" true (Lease.request t ~worker:1 = Lease.Drained)
 
-let test_lease_steal () =
+(* One grant policy: a worker with no lease gets the next pending chunk, or
+   [Wait], or [Drained] — nobody takes work from a live lease. *)
+let test_lease_idle_worker_waits () =
   let t = Lease.create ~total:10 ~chunk:10 ~max_deaths:2 in
-  let lease =
-    match Lease.request t ~worker:0 with
-    | Lease.Grant { d_lease; d_lo = 0; d_hi = 10 } -> d_lease
-    | _ -> Alcotest.fail "expected the whole plan in one lease"
-  in
-  (match Lease.request t ~worker:1 with
-  | Lease.Steal_from { d_victim = 0; d_lease } when d_lease = lease -> ()
-  | _ -> Alcotest.fail "idle worker should trigger a steal");
-  (* only one steal in flight per lease *)
-  check_bool "no double steal" true (Lease.request t ~worker:2 = Lease.Wait);
-  (* empty return clears the flag, next idler may try again *)
-  check_int "empty return requeues nothing" 0
-    (Lease.steal_return t ~lease ~lo:0 ~hi:0);
-  (match Lease.request t ~worker:1 with
-  | Lease.Steal_from _ -> ()
-  | _ -> Alcotest.fail "steal flag should have cleared");
-  (* victim returns the tail [4,10): requeued, lease shrunk *)
-  check_int "tail requeued" 6 (Lease.steal_return t ~lease ~lo:4 ~hi:10);
-  (* a duplicated return of the same tail no longer matches and is ignored *)
-  check_int "duplicate return ignored" 0 (Lease.steal_return t ~lease ~lo:4 ~hi:10);
+  (match Lease.request t ~worker:0 with
+  | Lease.Grant { d_lo = 0; d_hi = 10; _ } -> ()
+  | _ -> Alcotest.fail "expected the whole plan in one lease");
+  check_bool "the idle worker waits" true (Lease.request t ~worker:1 = Lease.Wait);
+  List.iter (fun i -> ignore (Lease.complete t ~index:i)) [ 0; 1; 2; 3 ];
+  check_bool "it still waits while the holder works" true
+    (Lease.request t ~worker:1 = Lease.Wait);
+  check_int "the holder's leave requeues its tail" 6 (Lease.worker_leave t ~worker:0);
   (match Lease.request t ~worker:1 with
   | Lease.Grant { d_lo = 4; d_hi = 10; _ } -> ()
-  | _ -> Alcotest.fail "stolen tail should be re-leased");
-  check_int "nothing left unleased" 0 (Lease.pending_trials t)
+  | _ -> Alcotest.fail "the idle worker should be granted the requeued tail");
+  check_int "nothing left unleased" 0 (Lease.pending_trials t);
+  check_bool "now the leaver waits" true (Lease.request t ~worker:0 = Lease.Wait);
+  for i = 4 to 9 do
+    ignore (Lease.complete t ~index:i)
+  done;
+  check_bool "both drained" true
+    (Lease.request t ~worker:0 = Lease.Drained && Lease.request t ~worker:1 = Lease.Drained)
 
 let test_lease_death_poisons () =
   let t = Lease.create ~total:3 ~chunk:1 ~max_deaths:1 in
@@ -260,7 +254,7 @@ let test_lease_death_poisons () =
   ignore (Lease.complete t ~index:2);
   check_bool "finished" true (Lease.finished t)
 
-(* Random request/complete/steal_return/worker_dead/worker_leave schedules,
+(* Random request/complete/worker_dead/worker_leave schedules,
    checked against a model of which trials completed: every index is
    [Fresh] exactly once, no live lease is empty, and every trial is
    complete, leased or pending — exactly one of the three. *)
@@ -269,7 +263,7 @@ let prop_lease_accounting =
     (QCheck.Test.make ~name:"lease accounting holds under any schedule" ~count:500
        QCheck.(
          triple (int_range 1 30) (int_range 1 8)
-           (list_of_size Gen.(0 -- 150) (triple (int_range 0 4) small_nat small_nat)))
+           (list_of_size Gen.(0 -- 150) (pair (int_range 0 3) small_nat)))
        (fun (total, chunk, ops) ->
          let t = Lease.create ~total ~chunk ~max_deaths:1 in
          let fresh = Array.make total 0 in
@@ -288,19 +282,12 @@ let prop_lease_accounting =
            && completed = Lease.completed t
            && completed + List.fold_left ( + ) 0 leased + Lease.pending_trials t = total
          in
-         let step (op, a, b) =
+         let step (op, a) =
            let worker = a mod 3 in
            (match op with
            | 0 -> ignore (Lease.request t ~worker)
            | 1 -> complete ((a mod (total + 2)) - 1)
-           | 2 -> (
-             match Lease.live_leases t with
-             | [] -> ()
-             | leases ->
-               let lease, _, lo, hi = List.nth leases (a mod List.length leases) in
-               let hi = if b land 1 = 0 then hi else hi + 1 in
-               ignore (Lease.steal_return t ~lease ~lo:(lo + (b mod (hi - lo + 1))) ~hi))
-           | 3 ->
+           | 2 ->
              (* the caller quarantines and completes every poisoned trial *)
              List.iter complete (Lease.worker_dead t ~worker ~requeued:(ref []))
            | _ -> ignore (Lease.worker_leave t ~worker));
@@ -386,10 +373,12 @@ let test_kill_and_rejoin () =
 
 (* Seeded wire chaos: drop/duplicate/reorder a fifth of the eligible traffic
    in both directions, over several seeds, fleet sizes and grant sizes
-   (chunk 8 lets steals and their lost returns happen). With no lease
-   timeout, the verbatim re-grant alone must recover every lost message:
-   each campaign converges with only the fabric's bookkeeping counters
-   moved — records and store bytes exactly sequential. *)
+   (chunk 8 makes multi-trial leases, whose lost results the worker
+   retransmits only once the lease is done, and leaves idle workers waiting
+   on the tail). With no lease timeout, the verbatim re-grant alone must
+   recover every lost message: each campaign converges with only the
+   fabric's bookkeeping counters moved — records and store bytes exactly
+   sequential. *)
 let test_wire_chaos_converges () =
   let cfg = small_cfg 30 in
   let reference = Campaign.run cfg in
@@ -467,41 +456,31 @@ let with_hand_controller ~trials drive =
         Unix.close ours)
       (fun () -> drive ~send ~next)
 
-(* A lease never expires, so when a worker's steal return or a result is
-   lost the controller keeps re-granting it that lease verbatim whenever it
-   asks for work. On such a re-grant the worker must run the
-   tail it returned and retransmit its unacked results, or the campaign
-   never finishes. This test plays the controller by hand and drops the
-   steal return and the first result. *)
+(* A lease never expires, so when a worker's result is lost the controller
+   keeps re-granting it that lease verbatim whenever it asks for work. A
+   re-grant echoing a result count taken after the lease finished must make
+   the worker retransmit its unacked results, or the campaign never
+   finishes. This test plays the controller by hand and drops the first
+   result. *)
 let test_lost_messages_recovered () =
   with_hand_controller ~trials:4 (fun ~send ~next ->
       let grant lg_results = Wire.Lease_grant { lg_lease = 0; lg_lo = 0; lg_hi = 4; lg_results } in
       let ran = Array.make 4 false in
-      let requests = ref 0 in
-      let steal_returns = ref 0 in
       let dropped_a_result = ref false in
       let deadline = Unix.gettimeofday () +. 30.0 in
       while not (Array.for_all Fun.id ran) do
-        if Unix.gettimeofday () > deadline then Alcotest.fail "a lost message was never recovered";
+        if Unix.gettimeofday () > deadline then Alcotest.fail "a lost result was never recovered";
         match next ~within:30.0 with
-        | Some (Wire.Lease_request { lr_results }) ->
-          incr requests;
-          (* the first ask is granted the whole campaign and robbed at once;
-             every later ask gets the verbatim re-grant *)
-          send
-            (if !requests = 1 then [ grant lr_results; Wire.Steal { st_lease = 0 } ]
-             else [ grant lr_results ])
+        | Some (Wire.Lease_request { lr_results }) -> send [ grant lr_results ]
         | Some (Wire.Result { rs_seq; rs_index; _ }) ->
           if not !dropped_a_result then dropped_a_result := true
           else begin
             ran.(rs_index) <- true;
             send [ Wire.Ack { ak_seq = rs_seq } ]
           end
-        | Some (Wire.Steal_return _) -> incr steal_returns
         | Some _ -> ()
         | None -> Alcotest.fail "the worker went silent"
-      done;
-      check_int "the worker returned a tail" 1 !steal_returns)
+      done)
 
 (* A re-grant echoes the result count of the request it answers, and that
    count alone tells news from a stale answer. The worker runs lease 0 and
@@ -841,7 +820,7 @@ let () =
       ( "lease",
         [
           Alcotest.test_case "grant and drain" `Quick test_lease_grant_and_drain;
-          Alcotest.test_case "steal" `Quick test_lease_steal;
+          Alcotest.test_case "idle worker waits" `Quick test_lease_idle_worker_waits;
           Alcotest.test_case "death poisons" `Quick test_lease_death_poisons;
           prop_lease_accounting;
         ] );
