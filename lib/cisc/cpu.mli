@@ -19,6 +19,10 @@ type cache
     generation counters, so stores, pokes and injected bit flips evict; an
     instruction that straddles two pages is validated by both. *)
 
+type recorder
+(** Where the fetch path's decode records the bytes it reads, without
+    allocating a closure per decode. *)
+
 type t = {
   mem : Ferrite_machine.Memory.t;
   regs : int array;  (** EAX ECX EDX EBX ESP EBP ESI EDI *)
@@ -50,6 +54,7 @@ type t = {
       (** set up at {!create} from [Memory.fast_paths] (decode cache) and
           [Memory.superblocks] (block table); either off forces the precise
           path, for differential testing *)
+  recorder : recorder;  (** the recording decode's byte sink, reused by each decode *)
 }
 
 (** Register indices. *)

@@ -32,6 +32,16 @@ type t = {
   idtr0 : int;
   cr3_0 : int;
   cache : cache;
+  recorder : recorder;
+}
+
+(* The recording decode's fetch, built once per CPU so that a decode
+   allocates no closure: [rec_fetch] reads a byte and writes it into
+   [rec_bytes] at its offset from [rec_pc]. *)
+and recorder = {
+  mutable rec_pc : int;
+  mutable rec_bytes : Bytes.t;
+  rec_fetch : int -> int;
 }
 
 let eax = 0
@@ -69,6 +79,20 @@ let exception_dispatch_cycles = 1250
 let slot_bits = 14
 let[@inline] slot pc = pc land ((1 lsl slot_bits) - 1)
 
+let recorder mem =
+  let rec r =
+    {
+      rec_pc = 0;
+      rec_bytes = Bytes.empty;
+      rec_fetch =
+        (fun addr ->
+          let b = Memory.fetch8 mem addr in
+          Bytes.set r.rec_bytes (addr - r.rec_pc) (Char.unsafe_chr b);
+          b);
+    }
+  in
+  r
+
 let create ~mem ~stop_addr =
   {
     mem;
@@ -96,6 +120,7 @@ let create ~mem ~stop_addr =
     idtr0 = idtr_reset;
     cr3_0 = cr3_reset;
     cache = Tcache.create mem ~slot_bits ~nop:{ insn = Hlt; length = 1; rep = false };
+    recorder = recorder mem;
   }
 
 let getf t bit = t.eflags land (1 lsl bit) <> 0
@@ -228,38 +253,68 @@ let write_operand t size op v =
 
 (* --- flags -------------------------------------------------------------- *)
 
+(* The arithmetic flags are written once per instruction. A writer builds
+   the bits it defines (CF, PF, ZF, SF, OF) without branching on the result
+   and stores them under their mask in one read-modify-write of [eflags];
+   every other bit (IF, DF, NT, reserved bit 1, and AF, which is not
+   modelled) keeps its value. *)
+
 let size_bits = function S8 -> 8 | S16 -> 16 | S32 -> 32
 let sign_bit size = 1 lsl (size_bits size - 1)
 let size_mask = function S8 -> 0xFF | S16 -> 0xFFFF | S32 -> 0xFFFFFFFF
 
-let parity_even v =
-  let v = v land 0xFF in
-  let v = v lxor (v lsr 4) in
-  let v = v lxor (v lsr 2) in
-  let v = v lxor (v lsr 1) in
-  v land 1 = 0
+let cf_bit = 1 lsl flag_cf
+let of_bit = 1 lsl flag_of
+let szp_mask = (1 lsl flag_pf) lor (1 lsl flag_zf) lor (1 lsl flag_sf)
+let arith_mask = cf_bit lor of_bit lor szp_mask
 
-let set_szp t size r =
-  setf t flag_zf (r land size_mask size = 0);
-  setf t flag_sf (r land sign_bit size <> 0);
-  setf t flag_pf (parity_even r)
+(* PF of each low byte, in place: [1 lsl flag_pf] when its set bits are even. *)
+let parity =
+  String.init 256 (fun v ->
+      let v = v lxor (v lsr 4) in
+      let v = v lxor (v lsr 2) in
+      let v = v lxor (v lsr 1) in
+      if v land 1 = 0 then Char.chr (1 lsl flag_pf) else '\000')
 
-let flags_logic t size r =
-  setf t flag_cf false;
-  setf t flag_of false;
-  set_szp t size r
+let[@inline] write_flags t mask bits =
+  t.eflags <- t.eflags land (0xFFFFFFFF land lnot mask) lor (bits land mask)
 
-let flags_add t size a b r =
-  setf t flag_cf (r > size_mask size);
-  let sb = sign_bit size in
-  setf t flag_of ((a land sb) = (b land sb) && (r land sb) <> (a land sb));
-  set_szp t size r
+(* Bit [k] of [v], at flag position [flag]. *)
+let[@inline] bit_at v k flag = ((v lsr k) land 1) lsl flag
 
-let flags_sub t size a b r =
-  setf t flag_cf (a < b);
-  let sb = sign_bit size in
-  setf t flag_of ((a land sb) <> (b land sb) && (r land sb) <> (a land sb));
-  set_szp t size r
+(* SF, ZF and PF of a result whose low [size] bits are the value; bits
+   above them (an add's carry out) are ignored. *)
+let[@inline] szp size r =
+  Char.code (String.unsafe_get parity (r land 0xFF))
+  lor (Bool.to_int (r land size_mask size = 0) lsl flag_zf)
+  lor bit_at r (size_bits size - 1) flag_sf
+
+(* All five flags of [r = a + b (+ carry)], [r] unmasked: CF is the carry
+   out of the top bit, OF a sign change that the operands' signs rule out. *)
+let[@inline] add_flags size a b r =
+  let bits = size_bits size in
+  bit_at r bits flag_cf
+  lor bit_at ((a lxor r) land (b lxor r)) (bits - 1) flag_of
+  lor szp size r
+
+(* All five flags of [r = (a - b (- borrow)) land mask]: CF is [a < b]
+   (the borrow-in does not count), OF a sign change from operands of
+   different signs. *)
+let[@inline] sub_flags size a b r =
+  Bool.to_int (a < b) lsl flag_cf
+  lor bit_at ((a lxor b) land (a lxor r)) (size_bits size - 1) flag_of
+  lor szp size r
+
+let set_szp t size r = write_flags t szp_mask (szp size r)
+let flags_logic t size r = write_flags t arith_mask (szp size r)
+let flags_add t size a b r = write_flags t arith_mask (add_flags size a b r)
+let flags_sub t size a b r = write_flags t arith_mask (sub_flags size a b r)
+
+(* MUL and IMUL set CF and OF together, to whether the product overflowed
+   its destination (IMUL: left the signed range, tested as [p + 2^(bits-1)]
+   leaving [0, 2^bits)). *)
+let[@inline] flags_mul t overflow =
+  write_flags t (cf_bit lor of_bit) (Bool.to_int overflow * (cf_bit lor of_bit))
 
 let eval_cond t = function
   | O -> getf t flag_of
@@ -344,7 +399,7 @@ let exec_alu t op size dst src =
     flags_add t size a b r;
     write_operand t size dst (r land m)
   | Adc ->
-    let cin = if getf t flag_cf then 1 else 0 in
+    let cin = (t.eflags lsr flag_cf) land 1 in
     let r = a + b + cin in
     flags_add t size a b r;
     write_operand t size dst (r land m)
@@ -353,7 +408,7 @@ let exec_alu t op size dst src =
     flags_sub t size a b r;
     write_operand t size dst r
   | Sbb ->
-    let cin = if getf t flag_cf then 1 else 0 in
+    let cin = (t.eflags lsr flag_cf) land 1 in
     let r = (a - b - cin) land m in
     flags_sub t size a b r;
     write_operand t size dst r
@@ -381,28 +436,28 @@ let exec_shift t op size dst count =
     let m = size_mask size in
     let r, cf =
       match op with
-      | Shl | Sal -> ((a lsl n) land m, (a lsr (bits - n)) land 1 = 1)
-      | Shr -> (a lsr n, (a lsr (n - 1)) land 1 = 1)
+      | Shl | Sal -> ((a lsl n) land m, (a lsr (bits - n)) land 1)
+      | Shr -> (a lsr n, (a lsr (n - 1)) land 1)
       | Sar ->
         let signed = if a land sign_bit size <> 0 then a - (m + 1) else a in
-        ((signed asr n) land m, (signed asr (n - 1)) land 1 = 1)
+        ((signed asr n) land m, (signed asr (n - 1)) land 1)
       | Rol ->
         let n = n mod bits in
         let r = ((a lsl n) lor (a lsr (bits - n))) land m in
-        (r, r land 1 = 1)
+        (r, r land 1)
       | Ror ->
         let n = n mod bits in
         let r = ((a lsr n) lor (a lsl (bits - n))) land m in
-        (r, r land sign_bit size <> 0)
+        (r, (r lsr (bits - 1)) land 1)
       | Rcl | Rcr ->
         (* Rotate-through-carry: approximated as plain rotate; the carry
            chain length is immaterial to fault behaviour. *)
         let n = n mod bits in
         let r = ((a lsl n) lor (a lsr (bits - n))) land m in
-        (r, r land 1 = 1)
+        (r, r land 1)
     in
-    setf t flag_cf cf;
-    set_szp t size r;
+    (* shifts and rotates leave OF as it was *)
+    write_flags t (cf_bit lor szp_mask) ((cf lsl flag_cf) lor szp size r);
     write_operand t size dst r
   end
 
@@ -435,14 +490,12 @@ let exec_muldiv t g size op1 =
       let hi = Int64.to_int (Int64.shift_right_logical p 32) in
       t.regs.(eax) <- lo;
       t.regs.(edx) <- hi;
-      setf t flag_cf (hi <> 0);
-      setf t flag_of (hi <> 0)
+      flags_mul t (hi <> 0)
     | S16 | S8 ->
       let p = read_reg t size eax * a in
       write_reg t size eax p;
       write_reg t size edx (p lsr size_bits size);
-      setf t flag_cf (p lsr size_bits size <> 0);
-      setf t flag_of (p lsr size_bits size <> 0))
+      flags_mul t (p lsr size_bits size <> 0))
   | Imul1 ->
     let a = read_operand t size op1 in
     (match size with
@@ -452,16 +505,12 @@ let exec_muldiv t g size op1 =
       in
       t.regs.(eax) <- Int64.to_int (Int64.logand p 0xFFFFFFFFL);
       t.regs.(edx) <- Int64.to_int (Int64.logand (Int64.shift_right p 32) 0xFFFFFFFFL);
-      let fits = Int64.equal p (Int64.of_int32 (Int64.to_int32 p)) in
-      setf t flag_cf (not fits);
-      setf t flag_of (not fits)
+      flags_mul t (not (Int64.equal p (Int64.of_int32 (Int64.to_int32 p))))
     | S16 | S8 ->
       let p = sext size (read_reg t size eax) * sext size a in
       write_reg t size eax p;
       write_reg t size edx (p asr size_bits size);
-      let fits = p >= - (sign_bit size) && p < sign_bit size in
-      setf t flag_cf (not fits);
-      setf t flag_of (not fits))
+      flags_mul t ((p + sign_bit size) lsr size_bits size <> 0))
   | Div ->
     let d = read_operand t size op1 in
     if d = 0 then raise (Cpu_fault Exn.Divide_error);
@@ -568,16 +617,13 @@ let exec t pc (d : decoded) =
   | Inc (size, op1) ->
     let a = read_operand t size op1 in
     let r = (a + 1) land size_mask size in
-    let cf = getf t flag_cf in
-    flags_add t size a 1 r;
-    setf t flag_cf cf;
+    (* INC and DEC keep CF *)
+    write_flags t (arith_mask land lnot cf_bit) (add_flags size a 1 r);
     write_operand t size op1 r
   | Dec (size, op1) ->
     let a = read_operand t size op1 in
     let r = (a - 1) land size_mask size in
-    let cf = getf t flag_cf in
-    flags_sub t size a 1 r;
-    setf t flag_cf cf;
+    write_flags t (arith_mask land lnot cf_bit) (sub_flags size a 1 r);
     write_operand t size op1 r
   | Push op1 -> push32 t (read_operand t S32 op1)
   | Pop op1 ->
@@ -609,16 +655,12 @@ let exec t pc (d : decoded) =
     let a = Word.signed t.regs.(r) and b = Word.signed (read_operand t S32 src) in
     let p = a * b in
     t.regs.(r) <- Word.mask p;
-    let fits = p >= -0x80000000 && p <= 0x7FFFFFFF in
-    setf t flag_cf (not fits);
-    setf t flag_of (not fits)
+    flags_mul t ((p + 0x80000000) lsr 32 <> 0)
   | Imul3 (r, src, k) ->
     let a = Word.signed (read_operand t S32 src) and b = Word.signed (Word.mask k) in
     let p = a * b in
     t.regs.(r) <- Word.mask p;
-    let fits = p >= -0x80000000 && p <= 0x7FFFFFFF in
-    setf t flag_cf (not fits);
-    setf t flag_of (not fits)
+    flags_mul t ((p + 0x80000000) lsr 32 <> 0)
   | Shift (op, size, dst, count) -> exec_shift t op size dst count
   | Jcc (c, rel) -> if eval_cond t c then t.eip <- Word.add t.eip rel
   | Jmp_rel rel -> t.eip <- Word.add t.eip rel
@@ -759,14 +801,14 @@ let ifetch t addr =
 let decode t pc = Decode.decode ~fetch:(ifetch t) pc
 
 (* The decode, recording the bytes it reads into [bytes] (the decoder reads
-   at most 15, from [pc] up). *)
+   at most 15, from [pc] up). Its caller ran [fetch_check] at [pc], and a
+   decode cannot poison translation, so the bytes are read without
+   repeating the check. *)
 let decode_record t pc bytes =
-  Decode.decode
-    ~fetch:(fun addr ->
-      let b = ifetch t addr in
-      Bytes.set bytes (addr - pc) (Char.unsafe_chr b);
-      b)
-    pc
+  let r = t.recorder in
+  r.rec_pc <- pc;
+  r.rec_bytes <- bytes;
+  Decode.decode ~fetch:r.rec_fetch pc
 
 (* Whether the bytes recorded in [e], from the [k]th on, are still the ones
    at [pc]. They are read in ascending order, the sequence the decoder
@@ -949,13 +991,19 @@ let[@inline never] march_from t budget pc code =
 
 (* A TLB hit costs no page-table lookup and tells a page mapped for the
    access; the precise steps before filled both TLBs, and a miss (no march)
-   is left to the precise step. The first byte decides at once on any other
-   wild instruction. *)
+   is left to the precise step. Wild execution over any other instruction
+   is told at once from the first byte of the last bypass decode (the
+   previous precise step's): only after a [00] does the march probe pc. So
+   a march starts one precise step into a zero run, not on its first step;
+   the byte starts zeroed, so a streak's first march is probed. *)
 let march t budget =
-  let pc = t.eip in
-  let code = Memory.tlb_page t.mem Memory.Execute pc in
-  if Memory.zero_run code (pc land (Memory.page_size - 1)) 1 = 0 then 0
-  else march_from t budget pc code
+  if Bytes.unsafe_get t.cache.Tcache.bypass_bytes 0 <> '\000' then 0
+  else begin
+    let pc = t.eip in
+    let code = Memory.tlb_page t.mem Memory.Execute pc in
+    if Memory.zero_run code (pc land (Memory.page_size - 1)) 1 = 0 then 0
+    else march_from t budget pc code
+  end
 
 (* --- system registers (the P4 injection targets, §5.2) ------------------ *)
 

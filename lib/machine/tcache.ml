@@ -125,7 +125,7 @@ let create mem ~slot_bits ~nop =
   in
   {
     dcache = Array.make (1 lsl slot_bits) no_entry;
-    bypass_bytes = Bytes.create insn_max;
+    bypass_bytes = Bytes.make insn_max '\000';
     dc_enabled = Memory.fast_paths mem;
     dc_hits = 0;
     dc_misses = 0;

@@ -113,6 +113,274 @@ let test_flags_inc_preserves_cf () =
   in
   check_bool "inc preserves cf" true (Cpu.getf cpu Cpu.flag_cf)
 
+(* Every arithmetic-flag writer at every operand size, from an EFLAGS that
+   has IF, DF, NT, AF and reserved bit 1 set: the writer must leave those
+   bits as they were and set exactly the named flags among CF, PF, ZF, SF
+   and OF. The expected flags are worked out by hand from the IA-32 rules.
+   Where the model departs from them, the vectors pin the model: shifts
+   leave OF as it was. The SBB vectors avoid the other departure (its CF
+   ignores the borrow-in), which the reference property covers. *)
+
+let flag_pf = 2
+
+let flag_letters =
+  [ ('C', Cpu.flag_cf); ('P', flag_pf); ('Z', Cpu.flag_zf); ('S', Cpu.flag_sf); ('O', Cpu.flag_of) ]
+
+let flags_of s = String.fold_left (fun f c -> f lor (1 lsl List.assoc c flag_letters)) 0 s
+let arith_flags = flags_of "CPZSO"
+
+let letters_of f =
+  String.concat ""
+    (List.filter_map
+       (fun (c, bit) -> if f land (1 lsl bit) <> 0 then Some (String.make 1 c) else None)
+       flag_letters)
+
+let flags_base =
+  0x2 lor (1 lsl 4) lor (1 lsl Cpu.flag_if) lor (1 lsl Cpu.flag_df) lor (1 lsl Cpu.flag_nt)
+
+(* The EFLAGS after [insn] runs once from [eflags], with EAX, EBX, ECX set. *)
+let eflags_after insn ~eax ~ebx ~ecx eflags =
+  let cpu = machine_of_bytes (assemble [ insn; Insn.Ret ]) in
+  Cpu.push32 cpu stop_addr;
+  cpu.Cpu.regs.(Cpu.eax) <- eax;
+  cpu.Cpu.regs.(Cpu.ebx) <- ebx;
+  cpu.Cpu.regs.(Cpu.ecx) <- ecx;
+  cpu.Cpu.eflags <- eflags;
+  (match run cpu with
+  | Cpu.Stopped -> ()
+  | _ -> Alcotest.fail "flag probe did not stop");
+  cpu.Cpu.eflags
+
+let flag_cases =
+  let open Insn in
+  let alu op size = Alu (op, size, Reg 0, Reg 3) in
+  let sh op size k = Shift (op, size, Reg 0, Count_imm k) in
+  (* name, instruction, EAX, EBX, ECX, flags before, flags after *)
+  [
+    ("add8 ff+01", alu Add S8, 0xFF, 0x01, 0, "", "CPZ");
+    ("add8 7f+01", alu Add S8, 0x7F, 0x01, 0, "", "SO");
+    ("add16 8000+8000", alu Add S16, 0x8000, 0x8000, 0, "", "CPZO");
+    ("add16 1234+0001", alu Add S16, 0x1234, 0x0001, 0, "CZSO", "P");
+    ("add32 ffffffff+1", alu Add S32, 0xFFFFFFFF, 1, 0, "", "CPZ");
+    ("add32 7fffffff+1", alu Add S32, 0x7FFFFFFF, 1, 0, "", "PSO");
+    ("adc8 7f+00+1", alu Adc S8, 0x7F, 0x00, 0, "C", "SO");
+    ("adc16 ffff+0000+1", alu Adc S16, 0xFFFF, 0, 0, "C", "CPZ");
+    ("adc32 1+2+1", alu Adc S32, 1, 2, 0, "C", "");
+    ("adc32 fffffffe+1+0", alu Adc S32, 0xFFFFFFFE, 1, 0, "", "PS");
+    ("sub8 00-01", alu Sub S8, 0, 1, 0, "", "CPS");
+    ("sub8 80-01", alu Sub S8, 0x80, 1, 0, "", "O");
+    ("sub16 1234-1234", alu Sub S16, 0x1234, 0x1234, 0, "CSO", "PZ");
+    ("sub32 80000000-1", alu Sub S32, 0x80000000, 1, 0, "", "PO");
+    ("sub32 5-3", alu Sub S32, 5, 3, 0, "CPZSO", "");
+    ("sbb8 10-01-1", alu Sbb S8, 0x10, 1, 0, "C", "");
+    ("sbb16 0000-0001-1", alu Sbb S16, 0, 1, 0, "C", "CS");
+    ("sbb32 80000000-0-1", alu Sbb S32, 0x80000000, 0, 0, "C", "PO");
+    ("cmp8 01-02", alu Cmp S8, 1, 2, 0, "", "CPS");
+    ("cmp32 7fffffff-ffffffff", alu Cmp S32, 0x7FFFFFFF, 0xFFFFFFFF, 0, "", "CPSO");
+    ("neg8 80", Grp3 (Neg, S8, Reg 0), 0x80, 0, 0, "", "CSO");
+    ("neg16 0", Grp3 (Neg, S16, Reg 0), 0, 0, 0, "CSO", "PZ");
+    ("neg32 1", Grp3 (Neg, S32, Reg 0), 1, 0, 0, "", "CPS");
+    ("and8 f0&0f", alu And S8, 0xF0, 0x0F, 0, "CO", "PZ");
+    ("or16 8000|0001", alu Or S16, 0x8000, 1, 0, "CO", "S");
+    ("xor32 ffffffff^f", alu Xor S32, 0xFFFFFFFF, 0xF, 0, "CO", "PS");
+    ("test32 80000000&80000001", Test (S32, Reg 0, Reg 3), 0x80000000, 0x80000001, 0, "CZO", "PS");
+    ("test8 03&03", Test (S8, Reg 0, Reg 3), 3, 3, 0, "CO", "P");
+    ("inc8 ff keeps CF set", Inc (S8, Reg 0), 0xFF, 0, 0, "C", "CPZ");
+    ("inc16 7fff", Inc (S16, Reg 0), 0x7FFF, 0, 0, "", "PSO");
+    ("dec32 0 keeps CF clear", Dec (S32, Reg 0), 0, 0, 0, "", "PS");
+    ("dec8 80 keeps CF set", Dec (S8, Reg 0), 0x80, 0, 0, "C", "CO");
+    ("shl8 81,1", sh Shl S8 1, 0x81, 0, 0, "", "C");
+    ("shl32 40000000,2", sh Shl S32 2, 0x40000000, 0, 0, "", "CPZ");
+    ("shr16 8001,1", sh Shr S16 1, 0x8001, 0, 0, "", "CP");
+    ("sar8 80,7 keeps OF", sh Sar S8 7, 0x80, 0, 0, "O", "PSO");
+    ("sar32 fffffffe,1", sh Sar S32 1, 0xFFFFFFFE, 0, 0, "C", "PS");
+    ("shl32 count 0", sh Shl S32 0, 0x12345678, 0, 0, "CZO", "CZO");
+    ("shr8 cl=32 is count 0", Shift (Shr, S8, Reg 0, Count_cl), 0x80, 0, 32, "PS", "PS");
+    ("mul8 10*10", Grp3 (Mul, S8, Reg 3), 0x10, 0x10, 0, "Z", "CZO");
+    ("mul8 0f*11", Grp3 (Mul, S8, Reg 3), 0x0F, 0x11, 0, "CO", "");
+    ("mul16 ffff*2", Grp3 (Mul, S16, Reg 3), 0xFFFF, 2, 0, "", "CO");
+    ("mul16 ffff*1", Grp3 (Mul, S16, Reg 3), 0xFFFF, 1, 0, "CO", "");
+    ("mul32 10000*10000", Grp3 (Mul, S32, Reg 3), 0x10000, 0x10000, 0, "S", "CSO");
+    ("mul32 ffffffff*1", Grp3 (Mul, S32, Reg 3), 0xFFFFFFFF, 1, 0, "CO", "");
+    ("imul8 80*01 fits", Grp3 (Imul1, S8, Reg 3), 0x80, 0x01, 0, "CO", "");
+    ("imul8 80*ff", Grp3 (Imul1, S8, Reg 3), 0x80, 0xFF, 0, "", "CO");
+    ("imul16 7fff*2", Grp3 (Imul1, S16, Reg 3), 0x7FFF, 2, 0, "", "CO");
+    ("imul16 c000*2 fits", Grp3 (Imul1, S16, Reg 3), 0xC000, 2, 0, "CO", "");
+    ("imul32 80000000*ffffffff", Grp3 (Imul1, S32, Reg 3), 0x80000000, 0xFFFFFFFF, 0, "", "CO");
+    ("imul32 8000*ffff0000 fits", Grp3 (Imul1, S32, Reg 3), 0x8000, 0xFFFF0000, 0, "CO", "");
+    ("imul2 40000000*2", Imul2 (0, Reg 3), 0x40000000, 2, 0, "", "CO");
+    ("imul2 c0000000*2 fits", Imul2 (0, Reg 3), 0xC0000000, 2, 0, "CO", "");
+    ("imul2 80000000*80000000", Imul2 (0, Reg 3), 0x80000000, 0x80000000, 0, "", "CO");
+    ("imul3 10000*8000", Imul3 (0, Reg 3, 0x8000), 0, 0x10000, 0, "", "CO");
+    ("imul3 10000*-8000 fits", Imul3 (0, Reg 3, 0xFFFF8000), 0, 0x10000, 0, "CO", "");
+  ]
+
+let test_flag_cases () =
+  List.iter
+    (fun (name, insn, eax, ebx, ecx, before, after) ->
+      let f = eflags_after insn ~eax ~ebx ~ecx (flags_base lor flags_of before) in
+      Alcotest.(check string) (name ^ " flags") after (letters_of f);
+      check_int (name ^ " other bits") flags_base (f land lnot arith_flags))
+    flag_cases
+
+(* The flag writers as they were before EFLAGS was written once per
+   instruction: each flag through its own read-modify-write, and the
+   product tests in Int64. The property below holds the CPU to it. *)
+module Ref_flags = struct
+  open Insn
+
+  let setf f bit v =
+    (if v then f lor (1 lsl bit) else f land lnot (1 lsl bit)) land 0xFFFFFFFF
+
+  let bits = function S8 -> 8 | S16 -> 16 | S32 -> 32
+  let mask size = (1 lsl bits size) - 1
+  let sign_bit size = 1 lsl (bits size - 1)
+
+  let parity_even v =
+    let v = v land 0xFF in
+    let v = v lxor (v lsr 4) in
+    let v = v lxor (v lsr 2) in
+    let v = v lxor (v lsr 1) in
+    v land 1 = 0
+
+  let szp f size r =
+    let f = setf f Cpu.flag_zf (r land mask size = 0) in
+    let f = setf f Cpu.flag_sf (r land sign_bit size <> 0) in
+    setf f flag_pf (parity_even r)
+
+  let logic f size r = szp (setf (setf f Cpu.flag_cf false) Cpu.flag_of false) size r
+
+  let add f size a b r =
+    let f = setf f Cpu.flag_cf (r > mask size) in
+    let sb = sign_bit size in
+    let f = setf f Cpu.flag_of (a land sb = b land sb && r land sb <> a land sb) in
+    szp f size r
+
+  let sub f size a b r =
+    let f = setf f Cpu.flag_cf (a < b) in
+    let sb = sign_bit size in
+    let f = setf f Cpu.flag_of (a land sb <> b land sb && r land sb <> a land sb) in
+    szp f size r
+
+  let overflow f v = setf (setf f Cpu.flag_cf v) Cpu.flag_of v
+
+  let sext size v =
+    let v = v land mask size in
+    if v land sign_bit size <> 0 then v - (mask size + 1) else v
+
+  (* Signed product [p] fits [size] bits. *)
+  let fits size p =
+    let lim = Int64.of_int (sign_bit size) in
+    Int64.compare p (Int64.neg lim) >= 0 && Int64.compare p lim < 0
+
+  (* EFLAGS after [insn] (as [flag_case_gen] draws it) from [f]. *)
+  let run insn ~eax ~ebx ~ecx f =
+    let cin = if f land (1 lsl Cpu.flag_cf) <> 0 then 1 else 0 in
+    match insn with
+    | Alu (op, size, Reg 0, Reg 3) -> (
+      let m = mask size in
+      let a = eax land m and b = ebx land m in
+      match op with
+      | Add -> add f size a b (a + b)
+      | Adc -> add f size a b (a + b + cin)
+      | Sub | Cmp -> sub f size a b ((a - b) land m)
+      | Sbb -> sub f size a b ((a - b - cin) land m)
+      | And -> logic f size (a land b)
+      | Or -> logic f size (a lor b)
+      | Xor -> logic f size (a lxor b))
+    | Test (size, Reg 0, Reg 3) -> logic f size (eax land ebx land mask size)
+    | Grp3 (Neg, size, Reg 0) ->
+      let a = eax land mask size in
+      sub f size 0 a (-a land mask size)
+    | Inc (size, Reg 0) ->
+      let a = eax land mask size in
+      let cf = f land (1 lsl Cpu.flag_cf) <> 0 in
+      setf (add f size a 1 ((a + 1) land mask size)) Cpu.flag_cf cf
+    | Dec (size, Reg 0) ->
+      let a = eax land mask size in
+      let cf = f land (1 lsl Cpu.flag_cf) <> 0 in
+      setf (sub f size a 1 ((a - 1) land mask size)) Cpu.flag_cf cf
+    | Shift (op, size, Reg 0, count) ->
+      let n = (match count with Count_imm k -> k | Count_cl -> ecx) land 31 in
+      if n = 0 then f
+      else begin
+        let a = eax land mask size and w = bits size in
+        let r, cf =
+          match op with
+          | Shl -> ((a lsl n) land mask size, (a lsr (w - n)) land 1 = 1)
+          | Shr -> (a lsr n, (a lsr (n - 1)) land 1 = 1)
+          | Sar -> (sext size a asr n land mask size, (sext size a asr (n - 1)) land 1 = 1)
+          | _ -> invalid_arg "Ref_flags.run: shift"
+        in
+        szp (setf f Cpu.flag_cf cf) size r
+      end
+    | Grp3 (Mul, size, Reg 3) ->
+      let p = Int64.mul (Int64.of_int (eax land mask size)) (Int64.of_int (ebx land mask size)) in
+      overflow f (Int64.shift_right_logical p (bits size) <> 0L)
+    | Grp3 (Imul1, size, Reg 3) ->
+      overflow f
+        (not (fits size (Int64.mul (Int64.of_int (sext size eax)) (Int64.of_int (sext size ebx)))))
+    | Imul2 (0, Reg 3) ->
+      overflow f (not (fits S32 (Int64.mul (Int64.of_int (sext S32 eax)) (Int64.of_int (sext S32 ebx)))))
+    | Imul3 (0, Reg 3, k) ->
+      overflow f (not (fits S32 (Int64.mul (Int64.of_int (sext S32 ebx)) (Int64.of_int (sext S32 k)))))
+    | _ -> invalid_arg "Ref_flags.run"
+end
+
+(* An instruction over EAX/EBX (ECX the shift count), its operands, and a
+   starting EFLAGS: any 32-bit value, its CF the carry-in. *)
+let flag_case_gen =
+  let open QCheck.Gen in
+  let open Insn in
+  let word = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF) in
+  let edge =
+    oneofl [ 0; 1; 2; 0x7F; 0x80; 0xFF; 0x7FFF; 0x8000; 0xFFFF; 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF ]
+  in
+  let operand = frequency [ (1, edge); (2, word) ] in
+  let size = oneofl [ S8; S16; S32 ] in
+  let insn =
+    frequency
+      [
+        ( 8,
+          map2
+            (fun op s -> Alu (op, s, Reg 0, Reg 3))
+            (oneofl [ Add; Adc; Sub; Sbb; Cmp; And; Or; Xor ])
+            size );
+        (1, map (fun s -> Test (s, Reg 0, Reg 3)) size);
+        (1, map (fun s -> Grp3 (Neg, s, Reg 0)) size);
+        (1, map (fun s -> Inc (s, Reg 0)) size);
+        (1, map (fun s -> Dec (s, Reg 0)) size);
+        ( 3,
+          map3
+            (fun op s k -> Shift (op, s, Reg 0, k))
+            (oneofl [ Shl; Shr; Sar ])
+            size
+            (frequency [ (3, map (fun k -> Count_imm k) (int_bound 33)); (1, return Count_cl) ]) );
+        (2, map2 (fun g s -> Grp3 (g, s, Reg 3)) (oneofl [ Mul; Imul1 ]) size);
+        (1, return (Imul2 (0, Reg 3)));
+        (1, map (fun k -> Imul3 (0, Reg 3, k)) operand);
+      ]
+  in
+  let eflags = map2 (fun f cin -> (f land lnot 1) lor Bool.to_int cin) word bool in
+  triple insn (triple operand operand (int_bound 40)) eflags
+
+let prop_flags_match_reference =
+  let print (insn, (eax, ebx, ecx), f) =
+    Printf.sprintf "%s eax=%08x ebx=%08x ecx=%d eflags=%08x"
+      (String.concat " "
+         (List.map
+            (fun c -> Printf.sprintf "%02x" (Char.code c))
+            (List.of_seq (String.to_seq (Encode.insn insn)))))
+      eax ebx ecx f
+  in
+  QCheck.Test.make ~name:"flag writers = per-bit reference" ~count:2000
+    (QCheck.make ~print flag_case_gen)
+    (fun (insn, (eax, ebx, ecx), f) ->
+      let got = eflags_after insn ~eax ~ebx ~ecx f in
+      let want = Ref_flags.run insn ~eax ~ebx ~ecx f in
+      got = want
+      || QCheck.Test.fail_reportf "eflags %08x, reference %08x" got want)
+
 let test_subword_registers_ah () =
   let open Insn in
   (* AH/CH/DH/BH encoding: writing AH must not clobber AL *)
@@ -527,6 +795,8 @@ let () =
           Alcotest.test_case "flag vectors" `Quick test_flags_add_sub_vectors;
           Alcotest.test_case "logic clears cf/of" `Quick test_flags_logic_clear_cf_of;
           Alcotest.test_case "inc preserves cf" `Quick test_flags_inc_preserves_cf;
+          Alcotest.test_case "flag cases S8/S16/S32" `Quick test_flag_cases;
+          q prop_flags_match_reference;
           Alcotest.test_case "AH subregister" `Quick test_subword_registers_ah;
           Alcotest.test_case "flags+jcc" `Quick test_exec_flags_and_jcc;
           Alcotest.test_case "memory subword" `Quick test_exec_memory_and_subword;
