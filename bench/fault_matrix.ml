@@ -27,12 +27,14 @@ let cell ~arch ~model =
 let () =
   let arches = [ ("p4", Image.Cisc); ("g4", Image.Risc) ] in
   let cells = ref 0 in
+  (* one kernel per arch: its inputs are built once and shared by its cells *)
+  let inputs = List.map (fun (_, arch) -> (arch, Campaign.build_inputs arch)) arches in
   List.iter
     (fun (arch_name, arch) ->
       List.iter
         (fun model ->
           let cfg = cell ~arch ~model in
-          let res = Campaign.run cfg in
+          let res = Campaign.run ~inputs:(List.assoc arch inputs) cfg in
           incr cells;
           let tag = Fault_model.tag model in
           List.iter
@@ -50,8 +52,9 @@ let () =
         Fault_model.sweep_models)
     arches;
   let legacy = cell ~arch:Image.Cisc ~model:Fault_model.Single_bit_transient in
-  let seq = Campaign.run legacy in
-  let par = Campaign.run ~executor:(Executor.of_jobs 4) legacy in
+  let inputs = List.assoc Image.Cisc inputs in
+  let seq = Campaign.run ~inputs legacy in
+  let par = Campaign.run ~inputs ~executor:(Executor.of_jobs 4) legacy in
   if seq.Campaign.records <> par.Campaign.records then
     fail "legacy cell differs between sequential and parallel executors";
   Printf.printf "fault-matrix ok: %d cells across %d models x %d arches\n" !cells

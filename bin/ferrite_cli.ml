@@ -680,10 +680,17 @@ let matrix_cmd =
   in
   let run arches cfg exec =
     let kind = kind_name cfg.Campaign.kind in
+    (* every model attacks the same kernel of an arch: build its inputs once *)
+    let inputs =
+      List.map (fun arch -> (arch, Campaign.build_inputs ~variant:cfg.Campaign.variant arch)) arches
+    in
     let cell arch model =
       let cfg = { cfg with Campaign.arch; fault_model = model } in
       let label = Printf.sprintf "%-4s %-16s " (arch_label arch) (Fault_model.tag model) in
-      let res = Campaign.run ~progress:(progress_fn exec label) ~executor:exec.executor cfg in
+      let res =
+        Campaign.run ~progress:(progress_fn exec label) ~executor:exec.executor
+          ~inputs:(List.assoc arch inputs) cfg
+      in
       Ferrite.Report.summary_row (arch_label arch ^ " " ^ kind) (Campaign.summarize res)
     in
     let groups =

@@ -21,7 +21,6 @@ module Fault_model = Ferrite_injection.Fault_model
 module Target = Ferrite_injection.Target
 module Trial = Ferrite_injection.Trial
 module Boot = Ferrite_kernel.Boot
-module Profiler = Ferrite_workload.Profiler
 module Image = Ferrite_kir.Image
 module Tracer = Ferrite_trace.Tracer
 module Telemetry = Ferrite_trace.Telemetry
@@ -93,21 +92,10 @@ let image_and_hot arch =
   match Hashtbl.find_opt envs arch with
   | Some v -> v
   | None ->
-    let image = Boot.build_image ~variant:Boot.standard arch in
-    (* same derivation as Campaign.run's hot profile *)
-    let sys = Boot.boot ~image arch in
-    let samples = Profiler.profile sys in
-    let names = Profiler.hot_functions ~coverage:0.95 samples in
-    let hot =
-      List.filter_map
-        (fun (s : Profiler.sample) ->
-          if List.mem s.Profiler.fn_name names then
-            Some (s.Profiler.fn_name, s.Profiler.fraction)
-          else None)
-        samples
-    in
-    Hashtbl.replace envs arch (image, hot);
-    (image, hot)
+    let i = Campaign.build_inputs arch in
+    let v = (i.Campaign.in_image, i.Campaign.in_hot) in
+    Hashtbl.replace envs arch v;
+    v
 
 let env_of s =
   let image, hot = image_and_hot s.df_arch in

@@ -251,6 +251,20 @@ let write_operand t size op v =
   | Mem m -> data_write t size (ea t m) v
   | Imm _ -> gp ()
 
+(* A read-modify-write destination resolves its effective address (and
+   validates its segment override) once: [rmw_ea] is a memory operand's
+   address, which [Word.mask] keeps non-negative, and -1 for any other
+   operand, which the two accessors below pass to the operand funnel. The
+   read and the write stay two accesses, in that order, so faults, [cr2]
+   and watchpoint hits are unchanged. *)
+let[@inline] rmw_ea t = function Mem m -> ea t m | Reg _ | Imm _ -> -1
+
+let[@inline] rmw_read t size op addr =
+  if addr >= 0 then data_read t size addr else read_operand t size op
+
+let[@inline] rmw_write t size op addr v =
+  if addr >= 0 then data_write t size addr v else write_operand t size op v
+
 (* --- flags -------------------------------------------------------------- *)
 
 (* The arithmetic flags are written once per instruction. A writer builds
@@ -390,48 +404,50 @@ let cycles_of_insn (d : decoded) =
   | _ -> 3
 
 let exec_alu t op size dst src =
-  let a = read_operand t size dst in
+  let addr = rmw_ea t dst in
+  let a = rmw_read t size dst addr in
   let b = read_operand t size src in
   let m = size_mask size in
   match op with
   | Add ->
     let r = a + b in
     flags_add t size a b r;
-    write_operand t size dst (r land m)
+    rmw_write t size dst addr (r land m)
   | Adc ->
     let cin = (t.eflags lsr flag_cf) land 1 in
     let r = a + b + cin in
     flags_add t size a b r;
-    write_operand t size dst (r land m)
+    rmw_write t size dst addr (r land m)
   | Sub ->
     let r = (a - b) land m in
     flags_sub t size a b r;
-    write_operand t size dst r
+    rmw_write t size dst addr r
   | Sbb ->
     let cin = (t.eflags lsr flag_cf) land 1 in
     let r = (a - b - cin) land m in
     flags_sub t size a b r;
-    write_operand t size dst r
+    rmw_write t size dst addr r
   | Cmp ->
     let r = (a - b) land m in
     flags_sub t size a b r
   | And ->
     let r = a land b in
     flags_logic t size r;
-    write_operand t size dst r
+    rmw_write t size dst addr r
   | Or ->
     let r = a lor b in
     flags_logic t size r;
-    write_operand t size dst r
+    rmw_write t size dst addr r
   | Xor ->
     let r = a lxor b in
     flags_logic t size r;
-    write_operand t size dst r
+    rmw_write t size dst addr r
 
 let exec_shift t op size dst count =
   let n = (match count with Count_imm k -> k | Count_cl -> t.regs.(ecx)) land 31 in
   if n <> 0 then begin
-    let a = read_operand t size dst in
+    let addr = rmw_ea t dst in
+    let a = rmw_read t size dst addr in
     let bits = size_bits size in
     let m = size_mask size in
     let r, cf =
@@ -458,7 +474,7 @@ let exec_shift t op size dst count =
     in
     (* shifts and rotates leave OF as it was *)
     write_flags t (cf_bit lor szp_mask) ((cf lsl flag_cf) lor szp size r);
-    write_operand t size dst r
+    rmw_write t size dst addr r
   end
 
 let sext size v =
@@ -474,13 +490,15 @@ let exec_muldiv t g size op1 =
     let a = read_operand t size op1 in
     flags_logic t size (a land v land m)
   | Not ->
-    let a = read_operand t size op1 in
-    write_operand t size op1 (lnot a land m)
+    let addr = rmw_ea t op1 in
+    let a = rmw_read t size op1 addr in
+    rmw_write t size op1 addr (lnot a land m)
   | Neg ->
-    let a = read_operand t size op1 in
+    let addr = rmw_ea t op1 in
+    let a = rmw_read t size op1 addr in
     let r = (- a) land m in
     flags_sub t size 0 a r;
-    write_operand t size op1 r
+    rmw_write t size op1 addr r
   | Mul ->
     let a = read_operand t size op1 in
     (match size with
@@ -610,21 +628,24 @@ let exec t pc (d : decoded) =
     let index = match m.index with Some (i, s) -> t.regs.(i) * s | None -> 0 in
     t.regs.(r) <- Word.mask (base + index + m.disp)
   | Xchg (size, op1, r) ->
-    let a = read_operand t size op1 in
+    let addr = rmw_ea t op1 in
+    let a = rmw_read t size op1 addr in
     let b = read_reg t size r in
-    write_operand t size op1 b;
+    rmw_write t size op1 addr b;
     write_reg t size r a
   | Inc (size, op1) ->
-    let a = read_operand t size op1 in
+    let addr = rmw_ea t op1 in
+    let a = rmw_read t size op1 addr in
     let r = (a + 1) land size_mask size in
     (* INC and DEC keep CF *)
     write_flags t (arith_mask land lnot cf_bit) (add_flags size a 1 r);
-    write_operand t size op1 r
+    rmw_write t size op1 addr r
   | Dec (size, op1) ->
-    let a = read_operand t size op1 in
+    let addr = rmw_ea t op1 in
+    let a = rmw_read t size op1 addr in
     let r = (a - 1) land size_mask size in
     write_flags t (arith_mask land lnot cf_bit) (sub_flags size a 1 r);
-    write_operand t size op1 r
+    rmw_write t size op1 addr r
   | Push op1 -> push32 t (read_operand t S32 op1)
   | Pop op1 ->
     let v = pop32 t in

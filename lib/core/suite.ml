@@ -23,11 +23,13 @@ type t = {
 
 let run ?(seed = 0x0D5A2004L) ?(progress = fun _ ~done_:_ ~total:_ -> ())
     ?(executor = Ferrite_injection.Executor.default) ~scale arch =
+  (* the four campaigns attack one kernel: compile and profile it once *)
+  let inputs = Campaign.build_inputs arch in
   let one kind name n extra_seed =
     let cfg =
       { (Campaign.default ~arch ~kind ~injections:n) with Campaign.seed = Int64.add seed extra_seed }
     in
-    Campaign.run ~progress:(fun ~done_ ~total -> progress name ~done_ ~total) ~executor cfg
+    Campaign.run ~progress:(fun ~done_ ~total -> progress name ~done_ ~total) ~executor ~inputs cfg
   in
   {
     arch;

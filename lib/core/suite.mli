@@ -31,8 +31,11 @@ val run :
   scale:scale ->
   Ferrite_kir.Image.arch ->
   t
-(** Run the four campaigns. [executor] (default sequential) is threaded
-    through every campaign; results are executor-independent (see
+(** Run the four campaigns. They attack one kernel, so its campaign inputs
+    ({!Ferrite_injection.Campaign.build_inputs}) are built once per call and
+    shared; the results equal four standalone {!Ferrite_injection.Campaign.run}
+    calls. [executor] (default sequential) is threaded through every
+    campaign; results are executor-independent (see
     {!Ferrite_injection.Campaign.run}). *)
 
 val campaign : t -> Ferrite_injection.Target.kind -> Ferrite_injection.Campaign.result

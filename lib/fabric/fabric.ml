@@ -241,7 +241,7 @@ module Worker = struct
     in
     go ()
 
-  let serve ?die_at ?max_leases ?(handle_signals = true) ~input ~output () =
+  let serve ?die_at ?max_leases ?(handle_signals = true) ?inputs ~input ~output () =
     ignore_sigpipe ();
     (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial,
        flush unacked results, say Bye. A worker that must die NOW is
@@ -280,9 +280,14 @@ module Worker = struct
         ws_controller_bye = false;
       }
     in
-    (* everything expensive is rebuilt locally from the wire config — specs
-       close over workload code and never travel *)
-    let env = Campaign.environment w.Wire.w_config in
+    (* specs close over workload code and never travel, so the plan is
+       rebuilt locally from the wire config; so are the inputs, unless a
+       forked worker inherited the controller's *)
+    let env =
+      match inputs with
+      | Some i -> Campaign.environment_with i w.Wire.w_config
+      | None -> Campaign.environment w.Wire.w_config
+    in
     let specs = Campaign.plan w.Wire.w_config in
     let sv = Supervisor.create ~policy:w.Wire.w_policy ~chaos:w.Wire.w_chaos () in
     let cache = Trial.cache_create () in
@@ -378,6 +383,7 @@ module Controller = struct
 
   type t = {
     t_cfg : Campaign.config;
+    t_inputs : Campaign.inputs;  (* forked workers inherit them; merge reads the hot set *)
     t_specs : Trial.spec array;
     t_policy : Supervisor.policy;
     t_chaos : Supervisor.chaos;
@@ -419,6 +425,7 @@ module Controller = struct
         c
       | None -> Executor.chunk_size ~total ~workers:4
     in
+    let inputs = Campaign.build_inputs ~variant:cfg.Campaign.variant cfg.Campaign.arch in
     (* The table appends every merged entry as it lands, so a drained
        (SIGTERM) or degraded campaign leaves a valid journal any later run
        can resume. *)
@@ -433,6 +440,7 @@ module Controller = struct
       recovery.Journal.rc_entries;
     {
       t_cfg = cfg;
+      t_inputs = inputs;
       t_specs = specs;
       t_policy = Supervisor.validated_policy policy;
       t_chaos = chaos;
@@ -510,7 +518,9 @@ module Controller = struct
          dead worker's EOF never reaches the controller *)
       Unix.close parent_end;
       List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.t_conns;
-      (try Worker.serve ?die_at ?max_leases ~input:child_end ~output:child_end ()
+      (try
+         Worker.serve ?die_at ?max_leases ~inputs:t.t_inputs ~input:child_end
+           ~output:child_end ()
        with _ -> Unix._exit 2);
       Unix._exit 0
     | pid ->
@@ -729,7 +739,7 @@ module Controller = struct
           | None -> (rb, cs))
         (0, Cache_stats.zero) t.t_conns
     in
-    Campaign.of_outcome t.t_cfg ~hot:(Campaign.environment t.t_cfg).Trial.env_hot
+    Campaign.of_outcome t.t_cfg ~hot:t.t_inputs.Campaign.in_hot
       (Trial_table.outcome t.t_table ~reboots ~cache)
 
   let report t =

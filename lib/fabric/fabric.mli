@@ -64,13 +64,15 @@ module Worker : sig
     ?die_at:int ->
     ?max_leases:int ->
     ?handle_signals:bool ->
+    ?inputs:Campaign.inputs ->
     input:Unix.file_descr ->
     output:Unix.file_descr ->
     unit ->
     unit
   (** Serve one campaign over a controller link ([input] and [output] may be
       the same socket). Says [Hello], waits for the [Welcome] briefing,
-      rebuilds the plan and environment locally from the wire config, then
+      rebuilds the plan locally from the wire config, and the environment
+      over [inputs] or, without them, over inputs it builds itself, then
       leases, executes and streams results until the controller says [Bye]
       (or [max_leases] leases are done — the orderly mid-campaign leave).
       Sends a {!Wire.Heartbeat} between trials so the controller can tell a
@@ -97,7 +99,10 @@ module Controller : sig
     ?resume:bool ->
     Campaign.config ->
     t
-  (** A controller with no workers yet. [chunk] defaults to
+  (** A controller with no workers yet. It builds the campaign's inputs
+      ({!Ferrite_injection.Campaign.build_inputs}) once: the workers
+      {!add_worker} forks inherit them, and {!finish}'s merge takes the hot
+      profile from them. [chunk] defaults to
       {!Ferrite_injection.Executor.chunk_size} over four workers; a trial
       orphaned by more than [max_worker_deaths] (default 2) deaths is
       quarantined. [wire_chaos] arms seeded message

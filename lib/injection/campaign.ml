@@ -125,14 +125,36 @@ let plan_fingerprint ?supervision cfg =
       | None -> "none"
       | Some (lo, hi) -> Printf.sprintf "%d-%d" lo hi)
 
-let env_of cfg image hot =
+(* A kernel's campaign inputs: the compiled image and its profiled hot set.
+   They depend only on (arch, variant), so a caller running several
+   campaigns of one kernel derives them once and passes them to each. *)
+type inputs = {
+  in_arch : Image.arch;
+  in_variant : Boot.variant;
+  in_image : Image.t;
+  in_hot : (string * float) list;
+}
+
+(* Derivations in this process; a count, never a cache. *)
+let built = Atomic.make 0
+
+let build_inputs ?(variant = Boot.standard) arch =
+  Atomic.incr built;
+  let image = Boot.build_image ~variant arch in
+  { in_arch = arch; in_variant = variant; in_image = image; in_hot = hot_profile image arch }
+
+let inputs_built () = Atomic.get built
+
+let environment_with inputs cfg =
   if not (cfg.collector_loss >= 0.0 && cfg.collector_loss <= 1.0) then
     invalid_arg (Printf.sprintf "Campaign: collector_loss %g outside [0,1]" cfg.collector_loss);
+  if inputs.in_arch <> cfg.arch || inputs.in_variant <> cfg.variant then
+    invalid_arg "Campaign: inputs were built for another kernel";
   {
     Trial.env_arch = cfg.arch;
     env_kind = cfg.kind;
-    env_image = image;
-    env_hot = hot;
+    env_image = inputs.in_image;
+    env_hot = inputs.in_hot;
     env_engine = Engine.validated cfg.engine;
     env_collector_loss = cfg.collector_loss;
     env_collector_retries = cfg.collector_retries;
@@ -140,13 +162,10 @@ let env_of cfg image hot =
     env_targeting = cfg.targeting;
   }
 
-(* Build the read-only per-process inputs of a campaign: the compiled image
-   and the profiled hot set, wrapped in a validated [Trial.env]. Pure in the
-   config, so every fabric worker process rebuilding it from the wire config
-   derives the same environment the controller (and a sequential run) uses. *)
-let environment cfg =
-  let image = Boot.build_image ~variant:cfg.variant cfg.arch in
-  env_of cfg image (hot_profile image cfg.arch)
+(* Pure in the config, so every fabric worker process rebuilding it from the
+   wire config derives the same environment the controller (and a
+   sequential run) uses. *)
+let environment cfg = environment_with (build_inputs ~variant:cfg.variant cfg.arch) cfg
 
 (* The one journal open, for the in-process run and the fabric controller
    alike: the journal is bound to the supervision fingerprint, so either
@@ -177,12 +196,14 @@ let of_outcome cfg ~hot ?supervision (out : Executor.outcome) =
   }
 
 let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
-    ?(tracer = Ferrite_trace.Tracer.telemetry_only) ?supervision cfg =
-  (* plan → execute → merge: build shared read-only inputs once, decompose
-     the campaign into pure trial specs, hand them to the executor *)
-  let image = Boot.build_image ~variant:cfg.variant cfg.arch in
-  let hot = hot_profile image cfg.arch in
-  let env = env_of cfg image hot in
+    ?(tracer = Ferrite_trace.Tracer.telemetry_only) ?supervision ?inputs cfg =
+  (* plan → execute → merge: take (or build) the shared read-only inputs,
+     decompose the campaign into pure trial specs, hand them to the executor *)
+  let env =
+    match inputs with
+    | Some i -> environment_with i cfg
+    | None -> environment cfg
+  in
   let writer, recovery =
     Option.fold supervision ~none:(None, Journal.empty_recovery) ~some:(fun sv -> open_journal sv cfg)
   in
@@ -198,7 +219,7 @@ let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
         Executor.run ~progress ~trace:tracer ?supervisor ?journal:writer
           ~recovered:recovery.Journal.rc_entries executor env (plan cfg))
   in
-  of_outcome cfg ~hot ?supervision:(Option.map Supervisor.report supervisor) out
+  of_outcome cfg ~hot:env.Trial.env_hot ?supervision:(Option.map Supervisor.report supervisor) out
 
 type summary = {
   injected : int;

@@ -93,14 +93,43 @@ type result = {
 val plan : config -> Trial.spec array
 (** The campaign's trial decomposition (pure; exposed for tests and tools). *)
 
-val environment : config -> Trial.env
-(** The campaign's read-only execution environment — compiled image, profiled
-    hot set ([env_hot]), validated engine and fault model. Raises
+(** {2 Campaign inputs}
+
+    A campaign's expensive read-only inputs depend only on the kernel it
+    attacks, (arch, variant): the compiled image and the hot set profiled
+    from a fault-free workload run. A caller that runs several campaigns of
+    one kernel builds them once with {!build_inputs} and hands them to each
+    {!run}. Nothing caches them behind the caller's back: every run that is
+    not handed inputs derives its own, as a user's invocation does. *)
+
+type inputs = private {
+  in_arch : Ferrite_kir.Image.arch;
+  in_variant : Ferrite_kernel.Boot.variant;
+  in_image : Ferrite_kir.Image.t;
+  in_hot : (string * float) list;  (** becomes [env_hot] and [hot_profile] *)
+}
+
+val build_inputs : ?variant:Ferrite_kernel.Boot.variant -> Ferrite_kir.Image.arch -> inputs
+(** Compile the kernel ([variant] defaults to {!Ferrite_kernel.Boot.standard})
+    and profile it. Pure in its arguments. *)
+
+val inputs_built : unit -> int
+(** How many times {!build_inputs} has run in this process (tests use it to
+    show that sharing happens and that nothing is memoised). *)
+
+val environment_with : inputs -> config -> Trial.env
+(** The campaign's read-only execution environment over prebuilt inputs —
+    image, hot set ([env_hot]), validated engine and fault model. Raises
     [Invalid_argument] for a [collector_loss] outside [0, 1], as {!run}
-    does before it opens a journal. Pure in the config: a distributed worker process rebuilding it from the wire config
-    derives exactly the environment a sequential run uses, which is one half
-    of the fabric's byte-identity argument (the other is {!Trial.run}'s
-    purity in the spec). *)
+    does before it opens a journal, and for inputs built for another
+    (arch, variant) than the config names. *)
+
+val environment : config -> Trial.env
+(** [environment_with (build_inputs ~variant:cfg.variant cfg.arch) cfg].
+    Pure in the config: a distributed worker process rebuilding it from the
+    wire config derives exactly the environment a sequential run uses, which
+    is one half of the fabric's byte-identity argument (the other is
+    {!Trial.run}'s purity in the spec). *)
 
 val open_journal : supervision -> config -> Journal.writer option * Journal.recovery
 (** Open [sv_journal] (if any) for appending, bound to
@@ -124,9 +153,12 @@ val run :
   ?executor:Executor.t ->
   ?tracer:Ferrite_trace.Tracer.config ->
   ?supervision:supervision ->
+  ?inputs:inputs ->
   config ->
   result
-(** Run every trial. [executor] defaults to {!Executor.default}
+(** Run every trial. [inputs] defaults to [build_inputs ~variant:cfg.variant
+    cfg.arch]; passing prebuilt ones changes nothing but the set-up time.
+    [executor] defaults to {!Executor.default}
     (sequential); [Executor.Parallel] produces the identical [records],
     [collector], [traces] and [telemetry] fields — only the diagnostics
     [reboots] (and hence [telemetry.tl_boots]) and [cache] may differ, by at

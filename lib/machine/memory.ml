@@ -62,10 +62,60 @@ let sb_default = ref true
 
 let set_superblocks_default b = sb_default := b
 
+(* The page table: a two-level radix over the 20-bit page index, 1024
+   leaves of 1024 slots. A leaf is allocated when its first page is mapped
+   ([[||]] stands for an absent one) and kept once allocated. [find] returns
+   the stored option, so a lookup allocates nothing, and [iter] visits
+   pages in index order. *)
+module Radix = struct
+  let bits = 10
+  let fan = 1 lsl bits
+  let mask = fan - 1
+
+  type 'a t = { top : 'a option array array; mutable count : int }
+
+  let create () = { top = Array.make fan [||]; count = 0 }
+
+  (* [idx] is a page index, below 2^20, so [idx lsr bits] is a top slot *)
+  let[@inline] find r idx =
+    let leaf = Array.unsafe_get r.top (idx lsr bits) in
+    if Array.length leaf = 0 then None else Array.unsafe_get leaf (idx land mask)
+
+  let mem r idx = Option.is_some (find r idx)
+
+  let set r idx v =
+    let hi = idx lsr bits in
+    let leaf =
+      match r.top.(hi) with
+      | [||] ->
+        let leaf = Array.make fan None in
+        r.top.(hi) <- leaf;
+        leaf
+      | leaf -> leaf
+    in
+    if Option.is_none leaf.(idx land mask) then r.count <- r.count + 1;
+    leaf.(idx land mask) <- Some v
+
+  let remove r idx =
+    let leaf = r.top.(idx lsr bits) in
+    if Array.length leaf > 0 && Option.is_some leaf.(idx land mask) then begin
+      leaf.(idx land mask) <- None;
+      r.count <- r.count - 1
+    end
+
+  let iter f r =
+    Array.iteri
+      (fun hi leaf ->
+        Array.iteri
+          (fun lo slot -> match slot with Some v -> f ((hi lsl bits) lor lo) v | None -> ())
+          leaf)
+      r.top
+end
+
 type t = {
   id : int;  (* tells this memory's snapshots from other memories' *)
   mutable clock : int;  (* the last generation handed out *)
-  pages : (int, page) Hashtbl.t;
+  pages : page Radix.t;
   (* Direct-mapped ("lowmem") window: pages in [lo, hi) materialise
      zero-filled on first access instead of faulting, as the kernel's linear
      mapping of physical memory would. *)
@@ -96,7 +146,7 @@ let create () =
   {
     id = Atomic.fetch_and_add memory_ids 1;
     clock = 0;
-    pages = Hashtbl.create 256;
+    pages = Radix.create ();
     auto_lo = 0;
     auto_hi = 0;
     auto_perm = perm_rw;
@@ -149,7 +199,7 @@ let[@inline] touch t idx page =
 let map t ~addr ~size ~perm =
   let first = page_index addr and last = page_index (addr + size - 1) in
   for idx = first to last do
-    match Hashtbl.find_opt t.pages idx with
+    match Radix.find t.pages idx with
     | Some page ->
       page.perm <- perm;
       touch t idx page
@@ -157,7 +207,7 @@ let map t ~addr ~size ~perm =
       let page =
         { data = Bytes.make page_size '\000'; perm; wgen = 0; dirty = false }
       in
-      Hashtbl.replace t.pages idx page;
+      Radix.set t.pages idx page;
       touch t idx page
   done;
   tlb_flush t
@@ -165,10 +215,10 @@ let map t ~addr ~size ~perm =
 let unmap t ~addr ~size =
   let first = page_index addr and last = page_index (addr + size - 1) in
   for idx = first to last do
-    (match Hashtbl.find_opt t.pages idx with
+    (match Radix.find t.pages idx with
     | Some page -> touch t idx page  (* invalidate decode entries; remember *)
     | None -> ());
-    Hashtbl.remove t.pages idx
+    Radix.remove t.pages idx
   done;
   tlb_flush t
 
@@ -177,17 +227,17 @@ let set_perm t ~addr ~size ~perm =
   (* validate the whole range before mutating anything, so a failure leaves
      every page's permissions untouched *)
   for idx = first to last do
-    if not (Hashtbl.mem t.pages idx) then
+    if not (Radix.mem t.pages idx) then
       invalid_arg "Memory.set_perm: unmapped page in range"
   done;
   for idx = first to last do
-    let page = Hashtbl.find t.pages idx in
+    let page = Option.get (Radix.find t.pages idx) in
     page.perm <- perm;
     touch t idx page
   done;
   tlb_flush t
 
-let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
+let is_mapped t addr = Radix.mem t.pages (page_index addr)
 
 let demand_map t addr access =
   let a = addr land 0xFFFFFFFF in
@@ -197,14 +247,14 @@ let demand_map t addr access =
         wgen = 0; dirty = false }
     in
     let idx = page_index addr in
-    Hashtbl.replace t.pages idx page;
+    Radix.set t.pages idx page;
     touch t idx page;
     page
   end
   else raise (Fault { addr; access; kind = Unmapped })
 
 let[@inline] find t addr access allowed =
-  match Hashtbl.find_opt t.pages (page_index addr) with
+  match Radix.find t.pages (page_index addr) with
   | None ->
     let page = demand_map t addr access in
     if allowed page.perm then page else raise (Fault { addr; access; kind = Protection })
@@ -216,7 +266,7 @@ let[@inline] readable p = p.readable
 let[@inline] writable p = p.writable
 let[@inline] executable p = p.executable
 
-(* TLB-fronted page lookups, one per access class. A hit skips the Hashtbl
+(* TLB-fronted page lookups, one per access class. A hit skips the page table
    and the permission check (the entry was validated on insert and every
    map/unmap/set_perm/restore flushes). Write lookups also dirty the page. *)
 
@@ -402,11 +452,11 @@ let fetch32_be t addr =
   end
 
 let peek_page t addr =
-  match Hashtbl.find_opt t.pages (page_index addr) with
+  match Radix.find t.pages (page_index addr) with
   | None -> raise (Fault { addr; access = Read; kind = Unmapped })
   | Some page -> page
 
-let page_at_opt t addr = Hashtbl.find_opt t.pages (page_index addr)
+let page_at_opt t addr = Radix.find t.pages (page_index addr)
 
 let peek8 t addr =
   let page = peek_page t addr in
@@ -483,7 +533,7 @@ let blit_string t ~addr s =
 let swap_page_contents t a b =
   let ia = page_index a and ib = page_index b in
   if ia = ib then invalid_arg "Memory.swap_page_contents: same page";
-  match (Hashtbl.find_opt t.pages ia, Hashtbl.find_opt t.pages ib) with
+  match (Radix.find t.pages ia, Radix.find t.pages ib) with
   | Some pa, Some pb ->
     let tmp = Bytes.copy pa.data in
     Bytes.blit pb.data 0 pa.data 0 page_size;
@@ -493,7 +543,7 @@ let swap_page_contents t a b =
     tlb_flush t
   | _ -> invalid_arg "Memory.swap_page_contents: both pages must be mapped"
 
-let snapshot_page_count t = Hashtbl.length t.pages
+let snapshot_page_count t = t.pages.Radix.count
 
 (* One captured page: its bytes, permissions and the generation that names
    them. *)
@@ -502,8 +552,8 @@ type spage = { sp_idx : int; sp_data : Bytes.t; sp_perm : perm; sp_gen : int }
 type snapshot = {
   s_id : int;
   s_mem : int;  (* id of the memory the snapshot was taken from *)
-  s_pages : spage array;
-  s_index : (int, spage) Hashtbl.t;
+  s_pages : spage array;  (* in page-index order *)
+  s_index : spage Radix.t;
   s_auto_lo : int;
   s_auto_hi : int;
   s_auto_perm : perm;
@@ -514,17 +564,15 @@ type snapshot = {
 let snapshot_ids = Atomic.make 0
 
 let snapshot t =
-  let pages =
-    Hashtbl.fold
-      (fun idx p acc ->
-        { sp_idx = idx; sp_data = Bytes.copy p.data; sp_perm = p.perm; sp_gen = p.wgen } :: acc)
-      t.pages []
-  in
-  let arr = Array.of_list pages in
-  (* canonical order: hashtable fold order is arbitrary *)
-  Array.sort (fun a b -> compare a.sp_idx b.sp_idx) arr;
-  let index = Hashtbl.create (Array.length arr) in
-  Array.iter (fun sp -> Hashtbl.replace index sp.sp_idx sp) arr;
+  let index = Radix.create () in
+  let pages = ref [] in
+  Radix.iter
+    (fun idx p ->
+      let sp = { sp_idx = idx; sp_data = Bytes.copy p.data; sp_perm = p.perm; sp_gen = p.wgen } in
+      Radix.set index idx sp;
+      pages := sp :: !pages)
+    t.pages;
+  let arr = Array.of_list (List.rev !pages) in
   {
     s_id = Atomic.fetch_and_add snapshot_ids 1;
     s_mem = t.id;
@@ -548,27 +596,22 @@ let rewind t s page sp =
   page.dirty <- false
 
 let recreate t s sp =
-  Hashtbl.replace t.pages sp.sp_idx
+  Radix.set t.pages sp.sp_idx
     { data = Bytes.copy sp.sp_data; perm = sp.sp_perm; wgen = rewound_gen t s sp; dirty = false }
 
 let restore_full t s =
   (* blit into pages that still exist, drop the rest, re-create the missing:
      cheaper than rebuilding the table and leaves no stale mappings behind *)
-  let stale =
-    Hashtbl.fold
-      (fun idx _ acc -> if Hashtbl.mem s.s_index idx then acc else idx :: acc)
-      t.pages []
-  in
-  List.iter
-    (fun idx ->
-      (match Hashtbl.find_opt t.pages idx with
-      | Some page -> page.wgen <- fresh t
-      | None -> ());
-      Hashtbl.remove t.pages idx)
-    stale;
+  Radix.iter
+    (fun idx page ->
+      if not (Radix.mem s.s_index idx) then begin
+        page.wgen <- fresh t;
+        Radix.remove t.pages idx
+      end)
+    t.pages;
   Array.iter
     (fun sp ->
-      match Hashtbl.find_opt t.pages sp.sp_idx with
+      match Radix.find t.pages sp.sp_idx with
       | Some page -> rewind t s page sp
       | None -> recreate t s sp)
     s.s_pages;
@@ -578,10 +621,10 @@ let restore_full t s =
 (* Fast path: [t] was already in state [s] at the last restore, so only the
    pages on the dirty list can differ — rewind exactly those. *)
 let restore_dirty t s =
-  let touched = List.sort_uniq compare t.dirty_list in
+  let touched = List.sort_uniq Int.compare t.dirty_list in
   List.iter
     (fun idx ->
-      match (Hashtbl.find_opt s.s_index idx, Hashtbl.find_opt t.pages idx) with
+      match (Radix.find s.s_index idx, Radix.find t.pages idx) with
       | Some sp, Some page ->
         rewind t s page sp;
         t.stat_restore_pages <- t.stat_restore_pages + 1
@@ -591,7 +634,7 @@ let restore_dirty t s =
       | None, Some page ->
         (* mapped since the snapshot: drop it *)
         page.wgen <- fresh t;
-        Hashtbl.remove t.pages idx
+        Radix.remove t.pages idx
       | None, None -> ())
     touched;
   t.stat_restore_fast <- t.stat_restore_fast + 1

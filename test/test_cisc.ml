@@ -720,6 +720,91 @@ let test_data_breakpoint_after_access () =
     check_int "load completed before report" 99 cpu.Cpu.regs.(0)
   | _ -> Alcotest.fail "expected dbp after load")
 
+(* Read-modify-write memory destinations: the read and the write stay two
+   accesses, in that order, so a write can fault after its read succeeded,
+   a read fault reports [write = false], and a watchpoint reports the read
+   once the write has landed. *)
+
+let rmw_data = 0xC0400000
+
+let rmw_step insns =
+  let cpu = machine_of_bytes (assemble (insns @ [ Insn.Ret ])) in
+  Cpu.push32 cpu stop_addr;
+  let rec go n = if n = 0 then Cpu.step cpu else (ignore (Cpu.step cpu); go (n - 1)) in
+  (cpu, go)
+
+let test_rmw_write_faults_after_read () =
+  let open Insn in
+  (* text is readable but not writable: the add reads it, then its write #GPs *)
+  let target = code_base + 0x40 in
+  let cpu, go = rmw_step [ Mov (S32, Reg 3, Imm target); Alu (Add, S32, Mem (mem ~base:3 0), Reg 3) ] in
+  let before = Memory.peek32_le cpu.Cpu.mem target in
+  (match go 1 with
+  | Cpu.Faulted (Exn.General_protection { addr = Some a }) -> check_int "#GP at the write" target a
+  | _ -> Alcotest.fail "expected #GP on the write");
+  check_int "text unchanged" before (Memory.peek32_le cpu.Cpu.mem target);
+  check_int "no cr2" 0 cpu.Cpu.cr2;
+  (* a dword straddling a writable and a read-only page: both reads succeed,
+     the write lands its first two bytes, then #GPs on the read-only page *)
+  let cpu, go =
+    rmw_step
+      [ Mov (S32, Reg 3, Imm (rmw_data + 0xFFE)); Inc (S32, Mem (mem ~base:3 0)) ]
+  in
+  Memory.poke32_le cpu.Cpu.mem (rmw_data + 0xFFC) 0xFFFF0000;
+  Memory.set_perm cpu.Cpu.mem ~addr:(rmw_data + 0x1000) ~size:0x1000 ~perm:Memory.perm_ro;
+  (match go 1 with
+  | Cpu.Faulted (Exn.General_protection { addr = Some a }) ->
+    check_int "#GP on the read-only page" (rmw_data + 0x1000) a
+  | _ -> Alcotest.fail "expected #GP on the straddling write");
+  check_int "low half written" 0 (Memory.peek32_le cpu.Cpu.mem (rmw_data + 0xFFC));
+  check_int "read-only half kept" 0 (Memory.peek8 cpu.Cpu.mem (rmw_data + 0x1000))
+
+let test_rmw_read_faults_first () =
+  let open Insn in
+  (* the page after the data region is unmapped: the read faults first *)
+  let cpu, go =
+    rmw_step
+      [ Mov (S32, Reg 3, Imm (rmw_data + 0x3FFE)); Alu (Or, S32, Mem (mem ~base:3 0), Reg 3) ]
+  in
+  (match go 1 with
+  | Cpu.Faulted (Exn.Page_fault { addr; write; _ }) ->
+    check_int "#PF at the unmapped byte" (rmw_data + 0x4000) addr;
+    check_bool "on the read" false write
+  | _ -> Alcotest.fail "expected #PF on the read");
+  check_int "cr2 names the byte" (rmw_data + 0x4000) cpu.Cpu.cr2;
+  (* an invalid FS override faults before either access *)
+  let cpu, go =
+    rmw_step [ Mov (S32, Reg 3, Imm rmw_data); Dec (S32, Mem (mem ~base:3 ~seg:FS 0)) ]
+  in
+  cpu.Cpu.fs <- 0;
+  Memory.poke32_le cpu.Cpu.mem rmw_data 5;
+  (match go 1 with
+  | Cpu.Faulted (Exn.General_protection { addr = None }) -> ()
+  | _ -> Alcotest.fail "expected #GP from the override");
+  check_int "memory untouched" 5 (Memory.peek32_le cpu.Cpu.mem rmw_data)
+
+let test_rmw_watched () =
+  let open Insn in
+  List.iter
+    (fun (name, insn, want) ->
+      let cpu, go = rmw_step [ Mov (S32, Reg 3, Imm rmw_data); insn ] in
+      Memory.poke32_le cpu.Cpu.mem rmw_data 0x10;
+      cpu.Cpu.regs.(1) <- 0x22;
+      Debug_regs.set_data_bp cpu.Cpu.dr ~addr:rmw_data ~len:4;
+      match go 1 with
+      | Cpu.Hit_dbp { is_write; addr } ->
+        check_int (name ^ ": watch addr") rmw_data addr;
+        check_bool (name ^ ": the read is reported") false is_write;
+        check_int (name ^ ": write landed before the report") want
+          (Memory.peek32_le cpu.Cpu.mem rmw_data)
+      | _ -> Alcotest.failf "%s: expected a data breakpoint" name)
+    [
+      ("add", Alu (Add, S32, Mem (mem ~base:3 0), Reg 1), 0x32);
+      ("neg", Grp3 (Neg, S32, Mem (mem ~base:3 0)), 0xFFFFFFF0);
+      ("shl", Shift (Shl, S32, Mem (mem ~base:3 0), Count_imm 2), 0x40);
+      ("xchg", Xchg (S32, Mem (mem ~base:3 0), 1), 0x22);
+    ]
+
 let test_sysreg_cr3_latent () =
   (* A flipped CR3 register is shielded by the TLB: no immediate effect. *)
   let open Insn in
@@ -815,6 +900,10 @@ let () =
         [
           Alcotest.test_case "instruction bp" `Quick test_breakpoints;
           Alcotest.test_case "data bp after access" `Quick test_data_breakpoint_after_access;
+          Alcotest.test_case "rmw write faults after its read" `Quick
+            test_rmw_write_faults_after_read;
+          Alcotest.test_case "rmw read faults first" `Quick test_rmw_read_faults_first;
+          Alcotest.test_case "rmw watched" `Quick test_rmw_watched;
           Alcotest.test_case "cr3 register flip latent" `Quick test_sysreg_cr3_latent;
           Alcotest.test_case "mov cr3 poisons" `Quick test_mov_cr3_poisons;
           Alcotest.test_case "sysreg count" `Quick test_sysreg_count;

@@ -333,12 +333,18 @@ let check_identical label (reference : Campaign.result) (r : Campaign.result) =
   check_bool (label ^ ": dumps") true (r.Campaign.dumps = reference.Campaign.dumps);
   check_bool (label ^ ": telemetry") true
     (boots_blind r.Campaign.telemetry = boots_blind reference.Campaign.telemetry);
+  check_bool (label ^ ": hot profile") true
+    (r.Campaign.hot_profile = reference.Campaign.hot_profile);
   check_bool (label ^ ": store bytes") true (store_bytes r = store_bytes reference)
 
 let test_two_workers_identical () =
   let cfg = small_cfg 24 in
   let reference = Campaign.run cfg in
+  (* the controller builds the inputs once: its forked workers inherit them
+     and its merge reads the hot profile from them *)
+  let n0 = Campaign.inputs_built () in
   let r, report = run_campaign ~workers:2 cfg in
+  check_int "one inputs build in the controller" 1 (Campaign.inputs_built () - n0);
   check_identical "2 workers" reference r;
   check_int "no deaths" 0 report.fb_worker_deaths;
   check_int "every trial merged fresh exactly once" 24 report.fb_results

@@ -3,6 +3,7 @@
 
 module Image = Ferrite_kir.Image
 module Target = Ferrite_injection.Target
+module Campaign = Ferrite_injection.Campaign
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -89,6 +90,56 @@ let test_suite_runs () =
   check_bool "profile captured" true
     (List.length p4.Ferrite.Suite.stack.Ferrite_injection.Campaign.hot_profile > 0)
 
+(* Sharing one kernel's inputs across a suite's campaigns is invisible: each
+   campaign equals a standalone run of its own config, which derives its
+   own inputs. *)
+let test_suite_equals_standalone_runs suite () =
+  let s = Lazy.force suite in
+  List.iter
+    (fun (label, (r : Campaign.result)) ->
+      let alone = Campaign.run r.Campaign.cfg in
+      check_bool (label ^ ": records") true (alone.Campaign.records = r.Campaign.records);
+      check_bool (label ^ ": traces") true (alone.Campaign.traces = r.Campaign.traces);
+      check_bool (label ^ ": dumps") true (alone.Campaign.dumps = r.Campaign.dumps);
+      check_bool (label ^ ": telemetry") true (alone.Campaign.telemetry = r.Campaign.telemetry);
+      check_bool (label ^ ": hot profile") true
+        (alone.Campaign.hot_profile = r.Campaign.hot_profile))
+    Ferrite.Suite.
+      [ ("stack", s.stack); ("sysreg", s.sysreg); ("data", s.data); ("code", s.code) ]
+
+(* Each Suite.run builds its inputs exactly once, and a second call builds
+   them again: shared within a run, never memoised across runs. *)
+let test_suite_builds_inputs_once () =
+  let scale = { Ferrite.Suite.stack_n = 2; sysreg_n = 2; data_n = 2; code_n = 2 } in
+  let run () = Ferrite.Suite.run ~seed:0xBBL ~scale Image.Risc in
+  let n0 = Campaign.inputs_built () in
+  let first = run () in
+  check_int "one build for four campaigns" 1 (Campaign.inputs_built () - n0);
+  let second = run () in
+  check_int "a second run builds again" 2 (Campaign.inputs_built () - n0);
+  check_bool "and matches the first" true
+    (List.for_all2
+       (fun (a : Campaign.result) (b : Campaign.result) ->
+         a.Campaign.records = b.Campaign.records && a.Campaign.hot_profile = b.Campaign.hot_profile)
+       Ferrite.Suite.[ first.stack; first.sysreg; first.data; first.code ]
+       Ferrite.Suite.[ second.stack; second.sysreg; second.data; second.code ])
+
+let test_inputs_must_match_config () =
+  let inputs = Campaign.build_inputs Image.Risc in
+  let cfg = Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:1 in
+  check_bool "another arch's inputs are refused" true
+    (match Campaign.run ~inputs cfg with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let cfg =
+    { (Campaign.default ~arch:Image.Risc ~kind:Target.Stack ~injections:1) with
+      Campaign.variant = { Ferrite_kernel.Boot.standard with Ferrite_kernel.Boot.v_assertions = true } }
+  in
+  check_bool "another variant's inputs are refused" true
+    (match Campaign.run ~inputs cfg with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_tables_5_6_render () =
   let p4 = Lazy.force p4_suite and g4 = Lazy.force g4_suite in
   let t5 = Ferrite.Report.table5 p4 in
@@ -144,6 +195,12 @@ let () =
         [
           Alcotest.test_case "scaling" `Quick test_suite_scaling;
           Alcotest.test_case "tiny suite runs" `Quick test_suite_runs;
+          Alcotest.test_case "p4 suite equals standalone campaigns" `Quick
+            (test_suite_equals_standalone_runs p4_suite);
+          Alcotest.test_case "g4 suite equals standalone campaigns" `Quick
+            (test_suite_equals_standalone_runs g4_suite);
+          Alcotest.test_case "suite builds its inputs once" `Quick test_suite_builds_inputs_once;
+          Alcotest.test_case "inputs must match the config" `Quick test_inputs_must_match_config;
         ] );
       ( "report",
         [

@@ -357,6 +357,258 @@ let test_counters () =
   check_int "instructions" 2 c.Counters.instructions;
   check_int "since" 105 (Counters.since c ~mark:0)
 
+(* --- page table against a model -------------------------------------------
+
+   Random map/unmap/set_perm/poke/peek/load/store/swap/snapshot/restore
+   sequences run against an association list of pages written here. The
+   pages sit at both ends of the 20-bit index space and on both sides of a
+   radix leaf boundary; the offsets sit at both page ends, so word accesses
+   cross pages (and wrap from the last page to page 0). Restores hit both
+   the dirty-page path (the same snapshot again) and the full one. *)
+
+module Model = struct
+  type page = Memory.perm * string
+
+  type t = {
+    pages : (int * page) list;  (** page index -> permissions and bytes *)
+    lo : int;
+    hi : int;
+    aperm : Memory.perm;
+  }
+
+  type outcome =
+    | Value of int
+    | Fault of int * Memory.access * Memory.fault_kind
+    | Invalid
+
+  let empty = { pages = []; lo = 0; hi = 0; aperm = Memory.perm_rw }
+  let index addr = (addr land 0xFFFFFFFF) lsr 12
+  let zero = String.make Memory.page_size '\000'
+  let set m idx pg = { m with pages = (idx, pg) :: List.remove_assoc idx m.pages }
+
+  let allowed (perm : Memory.perm) = function
+    | Memory.Read -> perm.Memory.readable
+    | Memory.Write -> perm.Memory.writable
+    | Memory.Execute -> perm.Memory.executable
+
+  (* the page a CPU access lands on, demand-mapping inside the window *)
+  let page_for m addr access =
+    match List.assoc_opt (index addr) m.pages with
+    | Some pg -> Ok (m, pg)
+    | None ->
+      let a = addr land 0xFFFFFFFF in
+      if a >= m.lo && a < m.hi then
+        let pg = (m.aperm, zero) in
+        Ok (set m (index addr) pg, pg)
+      else Error (m, Fault (addr, access, Memory.Unmapped))
+
+  let byte data addr = Char.code data.[addr land 0xFFF]
+
+  let with_byte data addr v =
+    let b = Bytes.of_string data in
+    Bytes.set b (addr land 0xFFF) (Char.chr (v land 0xFF));
+    Bytes.to_string b
+
+  let load8 m addr =
+    match page_for m addr Memory.Read with
+    | Error e -> e
+    | Ok (m, (perm, data)) ->
+      if allowed perm Memory.Read then (m, Value (byte data addr))
+      else (m, Fault (addr, Memory.Read, Memory.Protection))
+
+  let store8 m addr v =
+    match page_for m addr Memory.Write with
+    | Error e -> e
+    | Ok (m, (perm, data)) ->
+      if allowed perm Memory.Write then (set m (index addr) (perm, with_byte data addr v), Value 0)
+      else (m, Fault (addr, Memory.Write, Memory.Protection))
+
+  (* word accesses go byte by byte, lowest address first, and stop at the
+     first fault; what the earlier bytes did stays done *)
+  let load32_le m addr =
+    let rec go m i acc =
+      if i = 4 then (m, Value acc)
+      else
+        match load8 m (addr + i) with
+        | m, Value b -> go m (i + 1) (acc lor (b lsl (8 * i)))
+        | r -> r
+    in
+    go m 0 0
+
+  let store32_le m addr v =
+    let rec go m i =
+      if i = 4 then (m, Value 0)
+      else
+        match store8 m (addr + i) (v lsr (8 * i)) with
+        | m, Value _ -> go m (i + 1)
+        | r -> r
+    in
+    go m 0
+
+  let peek8 m addr =
+    match List.assoc_opt (index addr) m.pages with
+    | Some (_, data) -> (m, Value (byte data addr))
+    | None -> (m, Fault (addr, Memory.Read, Memory.Unmapped))
+
+  let poke8 m addr v =
+    match List.assoc_opt (index addr) m.pages with
+    | Some (perm, data) -> (set m (index addr) (perm, with_byte data addr v), Value 0)
+    | None -> (m, Fault (addr, Memory.Read, Memory.Unmapped))
+end
+
+let model_pages = [| 0x00000; 0x00001; 0x003FF; 0x00400; 0xC0000; 0xC0001; 0xFFFFF |]
+let model_offsets = [| 0; 1; 2; 3; 100; 4092; 4093; 4094; 4095 |]
+let model_perms =
+  [| Memory.perm_rw; Memory.perm_ro; Memory.perm_rx; Memory.perm_rwx;
+     { Memory.readable = false; writable = false; executable = false } |]
+
+type mem_op =
+  | Map of int * int
+  | Unmap of int
+  | Set_perm of int * int
+  | Auto of int * int
+  | Poke of int * int * int
+  | Peek of int * int
+  | Load8 of int * int
+  | Store8 of int * int * int
+  | Load32 of int * int
+  | Store32 of int * int * int
+  | Swap of int * int
+  | Snapshot
+  | Restore of int
+
+let mem_op_gen =
+  let open QCheck.Gen in
+  let page = int_bound (Array.length model_pages - 1)
+  and off = int_bound (Array.length model_offsets - 1)
+  and perm = int_bound (Array.length model_perms - 1) in
+  frequency
+    [
+      (3, map2 (fun p k -> Map (p, k)) page perm);
+      (1, map (fun p -> Unmap p) page);
+      (2, map2 (fun p k -> Set_perm (p, k)) page perm);
+      (1, map2 (fun p k -> Auto (p, k)) page perm);
+      (2, map3 (fun p o v -> Poke (p, o, v)) page off (int_bound 255));
+      (1, map2 (fun p o -> Peek (p, o)) page off);
+      (2, map2 (fun p o -> Load8 (p, o)) page off);
+      (3, map3 (fun p o v -> Store8 (p, o, v)) page off (int_bound 255));
+      (2, map2 (fun p o -> Load32 (p, o)) page off);
+      (3, map3 (fun p o v -> Store32 (p, o, v)) page off (int_bound 0xFFFFFFF));
+      (1, map2 (fun a b -> Swap (a, b)) page page);
+      (2, return Snapshot);
+      (3, map (fun i -> Restore i) (int_bound 3));
+    ]
+
+let model_addr p o = (model_pages.(p) lsl 12) + model_offsets.(o)
+
+(* One op on both sides; [snaps] pairs each real snapshot with the model
+   state it captured, newest first. *)
+let apply_mem_op mem m snaps op =
+  let real f =
+    match f () with
+    | v -> Model.Value v
+    | exception Memory.Fault { addr; access; kind } -> Model.Fault (addr, access, kind)
+    | exception Invalid_argument _ -> Model.Invalid
+  in
+  let page p = model_pages.(p) lsl 12 in
+  match op with
+  | Map (p, k) ->
+    Memory.map mem ~addr:(page p) ~size:Memory.page_size ~perm:model_perms.(k);
+    let data = Option.fold ~none:Model.zero ~some:snd (List.assoc_opt model_pages.(p) m.Model.pages) in
+    (Model.set m model_pages.(p) (model_perms.(k), data), true)
+  | Unmap p ->
+    Memory.unmap mem ~addr:(page p) ~size:Memory.page_size;
+    ({ m with Model.pages = List.remove_assoc model_pages.(p) m.Model.pages }, true)
+  | Set_perm (p, k) -> (
+    let r =
+      real (fun () ->
+          Memory.set_perm mem ~addr:(page p) ~size:Memory.page_size ~perm:model_perms.(k);
+          0)
+    in
+    match List.assoc_opt model_pages.(p) m.Model.pages with
+    | Some (_, data) -> (Model.set m model_pages.(p) (model_perms.(k), data), r = Model.Value 0)
+    | None -> (m, r = Model.Invalid))
+  | Auto (p, k) ->
+    (* a two-page window starting at page [p] *)
+    let lo = page p and hi = page p + (2 * Memory.page_size) in
+    Memory.set_auto_map mem ~lo ~hi ~perm:model_perms.(k);
+    ({ m with Model.lo; hi; aperm = model_perms.(k) }, true)
+  | Poke (p, o, v) ->
+    let a = model_addr p o in
+    let m, want = Model.poke8 m a v in
+    (m, real (fun () -> Memory.poke8 mem a v; 0) = want)
+  | Peek (p, o) ->
+    let a = model_addr p o in
+    let m, want = Model.peek8 m a in
+    (m, real (fun () -> Memory.peek8 mem a) = want)
+  | Load8 (p, o) ->
+    let a = model_addr p o in
+    let m, want = Model.load8 m a in
+    (m, real (fun () -> Memory.load8 mem a) = want)
+  | Store8 (p, o, v) ->
+    let a = model_addr p o in
+    let m, want = Model.store8 m a v in
+    (m, real (fun () -> Memory.store8 mem a v; 0) = want)
+  | Load32 (p, o) ->
+    let a = model_addr p o in
+    let m, want = Model.load32_le m a in
+    (m, real (fun () -> Memory.load32_le mem a) = want)
+  | Store32 (p, o, v) ->
+    let a = model_addr p o in
+    let m, want = Model.store32_le m a v in
+    (m, real (fun () -> Memory.store32_le mem a v; 0) = want)
+  | Swap (a, b) -> (
+    let r = real (fun () -> Memory.swap_page_contents mem (page a) (page b); 0) in
+    let ia = model_pages.(a) and ib = model_pages.(b) in
+    match (List.assoc_opt ia m.Model.pages, List.assoc_opt ib m.Model.pages) with
+    | Some (pa, da), Some (pb, db) when ia <> ib ->
+      (Model.set (Model.set m ia (pa, db)) ib (pb, da), r = Model.Value 0)
+    | _ -> (m, r = Model.Invalid))
+  | Snapshot ->
+    snaps := (Memory.snapshot mem, m) :: !snaps;
+    (m, true)
+  | Restore i -> (
+    match !snaps with
+    | [] -> (m, true)
+    | l ->
+      let s, saved = List.nth l (i mod List.length l) in
+      Memory.restore mem s;
+      (saved, true))
+
+(* Every page's mapping, permissions and sampled bytes, and the page count *)
+let mem_agrees mem (m : Model.t) =
+  Memory.snapshot_page_count mem = List.length m.Model.pages
+  && Array.for_all
+       (fun idx ->
+         match (Memory.page_at_opt mem (idx lsl 12), List.assoc_opt idx m.Model.pages) with
+         | None, None -> true
+         | Some pg, Some (perm, data) ->
+           Memory.page_perm pg = perm
+           && Array.for_all
+                (fun o ->
+                  List.for_all
+                    (fun d ->
+                      let off = (o + d) land 0xFFF in
+                      Memory.peek8 mem ((idx lsl 12) + off) = Char.code data.[off])
+                    [ 0; 1; 2; 3 ])
+                model_offsets
+         | _ -> false)
+       model_pages
+
+let prop_memory_matches_model =
+  QCheck.Test.make ~name:"page table matches an association-list model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 80) mem_op_gen))
+    (fun ops ->
+      let mem = Memory.create () in
+      let snaps = ref [] in
+      let rec go m = function
+        | [] -> true
+        | op :: rest ->
+          let m, same = apply_mem_op mem m snaps op in
+          same && mem_agrees mem m && go m rest
+      in
+      go Model.empty ops)
+
 let test_layout () =
   check_bool "kernel addr" true (Layout.is_kernel 0xC0100000);
   check_bool "user addr" false (Layout.is_kernel 0x08048000);
@@ -407,6 +659,7 @@ let () =
           Alcotest.test_case "fast paths off" `Quick test_memory_fast_paths_off;
           Alcotest.test_case "tlb invalidation" `Quick test_memory_tlb_invalidation;
           q prop_store_load_roundtrip;
+          q prop_memory_matches_model;
         ] );
       ( "debug_regs",
         [

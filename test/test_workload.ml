@@ -120,6 +120,53 @@ let test_profiler_sane () =
     (List.mem "kmemcpy" hot || List.mem "kchecksum" hot);
   check_bool "scheduler in the hot set" true (List.mem "schedule" hot)
 
+(* The profiler as it was before its pc table: a binary search and a
+   string-keyed table per sample. The fast one must return the same list —
+   names, counts, fractions and order. *)
+let reference_profile ?(seed = 0x9E1DL) ?(ops = 48) ?(sample_every = 4) sys =
+  let rng = Rng.create ~seed in
+  let wl = Workload.mix ~ops () in
+  let runner = Runner.create sys ~ops:(wl.Workload.wl_ops rng) in
+  let counts : (string, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let total = ref 0 in
+  let record pc =
+    match Image.function_at sys.System.image pc with
+    | None -> ()
+    | Some f -> (
+      incr total;
+      match Hashtbl.find_opt counts f.Image.fs_name with
+      | Some r -> incr r
+      | None -> Hashtbl.replace counts f.Image.fs_name (ref 1))
+  in
+  let rec go n =
+    if n > 0 then begin
+      (match System.step sys with
+      | System.Faulted _ -> failwith "reference profile: fault"
+      | _ -> ());
+      if n mod sample_every = 0 then record (System.pc sys);
+      if not (n land 255 = 0 && Runner.tick runner = Runner.Done) then go (n - 1)
+    end
+  in
+  go 4_000_000;
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counts []
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  |> List.map (fun (fn_name, n) ->
+         { Profiler.fn_name; samples = n; fraction = float_of_int n /. float_of_int (max 1 !total) })
+
+let test_profiler_matches_reference () =
+  List.iter
+    (fun arch ->
+      let image = Boot.build_image arch in
+      List.iter
+        (fun (seed, ops, sample_every) ->
+          let fast = Profiler.profile ~seed ~ops ~sample_every (Boot.boot ~image arch) in
+          let slow = reference_profile ~seed ~ops ~sample_every (Boot.boot ~image arch) in
+          check_bool
+            (Printf.sprintf "seed %Ld, %d ops, every %d" seed ops sample_every)
+            true (fast = slow))
+        [ (0x9E1DL, 48, 4); (7L, 12, 4); (0x2004L, 80, 3); (1L, 30, 1); (3L, 6, 97); (5L, 4, 211) ])
+    [ Image.Cisc; Image.Risc ]
+
 let test_hot_functions_coverage () =
   let samples =
     [
@@ -156,6 +203,8 @@ let () =
       ( "profiler",
         [
           Alcotest.test_case "profile sane" `Quick test_profiler_sane;
+          Alcotest.test_case "profile matches the reference" `Quick
+            test_profiler_matches_reference;
           Alcotest.test_case "coverage cut" `Quick test_hot_functions_coverage;
         ] );
     ]
