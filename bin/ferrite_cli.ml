@@ -4,7 +4,6 @@
      boot      boot a kernel and print a health summary
      profile   profile the kernel under the workload (paper §3.5 "Location")
      inject    run a single injection campaign and print its statistics
-     matrix    sweep the canonical fault models over one campaign kind
      suite     run all four campaigns on one platform (Table 5 / Table 6)
      report    run both platforms and print every table and figure
      ablate    rebuild with one mechanism changed and measure the effect
@@ -30,7 +29,6 @@ module Target = Ferrite_injection.Target
 module Crash_cause = Ferrite_injection.Crash_cause
 module Supervisor = Ferrite_injection.Supervisor
 module Journal = Ferrite_injection.Journal
-module Fault_model = Ferrite_injection.Fault_model
 module Result_store = Ferrite_injection.Result_store
 module Store = Ferrite_store.Store
 module Triage = Ferrite_injection.Triage
@@ -80,16 +78,6 @@ let kind_conv =
 
 let kind_name = Format.asprintf "%a" (Arg.conv_printer kind_conv)
 
-let fault_model_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Fault_model.of_string s) in
-  let print fmt m = Format.pp_print_string fmt (Fault_model.tag m) in
-  Arg.conv (parse, print)
-
-let targeting_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Target.targeting_of_string s) in
-  let print fmt t = Format.pp_print_string fmt (Target.targeting_tag t) in
-  Arg.conv (parse, print)
-
 (* --- flags shared by several commands --- *)
 
 let arch_arg =
@@ -132,32 +120,13 @@ let trace_dir_arg =
 
 let paper_config = Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:0
 
-let fault_model_arg =
-  let doc =
-    "Fault model to inject (single_bit is the paper's transient flip). Accepts "
-    ^ Fault_model.spec_doc ^ "."
-  in
-  Arg.(
-    value
-    & opt fault_model_conv paper_config.Campaign.fault_model
-    & info [ "fault-model" ] ~docv:"MODEL" ~doc)
-
-(* [arch] and [fault_model] are parameters because the matrix sweeps both
-   itself. *)
-let config_term ?(arch = arch_arg) ?(fault_model = fault_model_arg) ~injections () =
-  let+ arch = arch
+let config_term ~injections =
+  let+ arch = arch_arg
   and+ kind = kind_arg
   and+ injections =
     let doc = "Error injections per campaign." in
     Arg.(value & opt count injections & info [ "n" ] ~docv:"N" ~doc)
   and+ seed = seed_arg 0x2004L
-  and+ fault_model = fault_model
-  and+ targeting =
-    let doc =
-      "Targeting policy for the STEP-1 draw (uniform is the paper's). Accepts "
-      ^ Target.targeting_doc ^ "."
-    in
-    Arg.(value & opt targeting_conv Target.Uniform & info [ "targeting" ] ~docv:"POLICY" ~doc)
   and+ collector_loss =
     let doc = "Crash-dump loss probability of the collector channel." in
     Arg.(
@@ -177,8 +146,6 @@ let config_term ?(arch = arch_arg) ?(fault_model = fault_model_arg) ~injections 
   {
     (Campaign.default ~arch ~kind ~injections) with
     Campaign.seed;
-    fault_model;
-    targeting;
     collector_loss;
     collector_retries;
   }
@@ -650,15 +617,6 @@ let inject_cmd =
     end_progress exec;
     print_campaign res;
     Option.iter print_fabric_report fabric_report;
-    (* non-legacy config: add the per-model Table 5/6 breakout (a resumed
-       journal may carry several models, hence groups, not one row) *)
-    if
-      cfg.Campaign.fault_model <> Fault_model.Single_bit_transient
-      || cfg.Campaign.targeting <> Target.Uniform
-    then begin
-      print_newline ();
-      print_endline (Ferrite.Report.model_breakout res)
-    end;
     write_outputs outputs [ res ];
     (* last: the store/trace writers above may add salvage labels *)
     print_io_chaos_report ()
@@ -666,60 +624,8 @@ let inject_cmd =
   Cmd.v (Cmd.info "inject" ~doc:"Run one error-injection campaign")
     Term.(
       const run
-      $ config_term ~injections:500 ()
+      $ config_term ~injections:500
       $ exec_term $ outputs_term () $ supervision_term $ harness_fault_term $ fleet_term)
-
-(* --- matrix --- *)
-
-let matrix_cmd =
-  let arches_arg =
-    let doc = "Restrict the sweep to one platform (default: both p4 and g4)." in
-    Term.(
-      const (Option.fold ~none:[ Image.Cisc; Image.Risc ] ~some:(fun a -> [ a ]))
-      $ Arg.(value & opt (some arch_conv) None & info [ "a"; "arch" ] ~docv:"ARCH" ~doc))
-  in
-  let run arches cfg exec =
-    let kind = kind_name cfg.Campaign.kind in
-    (* every model attacks the same kernel of an arch: build its inputs once *)
-    let inputs =
-      List.map (fun arch -> (arch, Campaign.build_inputs ~variant:cfg.Campaign.variant arch)) arches
-    in
-    let cell arch model =
-      let cfg = { cfg with Campaign.arch; fault_model = model } in
-      let label = Printf.sprintf "%-4s %-16s " (arch_label arch) (Fault_model.tag model) in
-      let res =
-        Campaign.run ~progress:(progress_fn exec label) ~executor:exec.executor
-          ~inputs:(List.assoc arch inputs) cfg
-      in
-      Ferrite.Report.summary_row (arch_label arch ^ " " ^ kind) (Campaign.summarize res)
-    in
-    let groups =
-      List.map
-        (fun model ->
-          (Printf.sprintf "%s — %s" (Fault_model.tag model) (Fault_model.describe model),
-           List.map (fun arch -> cell arch model) arches))
-        Fault_model.sweep_models
-    in
-    end_progress exec;
-    let header =
-      [ "Campaign"; "Injected"; "Activated"; "Not Manifested"; "FSV"; "Known Crash";
-        "Hang/Unknown" ]
-    in
-    Printf.printf "Fault-model matrix (%s targets, %s targeting, %d injections per cell)\n" kind
-      (Target.targeting_tag cfg.Campaign.targeting) cfg.Campaign.injections;
-    print_string (Ferrite_stats.Table.render_grouped ~header groups);
-    print_endline "\n(percentages w.r.t. activated errors; activation w.r.t. injected)"
-  in
-  Cmd.v
-    (Cmd.info "matrix"
-       ~doc:
-         "Sweep the canonical fault models over one campaign kind on both \
-          platforms and print the grouped Table 5/6-style breakout")
-    Term.(
-      const run $ arches_arg
-      $ config_term ~arch:(Term.const Image.Cisc)
-          ~fault_model:(Term.const Fault_model.Single_bit_transient) ~injections:200 ()
-      $ exec_term)
 
 (* --- suite / report --- *)
 
@@ -1060,4 +966,4 @@ let () =
     Cmd.info "ferrite" ~version:"1.0.0"
       ~doc:"Error sensitivity of a miniature kernel on CISC/RISC simulators (DSN 2004 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group ~default info [ boot_cmd; profile_cmd; inject_cmd; matrix_cmd; suite_cmd; report_cmd; ablate_cmd; oops_cmd; disasm_cmd; trace_cmd; triage_cmd; fuzz_cmd; worker_cmd ]))
+  exit (Cmd.eval (Cmd.group ~default info [ boot_cmd; profile_cmd; inject_cmd; suite_cmd; report_cmd; ablate_cmd; oops_cmd; disasm_cmd; trace_cmd; triage_cmd; fuzz_cmd; worker_cmd ]))

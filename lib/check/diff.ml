@@ -31,32 +31,12 @@ type spec = {
   df_seed : int64;
   df_injections : int;
   df_step_budget : int;
-  df_model : Fault_model.t;
-  df_targeting : Target.targeting;
 }
 
 type mismatch = { mm_config : string; mm_what : string; mm_trial : int }
 
 let arches = [| Image.Cisc; Image.Risc |]
 let kinds = [| Target.Stack; Target.Data; Target.Code; Target.Register |]
-
-(* The whole algebra, so the fuzzer's differential sweep covers every model
-   the engine can drive — including both structure faults. *)
-let models =
-  [|
-    Fault_model.Single_bit_transient;
-    Fault_model.Multi_bit { width = 2 };
-    Fault_model.Multi_bit { width = 4 };
-    Fault_model.Burst { span = 3 };
-    Fault_model.Stuck_at { value = 0 };
-    Fault_model.Stuck_at { value = 1 };
-    Fault_model.Intermittent { period = 8; duty = 4; seed = 0L };
-    Fault_model.Tlb_entry;
-    Fault_model.Decode_cache_line;
-  |]
-
-let targetings =
-  [| Target.Uniform; Target.Profile_weighted; Target.Density_weighted Target.default_density |]
 
 let arch_name = function Image.Cisc -> "p4" | Image.Risc -> "g4"
 
@@ -67,10 +47,8 @@ let kind_name = function
   | Target.Register -> "register"
 
 let describe s =
-  Printf.sprintf "%s/%s seed=%Lx injections=%d budget=%d model=%s targeting=%s"
-    (arch_name s.df_arch) (kind_name s.df_kind) s.df_seed s.df_injections s.df_step_budget
-    (Fault_model.tag s.df_model)
-    (Target.targeting_tag s.df_targeting)
+  Printf.sprintf "%s/%s seed=%Lx injections=%d budget=%d" (arch_name s.df_arch)
+    (kind_name s.df_kind) s.df_seed s.df_injections s.df_step_budget
 
 let gen_spec rng ~injections ~step_budget =
   {
@@ -79,8 +57,6 @@ let gen_spec rng ~injections ~step_budget =
     df_seed = Rng.next64 rng;
     df_injections = injections;
     df_step_budget = step_budget;
-    df_model = Rng.pick rng models;
-    df_targeting = Rng.pick rng targetings;
   }
 
 (* image + hot profile per arch, built once (they are pure, read-only inputs
@@ -109,8 +85,8 @@ let env_of s =
         { Engine.default_config with Engine.step_budget = s.df_step_budget };
     env_collector_loss = (Campaign.default ~arch:s.df_arch ~kind:s.df_kind ~injections:1).Campaign.collector_loss;
     env_collector_retries = 0;
-    env_fault_model = s.df_model;
-    env_targeting = s.df_targeting;
+    env_fault_model = Fault_model.Single_bit_transient;
+    env_targeting = Target.Uniform;
   }
 
 let with_fast fast f =

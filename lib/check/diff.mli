@@ -9,10 +9,6 @@ type spec = {
   df_seed : int64;
   df_injections : int;
   df_step_budget : int;
-  df_model : Ferrite_injection.Fault_model.t;
-      (** fault model the generated campaign injects; {!gen_spec} draws from
-          the whole algebra so the fuzzer exercises every model *)
-  df_targeting : Ferrite_injection.Target.targeting;
 }
 
 type mismatch = {

@@ -12,7 +12,6 @@
    failing file diff shows exactly what regressed. *)
 
 module Image = Ferrite_kir.Image
-module Fault_model = Ferrite_injection.Fault_model
 module Target = Ferrite_injection.Target
 
 type oracle = Roundtrip | Robust
@@ -78,19 +77,6 @@ let to_string t =
     kv "injections" (string_of_int spec.Diff.df_injections);
     kv "trial" (string_of_int trial);
     kv "step-budget" (string_of_int spec.Diff.df_step_budget);
-    (* legacy model/targeting are the parse defaults: omitting them keeps
-       pre-refactor repro files byte-stable under a round-trip *)
-    (match spec.Diff.df_model with
-    | Fault_model.Single_bit_transient -> ()
-    | m -> kv "fault-model" (Fault_model.tag m));
-    (match spec.Diff.df_targeting with
-    | Target.Uniform -> ()
-    | t ->
-      kv "targeting"
-        (match t with
-        | Target.Profile_weighted -> "profile"
-        | Target.Density_weighted _ -> "density"
-        | Target.Uniform -> "uniform"));
     if note <> "" then kv "note" (one_line note));
   Buffer.contents b
 
@@ -160,15 +146,12 @@ let of_string s =
       let* injections = int_field "injections" in
       let* trial = int_field "trial" in
       let* budget = int_field "step-budget" in
-      let* model =
-        match find "fault-model" with
-        | None -> Ok Fault_model.Single_bit_transient
-        | Some m -> Fault_model.of_string m
-      in
-      let* targeting =
-        match find "targeting" with
-        | None -> Ok Target.Uniform
-        | Some t -> Target.targeting_of_string t
+      (* only the paper's single-bit, uniform trial replays: a file naming
+         another fault model or targeting policy is refused, not ignored *)
+      let* () =
+        match List.find_opt (fun k -> find k <> None) [ "fault-model"; "targeting" ] with
+        | Some k -> Error ("retired field: " ^ k)
+        | None -> Ok ()
       in
       if trial < 0 || trial >= injections then Error "trial outside injections"
       else
@@ -182,8 +165,6 @@ let of_string s =
                    df_seed = seed;
                    df_injections = injections;
                    df_step_budget = budget;
-                   df_model = model;
-                   df_targeting = targeting;
                  };
                trial;
                note;

@@ -59,11 +59,11 @@ val fig12 : p4:Suite.t -> g4:Suite.t -> string
 val fig16 : p4:Suite.t -> g4:Suite.t -> string
 
 val model_breakout : ?title:string -> Ferrite_injection.Campaign.result -> string
-(** Table 5/6-style rows broken out per fault model actually injected, one
-    labelled group per {!Ferrite_injection.Fault_model.tag} in campaign
-    order. Percentages are within each model's own activated/injected
-    counts. For a single-model campaign this is one group — the breakout is
-    most useful after a matrix sweep or a mixed-model resume. *)
+(** Table 5/6-style rows broken out per fault model, one labelled group per
+    {!Ferrite_injection.Fault_model.tag} in campaign order; every campaign
+    runs the single-bit model, so this is one group. Kept for [bench/perf],
+    which renders it, until its copy of the trial path is replaced (ROADMAP
+    item 5). *)
 
 val telemetry_table : Suite.t -> string
 (** Injector bookkeeping counters per campaign (activations, re-injections,

@@ -2,7 +2,6 @@ module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Journal = Ferrite_injection.Journal
 module Executor = Ferrite_injection.Executor
-module Fault_model = Ferrite_injection.Fault_model
 module Lease = Ferrite_injection.Lease
 module Trial = Ferrite_injection.Trial
 module Trial_table = Ferrite_injection.Trial_table
@@ -544,9 +543,7 @@ module Controller = struct
             deaths)
     in
     let record, stats, trace, dump =
-      Supervisor.quarantine_entry ~trace:t.t_tracer
-        ~model:(Fault_model.validated t.t_cfg.Campaign.fault_model)
-        t.t_specs.(index) reasons
+      Supervisor.quarantine_entry ~trace:t.t_tracer t.t_specs.(index) reasons
     in
     ignore
       (Trial_table.complete t.t_table

@@ -99,16 +99,6 @@ let plan_fingerprint ?supervision cfg =
       (match v.Boot.v_promote with None -> "default" | Some n -> string_of_int n)
       v.Boot.v_g4_wrapper v.Boot.v_p4_wrapper v.Boot.v_assertions
   in
-  (* The legacy configuration renders the exact v1 fingerprint, so journals
-     written before the fault-model refactor still hash-match their plans;
-     any other model/targeting choice extends the string (and the hash). *)
-  let base =
-    match (cfg.fault_model, cfg.targeting) with
-    | Fault_model.Single_bit_transient, Target.Uniform -> base
-    | model, targeting ->
-      Printf.sprintf "%s;fault-model=%s;targeting=%s" base (Fault_model.tag model)
-        (Target.targeting_tag targeting)
-  in
   match supervision with
   | None -> base
   | Some sv ->

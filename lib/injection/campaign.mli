@@ -25,10 +25,11 @@ type config = {
   engine : Engine.config;
   variant : Ferrite_kernel.Boot.variant;  (** kernel build variant (ablations) *)
   fault_model : Fault_model.t;
-      (** what kind of corruption every trial lands; {!default} picks
-          {!Fault_model.Single_bit_transient}, the paper's model *)
   targeting : Target.targeting;
-      (** where the STEP-1 draw aims; {!default} picks {!Target.Uniform} *)
+      (** [fault_model] and [targeting] each have one value, the paper's
+          single-bit flip and uniform draw. They are kept for [bench/perf]'s
+          copy of the trial path, which names them, until that copy is
+          replaced (ROADMAP item 5). *)
 }
 
 val default :

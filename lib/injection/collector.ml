@@ -22,7 +22,6 @@ type t = {
   mutable retransmitted : int;
   mutable gave_up : int;
   mutable dup_dropped : int;
-  by_model : (string, int) Hashtbl.t;  (* delivered dumps per fault-model tag *)
 }
 
 let create ?(loss_rate = 0.03) ?(retries = 0) ~seed () =
@@ -37,7 +36,6 @@ let create ?(loss_rate = 0.03) ?(retries = 0) ~seed () =
     retransmitted = 0;
     gave_up = 0;
     dup_dropped = 0;
-    by_model = Hashtbl.create 8;
   }
 
 type delivery = {
@@ -46,7 +44,7 @@ type delivery = {
   dv_dups : int;  (* duplicate deliveries dropped by seq-number dedup *)
 }
 
-let send_detail ?(model = "single_bit") t info =
+let send_detail t info =
   t.seq <- t.seq + 1;
   let delivered = ref false in
   let dups = ref 0 in
@@ -75,9 +73,6 @@ let send_detail ?(model = "single_bit") t info =
     incr attempt
   done;
   t.retransmitted <- t.retransmitted + (!transmissions - 1);
-  if !delivered then
-    Hashtbl.replace t.by_model model
-      (1 + Option.value (Hashtbl.find_opt t.by_model model) ~default:0);
   if not !delivered then t.gave_up <- t.gave_up + 1;
   let dv =
     { dv_delivered = !delivered; dv_retransmits = !transmissions - 1; dv_dups = !dups }
@@ -91,8 +86,8 @@ let lost t = t.lost
 
 (* [st_by_model] is last: the journal's v1 stats payload predates it and is
    upgraded by appending the legacy breakdown, so field order is part of the
-   on-disk format. The assoc list is kept sorted by tag so merged stats are
-   canonical regardless of merge order. *)
+   on-disk format. Every delivered dump is a single-bit one, so the list is
+   derived from [st_received]. *)
 type stats = {
   st_received : int;
   st_lost : int;
@@ -112,6 +107,9 @@ let zero_stats =
     st_by_model = [];
   }
 
+let by_model received =
+  if received > 0 then [ (Fault_model.tag Fault_model.Single_bit_transient, received) ] else []
+
 let stats t =
   {
     st_received = t.received;
@@ -119,16 +117,8 @@ let stats t =
     st_retransmitted = t.retransmitted;
     st_gave_up = t.gave_up;
     st_dup_dropped = t.dup_dropped;
-    st_by_model =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_model []);
+    st_by_model = by_model t.received;
   }
-
-let merge_by_model a b =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (k, v) -> Hashtbl.replace tbl k (v + Option.value (Hashtbl.find_opt tbl k) ~default:0))
-    (a @ b);
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let merge_stats a b =
   {
@@ -137,5 +127,5 @@ let merge_stats a b =
     st_retransmitted = a.st_retransmitted + b.st_retransmitted;
     st_gave_up = a.st_gave_up + b.st_gave_up;
     st_dup_dropped = a.st_dup_dropped + b.st_dup_dropped;
-    st_by_model = merge_by_model a.st_by_model b.st_by_model;
+    st_by_model = by_model (a.st_received + b.st_received);
   }

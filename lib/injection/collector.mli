@@ -23,13 +23,10 @@ type delivery = {
   dv_dups : int;  (** duplicate deliveries dropped by sequence-number dedup *)
 }
 
-val send_detail :
-  ?model:string -> t -> Outcome.crash_info -> Outcome.crash_info option * delivery
+val send_detail : t -> Outcome.crash_info -> Outcome.crash_info option * delivery
 (** Ship one dump; [None] when every transmission was lost (the engine
     classifies that crash as Unknown). The {!delivery} report is what the
-    engine folds into trace events ({!Ferrite_trace.Event.Collector_retransmit}).
-    [model] (default ["single_bit"]) is the {!Fault_model.tag} of the trial's
-    fault model, tallied per model in {!stats}. *)
+    engine folds into trace events ({!Ferrite_trace.Event.Collector_retransmit}). *)
 
 val send : t -> Outcome.crash_info -> Outcome.crash_info option
 (** [send t info = fst (send_detail t info)]. *)
@@ -50,9 +47,10 @@ type stats = {
   st_gave_up : int;  (** dumps abandoned after every transmission was lost *)
   st_dup_dropped : int;  (** duplicates dropped by sequence-number dedup *)
   st_by_model : (string * int) list;
-      (** delivered dumps per fault-model tag, sorted by tag. Last field:
-          the journal's v1 stats payload predates it (upgraded on decode by
-          appending the legacy breakdown). *)
+      (** delivered dumps per fault-model tag: [[("single_bit", st_received)]],
+          or [[]] when nothing was received. Last field: the journal's v1
+          stats payload predates it (upgraded on decode by appending the
+          legacy breakdown). *)
 }
 
 val zero_stats : stats

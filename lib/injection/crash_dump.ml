@@ -199,7 +199,7 @@ let code_window_lines sys =
 
 let guard ~default f = try f () with _ -> default
 
-let capture ?(events = []) ?(model = "single_bit") ?target ?activation_cycle ?(latency = 0)
+let capture ?(events = []) ?target ?activation_cycle ?(latency = 0)
     sys fault =
   {
     cd_arch = sys.System.arch;
@@ -216,7 +216,7 @@ let capture ?(events = []) ?(model = "single_bit") ?target ?activation_cycle ?(l
     cd_backtrace = guard ~default:[] (fun () -> backtrace sys);
     cd_code = guard ~default:[ "(code unreadable)" ] (fun () -> code_window_lines sys);
     cd_events = events;
-    cd_model = model;
+    cd_model = Fault_model.tag Fault_model.Single_bit_transient;
     cd_target = target;
     cd_activation_cycle = activation_cycle;
     cd_latency = latency;

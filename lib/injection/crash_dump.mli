@@ -27,7 +27,6 @@ type t = {
 
 val capture :
   ?events:string list ->
-  ?model:string ->
   ?target:Target.t ->
   ?activation_cycle:int ->
   ?latency:int ->

@@ -61,7 +61,7 @@ type state = {
   mutable injected : bool;  (* register targets: has the flip happened yet *)
 }
 
-let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0L)
+let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?fault_seed:(_ : int64 option)
     ?(on_dump = fun (_ : Crash_dump.t) -> ()) ~sys ~runner ~target ~collector config =
   let config = validated config in
   let counters = System.counters sys in
@@ -82,64 +82,8 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
   let activate cycle =
     if st.activation = None then st.activation <- Some cycle
   in
-  let fm = Fault_model.instantiate model ~fault_seed in
-  (* Mechanics the model borrows from the machine: arch-aware word-bit
-     access for memory targets, read-modify-write for register targets, and
-     page swapping for the TLB structure fault. *)
-  let word_bit_get addr bit =
-    let byte_in_word = bit / 8 in
-    let byte_addr =
-      match sys.System.arch with
-      | Image.Cisc -> addr + byte_in_word
-      | Image.Risc -> addr + (3 - byte_in_word)
-    in
-    (Memory.peek8 sys.System.mem byte_addr lsr (bit mod 8)) land 1
-  in
-  let partner_page addr =
-    (* a mapped page whose address differs in exactly one page-number bit —
-       the neighbour a corrupted translation entry would alias to *)
-    let rec go k =
-      if k > 31 then None
-      else
-        let p = (addr lxor (1 lsl k)) land 0xFFFFFFFF in
-        if Memory.is_mapped sys.System.mem p then Some p else go (k + 1)
-    in
-    go 12
-  in
-  let mem_ops =
-    {
-      Fault_model.o_flip = (fun addr bit -> flip_word_bit sys addr bit);
-      o_get = word_bit_get;
-      o_swap_pages = (fun a b -> Memory.swap_page_contents sys.System.mem a b);
-      o_partner = partner_page;
-      o_emit = emit;
-    }
-  in
-  let reg_ops index =
-    let r = (System.system_registers sys).(index) in
-    {
-      Fault_model.o_flip = (fun _ bit -> r.System.set (Word.flip_bit (r.System.get ()) bit));
-      o_get = (fun _ bit -> (r.System.get () lsr bit) land 1);
-      o_swap_pages = (fun _ _ -> ());
-      o_partner = (fun _ -> None);
-      o_emit = emit;
-    }
-  in
-  (* Only width/span models care how many bits an instruction offers, and
-     only they pay for a CISC decode; the legacy model never decodes. *)
-  let code_bit_limit addr bit =
-    match model with
-    | Fault_model.Multi_bit _ | Fault_model.Burst _ -> (
-      match sys.System.arch with
-      | Image.Risc -> 32
-      | Image.Cisc -> (
-        let fetch a = Memory.peek8 sys.System.mem a in
-        match Ferrite_cisc.Decode.decode ~fetch addr with
-        | d -> 8 * d.Ferrite_cisc.Insn.length
-        | exception _ -> max 8 (bit + 1)))
-    | _ -> max 32 (bit + 1)
-  in
-  (* STEP 2: arm the injection *)
+  (* STEP 2: arm the injection. A stack or data error is flipped now; a code
+     error when its breakpoint fires; a register error at [at_instr]. *)
   (match target with
   | Target.Code_target { addr; _ } ->
     Debug_regs.set_instruction_bp dr addr;
@@ -150,49 +94,23 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
       | Target.Stack_target _ -> Event.Stack_space
       | _ -> Event.Data_space
     in
-    Fault_model.apply_mem fm mem_ops ~space ~addr ~bit ~limit:32;
+    flip_word_bit sys addr bit;
+    emit (Event.Flip { space; addr; bit });
     Debug_regs.set_data_bp dr ~addr ~len:4;
     emit (Event.Arm_bp { kind = Event.Data; addr })
   | Target.Reg_target _ -> ());
-  let reg_activate () =
-    if st.activation = None then begin
-      activate counters.Counters.cycles;
-      emit (Event.Activated { via = "register" })
-    end
-  in
   let reg_inject () =
     match target with
     | Target.Reg_target { index; name; bit; _ } ->
       let r = (System.system_registers sys).(index) in
-      let landed =
-        Fault_model.apply_reg fm (reg_ops index) ~reg:name ~index ~bit ~bits:r.System.bits
-      in
+      r.System.set (Word.flip_bit (r.System.get ()) bit);
+      emit (Event.Reg_flip { reg = name; bit });
       st.injected <- true;
-      (* a no-op apply (stuck-at bit already at the stuck value, dormant
-         intermittent phase) corrupts nothing: not an activation. If the
-         model asserts later, [fm_tick] reports and activates it. *)
-      if landed then reg_activate ()
+      if st.activation = None then begin
+        activate counters.Counters.cycles;
+        emit (Event.Activated { via = "register" })
+      end
     | _ -> ()
-  in
-  (* Time base for models that need one (intermittent presence toggling,
-     stuck-at register re-forcing); the unit thunk keeps the legacy loop
-     branch-free. *)
-  let fm_tick =
-    if Fault_model.needs_tick model (Target.kind_of target) then begin
-      match target with
-      | Target.Stack_target { addr; bit; _ }
-      | Target.Data_target { addr; bit }
-      | Target.Code_target { addr; bit; _ } ->
-        (* memory activation stays watchpoint-driven; a tick assertion alone
-           is not a kernel access to the erroneous location *)
-        fun () -> ignore (Fault_model.on_tick fm mem_ops ~addr ~bit : bool)
-      | Target.Reg_target { index; bit; _ } ->
-        let ops = reg_ops index in
-        fun () ->
-          if Fault_model.on_tick fm ops ~addr:index ~bit && st.injected then
-            reg_activate ()
-    end
-    else fun () -> ()
   in
   let finish outcome =
     Debug_regs.clear_all dr;
@@ -244,7 +162,7 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
       in
       (* ...and ships the dump over the lossy UDP path (with bounded
          retransmission when the collector is configured for it) *)
-      let result, dv = Collector.send_detail ~model:(Fault_model.tag model) collector info in
+      let result, dv = Collector.send_detail collector info in
       if dv.Collector.dv_retransmits > 0 then
         emit (Event.Collector_retransmit { retries = dv.Collector.dv_retransmits });
       (match result with
@@ -265,7 +183,7 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
                    Printf.sprintf "[cyc %d] %s" st.Event.s_cycles (Event.describe ev))
         in
         on_dump
-          (Crash_dump.capture ~events ~model:(Fault_model.tag model) ~target
+          (Crash_dump.capture ~events ~target
              ?activation_cycle:st.activation ~latency sys fault);
         finish (Outcome.Known_crash info)
       | None ->
@@ -275,7 +193,9 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
   (* STEP 3: undo a never-activated memory error so it leaves no trace *)
   let restore_unactivated () =
     match target with
-    | Target.Stack_target _ | Target.Data_target _ -> Fault_model.undo fm mem_ops
+    | Target.Stack_target { addr; bit; _ } | Target.Data_target { addr; bit } ->
+      flip_word_bit sys addr bit;
+      emit (Event.Restore { addr; bit })
     | Target.Code_target _ | Target.Reg_target _ -> ()
   in
   let workload_done () =
@@ -300,10 +220,7 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
       finish Outcome.Hang
     end
     else begin
-      if steps land tick_mask = 0 then begin
-        fm_tick ();
-        if Runner.tick runner = Runner.Done then workload_done () else step_once steps skip_ibp
-      end
+      if steps land tick_mask = 0 && Runner.tick runner = Runner.Done then workload_done ()
       else step_once steps skip_ibp
     end
   and step_once steps skip_ibp =
@@ -356,8 +273,8 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
     match target with
     | Target.Code_target { addr; bit; _ } when System.pc sys = addr ->
       emit (Event.Bp_hit { addr = System.pc sys; stray = false });
-      Fault_model.apply_mem fm mem_ops ~space:Event.Code_space ~addr ~bit
-        ~limit:(code_bit_limit addr bit);
+      flip_code_bit sys addr bit;
+      emit (Event.Flip { space = Event.Code_space; addr; bit });
       activate counters.Counters.cycles;
       emit (Event.Activated { via = "instruction breakpoint" });
       Debug_regs.clear_all dr;
@@ -370,15 +287,15 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
     (match target with
     | Target.Stack_target { addr; bit; _ } | Target.Data_target { addr; bit } ->
       emit (Event.Watch_hit { addr; is_write = hit.Debug_regs.is_write });
-      (* a dormant intermittent fault reads clean: the hit is not an
-         activation *)
-      if st.activation = None && not (Fault_model.blocks_activation fm) then begin
+      if st.activation = None then begin
         activate counters.Counters.cycles;
         emit (Event.Activated { via = "data watchpoint" })
       end;
-      (* a write overwrote the error: re-assert it per model semantics
-         (§3.3 — the legacy model re-injects the single bit) *)
-      if hit.Debug_regs.is_write then Fault_model.on_write_hit fm mem_ops ~addr ~bit
+      (* a write overwrote the error: re-inject it (§3.3) *)
+      if hit.Debug_regs.is_write then begin
+        flip_word_bit sys addr bit;
+        emit (Event.Reinject { addr; bit })
+      end
     | Target.Code_target _ | Target.Reg_target _ -> ());
     loop (steps + 1) false
   in

@@ -58,11 +58,10 @@ val run_one :
     raise/handler/classify, collector sends and watchdog expiry — each
     stamped with the cycle/instruction counters and the current PC.
 
-    [model] (default {!Fault_model.Single_bit_transient}) selects what kind
-    of corruption lands; the default reproduces the legacy engine
-    byte-for-byte. [fault_seed] (default [0L]) seeds the model's own fault
-    stream (extra multi-bit positions, intermittent phase); the legacy model
-    never draws from it.
+    [model] (default and only value {!Fault_model.Single_bit_transient}) is
+    copied into the record; [fault_seed] is ignored. Both are kept for
+    [bench/perf]'s copy of the trial path until that copy is replaced
+    (ROADMAP item 5).
 
     [on_dump] (default: ignore) fires exactly when a crash dump is delivered
     to the collector (i.e. for every [Known_crash]), with the structured

@@ -207,7 +207,7 @@ let note_retry t index attempt reason =
    fabric: a trial that keeps killing whole worker processes is quarantined
    by the controller with exactly the record/trace shape the in-process
    supervisor produces. *)
-let quarantine_entry ~trace ~model (spec : Trial.spec) reasons =
+let quarantine_entry ~trace (spec : Trial.spec) reasons =
   let attempts = List.length reasons in
   if attempts = 0 then invalid_arg "Supervisor.quarantine_entry: no failure reasons";
   let last_reason = List.nth reasons (attempts - 1) in
@@ -238,7 +238,7 @@ let quarantine_entry ~trace ~model (spec : Trial.spec) reasons =
       r_outcome = outcome;
       r_activated = false;
       r_activation_cycle = None;
-      r_model = model;
+      r_model = Fault_model.Single_bit_transient;
     }
   in
   let trial_trace =
@@ -247,8 +247,8 @@ let quarantine_entry ~trace ~model (spec : Trial.spec) reasons =
   in
   (record, Collector.zero_stats, trial_trace, None)
 
-let quarantined_result t ~trace ~model (spec : Trial.spec) reasons =
-  let result = quarantine_entry ~trace ~model spec reasons in
+let quarantined_result t ~trace (spec : Trial.spec) reasons =
+  let result = quarantine_entry ~trace spec reasons in
   let attempts = List.length reasons in
   let last_reason = List.nth reasons (attempts - 1) in
   let index = spec.Trial.index in
@@ -299,7 +299,6 @@ let run_trial t ~trace env cache (spec : Trial.spec) =
         go (attempt + 1) (reason :: reasons)
       end
       else
-        quarantined_result t ~trace ~model:env.Trial.env_fault_model spec
-          (List.rev (reason :: reasons))
+        quarantined_result t ~trace spec (List.rev (reason :: reasons))
   in
   go 0 []

@@ -119,7 +119,6 @@ val journal_append : t -> Journal.entry -> unit
 
 val quarantine_entry :
   trace:Ferrite_trace.Tracer.config ->
-  model:Fault_model.t ->
   Trial.spec ->
   string list ->
   Outcome.record * Collector.stats * Ferrite_trace.Tracer.trial * Crash_dump.t option

@@ -12,72 +12,7 @@ type t =
 
 type kind = Code | Stack | Data | Register
 
-type targeting =
-  | Uniform
-  | Profile_weighted
-  | Density_weighted of (string * float) list
-
-(* "Faults in Linux" (PAPERS.md): fault density varies sharply by subsystem —
-   drivers and filesystems dominate. The kernel image here has no drivers, so
-   the default table leans on fs/net the way the field data does. *)
-let default_density =
-  [
-    ("sched", 1.0);
-    ("mm", 1.5);
-    ("fs", 3.0);
-    ("net", 2.5);
-    ("locks", 0.8);
-    ("lib", 0.5);
-    ("boot", 0.2);
-  ]
-
-(* Subsystem of a kernel function, by name. Anything unknown lands in "lib"
-   (the string/checksum helpers are the catch-all in this kernel too). *)
-let subsystem_of_function fn =
-  match fn with
-  | "schedule" | "schedule_timeout" | "sched_init" | "wake_up_process" | "run_task_queue"
-  | "timer_tick" | "idle_main" | "worker_main" | "signal_pending" | "sys_yield" -> "sched"
-  | "kmalloc" | "kfree" | "alloc_pages" | "free_pages_ok" | "get_free_page" | "mm_init"
-  | "sys_mem" -> "mm"
-  | "fs_init" | "bread" | "brelse" | "getblk" | "mark_buffer_dirty" | "journal_add_buffer"
-  | "kjournald" | "kupdate" | "sync_old_buffers" | "sys_open" | "sys_close" | "sys_read"
-  | "sys_write" | "sys_stat" -> "fs"
-  | "net_init" | "alloc_skb" | "kfree_skb" | "skb_dequeue" | "skb_queue_tail" | "sys_send"
-  | "sys_recv" -> "net"
-  | "spin_lock" | "spin_trylock" | "spin_unlock" | "lock_kernel" | "unlock_kernel" -> "locks"
-  | "start_kernel" -> "boot"
-  | _ -> "lib"
-
-(* Subsystem of a data-section global, by name. *)
-let subsystem_of_global g =
-  match g with
-  | "jiffies" | "current" | "need_resched" | "runqueue_lock" | "pid_hash" | "cpu_data"
-  | "irq_desc" | "timer_vec" -> "sched"
-  | "mem_map" | "free_area" | "kmalloc_heads" | "nr_free_pages" | "page_alloc_lock"
-  | "kmalloc_lock" | "swapper_space" -> "mm"
-  | "buffer_heads" | "buffer_hash" | "dirty_list" | "nr_buffer_heads" | "buffer_lock"
-  | "inode_table" | "the_journal" | "running_transaction" | "dentry_hashtable"
-  | "inode_hashtable" -> "fs"
-  | "skb_pool" | "rx_queue" | "net_lock" | "net_rx_packets" | "net_tx_packets" -> "net"
-  | "kernel_flag" -> "locks"
-  | _ -> "lib"
-
-let targeting_tag = function
-  | Uniform -> "uniform"
-  | Profile_weighted -> "profile"
-  | Density_weighted table ->
-    "density["
-    ^ String.concat "," (List.map (fun (s, w) -> Printf.sprintf "%s=%g" s w) table)
-    ^ "]"
-
-let targeting_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "uniform" -> Ok Uniform
-  | "profile" | "profile_weighted" | "profile-weighted" -> Ok Profile_weighted
-  | "density" | "density_weighted" | "density-weighted" -> Ok (Density_weighted default_density)
-  | other -> Error (Printf.sprintf "unknown targeting policy %S" other)
-
-let targeting_doc = "uniform | profile | density"
+type targeting = Uniform
 
 let kind_of = function
   | Code_target _ -> Code
@@ -109,62 +44,31 @@ let instruction_boundaries sys (f : Image.func_sym) =
     in
     go f.Image.fs_addr []
 
-(* Satellite fix: the hot distribution (and any density table) used to be
-   trusted blindly — an empty list or a zero/NaN weight crashed deep inside
-   [Rng.pick_weighted] or, worse, sampled garbage. Validate before any RNG
+(* An empty hot distribution or a zero/NaN weight would crash deep inside
+   [Rng.pick_weighted] or, worse, sample garbage. Validate before any RNG
    draw so a bad profile is an [Invalid_argument] with a usable message and
    consumes no randomness. *)
-let validate_weights ~what dist =
-  if dist = [] then invalid_arg (Printf.sprintf "Target.generate: %s is empty" what);
+let validate_hot hot =
+  if hot = [] then invalid_arg "Target.generate: hot distribution is empty";
   List.iter
     (fun (name, w) ->
       if not (Float.is_finite w) || w <= 0. then
         invalid_arg
-          (Printf.sprintf "Target.generate: %s has non-positive weight %h for %S" what w name))
-    dist
+          (Printf.sprintf "Target.generate: hot distribution has non-positive weight %h for %S"
+             w name))
+    hot
 
-let code_target_in sys ~fn rng =
+let code_target sys ~hot rng =
+  let fn = Rng.pick_weighted rng (Array.of_list hot) in
   let f = Image.find_func sys.System.image fn in
   let bounds = instruction_boundaries sys f in
   let addr, len = List.nth bounds (Rng.int rng (List.length bounds)) in
   Code_target { fn; addr; bit = Rng.int rng (8 * len) }
 
-let code_target sys ~hot rng =
-  let fn = Rng.pick_weighted rng (Array.of_list hot) in
-  code_target_in sys ~fn rng
-
-(* Density-weighted code: pick a subsystem by table weight, then a function
-   inside it by its profile weight. Subsystems with no hot function (or a
-   zero table weight) drop out; if nothing remains the table degenerates to
-   the plain profile draw. *)
-let code_target_density sys ~hot ~table rng =
-  let weight_of sub = match List.assoc_opt sub table with Some w -> w | None -> 0. in
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (fn, w) ->
-      let sub = subsystem_of_function fn in
-      Hashtbl.replace groups sub ((fn, w) :: (Option.value (Hashtbl.find_opt groups sub) ~default:[])))
-    hot;
-  let candidates =
-    Hashtbl.fold
-      (fun sub fns acc -> if weight_of sub > 0. then (sub, fns) :: acc else acc)
-      groups []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  if candidates = [] then code_target sys ~hot rng
-  else begin
-    let _, fns =
-      Rng.pick_weighted rng
-        (Array.of_list (List.map (fun (s, fns) -> ((s, fns), weight_of s)) candidates))
-    in
-    let fn = Rng.pick_weighted rng (Array.of_list fns) in
-    code_target_in sys ~fn rng
-  end
-
 (* Stack targets: a word near the chosen task's live stack region (its saved
    stack pointer, or the running SP for the current task), biased into the
    frames actually in use. *)
-let stack_target ?(live_only = false) sys rng =
+let stack_target sys rng =
   let task = Rng.int rng Abi.ntasks in
   let lo, hi = System.task_stack_range sys task in
   let sp =
@@ -175,13 +79,8 @@ let stack_target ?(live_only = false) sys rng =
   let sp = if sp >= lo && sp < hi then sp else lo + (Abi.stack_size / 2) in
   (* Half the targets land in the live frames near the stack pointer, half
      anywhere in the 8 KiB stack — deep, currently unused stack gives the
-     paper its substantial not-activated fraction. Profile-weighted
-     targeting skips the coin and always aims at the live frames. *)
-  let region_lo =
-    if live_only then max lo (sp - 128)
-    else if Rng.bool rng then max lo (sp - 128)
-    else lo
-  in
+     paper its substantial not-activated fraction. *)
+  let region_lo = if Rng.bool rng then max lo (sp - 128) else lo in
   let region_lo = region_lo land lnot 3 in
   let words = (hi - region_lo) / 4 in
   let addr = region_lo + (4 * Rng.int rng (max 1 words)) in
@@ -198,58 +97,15 @@ let data_ranges sys =
       | _ -> Some (g.KLayout.pg_addr, g.KLayout.pg_size))
     ds.KLayout.ds_globals
 
-(* Named variant of [data_ranges] so density targeting can group globals by
-   subsystem. *)
-let named_data_ranges sys =
-  let ds = sys.System.image.Image.img_data in
-  List.filter_map
-    (fun (g : KLayout.placed_global) ->
-      match g.KLayout.pg_name with
-      | "mailbox" | "user_buffers" | "disk" -> None
-      | name -> Some (name, g.KLayout.pg_addr, g.KLayout.pg_size))
-    ds.KLayout.ds_globals
-
-let word_in_range rng (addr, size) =
+let data_target sys rng =
+  let ranges = Array.of_list (data_ranges sys) in
+  let addr, size = Rng.pick_weighted rng (Array.map (fun (a, s) -> ((a, s), float_of_int s)) ranges) in
   let word = addr + (4 * Rng.int rng (max 1 (size / 4))) in
   Data_target { addr = word; bit = Rng.int rng 32 }
 
-let data_target sys rng =
-  let ranges = Array.of_list (data_ranges sys) in
-  let weighted = Array.map (fun (a, s) -> ((a, s), float_of_int s)) ranges in
-  word_in_range rng (Rng.pick_weighted rng weighted)
-
-(* Profile-weighted data: weight each global by its live bytes, same as the
-   uniform draw but restricted upstream by the caller's table — kept as the
-   size-weighted draw here because the data section has no execution
-   profile; the distinction that matters is density targeting below. *)
-let data_target_density sys ~table rng =
-  let weight_of sub = match List.assoc_opt sub table with Some w -> w | None -> 0. in
-  let weighted =
-    List.filter_map
-      (fun (name, addr, size) ->
-        let w = weight_of (subsystem_of_global name) in
-        if w > 0. then Some ((addr, size), w *. float_of_int size) else None)
-      (named_data_ranges sys)
-  in
-  if weighted = [] then data_target sys rng
-  else word_in_range rng (Rng.pick_weighted rng (Array.of_list weighted))
-
-(* Registers the kernel actually steers by: the stack pointer, the flag /
-   machine-state word and the link/count registers are where a flip changes
-   control flow, which is what a profile-weighted draw should chase. *)
-let register_weight name =
-  match name with
-  | "sp" | "esp" | "eflags" | "msr" | "lr" | "ctr" | "cr" -> 4.0
-  | _ -> 1.0
-
-let register_target ?(weighted = false) sys rng =
+let register_target sys rng =
   let regs = System.system_registers sys in
-  let index =
-    if weighted then
-      let pairs = Array.mapi (fun i r -> (i, register_weight r.System.name)) regs in
-      Rng.pick_weighted rng pairs
-    else Rng.int rng (Array.length regs)
-  in
+  let index = Rng.int rng (Array.length regs) in
   let r = regs.(index) in
   Reg_target
     {
@@ -260,21 +116,11 @@ let register_target ?(weighted = false) sys rng =
     }
 
 let generate sys kind ?(targeting = Uniform) ~hot rng =
-  (match kind with Code -> validate_weights ~what:"hot distribution" hot | _ -> ());
-  (match targeting with
-  | Density_weighted table -> validate_weights ~what:"density table" table
-  | Uniform | Profile_weighted -> ());
-  match (kind, targeting) with
-  | Code, (Uniform | Profile_weighted) ->
-    (* the hot list is already the execution profile, so the uniform and
-       profile policies coincide for code — documented in the .mli *)
+  let Uniform = targeting in
+  match kind with
+  | Code ->
+    validate_hot hot;
     code_target sys ~hot rng
-  | Code, Density_weighted table -> code_target_density sys ~hot ~table rng
-  | Stack, Profile_weighted -> stack_target ~live_only:true sys rng
-  | Stack, (Uniform | Density_weighted _) ->
-    (* stacks have no subsystem identity: density falls back to uniform *)
-    stack_target sys rng
-  | Data, Uniform | Data, Profile_weighted -> data_target sys rng
-  | Data, Density_weighted table -> data_target_density sys ~table rng
-  | Register, Profile_weighted -> register_target ~weighted:true sys rng
-  | Register, (Uniform | Density_weighted _) -> register_target sys rng
+  | Stack -> stack_target sys rng
+  | Data -> data_target sys rng
+  | Register -> register_target sys rng

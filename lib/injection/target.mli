@@ -18,38 +18,10 @@ type t =
 
 type kind = Code | Stack | Data | Register
 
-(** Where the draw aims, orthogonally to {!kind}:
-    - [Uniform] — the paper's policy, exactly the legacy draws;
-    - [Profile_weighted] — lean on the execution profile: code targets keep
-      the (already profile-weighted) hot list, stack targets always aim at
-      the live frames near the stack pointer, register targets weight the
-      control-flow registers (SP, flags/MSR, LR/CTR) 4× the rest;
-    - [Density_weighted table] — per-subsystem fault densities ("Faults in
-      Linux", PAPERS.md): code and data draws first pick a subsystem by
-      table weight, then a site within it; stack and register targets have
-      no subsystem identity and fall back to the uniform draw. *)
-type targeting =
-  | Uniform
-  | Profile_weighted
-  | Density_weighted of (string * float) list
-
-val default_density : (string * float) list
-(** The default per-subsystem density table (fs and net lead, as in the
-    field data). *)
-
-val subsystem_of_function : string -> string
-(** Subsystem ("sched", "mm", "fs", "net", "locks", "lib", "boot") of a
-    kernel function, by name; unknown names land in "lib". *)
-
-val subsystem_of_global : string -> string
-(** Same, for data-section globals. *)
-
-val targeting_tag : targeting -> string
-val targeting_of_string : string -> (targeting, string) result
-(** Parse a policy name: ["uniform"], ["profile"], ["density"] (the default
-    table). *)
-
-val targeting_doc : string
+type targeting = Uniform
+(** Where the STEP-1 draw aims: the paper's uniform policy, the only one.
+    Kept for [bench/perf]'s copy of the trial path, which names it, until
+    that copy is replaced (ROADMAP item 5). *)
 
 val kind_of : t -> kind
 val describe : t -> string
@@ -63,10 +35,9 @@ val generate :
   t
 (** Draw one target. [hot] is the profiled function distribution used for
     code targets (the paper injects into functions covering ≥95% of kernel
-    execution); [targeting] (default [Uniform]) selects the policy above.
-    Raises [Invalid_argument] — before consuming any randomness — when the
-    hot distribution (for code targets) or a density table is empty or
-    carries a non-positive/non-finite weight. *)
+    execution). Raises [Invalid_argument] — before consuming any randomness
+    — when the hot distribution (for code targets) is empty or carries a
+    non-positive/non-finite weight. *)
 
 val data_ranges : Ferrite_kernel.System.t -> (int * int) list
 (** Eligible kernel-data [ (addr, size) ] ranges (exposed for tests and for

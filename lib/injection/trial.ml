@@ -29,8 +29,8 @@ let plan ~seed ~injections ~variant =
       let workload = Rng.pick rng programs in
       (* the historical draw order is collector, workload, target — the
          original spec literal evaluated its fields right-to-left — and the
-         fault stream is drawn LAST: pre-refactor journals replay only if the
-         legacy seeds stay bit-identical *)
+         unused fault seed is drawn last: v1 journals replay only if these
+         seeds stay bit-identical *)
       let collector_seed = Rng.next64 rng in
       let workload_seed = Rng.next64 rng in
       let target_seed = Rng.next64 rng in
@@ -143,7 +143,7 @@ let run ?(trace = Ferrite_trace.Tracer.telemetry_only) env cache spec =
     (Event.Trial_begin { trial = spec.index; target = Target.describe target });
   let dump = ref None in
   let record =
-    Engine.run_one ~tracer ~model:env.env_fault_model ~fault_seed:spec.fault_seed
+    Engine.run_one ~tracer ~model:env.env_fault_model
       ~on_dump:(fun d -> dump := Some d)
       ~sys ~runner ~target ~collector env.env_engine
   in

@@ -16,9 +16,9 @@ type spec = {
   workload_seed : int64;  (** stream for the workload's operation list *)
   collector_seed : int64;  (** stream for the lossy dump channel *)
   fault_seed : int64;
-      (** stream for the fault model itself (extra multi-bit positions,
-          intermittent phase); drawn after the three legacy seeds so
-          pre-refactor plans are reproduced draw for draw *)
+      (** drawn after the three seeds above and read by nothing: the
+          single-bit model draws no randomness. Kept so that plans, and the
+          journals and digests that pin them, keep their bytes. *)
   variant : Ferrite_kernel.Boot.variant;  (** kernel build variant (ablations) *)
   forced_target : Target.t option;
       (** bypass STEP 1 and inject exactly this target ([plan] always sets
@@ -39,8 +39,10 @@ type env = {
   env_engine : Engine.config;
   env_collector_loss : float;
   env_collector_retries : int;  (** bounded retransmission budget per dump *)
-  env_fault_model : Fault_model.t;  (** what kind of corruption every trial lands *)
-  env_targeting : Target.targeting;  (** where the STEP-1 draw aims *)
+  env_fault_model : Fault_model.t;
+  env_targeting : Target.targeting;
+      (** one value each, kept for [bench/perf]'s copy of the trial path
+          until that copy is replaced (ROADMAP item 5) *)
 }
 
 type cache

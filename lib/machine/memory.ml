@@ -523,25 +523,21 @@ let flip_bit t ~addr ~bit =
   assert (bit >= 0 && bit < 8);
   poke8 t addr (peek8 t addr lxor (1 lsl bit))
 
+(* One blit and one [touch] per page the run covers. Like a [poke8] per
+   byte: an unmapped page raises [Fault] at its first byte's address, after
+   the earlier pages are written. *)
 let blit_string t ~addr s =
-  String.iteri (fun i c -> poke8 t (addr + i) (Char.code c)) s
-
-(* Swap the contents of the two mapped pages containing [a] and [b]. Goes
-   through [touch] so decode caches see a new write generation and the dirty
-   list covers both pages; the TLB is flushed because a structure fault on a
-   translation entry invalidates whatever translations were cached. *)
-let swap_page_contents t a b =
-  let ia = page_index a and ib = page_index b in
-  if ia = ib then invalid_arg "Memory.swap_page_contents: same page";
-  match (Radix.find t.pages ia, Radix.find t.pages ib) with
-  | Some pa, Some pb ->
-    let tmp = Bytes.copy pa.data in
-    Bytes.blit pb.data 0 pa.data 0 page_size;
-    Bytes.blit tmp 0 pb.data 0 page_size;
-    touch t ia pa;
-    touch t ib pb;
-    tlb_flush t
-  | _ -> invalid_arg "Memory.swap_page_contents: both pages must be mapped"
+  let len = String.length s in
+  let i = ref 0 in
+  while !i < len do
+    let a = addr + !i in
+    let page = peek_page t a in
+    let off = a land offset_mask in
+    let n = min (len - !i) (page_size - off) in
+    touch t (page_index a) page;
+    Bytes.blit_string s !i page.data off n;
+    i := !i + n
+  done
 
 let snapshot_page_count t = t.pages.Radix.count
 

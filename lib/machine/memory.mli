@@ -112,15 +112,10 @@ val flip_bit : t -> addr:int -> bit:int -> unit
     bypassing permissions. This is the injector's primitive. *)
 
 val blit_string : t -> addr:int -> string -> unit
-(** Copy raw bytes into memory (loader primitive, bypasses permissions). *)
-
-val swap_page_contents : t -> int -> int -> unit
-(** [swap_page_contents t a b] exchanges the byte contents of the two mapped
-    pages containing addresses [a] and [b] (permissions stay put), giving
-    both pages fresh generations and flushing the TLB. This models a
-    corrupted translation structure: accesses to either page now resolve to
-    the other's data. Raises [Invalid_argument] if the addresses share a page
-    or either page is unmapped. *)
+(** Copy raw bytes into memory (loader primitive, bypasses permissions).
+    Equivalent to a {!poke8} per byte, lowest address first: an unmapped
+    page raises {!Fault} at its first byte, after the earlier pages are
+    written. *)
 
 val snapshot_page_count : t -> int
 (** Number of mapped pages (used by tests and the campaign "reboot" audit). *)

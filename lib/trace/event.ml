@@ -42,12 +42,9 @@ type t =
   | Trial_retry of { trial : int; attempt : int; reason : string }
   | Trial_quarantined of { trial : int; attempts : int; reason : string }
   | Resume_skip of { trial : int }
-  (* Fault-model events. New constructors are appended (never inserted):
-     Marshal numbers non-constant constructors by declaration order, and v1
-     journal payloads must keep decoding after the algebra grows. *)
-  | Model_flip of { model : string; space : space; addr : int; bit : int }
-  | Reassert of { model : string; addr : int; bit : int }
-  | Structure_fault of { model : string; addr : int; partner : int }
+(* New constructors are appended (never inserted): Marshal numbers
+   non-constant constructors by declaration order, and v1 journal payloads
+   must keep decoding. *)
 
 (* Stable machine-readable tag, used by the JSONL exporter. *)
 let tag = function
@@ -70,9 +67,6 @@ let tag = function
   | Trial_retry _ -> "trial-retry"
   | Trial_quarantined _ -> "trial-quarantined"
   | Resume_skip _ -> "resume-skip"
-  | Model_flip _ -> "model-flip"
-  | Reassert _ -> "reassert"
-  | Structure_fault _ -> "structure-fault"
 
 (* One-line human-readable description (no stamp; the printer prepends it). *)
 let describe = function
@@ -114,9 +108,3 @@ let describe = function
       (if attempts = 1 then "" else "s")
       reason
   | Resume_skip { trial } -> Printf.sprintf "trial %d recovered from journal (resume skip)" trial
-  | Model_flip { model; space; addr; bit } ->
-    Printf.sprintf "%s fault: flip %s bit %d @ %08x" model (space_label space) bit addr
-  | Reassert { model; addr; bit } ->
-    Printf.sprintf "%s fault re-asserted: bit %d @ %08x" model bit addr
-  | Structure_fault { model; addr; partner } ->
-    Printf.sprintf "%s structure fault: %08x <-> %08x" model addr partner

@@ -45,15 +45,6 @@ type t =
           infrastructure failure and excluded from Table 5/6 percentages *)
   | Resume_skip of { trial : int }
       (** supervisor: trial result recovered from the journal, not re-run *)
-  | Model_flip of { model : string; space : space; addr : int; bit : int }
-      (** a non-single-bit fault model corrupted a bit (one event per bit).
-          Appended after the v1 constructors — journal compatibility requires
-          new events to be appended, never inserted. *)
-  | Reassert of { model : string; addr : int; bit : int }
-      (** a persistent model (stuck-at, intermittent, multi-bit) re-asserted
-          its corruption after the workload overwrote or rotated it *)
-  | Structure_fault of { model : string; addr : int; partner : int }
-      (** a structure fault (TLB entry) swapped two mapped pages *)
 
 val tag : t -> string
 (** Stable machine-readable tag (the JSONL ["event"] field). *)

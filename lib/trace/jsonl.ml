@@ -56,17 +56,6 @@ let payload (ev : Event.t) =
   | Event.Trial_quarantined { attempts; reason; _ } ->
     [ ("attempts", string_of_int attempts); ("reason", str reason) ]
   | Event.Resume_skip _ -> []
-  | Event.Model_flip { model; space; addr; bit } ->
-    [
-      ("model", str model);
-      ("space", str (Event.space_label space));
-      ("addr", hex addr);
-      ("bit", string_of_int bit);
-    ]
-  | Event.Reassert { model; addr; bit } ->
-    [ ("model", str model); ("addr", hex addr); ("bit", string_of_int bit) ]
-  | Event.Structure_fault { model; addr; partner } ->
-    [ ("model", str model); ("addr", hex addr); ("partner", hex partner) ]
 
 let event_line ~trial ((s : Event.stamp), ev) =
   let fields =

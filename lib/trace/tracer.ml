@@ -71,11 +71,6 @@ let count t ev =
   | Event.Collector_retransmit { retries } -> t.retransmits <- t.retransmits + retries
   | Event.Trial_retry _ -> t.retries <- t.retries + 1
   | Event.Trial_quarantined _ -> t.quarantines <- t.quarantines + 1
-  | Event.Model_flip _ -> t.flips <- t.flips + 1
-  | Event.Reassert _ ->
-    t.flips <- t.flips + 1;
-    t.reinjections <- t.reinjections + 1
-  | Event.Structure_fault _ -> t.flips <- t.flips + 1
   | Event.Resume_skip _ -> ()
   | Event.Trial_end _ | Event.Arm_bp _ | Event.Restore _
   | Event.Bp_hit { stray = false; _ } | Event.Watch_hit _ | Event.Handler_done _

@@ -386,7 +386,7 @@ type mem_op =
   | Set_perm of int * int  (* page, perm *)
   | Map of int
   | Unmap of int
-  | Swap of int * int
+  | Blit of int * int * int  (* page, offset, length: a loader write *)
   | Snapshot
   | Restore of int  (* one of the snapshots taken so far *)
   | Restore_foreign
@@ -408,7 +408,7 @@ let mem_op_gen ~foreign =
        (2, map2 (fun p k -> Set_perm (p, k)) page (int_bound (Array.length gen_perms - 1)));
        (1, map (fun p -> Map p) page);
        (1, map (fun p -> Unmap p) page);
-       (1, map2 (fun a b -> Swap (a, b)) page page);
+       (1, map3 (fun p o n -> Blit (p, o, n)) page off (int_range 1 (2 * Memory.page_size)));
        (2, return Snapshot);
        (3, map (fun i -> Restore i) (int_bound 7));
      ]
@@ -425,7 +425,8 @@ let apply_op mem ~snaps ~foreign op =
         Memory.set_perm mem ~addr:(gen_addr p 0) ~size:Memory.page_size ~perm:gen_perms.(k))
   | Map p -> Memory.map mem ~addr:(gen_addr p 0) ~size:Memory.page_size ~perm:Memory.perm_rw
   | Unmap p -> Memory.unmap mem ~addr:(gen_addr p 0) ~size:Memory.page_size
-  | Swap (a, b) -> attempt (fun () -> Memory.swap_page_contents mem (gen_addr a 0) (gen_addr b 0))
+  | Blit (p, o, n) ->
+    attempt (fun () -> Memory.blit_string mem ~addr:(gen_addr p o) (String.make n '\x5A'))
   | Snapshot -> snaps := Memory.snapshot mem :: !snaps
   | Restore i -> (
     match !snaps with

@@ -120,8 +120,6 @@ let test_repro_string_roundtrip () =
             df_seed = 0x123456789ABCDEFL;
             df_injections = 8;
             df_step_budget = 50_000;
-            df_model = Ferrite_injection.Fault_model.Stuck_at { value = 1 };
-            df_targeting = Ferrite_injection.Target.Profile_weighted;
           };
         trial = 3;
         note = "example";
@@ -146,6 +144,20 @@ let test_repro_parse_errors () =
   expect_error
     "ferrite-repro 1\nkind fault\ntarget g4 code\nseed 0x1\ninjections 4\ntrial 9\nstep-budget 1000\n"
 
+(* Only the single-bit, uniform trial replays: a fault repro naming another
+   fault model or targeting policy is an [Error], not an exception and not a
+   silent single-bit replay. *)
+let test_repro_retired_fields () =
+  let fault =
+    "ferrite-repro 1\nkind fault\narch g4\ntarget code\nseed 0x1\ninjections 4\ntrial 1\n\
+     step-budget 1000\n"
+  in
+  check_bool "the plain fault repro parses" true (Result.is_ok (Repro.of_string fault));
+  List.iter
+    (fun line ->
+      check_bool ("rejects: " ^ line) true (Result.is_error (Repro.of_string (fault ^ line ^ "\n"))))
+    [ "fault-model multi:2"; "fault-model stuck_at:1"; "targeting profile"; "targeting uniform" ]
+
 let test_committed_repros_replay () =
   let repros = Repro.load_dir "repro" in
   check_bool "seed repros are committed" true (List.length repros >= 3);
@@ -169,8 +181,6 @@ let test_diff_small_spec_clean () =
       df_seed = 0xD1FFL;
       df_injections = 3;
       df_step_budget = 60_000;
-      df_model = Ferrite_injection.Fault_model.Single_bit_transient;
-      df_targeting = Ferrite_injection.Target.Uniform;
     }
   in
   (match Diff.run_spec spec with
@@ -216,6 +226,7 @@ let () =
         [
           Alcotest.test_case "string roundtrip" `Quick test_repro_string_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_repro_parse_errors;
+          Alcotest.test_case "retired fields refused" `Quick test_repro_retired_fields;
           Alcotest.test_case "committed repros replay" `Quick test_committed_repros_replay;
         ] );
       ( "differential",

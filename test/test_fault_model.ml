@@ -1,20 +1,17 @@
-(* Tests for the fault-model algebra and weighted targeting refactor:
-   model spec parsing, per-model campaign smoke, targeting-policy weight
-   validation, the refactor-invariance property (legacy config byte-identical
-   across executors), and journal-format compatibility — a v1 (pre-refactor)
-   journal must resume cleanly and reproduce the pre-refactor records
-   bit for bit. *)
+(* Tests for the single-bit transient fault model end to end: every trial
+   corrupts exactly the bit its target names, the default configuration is
+   byte-identical across executors, records and the per-model breakout carry
+   the model's tag, and journal-format compatibility — a v1 (pre-refactor)
+   journal must resume cleanly and reproduce the pre-refactor records bit
+   for bit. *)
 
 open Ferrite_injection
 module Image = Ferrite_kir.Image
-module Boot = Ferrite_kernel.Boot
-module Rng = Ferrite_machine.Rng
 module Tracer = Ferrite_trace.Tracer
 module Event = Ferrite_trace.Event
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
 
 let with_temp f =
   let path = Filename.temp_file "ferrite-test" ".journal" in
@@ -38,288 +35,80 @@ let copy_file src dst =
   output_string oc data;
   close_out oc
 
-(* ---------- the algebra: parsing, tags, validation ---------- *)
+let all_kinds = [ Target.Stack; Target.Register; Target.Data; Target.Code ]
 
-let all_models =
-  [
-    Fault_model.Single_bit_transient;
-    Fault_model.Multi_bit { width = 2 };
-    Fault_model.Multi_bit { width = 4 };
-    Fault_model.Burst { span = 3 };
-    Fault_model.Stuck_at { value = 0 };
-    Fault_model.Stuck_at { value = 1 };
-    Fault_model.Intermittent { period = 8; duty = 4; seed = 0L };
-    Fault_model.Tlb_entry;
-    Fault_model.Decode_cache_line;
-  ]
+let kind_name = function
+  | Target.Stack -> "stack"
+  | Target.Register -> "register"
+  | Target.Data -> "data"
+  | Target.Code -> "code"
 
-let test_tag_roundtrip () =
+(* ---------- single-bit semantics ---------- *)
+
+(* The transient is armed once and every later touch — the §3.3
+   re-injection after a write, the STEP-3 restore — lands on the same bit:
+   each flip-family event of a trial names the record's own target. *)
+let test_one_bit_per_trial () =
   List.iter
-    (fun m ->
-      match Fault_model.of_string (Fault_model.tag m) with
-      | Ok m' -> check_bool ("roundtrips: " ^ Fault_model.tag m) true (m = m')
-      | Error e -> Alcotest.failf "tag %s does not parse back: %s" (Fault_model.tag m) e)
-    all_models
-
-let test_of_string_aliases () =
-  let expect s m =
-    match Fault_model.of_string s with
-    | Ok m' -> check_bool ("alias " ^ s) true (m = m')
-    | Error e -> Alcotest.failf "alias %s rejected: %s" s e
-  in
-  expect "single-bit" Fault_model.Single_bit_transient;
-  expect "single" Fault_model.Single_bit_transient;
-  (* the acceptance spelling: --fault-model stuck_at *)
-  expect "stuck_at" (Fault_model.Stuck_at { value = 0 });
-  expect "stuck_at:1" (Fault_model.Stuck_at { value = 1 });
-  expect "multi_bit" (Fault_model.Multi_bit { width = 2 });
-  expect "burst" (Fault_model.Burst { span = 3 });
-  expect "intermittent" (Fault_model.Intermittent { period = 8; duty = 4; seed = 0L });
-  expect "tlb_entry" Fault_model.Tlb_entry;
-  expect "decode-line" Fault_model.Decode_cache_line;
-  List.iter
-    (fun s ->
-      check_bool ("rejects " ^ s) true (Result.is_error (Fault_model.of_string s)))
-    [ ""; "nonsense"; "multi:0"; "multi:33"; "stuck:2"; "intermittent:0:1"; "intermittent:4:9" ]
-
-let test_validated_rejects_nonsense () =
-  let raises m =
-    match Fault_model.validated m with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  in
-  check_bool "width 0" true (raises (Fault_model.Multi_bit { width = 0 }));
-  check_bool "width 33" true (raises (Fault_model.Multi_bit { width = 33 }));
-  check_bool "span 0" true (raises (Fault_model.Burst { span = 0 }));
-  check_bool "value 2" true (raises (Fault_model.Stuck_at { value = 2 }));
-  check_bool "period 0" true
-    (raises (Fault_model.Intermittent { period = 0; duty = 1; seed = 0L }));
-  check_bool "duty > period" true
-    (raises (Fault_model.Intermittent { period = 4; duty = 5; seed = 0L }));
-  List.iter (fun m -> check_bool "valid passes" true (Fault_model.validated m = m)) all_models
-
-(* ---------- per-model write-hit / dormancy semantics ----------
-
-   Drive an instance directly against a fake one-word target so the exact
-   corruption semantics — what a workload overwrite leaves behind, whether a
-   dormant fault blocks activation, whether a no-op apply counts — are
-   pinned without a whole campaign in the way. *)
-
-let fake_word ?(initial = 0) () =
-  let word = ref initial in
-  let ops =
-    {
-      Fault_model.o_flip = (fun _ bit -> word := !word lxor (1 lsl bit));
-      o_get = (fun _ bit -> (!word lsr bit) land 1);
-      o_swap_pages = (fun _ _ -> ());
-      o_partner = (fun _ -> None);
-      o_emit = (fun _ -> ());
-    }
-  in
-  (word, ops)
-
-let bit_of word b = (!word lsr b) land 1
-
-let test_stuck_at_write_hit () =
-  (* bit 5 starts at 1; stuck-at-0 forces it low and must keep it low
-     whatever the workload writes — including the stuck value itself *)
-  let word, ops = fake_word ~initial:(1 lsl 5) () in
-  let fm = Fault_model.instantiate (Fault_model.Stuck_at { value = 0 }) ~fault_seed:1L in
-  Fault_model.apply_mem fm ops ~space:Event.Data_space ~addr:0 ~bit:5 ~limit:32;
-  check_int "forced low at arm" 0 (bit_of word 5);
-  (* workload writes the stuck value: re-assert must NOT toggle it back up *)
-  Fault_model.on_write_hit fm ops ~addr:0 ~bit:5;
-  check_int "write of the stuck value stays stuck" 0 (bit_of word 5);
-  (* workload writes the opposite value: re-assert forces it again *)
-  word := 1 lsl 5;
-  Fault_model.on_write_hit fm ops ~addr:0 ~bit:5;
-  check_int "write of the opposite value re-stuck" 0 (bit_of word 5)
-
-let test_multi_bit_write_hit () =
-  (* an overwrite clobbers the whole word: every landed bit re-asserts, not
-     just the primary one *)
-  let word, ops = fake_word () in
-  let fm = Fault_model.instantiate (Fault_model.Multi_bit { width = 3 }) ~fault_seed:7L in
-  Fault_model.apply_mem fm ops ~space:Event.Data_space ~addr:0 ~bit:4 ~limit:32;
-  let corrupted = !word in
-  check_bool "three bits landed" true
-    (corrupted land (1 lsl 4) <> 0
-    && List.length (List.filter (fun b -> corrupted land (1 lsl b) <> 0) (List.init 32 Fun.id))
-       = 3);
-  word := 0;
-  Fault_model.on_write_hit fm ops ~addr:0 ~bit:4;
-  check_int "overwrite re-asserts every landed bit" corrupted !word
-
-let test_intermittent_dormant_phase () =
-  (* period 2 / duty 1 with phase 1: dormant in the arm window, asserted in
-     the first tick window, restored in the second *)
-  let model = Fault_model.Intermittent { period = 2; duty = 1; seed = 1L } in
-  let word, ops = fake_word () in
-  let fm = Fault_model.instantiate model ~fault_seed:0L in
-  Fault_model.apply_mem fm ops ~space:Event.Data_space ~addr:0 ~bit:3 ~limit:32;
-  check_int "dormant phase leaves the target clean" 0 !word;
-  check_bool "dormant fault blocks activation" true (Fault_model.blocks_activation fm);
-  Fault_model.on_write_hit fm ops ~addr:0 ~bit:3;
-  check_int "dormant write hit asserts nothing" 0 !word;
-  check_bool "tick asserts it" true (Fault_model.on_tick fm ops ~addr:0 ~bit:3);
-  check_int "present" 1 (bit_of word 3);
-  check_bool "asserted fault no longer blocks" false (Fault_model.blocks_activation fm);
-  check_bool "next tick restores" false (Fault_model.on_tick fm ops ~addr:0 ~bit:3);
-  check_int "clean again" 0 !word;
-  (* the complementary phase is present at arm time *)
-  let word2, ops2 = fake_word () in
-  let fm2 = Fault_model.instantiate model ~fault_seed:1L in
-  Fault_model.apply_mem fm2 ops2 ~space:Event.Data_space ~addr:0 ~bit:3 ~limit:32;
-  check_int "present phase flips at arm" 1 (bit_of word2 3);
-  check_bool "present fault does not block" false (Fault_model.blocks_activation fm2)
-
-let test_apply_reg_reports_landing () =
-  (* stuck-at whose bit already holds the value: nothing corrupted, no
-     activation — until a tick re-forces a workload write *)
-  let word, ops = fake_word ~initial:(1 lsl 3) () in
-  let fm = Fault_model.instantiate (Fault_model.Stuck_at { value = 1 }) ~fault_seed:2L in
-  check_bool "no-op apply reports no landing" false
-    (Fault_model.apply_reg fm ops ~reg:"r3" ~index:0 ~bit:3 ~bits:32);
-  check_int "register untouched" (1 lsl 3) !word;
-  check_bool "clean tick is quiet" false (Fault_model.on_tick fm ops ~addr:0 ~bit:3);
-  word := 0;
-  check_bool "tick re-forces a cleared bit and reports it" true
-    (Fault_model.on_tick fm ops ~addr:0 ~bit:3);
-  check_int "re-forced" 1 (bit_of word 3);
-  (* and a plain single-bit apply always lands *)
-  let _, ops2 = fake_word () in
-  let fm2 = Fault_model.instantiate Fault_model.Single_bit_transient ~fault_seed:2L in
-  check_bool "legacy apply lands" true
-    (Fault_model.apply_reg fm2 ops2 ~reg:"r3" ~index:0 ~bit:3 ~bits:32)
-
-(* ---------- targeting-policy weight validation ---------- *)
-
-let test_generate_validates_weights () =
-  let sys = Boot.boot Image.Cisc in
-  let hot = [ ("kmemcpy", 0.4); ("schedule", 0.3); ("getblk", 0.3) ] in
-  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
-  let rng () = Rng.create ~seed:55L in
-  check_bool "empty hot distribution" true
-    (raises (fun () -> Target.generate sys Target.Code ~hot:[] (rng ())));
-  check_bool "negative weight" true
-    (raises (fun () ->
-         Target.generate sys Target.Code ~hot:[ ("schedule", -1.0) ] (rng ())));
-  check_bool "zero weight" true
-    (raises (fun () ->
-         Target.generate sys Target.Code ~hot:[ ("schedule", 0.0) ] (rng ())));
-  check_bool "nan weight" true
-    (raises (fun () ->
-         Target.generate sys Target.Code ~hot:[ ("schedule", Float.nan) ] (rng ())));
-  check_bool "empty density table" true
-    (raises (fun () ->
-         Target.generate sys Target.Data ~targeting:(Target.Density_weighted []) ~hot
-           (rng ())));
-  check_bool "bad density weight" true
-    (raises (fun () ->
-         Target.generate sys Target.Data
-           ~targeting:(Target.Density_weighted [ ("fs", -2.0) ])
-           ~hot (rng ())));
-  (* the validation consumes no randomness: a draw after a rejected call
-     equals the draw from a fresh stream *)
-  let r = rng () in
-  (try ignore (Target.generate sys Target.Code ~hot:[] r) with Invalid_argument _ -> ());
-  let after_reject = Target.generate sys Target.Code ~hot r in
-  let fresh = Target.generate sys Target.Code ~hot (rng ()) in
-  check_bool "rejected call left the stream untouched" true (after_reject = fresh)
-
-let test_targeting_tags () =
-  (* uniform/profile tags parse back; the density tag spells out its table
-     (it feeds the plan fingerprint), so only the plain name is accepted *)
-  List.iter
-    (fun t ->
-      match Target.targeting_of_string (Target.targeting_tag t) with
-      | Ok t' ->
-        check_string "targeting roundtrip" (Target.targeting_tag t) (Target.targeting_tag t')
-      | Error e -> Alcotest.failf "targeting tag rejected: %s" e)
-    [ Target.Uniform; Target.Profile_weighted ];
-  (match Target.targeting_of_string "density" with
-  | Ok (Target.Density_weighted table) ->
-    check_bool "density parses to the default table" true (table = Target.default_density)
-  | Ok _ -> Alcotest.fail "density parsed to a non-density policy"
-  | Error e -> Alcotest.failf "density rejected: %s" e);
-  check_bool "density tag names its table" true
-    (String.length (Target.targeting_tag (Target.Density_weighted Target.default_density)) > 8);
-  check_bool "unknown policy rejected" true
-    (Result.is_error (Target.targeting_of_string "everywhere"))
-
-(* ---------- per-model campaign smoke ---------- *)
-
-let test_models_run_and_tag_records () =
-  List.iter
-    (fun (kind, model) ->
-      let cfg =
-        {
-          (Campaign.default ~arch:Image.Cisc ~kind ~injections:3) with
-          Campaign.seed = 0x90DEL;
-          fault_model = model;
-        }
-      in
-      let res = Campaign.run cfg in
-      check_int
-        (Printf.sprintf "%s: all trials ran" (Fault_model.tag model))
-        3
-        (List.length res.Campaign.records);
+    (fun arch ->
       List.iter
-        (fun r ->
-          check_bool "record carries the model" true (r.Outcome.r_model = model))
-        res.Campaign.records;
-      match Campaign.group_by_model res with
-      | [ (tag, records) ] ->
-        check_string "single bucket, right tag" (Fault_model.tag model) tag;
-        check_int "bucket holds every record" 3 (List.length records)
-      | groups -> Alcotest.failf "expected one model bucket, got %d" (List.length groups))
-    [
-      (Target.Stack, Fault_model.Multi_bit { width = 2 });
-      (Target.Stack, Fault_model.Burst { span = 3 });
-      (Target.Stack, Fault_model.Stuck_at { value = 1 });
-      (Target.Stack, Fault_model.Intermittent { period = 8; duty = 4; seed = 0L });
-      (Target.Data, Fault_model.Tlb_entry);
-      (Target.Code, Fault_model.Decode_cache_line);
-      (Target.Register, Fault_model.Stuck_at { value = 0 });
-      (Target.Register, Fault_model.Tlb_entry);
-    ]
-
-let test_targeting_policies_run () =
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun targeting ->
+        (fun kind ->
           let cfg =
-            {
-              (Campaign.default ~arch:Image.Risc ~kind ~injections:3) with
-              Campaign.seed = 0x7A6L;
-              targeting;
-            }
+            { (Campaign.default ~arch ~kind ~injections:6) with Campaign.seed = 0x51B1L }
           in
-          let res = Campaign.run cfg in
-          check_int
-            (Printf.sprintf "%s/%s ran" (Target.targeting_tag targeting)
-               (match kind with
-               | Target.Stack -> "stack"
-               | Target.Data -> "data"
-               | Target.Code -> "code"
-               | Target.Register -> "register"))
-            3
-            (List.length res.Campaign.records))
-        [ Target.Profile_weighted; Target.Density_weighted Target.default_density ])
-    [ Target.Stack; Target.Data; Target.Code; Target.Register ]
+          let res = Campaign.run ~tracer:Tracer.default_config cfg in
+          check_int (kind_name kind ^ ": one trace per record")
+            (List.length res.Campaign.records) (List.length res.Campaign.traces);
+          List.iter2
+            (fun (r : Outcome.record) (tr : Tracer.trial) ->
+              let mem_loc =
+                match r.Outcome.r_target with
+                | Target.Code_target { addr; bit; _ }
+                | Target.Stack_target { addr; bit; _ }
+                | Target.Data_target { addr; bit } ->
+                  Some (addr, bit)
+                | Target.Reg_target _ -> None
+              in
+              let on_target addr bit = mem_loc = Some (addr, bit) in
+              let arms =
+                List.fold_left
+                  (fun arms (_, ev) ->
+                    match ev with
+                    | Event.Flip { addr; bit; _ } ->
+                      check_bool "flip lands on the target bit" true (on_target addr bit);
+                      arms + 1
+                    | Event.Reinject { addr; bit } | Event.Restore { addr; bit } ->
+                      check_bool "re-inject/restore touch the target bit" true
+                        (on_target addr bit);
+                      arms
+                    | Event.Reg_flip { reg; bit } ->
+                      (match r.Outcome.r_target with
+                      | Target.Reg_target { name; bit = b; _ } ->
+                        check_bool "register flip lands on the target bit" true
+                          (reg = name && bit = b)
+                      | _ -> Alcotest.fail "register flip in a memory trial");
+                      arms + 1
+                    | _ -> arms)
+                  0 tr.Tracer.tr_events
+              in
+              check_bool (kind_name kind ^ ": armed at most once") true (arms <= 1);
+              (* stack and data errors are armed up front, so a trace that
+                 dropped nothing shows the arm *)
+              match r.Outcome.r_target with
+              | (Target.Stack_target _ | Target.Data_target _) when tr.Tracer.tr_dropped = 0 ->
+                check_int (kind_name kind ^ ": armed up front") 1 arms
+              | _ -> ())
+            res.Campaign.records res.Campaign.traces)
+        all_kinds)
+    [ Image.Cisc; Image.Risc ]
 
-(* ---------- refactor invariance (satellite: the qcheck property) ---------- *)
+(* ---------- default campaigns ---------- *)
 
-(* The legacy configuration (Single_bit_transient, Uniform) must produce
-   byte-identical campaigns — records, collector stats, traces, telemetry —
-   whatever the executor: the refactored engine may not perturb the paper's
-   runs. Seeds/kind/arch are drawn by qcheck. *)
-let prop_refactor_invariance =
-  let arb =
-    QCheck.(
-      triple (int_bound 0xFFFF) (int_bound 3) bool)
-  in
+(* The default configuration must produce byte-identical campaigns —
+   records, collector stats, traces, telemetry — whatever the executor.
+   Seeds/kind/arch are drawn by qcheck. *)
+let prop_default_config_invariance =
+  let arb = QCheck.(triple (int_bound 0xFFFF) (int_bound 3) bool) in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"legacy config is executor-invariant" ~count:4 arb
        (fun (seed, kind_ix, cisc) ->
@@ -333,9 +122,6 @@ let prop_refactor_invariance =
              Campaign.seed = Int64.of_int (0x1000 + seed);
            }
          in
-         check_bool "legacy model in default config" true
-           (cfg.Campaign.fault_model = Fault_model.Single_bit_transient
-           && cfg.Campaign.targeting = Target.Uniform);
          let view (r : Campaign.result) =
            Marshal.to_string
              (r.Campaign.records, r.Campaign.collector, r.Campaign.traces,
@@ -343,26 +129,53 @@ let prop_refactor_invariance =
              []
          in
          let run jobs =
-           view (Campaign.run ~executor:(Executor.of_jobs jobs) ~tracer:Tracer.default_config cfg)
+           view
+             (Campaign.run ~executor:(Executor.of_jobs jobs)
+                ~tracer:Ferrite_trace.Tracer.default_config cfg)
          in
          let j1 = run 1 in
          j1 = run 2 && j1 = run 4))
 
-let test_model_campaign_executor_invariant () =
-  (* same invariance for a non-legacy cell: the per-trial fault stream is in
-     the spec, so parallel execution cannot reorder its draws *)
+(* Every record names the single-bit model, so the per-model grouping that
+   the breakout and the store read is one bucket holding every record. *)
+let test_models_run_and_tag_records () =
+  List.iter
+    (fun kind ->
+      let cfg =
+        {
+          (Campaign.default ~arch:Image.Cisc ~kind ~injections:3) with
+          Campaign.seed = 0x90DEL;
+        }
+      in
+      let res = Campaign.run cfg in
+      check_int (kind_name kind ^ ": all trials ran") 3 (List.length res.Campaign.records);
+      List.iter
+        (fun r ->
+          check_bool "record carries the model" true
+            (r.Outcome.r_model = Fault_model.Single_bit_transient))
+        res.Campaign.records;
+      match Campaign.group_by_model res with
+      | [ (tag, records) ] ->
+        Alcotest.(check string) "single bucket, right tag" "single_bit" tag;
+        check_int "bucket holds every record" 3 (List.length records)
+      | groups -> Alcotest.failf "expected one model bucket, got %d" (List.length groups))
+    all_kinds
+
+let test_model_breakout_renders () =
   let cfg =
     {
-      (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:8) with
-      Campaign.seed = 0x5EEDL;
-      fault_model = Fault_model.Stuck_at { value = 1 };
-      targeting = Target.Profile_weighted;
+      (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:5) with
+      Campaign.seed = 0xB0DEL;
     }
   in
-  let rs = Campaign.run cfg in
-  let rp = Campaign.run ~executor:(Executor.of_jobs 3) cfg in
-  check_bool "records identical" true (rs.Campaign.records = rp.Campaign.records);
-  check_bool "collector identical" true (rs.Campaign.collector = rp.Campaign.collector)
+  let text = Ferrite.Report.model_breakout (Campaign.run cfg) in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  check_bool "breakout names the model" true (contains text "single_bit");
+  check_bool "breakout carries the Table 5/6 columns" true (contains text "Known Crash")
 
 (* ---------- journal-format compatibility ---------- *)
 
@@ -374,11 +187,11 @@ let golden_supervision = { Campaign.default_supervision with Campaign.sv_journal
 let golden_hash ~sv cfg =
   Journal.plan_hash_of_string (Campaign.plan_fingerprint ~supervision:sv cfg)
 
-(* The goldens under test/golden were written by the pre-refactor injector:
+(* The goldens under test/golden were written by the v1 injector:
    recovering them exercises the v1 decode path, and resuming them against
-   the refactored engine proves the legacy config reproduces the
-   pre-refactor records bit for bit. The fixtures are copied first because
-   [open_for_append] migrates a v1 file to v2 in place. *)
+   today's engine proves the default config reproduces the v1 records bit
+   for bit. The fixtures are copied first because [open_for_append]
+   migrates a v1 file to v2 in place. *)
 let v1_golden_cases =
   [
     ("golden/v1-p4-stack.journal", Image.Cisc, Target.Stack);
@@ -397,7 +210,7 @@ let test_v1_recover () =
       List.iteri
         (fun i e ->
           check_int "entries in order" i e.Journal.je_index;
-          check_bool "upgraded to the legacy model" true
+          check_bool "upgraded to the single-bit model" true
             (e.Journal.je_record.Outcome.r_model = Fault_model.Single_bit_transient))
         rc.Journal.rc_entries)
     v1_golden_cases
@@ -422,7 +235,7 @@ let test_v1_resume_matches_fresh_run () =
           | Some sup -> check_int (path ^ ": served from journal") 12 sup.Supervisor.sup_resume_skips
           | None -> Alcotest.fail "supervised run lost its report");
           let fresh = Campaign.run ~tracer:Tracer.default_config ~supervision:golden_supervision cfg in
-          check_bool (path ^ ": records match the pre-refactor run") true
+          check_bool (path ^ ": records match the v1 run") true
             (same_list resumed.Campaign.records fresh.Campaign.records);
           check_bool (path ^ ": collector stats match") true
             (resumed.Campaign.collector = fresh.Campaign.collector);
@@ -438,8 +251,8 @@ let test_v1_resume_matches_fresh_run () =
 
 let test_v1_interrupted_resume () =
   (* resume a v1 journal holding only a prefix of the campaign: the missing
-     trials are re-run by the refactored engine, and the merged result still
-     equals an uninterrupted run *)
+     trials are re-run by today's engine, and the merged result still equals
+     an uninterrupted run *)
   let path, arch, kind = List.hd v1_golden_cases in
   with_temp (fun tmp ->
       copy_file path tmp;
@@ -487,107 +300,15 @@ let test_v1_interrupted_resume () =
           check_bool "merged traces equal the uninterrupted run" true
             (same_list resumed.Campaign.traces fresh.Campaign.traces)))
 
-let test_mixed_model_journal_roundtrip () =
-  (* a journal whose entries carry different fault models (as a matrix sweep
-     writes) survives append/recover/append cycles with the model tags intact *)
-  let stamp = { Event.s_cycles = 0; s_instructions = 0; s_pc = 0; s_function = None } in
-  let mk_entry i model =
-    let tracer = Tracer.create Tracer.default_config in
-    Tracer.record tracer stamp (Event.Trial_begin { trial = i; target = "t" });
-    {
-      Journal.je_index = i;
-      je_record =
-        {
-          Outcome.r_target = Target.Data_target { addr = 4 * i; bit = i mod 8 };
-          r_outcome = Outcome.Not_manifested;
-          r_activated = true;
-          r_activation_cycle = Some i;
-          r_model = model;
-        };
-      je_stats =
-        {
-          Collector.st_received = 1;
-          st_lost = 0;
-          st_retransmitted = 0;
-          st_gave_up = 0;
-          st_dup_dropped = 0;
-          st_by_model = [ (Fault_model.tag model, 1) ];
-        };
-      je_trace = Tracer.trial_of tracer ~index:i ~target:"t" ~outcome:"ok";
-    }
-  in
-  let models = Array.of_list all_models in
-  let entries = List.init (Array.length models) (fun i -> mk_entry i models.(i)) in
-  with_temp (fun path ->
-      Sys.remove path;
-      let hash = 0x4D17EDL in
-      let writer, _ = Journal.open_for_append ~path ~plan_hash:hash in
-      List.iter (Journal.append writer) (List.filteri (fun i _ -> i < 5) entries);
-      Journal.close writer;
-      let writer, rc = Journal.open_for_append ~path ~plan_hash:hash in
-      check_int "first batch recovered" 5 (List.length rc.Journal.rc_entries);
-      List.iter (Journal.append writer) (List.filteri (fun i _ -> i >= 5) entries);
-      Journal.close writer;
-      let rc = Journal.recover ~path ~plan_hash:hash in
-      check_int "v2 format" 2 rc.Journal.rc_format;
-      check_int "every entry back" (List.length entries) (List.length rc.Journal.rc_entries);
-      List.iter2
-        (fun a b ->
-          check_bool "model tag survived" true
-            (a.Journal.je_record.Outcome.r_model = b.Journal.je_record.Outcome.r_model);
-          check_bool "entry roundtrips byte-exactly" true
-            (Marshal.to_string a [] = Marshal.to_string b []))
-        entries rc.Journal.rc_entries)
-
-(* ---------- the per-model report breakout ---------- *)
-
-let test_model_breakout_renders () =
-  let cfg =
-    {
-      (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:5) with
-      Campaign.seed = 0xB0DEL;
-      fault_model = Fault_model.Stuck_at { value = 0 };
-      targeting = Target.Profile_weighted;
-    }
-  in
-  let res = Campaign.run cfg in
-  let text = Ferrite.Report.model_breakout res in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "breakout names the model" true (contains text "stuck:0");
-  check_bool "breakout carries the Table 5/6 columns" true (contains text "Known Crash")
-
 let () =
   Alcotest.run "ferrite_fault_model"
     [
-      ( "algebra",
-        [
-          Alcotest.test_case "tag roundtrip" `Quick test_tag_roundtrip;
-          Alcotest.test_case "of_string aliases" `Quick test_of_string_aliases;
-          Alcotest.test_case "validated rejects nonsense" `Quick test_validated_rejects_nonsense;
-        ] );
       ( "model semantics",
-        [
-          Alcotest.test_case "stuck-at write hit" `Quick test_stuck_at_write_hit;
-          Alcotest.test_case "multi-bit write hit" `Quick test_multi_bit_write_hit;
-          Alcotest.test_case "intermittent dormant phase" `Quick test_intermittent_dormant_phase;
-          Alcotest.test_case "apply_reg reports landing" `Quick test_apply_reg_reports_landing;
-        ] );
-      ( "targeting",
-        [
-          Alcotest.test_case "generate validates weights" `Quick test_generate_validates_weights;
-          Alcotest.test_case "policy tags" `Quick test_targeting_tags;
-          Alcotest.test_case "policies run" `Quick test_targeting_policies_run;
-        ] );
+        [ Alcotest.test_case "one bit per trial" `Quick test_one_bit_per_trial ] );
       ( "campaigns",
         [
           Alcotest.test_case "models run and tag records" `Quick test_models_run_and_tag_records;
-          prop_refactor_invariance;
-          Alcotest.test_case "model campaign executor-invariant" `Quick
-            test_model_campaign_executor_invariant;
+          prop_default_config_invariance;
           Alcotest.test_case "breakout renders" `Quick test_model_breakout_renders;
         ] );
       ( "journal compat",
@@ -596,7 +317,5 @@ let () =
           Alcotest.test_case "v1 golden resumes bit-identically" `Quick
             test_v1_resume_matches_fresh_run;
           Alcotest.test_case "v1 prefix resume" `Quick test_v1_interrupted_resume;
-          Alcotest.test_case "mixed-model journal roundtrip" `Quick
-            test_mixed_model_journal_roundtrip;
         ] );
     ]

@@ -518,6 +518,31 @@ let test_campaign_rejects_bad_collector_loss () =
       check_bool "no journal written" false (Sys.file_exists journal))
     [ -0.5; 1.5; Float.nan ]
 
+(* The hot distribution is validated before any draw: a bad profile is an
+   [Invalid_argument], and the rejected call consumes no randomness. *)
+let test_generate_validates_weights () =
+  let sys = Boot.boot Image.Cisc in
+  let hot = [ ("kmemcpy", 0.4); ("schedule", 0.3); ("getblk", 0.3) ] in
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let rng () = Rng.create ~seed:55L in
+  check_bool "empty hot distribution" true
+    (raises (fun () -> Target.generate sys Target.Code ~hot:[] (rng ())));
+  check_bool "negative weight" true
+    (raises (fun () ->
+         Target.generate sys Target.Code ~hot:[ ("schedule", -1.0) ] (rng ())));
+  check_bool "zero weight" true
+    (raises (fun () ->
+         Target.generate sys Target.Code ~hot:[ ("schedule", 0.0) ] (rng ())));
+  check_bool "nan weight" true
+    (raises (fun () ->
+         Target.generate sys Target.Code ~hot:[ ("schedule", Float.nan) ] (rng ())));
+  (* a draw after a rejected call equals the draw from a fresh stream *)
+  let r = rng () in
+  (try ignore (Target.generate sys Target.Code ~hot:[] r) with Invalid_argument _ -> ());
+  let after_reject = Target.generate sys Target.Code ~hot r in
+  let fresh = Target.generate sys Target.Code ~hot (rng ()) in
+  check_bool "rejected call left the stream untouched" true (after_reject = fresh)
+
 let () =
   Alcotest.run "ferrite_injection"
     [
@@ -528,6 +553,9 @@ let () =
           Alcotest.test_case "data excludes user pages" `Quick test_data_targets_exclude_user_regions;
           Alcotest.test_case "register rosters" `Quick test_register_targets;
         ] );
+      ( "targeting",
+        [ Alcotest.test_case "generate validates weights" `Quick test_generate_validates_weights ]
+      );
       ( "engine",
         [
           Alcotest.test_case "cold data restored" `Quick test_cold_data_not_activated_and_restored;

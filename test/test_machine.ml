@@ -359,7 +359,7 @@ let test_counters () =
 
 (* --- page table against a model -------------------------------------------
 
-   Random map/unmap/set_perm/poke/peek/load/store/swap/snapshot/restore
+   Random map/unmap/set_perm/poke/peek/load/store/blit/snapshot/restore
    sequences run against an association list of pages written here. The
    pages sit at both ends of the 20-bit index space and on both sides of a
    radix leaf boundary; the offsets sit at both page ends, so word accesses
@@ -454,6 +454,17 @@ module Model = struct
     match List.assoc_opt (index addr) m.pages with
     | Some (perm, data) -> (set m (index addr) (perm, with_byte data addr v), Value 0)
     | None -> (m, Fault (addr, Memory.Read, Memory.Unmapped))
+
+  (* a loader blit is a [poke8] per byte, lowest address first *)
+  let blit m addr s =
+    let rec go m i =
+      if i = String.length s then (m, Value 0)
+      else
+        match poke8 m (addr + i) (Char.code s.[i]) with
+        | m, Value _ -> go m (i + 1)
+        | r -> r
+    in
+    go m 0
 end
 
 let model_pages = [| 0x00000; 0x00001; 0x003FF; 0x00400; 0xC0000; 0xC0001; 0xFFFFF |]
@@ -473,9 +484,11 @@ type mem_op =
   | Store8 of int * int * int
   | Load32 of int * int
   | Store32 of int * int * int
-  | Swap of int * int
+  | Blit of int * int * int * int  (* page, offset, length, first byte *)
   | Snapshot
   | Restore of int
+
+let blit_bytes len v = String.init len (fun i -> Char.chr ((v + (7 * i)) land 0xFF))
 
 let mem_op_gen =
   let open QCheck.Gen in
@@ -494,7 +507,7 @@ let mem_op_gen =
       (3, map3 (fun p o v -> Store8 (p, o, v)) page off (int_bound 255));
       (2, map2 (fun p o -> Load32 (p, o)) page off);
       (3, map3 (fun p o v -> Store32 (p, o, v)) page off (int_bound 0xFFFFFFF));
-      (1, map2 (fun a b -> Swap (a, b)) page page);
+      (1, map4 (fun p o n v -> Blit (p, o, n, v)) page off (int_range 1 16) (int_bound 255));
       (2, return Snapshot);
       (3, map (fun i -> Restore i) (int_bound 3));
     ]
@@ -557,13 +570,10 @@ let apply_mem_op mem m snaps op =
     let a = model_addr p o in
     let m, want = Model.store32_le m a v in
     (m, real (fun () -> Memory.store32_le mem a v; 0) = want)
-  | Swap (a, b) -> (
-    let r = real (fun () -> Memory.swap_page_contents mem (page a) (page b); 0) in
-    let ia = model_pages.(a) and ib = model_pages.(b) in
-    match (List.assoc_opt ia m.Model.pages, List.assoc_opt ib m.Model.pages) with
-    | Some (pa, da), Some (pb, db) when ia <> ib ->
-      (Model.set (Model.set m ia (pa, db)) ib (pb, da), r = Model.Value 0)
-    | _ -> (m, r = Model.Invalid))
+  | Blit (p, o, n, v) ->
+    let a = model_addr p o and s = blit_bytes n v in
+    let m, want = Model.blit m a s in
+    (m, real (fun () -> Memory.blit_string mem ~addr:a s; 0) = want)
   | Snapshot ->
     snaps := (Memory.snapshot mem, m) :: !snaps;
     (m, true)
@@ -594,6 +604,51 @@ let mem_agrees mem (m : Model.t) =
                 model_offsets
          | _ -> false)
        model_pages
+
+(* [blit_string] against a [poke8] per byte: the same bytes, the same dirty
+   pages, and the same fault at the same address after the same earlier
+   writes. *)
+let test_memory_blit_matches_pokes () =
+  let base = 0xC0100000 and ps = Memory.page_size in
+  let fresh () =
+    let m = Memory.create () in
+    Memory.map m ~addr:base ~size:(3 * ps) ~perm:Memory.perm_ro;
+    (* restoring its own snapshot clears every dirty flag *)
+    Memory.restore m (Memory.snapshot m);
+    m
+  in
+  let fault_of f =
+    match f () with () -> None | exception Memory.Fault { addr; _ } -> Some addr
+  in
+  List.iter
+    (fun (what, addr, len, fault) ->
+      let s = String.init len (fun i -> Char.chr (((31 * i) + 7) land 0xFF)) in
+      let blit = fresh () and pokes = fresh () in
+      let got = fault_of (fun () -> Memory.blit_string blit ~addr s) in
+      let want =
+        fault_of (fun () -> String.iteri (fun i c -> Memory.poke8 pokes (addr + i) (Char.code c)) s)
+      in
+      Alcotest.(check (option int)) (what ^ ": fault address") fault want;
+      Alcotest.(check (option int)) (what ^ ": same fault") want got;
+      for p = -1 to 3 do
+        let page = base + (p * ps) in
+        match (Memory.page_at_opt blit page, Memory.page_at_opt pokes page) with
+        | None, None -> ()
+        | Some x, Some y ->
+          check_bool (what ^ ": same dirty flag") (Memory.page_dirty y) (Memory.page_dirty x);
+          for o = 0 to ps - 1 do
+            if Memory.peek8 blit (page + o) <> Memory.peek8 pokes (page + o) then
+              Alcotest.failf "%s: byte %x differs" what (page + o)
+          done
+        | _ -> Alcotest.failf "%s: mapping differs at %x" what page
+      done)
+    [
+      ("unaligned start", base + 5, 37, None);
+      ("crosses a page", base + ps - 3, 10, None);
+      ("spans three pages", base + 1, (2 * ps) + 100, None);
+      ("runs into an unmapped page", base + (2 * ps) + 4090, 20, Some (base + (3 * ps)));
+      ("starts unmapped", base + (3 * ps) + 4, 8, Some (base + (3 * ps) + 4));
+    ]
 
 let prop_memory_matches_model =
   QCheck.Test.make ~name:"page table matches an association-list model" ~count:300
@@ -658,6 +713,7 @@ let () =
           Alcotest.test_case "dirty restore" `Quick test_memory_dirty_restore;
           Alcotest.test_case "fast paths off" `Quick test_memory_fast_paths_off;
           Alcotest.test_case "tlb invalidation" `Quick test_memory_tlb_invalidation;
+          Alcotest.test_case "blit equals per-byte pokes" `Quick test_memory_blit_matches_pokes;
           q prop_store_load_roundtrip;
           q prop_memory_matches_model;
         ] );

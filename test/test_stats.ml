@@ -90,9 +90,8 @@ let test_table_grouped_long_label () =
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  (* a group label far wider than the columns (a Density_weighted targeting
-     tag spells out its whole table): the table widens instead of silently
-     chopping the label *)
+  (* a group label far wider than the columns: the table widens instead of
+     silently chopping the label *)
   let label = "density:fs=0.30,mm=0.25,net=0.20,drivers=0.15,kernel=0.10" in
   let t =
     Table.render_grouped ~header:[ "a"; "b" ]

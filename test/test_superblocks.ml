@@ -13,7 +13,6 @@ module Campaign = Ferrite_injection.Campaign
 module Executor = Ferrite_injection.Executor
 module Engine = Ferrite_injection.Engine
 module Target = Ferrite_injection.Target
-module Fault_model = Ferrite_injection.Fault_model
 module Image = Ferrite_kir.Image
 module Boot = Ferrite_kernel.Boot
 module System = Ferrite_kernel.System
@@ -1182,21 +1181,17 @@ let store_bytes res =
 
 let kinds = [| Target.Stack; Target.Data; Target.Code; Target.Register |]
 let arches = [| Image.Cisc; Image.Risc |]
-let models = Array.of_list Fault_model.sweep_models
 
 let prop_superblocks_invisible =
   QCheck.Test.make
     ~name:"sb-on == sb-off (records, telemetry, traces, store bytes; jobs 1/2/4)"
     ~count:4
-    QCheck.(
-      quad (int_bound 0xFFFF) (int_bound 3) (int_bound 1)
-        (int_bound (Array.length models - 1)))
-    (fun (seed, ki, ai, mi) ->
+    QCheck.(triple (int_bound 0xFFFF) (int_bound 3) (int_bound 1))
+    (fun (seed, ki, ai) ->
       let cfg =
         {
           (Campaign.default ~arch:arches.(ai) ~kind:kinds.(ki) ~injections:5) with
           Campaign.seed = Int64.of_int (succ seed);
-          fault_model = models.(mi);
           engine = { Engine.default_config with Engine.step_budget = 200_000 };
         }
       in

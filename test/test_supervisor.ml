@@ -320,6 +320,28 @@ let test_fingerprint_is_jobs_independent () =
               ())
          cfg)
 
+(* A journal written under a fault model other than the single-bit flip
+   carries that model in its plan fingerprint. Resuming it now is refused
+   with the ordinary plan mismatch: the hash is the default fingerprint with
+   the retired model's fields inserted before the supervision suffix. *)
+let test_retired_model_journal_refused () =
+  let cfg = small_cfg 4 in
+  with_temp (fun path ->
+      let sv = supervision_with ~journal:path ~resume:true () in
+      let base = Campaign.plan_fingerprint cfg in
+      let full = Campaign.plan_fingerprint ~supervision:sv cfg in
+      let suffix = String.sub full (String.length base) (String.length full - String.length base) in
+      let retired = base ^ ";fault-model=multi:2;targeting=uniform" ^ suffix in
+      let writer, _ =
+        Journal.open_for_append ~path ~plan_hash:(Journal.plan_hash_of_string retired)
+      in
+      List.iter (fun i -> Journal.append writer (mk_entry i)) [ 0; 1 ];
+      Journal.close writer;
+      match Campaign.run ~supervision:sv cfg with
+      | exception Journal.Header_mismatch _ -> ()
+      | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "a retired model's journal was resumed")
+
 let () =
   Alcotest.run "ferrite_supervisor"
     [
@@ -343,5 +365,7 @@ let () =
           Alcotest.test_case "other plan rejected" `Quick test_resume_rejects_other_plan;
           Alcotest.test_case "fingerprint jobs-independent" `Quick
             test_fingerprint_is_jobs_independent;
+          Alcotest.test_case "retired-model journal refused" `Quick
+            test_retired_model_journal_refused;
         ] );
     ]
