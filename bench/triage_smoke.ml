@@ -3,8 +3,8 @@
    Writes one small campaign to a columnar store under the sequential and
    parallel executors and exits non-zero unless the two files are
    byte-identical, the store-backed report over them renders identically,
-   and the scenario triage buckets (Figs. 7/13/14 -> the paper's §5
-   families) are executor-invariant. *)
+   and the scenario replays (Figs. 7/13/14) land in the paper's §5
+   families. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -57,18 +57,15 @@ let () =
         | Some sc -> sc
         | None -> fail "no scenario %s" name
       in
-      List.iter
-        (fun jobs ->
-          let r = Ferrite.Scenario.run ~executor:(Executor.of_jobs jobs) sc in
-          match Triage.of_record r.Ferrite.Scenario.outcome r.Ferrite.Scenario.dump with
-          | Some b when Triage.tag b = want -> ()
-          | Some b -> fail "%s with --jobs %d triaged %s, want %s" name jobs (Triage.tag b) want
-          | None -> fail "%s with --jobs %d not triaged" name jobs)
-        [ 1; 4 ])
+      let r = Ferrite.Scenario.run sc in
+      match Triage.of_record r.Ferrite.Scenario.outcome r.Ferrite.Scenario.dump with
+      | Some b when Triage.tag b = want -> ()
+      | Some b -> fail "%s triaged %s, want %s" name (Triage.tag b) want
+      | None -> fail "%s not triaged" name)
     expected;
   Sys.remove p1;
   Sys.remove p4;
   Printf.printf
     "triage-smoke ok: %d-row store byte-identical across executors; fig7/fig13/fig14 -> \
-     stack_overwrite/bad_pointer/resync under --jobs 1 and 4\n"
+     stack_overwrite/bad_pointer/resync\n"
     sc1.Store.sc_rows

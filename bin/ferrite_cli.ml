@@ -33,7 +33,6 @@ module Result_store = Ferrite_injection.Result_store
 module Store = Ferrite_store.Store
 module Triage = Ferrite_injection.Triage
 module Fabric = Ferrite_fabric.Fabric
-module Wire = Ferrite_fabric.Wire
 module Iofault = Ferrite_iofault.Iofault
 module Tracer = Ferrite_trace.Tracer
 module Scenario = Ferrite.Scenario
@@ -347,8 +346,8 @@ let with_journal_errors f =
 
 (* --- the harness-fault seed --- *)
 
-(* [Some (seed, onset override)]: the seed is the whole plan, its I/O half
-   [Iofault.plan_of_seed] and its link half [Wire.chaos_of_seed]. *)
+(* [Some (seed, onset override)]: the seed is the whole plan,
+   [Iofault.plan_of_seed]. *)
 let harness_fault_term =
   Term.term_result ~usage:true
   @@ let+ seed =
@@ -356,11 +355,10 @@ let harness_fault_term =
          "Inject faults into the harness itself, all drawn from seed $(docv): \
           every journal, store, trace and fabric-wire descriptor sees \
           EINTR/EAGAIN, short reads and writes, delays and (on half the seeds) \
-          a disk-full onset drawn in [16 KiB, 64 KiB); with --workers or \
-          --distributed every fabric link also drops, duplicates and reorders \
-          messages. Retriable faults are absorbed and the results stay \
-          byte-identical; ENOSPC/EIO degrade loudly to a reported salvage \
-          state. The same seed replays the same faults."
+          a disk-full onset drawn in [16 KiB, 64 KiB). Retriable faults are \
+          absorbed and the results stay byte-identical; ENOSPC/EIO degrade \
+          loudly to a reported salvage state. The same seed replays the same \
+          faults."
        in
        Arg.(value & opt (some int64) None & info [ "harness-fault" ] ~docv:"SEED" ~doc)
      and+ onset =
@@ -385,7 +383,7 @@ let arm_harness_fault =
       Iofault.arm ~plan ~seed ())
 
 (* exec'd workers are fresh processes: the seed rides their argv (forked
-   workers inherit the armed state; link rates arrive in the handshake) *)
+   workers inherit the armed state) *)
 let harness_fault_argv = function
   | None -> []
   | Some (seed, onset) ->
@@ -426,8 +424,6 @@ let print_fabric_report (rep : Fabric.report) =
       "  SALVAGE STATE: %d trial(s) not merged (drained); percentages above cover the \
        completed subset only\n"
       rep.Fabric.fb_missing;
-  if rep.Fabric.fb_retransmitted > 0 then
-    Printf.printf "  retransmitted: %d result send(s) repeated\n" rep.Fabric.fb_retransmitted;
   List.iter
     (fun (i, reason) -> Printf.printf "  trial %d quarantined: %s\n" i reason)
     rep.Fabric.fb_quarantined
@@ -441,10 +437,8 @@ let run_fabric ~workers ~distributed ~(supervision : Campaign.supervision) ~trac
     cfg =
   let { Campaign.sv_policy; sv_chaos; sv_journal; sv_resume } = supervision in
   let total = cfg.Campaign.injections in
-  let wire = Option.map (fun (seed, _) -> Wire.chaos_of_seed seed) harness in
   let c =
     Fabric.Controller.create ~policy:sv_policy ~chaos:sv_chaos ~tracer
-      ?wire_chaos:(Option.map fst wire) ?wire_seed:(Option.map snd wire)
       ~chunk:(Executor.chunk_size ~total ~workers) ?journal:sv_journal ~resume:sv_resume cfg
   in
   let install signal =
@@ -787,11 +781,11 @@ let scenarios_arg =
     $ Arg.(value & pos 0 (some scenario) None & info [] ~docv:"SCENARIO" ~doc))
 
 let trace_cmd =
-  let run scenarios executor trace_dir =
+  let run scenarios trace_dir =
     List.iteri
       (fun i sc ->
         if i > 0 then print_newline ();
-        let r = Scenario.run ~executor sc in
+        let r = Scenario.run sc in
         print_string (Scenario.render r);
         Option.iter
           (fun dir ->
@@ -802,12 +796,11 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Replay a paper scenario (Figs. 7/13/14) as an annotated event timeline; \
-          identical output for every --jobs value")
-    Term.(const run $ scenarios_arg $ executor_term $ trace_dir_arg)
+         "Replay a paper scenario (Figs. 7/13/14) as an annotated event timeline")
+    Term.(const run $ scenarios_arg $ trace_dir_arg)
 
 let triage_cmd =
-  let run scenarios executor from_store =
+  let run scenarios from_store =
     match from_store with
     | Some path ->
       let aggs, sc = load_aggregates path in
@@ -824,7 +817,7 @@ let triage_cmd =
       List.iteri
         (fun i sc ->
           if i > 0 then print_newline ();
-          let r = Scenario.run ~executor sc in
+          let r = Scenario.run sc in
           let record = r.Scenario.outcome in
           Printf.printf "%s\n" sc.Scenario.sc_title;
           Printf.printf "  target:  %s\n" (Target.describe r.Scenario.target);
@@ -850,7 +843,7 @@ let triage_cmd =
        ~doc:
          "Bucket crashes into the paper's sec. 5 root-cause families - either a \
           stored campaign (--from-store) or the Figs. 7/13/14 scenario replays")
-    Term.(const run $ scenarios_arg $ executor_term $ from_store_arg)
+    Term.(const run $ scenarios_arg $ from_store_arg)
 
 (* --- fuzz --- *)
 
@@ -922,7 +915,7 @@ let worker_cmd =
           Normally spawned by 'ferrite inject --distributed', not by hand. \
           --harness-fault arms the I/O faults the controller runs under \
           (exec'd workers do not inherit them, so the controller passes the \
-          flag along; link chaos arrives in the handshake).")
+          flag along).")
     Term.(const run $ harness_fault_term)
 
 (* --- disasm --- *)

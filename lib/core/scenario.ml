@@ -125,7 +125,7 @@ let spec_of sc target =
     forced_target = Some target;
   }
 
-let run ?(executor = Executor.Sequential) ?(trace = Tracer.default_config) sc =
+let run ?(trace = Tracer.default_config) sc =
   let image = Boot.build_image ~variant:Boot.standard sc.sc_arch in
   (* resolve the paper's target against a probe boot of the same image *)
   let target = sc.sc_target (Boot.boot ~image sc.sc_arch) in
@@ -142,7 +142,7 @@ let run ?(executor = Executor.Sequential) ?(trace = Tracer.default_config) sc =
       env_targeting = Target.Uniform;
     }
   in
-  let out = Executor.run ~trace executor env [| spec_of sc target |] in
+  let out = Executor.run ~trace Executor.Sequential env [| spec_of sc target |] in
   {
     scenario = sc;
     target;

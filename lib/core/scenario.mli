@@ -40,13 +40,10 @@ type result = {
           delivered [Known_crash] *)
 }
 
-val run :
-  ?executor:Ferrite_injection.Executor.t ->
-  ?trace:Ferrite_trace.Tracer.config ->
-  t ->
-  result
-(** Replay the scenario as a one-spec campaign. Deterministic: same scenario,
-    same bytes, regardless of [executor]. *)
+val run : ?trace:Ferrite_trace.Tracer.config -> t -> result
+(** Replay the scenario as a one-spec campaign, sequentially (a one-trial
+    plan runs on one worker under every executor). Deterministic: same
+    scenario, same bytes. *)
 
 val render : result -> string
 (** Title, note, target, outcome and the annotated event timeline. *)

@@ -6,7 +6,6 @@ module Lease = Ferrite_injection.Lease
 module Trial = Ferrite_injection.Trial
 module Trial_table = Ferrite_injection.Trial_table
 module Tracer = Ferrite_trace.Tracer
-module Rng = Ferrite_machine.Rng
 module Cache_stats = Ferrite_machine.Cache_stats
 module Iofault = Ferrite_iofault.Iofault
 
@@ -56,76 +55,9 @@ let readable ?(timeout = 0.0) fds =
   | ready, _, _ -> ready
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
-(* {2 Chaos link}
-
-   The sending half of one direction of one connection. All chaos is applied
-   here, on the sender, from a seeded stream: a campaign's full loss schedule
-   is a pure function of (wire seed, link id, message ordinal), so chaos
-   drills replay. *)
-
-module Link = struct
-  type t = {
-    lk_io : Iofault.t;
-    lk_chaos : Wire.wire_chaos option;
-    lk_rng : Rng.t;
-    mutable lk_holdback : Wire.msg option;  (* one message awaiting reorder *)
-    mutable lk_dropped : int;
-    mutable lk_duped : int;
-    mutable lk_reordered : int;
-  }
-
-  let create ?chaos ~seed fd =
-    {
-      lk_io = Iofault.wrap_stream ~label:"wire-tx" fd;
-      lk_chaos = Option.map Wire.validated_chaos chaos;
-      lk_rng = Rng.create ~seed;
-      lk_holdback = None;
-      lk_dropped = 0;
-      lk_duped = 0;
-      lk_reordered = 0;
-    }
-
-  let transmit t msg = write_all t.lk_io (Wire.encode msg)
-
-  let flush_holdback t =
-    match t.lk_holdback with
-    | None -> ()
-    | Some m ->
-      t.lk_holdback <- None;
-      transmit t m
-
-  let send t msg =
-    match t.lk_chaos with
-    | Some c when Wire.chaos_eligible msg ->
-      let u = Rng.float t.lk_rng in
-      if u < c.Wire.wc_drop then t.lk_dropped <- t.lk_dropped + 1
-      else if u < c.Wire.wc_drop +. c.Wire.wc_dup then begin
-        transmit t msg;
-        transmit t msg;
-        t.lk_duped <- t.lk_duped + 1
-      end
-      else if
-        u < c.Wire.wc_drop +. c.Wire.wc_dup +. c.Wire.wc_reorder
-        && t.lk_holdback = None
-      then begin
-        (* held until the next eligible send goes out first *)
-        t.lk_holdback <- Some msg;
-        t.lk_reordered <- t.lk_reordered + 1
-      end
-      else begin
-        transmit t msg;
-        flush_holdback t
-      end
-    | _ ->
-      (* protocol-critical messages: deliver, and release anything held so
-         reordering never strands a message behind a quiet link *)
-      flush_holdback t;
-      transmit t msg
-end
-
-(* Link ids salt the chaos streams so the two directions of one connection,
-   and every connection, draw independently. *)
-let link_seed ~wire_seed ~link_id = Rng.derive ~seed:wire_seed ~index:link_id
+(* Every link is a reliable, ordered stream: one message is one framed
+   write on the link's fault-routed descriptor. *)
+let send io msg = write_all io (Wire.encode msg)
 
 (* {2 Worker} *)
 
@@ -137,64 +69,41 @@ let heartbeat_every = 0.25
 
 module Worker = struct
   type state = {
-    ws_link : Link.t;
+    ws_tx : Iofault.t;
     ws_input : Unix.file_descr;  (* raw fd for select *)
     ws_in_io : Iofault.t;  (* the same fd, fault-routed for reads *)
     ws_dec : Wire.decoder;
+    ws_buf : Bytes.t;  (* the link's read buffer; [Wire.feed] copies out of it *)
     ws_worker : int;
-    (* current lease: id, next unstarted index, exclusive end *)
-    mutable ws_cur : (int * int ref * int) option;
-    ws_seen : (int, int) Hashtbl.t;
-        (* lease ids already accepted -> [ws_seq] when this worker finished
-           them ([max_int] until then) *)
-    ws_unacked : (int, Wire.msg) Hashtbl.t;  (* seq -> Result awaiting ack *)
-    mutable ws_seq : int;  (* results sent so far: the next result's seq *)
+    (* the current lease's next unstarted index and exclusive end; idle
+       once they meet *)
+    mutable ws_next : int;
+    mutable ws_hi : int;
+    mutable ws_last_lease : int;  (* the last lease id accepted, -1 before any *)
     mutable ws_leases_done : int;
-    mutable ws_retransmitted : int;
     mutable ws_controller_bye : bool;
   }
 
-  let retransmit ?(below = max_int) st =
-    let pending =
-      Hashtbl.fold (fun seq m acc -> if seq < below then (seq, m) :: acc else acc) st.ws_unacked []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (_, m) ->
-        st.ws_retransmitted <- st.ws_retransmitted + 1;
-        Link.send st.ws_link m)
-      pending
-
   let handle st msg =
     match msg with
-    | Wire.Ack { ak_seq } -> Hashtbl.remove st.ws_unacked ak_seq
-    | Wire.Lease_grant { lg_lease; lg_lo; lg_hi; lg_results } -> (
-      match Hashtbl.find_opt st.ws_seen lg_lease with
-      | None ->
-        Hashtbl.replace st.ws_seen lg_lease max_int;
-        st.ws_cur <- Some (lg_lease, ref lg_lo, lg_hi)
-      | Some finished_at when st.ws_cur = None && lg_results >= finished_at ->
-        (* the answer to a request sent after we finished the lease, and the
-           controller still counts it live: a result of it was lost *)
-        retransmit ~below:lg_results st
-      | Some _ ->
-        (* stale: it answers a request sent before the lease began, or it
-           reached us busy with a lease *)
-        ())
+    | Wire.Lease_grant { lg_lease; lg_lo; lg_hi } ->
+      (* lease ids only grow, so an id we have seen is a copy of a grant we
+         accepted: the answer to a request resent before it arrived *)
+      if lg_lease > st.ws_last_lease then begin
+        st.ws_last_lease <- lg_lease;
+        st.ws_next <- lg_lo;
+        st.ws_hi <- lg_hi
+      end
     | Wire.Bye _ -> st.ws_controller_bye <- true
-    | Wire.Hello _ | Wire.Welcome _ | Wire.Lease_request _ | Wire.Result _ | Wire.Heartbeat _ ->
-      (* controller never sends these; a confused frame is ignored, the
-         protocol is built on retransmission anyway *)
+    | Wire.Hello _ | Wire.Welcome _ | Wire.Lease_request | Wire.Result _ | Wire.Heartbeat _ ->
+      (* the controller never sends these *)
       ()
 
   let drain ?(timeout = 0.0) st =
-    match readable ~timeout [ st.ws_input ] with
-    | [] -> false
-    | _ :: _ ->
-      let buf = Bytes.create 65536 in
-      (match read_some st.ws_in_io buf with
+    if readable ~timeout [ st.ws_input ] <> [] then begin
+      (match read_some st.ws_in_io st.ws_buf with
       | None -> raise Link_dead
-      | Some n -> Wire.feed st.ws_dec buf n);
+      | Some n -> Wire.feed st.ws_dec st.ws_buf n);
       let rec pump () =
         match Wire.next st.ws_dec with
         | Some m ->
@@ -202,31 +111,17 @@ module Worker = struct
           pump ()
         | None -> ()
       in
-      pump ();
-      true
+      pump ()
+    end
 
   let stats_of st ~cache =
     {
       Wire.by_reboots = Trial.reboots cache;
       by_cache = Trial.cache_stats cache;
-      by_retransmitted = st.ws_retransmitted;
       by_leases = st.ws_leases_done;
     }
 
-  (* Orderly leave: try hard to land every unacked result first — anything
-     still unacked when we go is re-run by someone else, correctly but
-     wastefully. *)
-  let flush_and_leave st ~cache =
-    let rounds = ref 0 in
-    while Hashtbl.length st.ws_unacked > 0 && (not st.ws_controller_bye) && !rounds < 500 do
-      incr rounds;
-      retransmit st;
-      ignore (drain ~timeout:0.02 st)
-    done;
-    Link.send st.ws_link (Wire.Bye { bye_stats = Some (stats_of st ~cache) })
-
-  let wait_welcome dec in_io =
-    let buf = Bytes.create 65536 in
+  let wait_welcome dec in_io buf =
     let rec go () =
       match Wire.next dec with
       | Some (Wire.Welcome w) -> w
@@ -242,9 +137,9 @@ module Worker = struct
 
   let serve ?die_at ?max_leases ?(handle_signals = true) ?inputs ~input ~output () =
     ignore_sigpipe ();
-    (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial,
-       flush unacked results, say Bye. A worker that must die NOW is
-       SIGKILLed, and the controller's death path covers that. *)
+    (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial and
+       say Bye. A worker that must die NOW is SIGKILLed, and the
+       controller's death path covers that. *)
     let stop = ref false in
     if handle_signals then begin
       let h = Sys.Signal_handle (fun _ -> stop := true) in
@@ -252,30 +147,23 @@ module Worker = struct
       try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ()
     end;
     let in_io = Iofault.wrap_stream ~label:"wire-rx" input in
-    write_all
-      (Iofault.wrap_stream ~label:"wire-tx-hello" output)
-      (Wire.encode
-         (Wire.Hello { h_pid = Unix.getpid (); h_protocol = Wire.protocol_version }));
+    let tx = Iofault.wrap_stream ~label:"wire-tx" output in
+    send tx (Wire.Hello { h_pid = Unix.getpid (); h_protocol = Wire.protocol_version });
     let dec = Wire.decoder () in
-    let w = wait_welcome dec in_io in
-    let link =
-      Link.create ?chaos:w.Wire.w_wire_chaos
-        ~seed:(link_seed ~wire_seed:w.Wire.w_wire_seed ~link_id:w.Wire.w_worker)
-        output
-    in
+    let buf = Bytes.create 65536 in
+    let w = wait_welcome dec in_io buf in
     let st =
       {
-        ws_link = link;
+        ws_tx = tx;
         ws_input = input;
         ws_in_io = in_io;
         ws_dec = dec;
+        ws_buf = buf;
         ws_worker = w.Wire.w_worker;
-        ws_cur = None;
-        ws_seen = Hashtbl.create 16;
-        ws_unacked = Hashtbl.create 16;
-        ws_seq = 0;
+        ws_next = 0;
+        ws_hi = 0;
+        ws_last_lease = -1;
         ws_leases_done = 0;
-        ws_retransmitted = 0;
         ws_controller_bye = false;
       }
     in
@@ -290,78 +178,52 @@ module Worker = struct
     let specs = Campaign.plan w.Wire.w_config in
     let sv = Supervisor.create ~policy:w.Wire.w_policy ~chaos:w.Wire.w_chaos () in
     let cache = Trial.cache_create () in
-    let leaving = ref false in
     let last_hb = ref (Unix.gettimeofday ()) in
-    (try
-       while (not st.ws_controller_bye) && not !stop do
-         let now = Unix.gettimeofday () in
-         if now -. !last_hb >= heartbeat_every then begin
-           last_hb := now;
-           Link.send st.ws_link (Wire.Heartbeat { hb_worker = st.ws_worker })
-         end;
-         ignore (drain st);
-         if (not st.ws_controller_bye) && not !stop then begin
-           match st.ws_cur with
-           | Some (lease, next, hi) when !next < hi ->
-             let i = !next in
-             (match die_at with
-             | Some d when d = i ->
-               (* the crash hook: vanish without a goodbye, exactly like a
-                  segfaulted harness process *)
-               Unix._exit 42
-             | _ -> ());
-             let record, stats, trace, dump =
-               Supervisor.run_trial sv ~trace:w.Wire.w_tracer env cache specs.(i)
-             in
-             incr next;
-             let seq = st.ws_seq in
-             st.ws_seq <- seq + 1;
-             let msg =
-               Wire.Result
+    try
+      while (not st.ws_controller_bye) && not !stop do
+        let now = Unix.gettimeofday () in
+        if now -. !last_hb >= heartbeat_every then begin
+          last_hb := now;
+          send st.ws_tx (Wire.Heartbeat { hb_worker = st.ws_worker })
+        end;
+        drain st;
+        if (not st.ws_controller_bye) && not !stop then
+          if st.ws_next < st.ws_hi then begin
+            let i = st.ws_next in
+            (match die_at with
+            | Some d when d = i ->
+              (* the crash hook: vanish without a goodbye, exactly like a
+                 segfaulted harness process *)
+              Unix._exit 42
+            | _ -> ());
+            let record, stats, trace, dump =
+              Supervisor.run_trial sv ~trace:w.Wire.w_tracer env cache specs.(i)
+            in
+            st.ws_next <- i + 1;
+            send st.ws_tx
+              (Wire.Result
                  {
-                   rs_seq = seq;
                    rs_index = i;
                    rs_entry =
-                     {
-                       Journal.je_index = i;
-                       je_record = record;
-                       je_stats = stats;
-                       je_trace = trace;
-                     };
+                     { Journal.je_index = i; je_record = record; je_stats = stats; je_trace = trace };
                    rs_dump = dump;
-                 }
-             in
-             Hashtbl.replace st.ws_unacked seq msg;
-             Link.send st.ws_link msg;
-             if !next >= hi then begin
-               st.ws_cur <- None;
-               Hashtbl.replace st.ws_seen lease st.ws_seq;
-               st.ws_leases_done <- st.ws_leases_done + 1;
-               match max_leases with
-               | Some n when st.ws_leases_done >= n -> leaving := true
-               | _ -> ()
-             end
-           | _ ->
-             st.ws_cur <- None;
-             if !leaving then begin
-               flush_and_leave st ~cache;
-               raise Exit
-             end;
-             Link.send st.ws_link (Wire.Lease_request { lr_results = st.ws_seq });
-             ignore (drain ~timeout:0.03 st)
-         end
-       done;
-       if !stop && not st.ws_controller_bye then
-         (* signalled: the controller has not merged everything — land our
-            unacked results before leaving or they are re-run elsewhere *)
-         flush_and_leave st ~cache
-       else
-         (* controller said Bye: every trial is merged, so anything unacked
-            here was a duplicate — just answer with our diagnostics *)
-         Link.send st.ws_link (Wire.Bye { bye_stats = Some (stats_of st ~cache) })
-     with
-    | Exit -> ()
-    | Link_dead -> ())
+                 });
+            if st.ws_next = st.ws_hi then begin
+              st.ws_leases_done <- st.ws_leases_done + 1;
+              match max_leases with
+              | Some n when st.ws_leases_done >= n -> stop := true (* the orderly leave *)
+              | _ -> ()
+            end
+          end
+          else begin
+            send st.ws_tx Wire.Lease_request;
+            drain ~timeout:0.03 st
+          end
+      done;
+      (* every result is already on the stream ahead of this; the controller
+         merges them before it reads the goodbye *)
+      send st.ws_tx (Wire.Bye { bye_stats = Some (stats_of st ~cache) })
+    with Link_dead -> ()
 end
 
 (* {2 Controller} *)
@@ -372,7 +234,7 @@ module Controller = struct
     c_fd : Unix.file_descr;  (* raw fd for select *)
     c_in_io : Iofault.t;  (* the same fd, fault-routed for reads *)
     mutable c_pid : int option;
-    c_link : Link.t;
+    c_tx : Iofault.t;  (* the same fd, fault-routed for writes *)
     c_dec : Wire.decoder;
     mutable c_alive : bool;
     mutable c_bye : bool;  (* said goodbye: a later EOF is not a death *)
@@ -387,13 +249,14 @@ module Controller = struct
     t_policy : Supervisor.policy;
     t_chaos : Supervisor.chaos;
     t_tracer : Tracer.config;
-    t_wire_chaos : Wire.wire_chaos option;
-    t_wire_seed : int64;
     t_max_deaths : int;
     t_heartbeat : float;
     t_journal : Journal.writer option;
     t_table : Trial_table.t;
     t_lease : Lease.t;  (* the table's *)
+    t_buf : Bytes.t;
+        (* every link's read buffer: [Wire.feed] copies out of it, so a
+           read nested in a handler ([absorb_tail]) may reuse it *)
     mutable t_conns : conn list;
     mutable t_next_worker : int;
     mutable t_finishing : bool;
@@ -409,7 +272,7 @@ module Controller = struct
   }
 
   let create ?(policy = Supervisor.default_policy) ?(chaos = Supervisor.no_chaos)
-      ?(tracer = Tracer.telemetry_only) ?wire_chaos ?(wire_seed = 0xFAB71CL) ?chunk
+      ?(tracer = Tracer.telemetry_only) ?chunk
       ?(max_worker_deaths = 2) ?(heartbeat_timeout = 30.0) ?journal ?(resume = false) cfg =
     ignore_sigpipe ();
     let specs = Campaign.plan cfg in
@@ -444,13 +307,12 @@ module Controller = struct
       t_policy = Supervisor.validated_policy policy;
       t_chaos = chaos;
       t_tracer = Tracer.validated tracer;
-      t_wire_chaos = Option.map Wire.validated_chaos wire_chaos;
-      t_wire_seed = wire_seed;
       t_max_deaths = max_worker_deaths;
       t_heartbeat = heartbeat_timeout;
       t_journal = writer;
       t_table = table;
       t_lease = Trial_table.lease table;
+      t_buf = Bytes.create 65536;
       t_conns = [];
       t_next_worker = 0;
       t_finishing = false;
@@ -474,30 +336,18 @@ module Controller = struct
         w_policy = t.t_policy;
         w_chaos = t.t_chaos;
         w_tracer = t.t_tracer;
-        w_wire_chaos = t.t_wire_chaos;
-        w_wire_seed = t.t_wire_seed;
       }
-
-  (* Controller→worker chaos streams are salted away from the worker→
-     controller ones: link id = worker for the worker's sender, worker +
-     big offset for ours. *)
-  let controller_link_salt = 0x10000
 
   let register t ~fd ~pid =
     let worker = t.t_next_worker in
     t.t_next_worker <- worker + 1;
-    let link =
-      Link.create ?chaos:t.t_wire_chaos
-        ~seed:(link_seed ~wire_seed:t.t_wire_seed ~link_id:(controller_link_salt + worker))
-        fd
-    in
     let conn =
       {
         c_worker = worker;
         c_fd = fd;
         c_in_io = Iofault.wrap_stream ~label:"wire-rx" fd;
         c_pid = pid;
-        c_link = link;
+        c_tx = Iofault.wrap_stream ~label:"wire-tx" fd;
         c_dec = Wire.decoder ();
         c_alive = true;
         c_bye = false;
@@ -506,7 +356,7 @@ module Controller = struct
       }
     in
     t.t_conns <- t.t_conns @ [ conn ];
-    (try Link.send link (welcome t ~worker) with Link_dead -> conn.c_alive <- false);
+    (try send conn.c_tx (welcome t ~worker) with Link_dead -> conn.c_alive <- false);
     worker
 
   let add_worker ?die_at ?max_leases t =
@@ -566,15 +416,15 @@ module Controller = struct
     end
 
   (* A failed send can race an orderly goodbye: the worker may have written
-     its final results and Bye and exited before our Ack hit the (now
-     half-closed) socket. Counting that EPIPE as a death would requeue
+     its final results and Bye and exited before our grant or Bye hit the
+     (now half-closed) socket. Counting that EPIPE as a death would requeue
      trials the Bye already settled — so before judging, suppress further
      sends, absorb whatever the worker left on the wire (late results, the
      Bye itself), and only then run the death path, whose [c_bye] check now
      sees the goodbye if there was one. *)
   let rec send_to t conn msg =
     if conn.c_alive then (
-      try Link.send conn.c_link msg
+      try send conn.c_tx msg
       with Link_dead ->
         conn.c_alive <- false;
         absorb_tail t conn;
@@ -582,7 +432,6 @@ module Controller = struct
         on_death t conn)
 
   and absorb_tail t conn =
-    let buf = Bytes.create 65536 in
     let rec pump () =
       match Wire.next conn.c_dec with
       | Some m ->
@@ -596,10 +445,10 @@ module Controller = struct
         match readable ~timeout:0.0 [ conn.c_fd ] with
         | [] -> ()
         | _ -> (
-          match read_some conn.c_in_io buf with
+          match read_some conn.c_in_io t.t_buf with
           | None | Some 0 -> ()
           | Some n ->
-            Wire.feed conn.c_dec buf n;
+            Wire.feed conn.c_dec t.t_buf n;
             go (budget - 1))
     in
     go 64;
@@ -611,16 +460,13 @@ module Controller = struct
       if h_protocol <> Wire.protocol_version then
         raise (Wire.Corrupt (Printf.sprintf "worker speaks protocol %d" h_protocol));
       if conn.c_pid = None then conn.c_pid <- Some h_pid
-    | Wire.Lease_request { lr_results } -> (
+    | Wire.Lease_request -> (
       match Lease.request t.t_lease ~worker:conn.c_worker with
       | Lease.Grant { d_lease; d_lo; d_hi } ->
-        send_to t conn
-          (Wire.Lease_grant
-             { lg_lease = d_lease; lg_lo = d_lo; lg_hi = d_hi; lg_results = lr_results })
+        send_to t conn (Wire.Lease_grant { lg_lease = d_lease; lg_lo = d_lo; lg_hi = d_hi })
       | Lease.Wait | Lease.Drained -> ())
-    | Wire.Result { rs_seq; rs_index; rs_entry; rs_dump } ->
-      (* always ack — the worker retransmits until we do, and dedup is ours *)
-      send_to t conn (Wire.Ack { ak_seq = rs_seq });
+    | Wire.Result { rs_index; rs_entry; rs_dump } ->
+      (* deduplicated by trial index, like every completion *)
       if rs_entry.Journal.je_index = rs_index then (
         match Trial_table.complete t.t_table rs_entry rs_dump with
         | Lease.Fresh -> t.t_results <- t.t_results + 1
@@ -633,7 +479,7 @@ module Controller = struct
         ignore (Lease.worker_leave t.t_lease ~worker:conn.c_worker)
       end
     | Wire.Heartbeat _ (* liveness only: any byte read resets [c_last_heard] *)
-    | Wire.Welcome _ | Wire.Lease_grant _ | Wire.Ack _ ->
+    | Wire.Welcome _ | Wire.Lease_grant _ ->
       (* workers never send these *)
       ()
 
@@ -671,15 +517,14 @@ module Controller = struct
     else begin
       let fds = List.map (fun c -> c.c_fd) conns in
       let ready = readable ~timeout fds in
-      let buf = Bytes.create 65536 in
       List.iter
         (fun c ->
           if List.memq c.c_fd ready then
-            match read_some c.c_in_io buf with
+            match read_some c.c_in_io t.t_buf with
             | None -> on_death t c
             | Some n -> (
               if n > 0 then c.c_last_heard <- now;
-              Wire.feed c.c_dec buf n;
+              Wire.feed c.c_dec t.t_buf n;
               try
                 let rec pump () =
                   match Wire.next c.c_dec with
@@ -740,17 +585,11 @@ module Controller = struct
       (Trial_table.outcome t.t_table ~reboots ~cache)
 
   let report t =
-    let retransmitted =
-      List.fold_left
-        (fun acc c ->
-          match c.c_stats with Some s -> acc + s.Wire.by_retransmitted | None -> acc)
-        0 t.t_conns
-    in
     {
       fb_workers = t.t_next_worker;
       fb_results = t.t_results;
       fb_dup_results = t.t_dup_results;
-      fb_retransmitted = retransmitted;
+      fb_retransmitted = 0;
       fb_steals = 0;
       fb_steal_returns = 0;
       fb_expired = t.t_expired;
@@ -779,8 +618,8 @@ module Controller = struct
     t.t_finishing <- true;
     List.iter (fun c -> send_to t c (Wire.Bye { bye_stats = None })) (alive_conns t);
     (* the straggler window doubles as the drain window: workers finish the
-       in-flight trial, flush unacked results (merged and journaled here),
-       then answer Bye *)
+       in-flight trial, send its result (merged and journaled here), then
+       answer Bye *)
     let deadline = Unix.gettimeofday () +. 2.0 in
     while
       List.exists (fun c -> c.c_alive && not c.c_bye) t.t_conns
@@ -801,8 +640,8 @@ module Controller = struct
     (merge t, report t)
 end
 
-let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk
-    ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg =
+let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?chunk ?max_worker_deaths
+    ?heartbeat_timeout ?journal ?resume cfg =
   let chunk =
     match chunk with
     | Some _ -> chunk
@@ -810,8 +649,8 @@ let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?c
       Some (Executor.chunk_size ~total:cfg.Campaign.injections ~workers:(max 1 workers))
   in
   let t =
-    Controller.create ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk ?max_worker_deaths
-      ?heartbeat_timeout ?journal ?resume cfg
+    Controller.create ?policy ?chaos ?tracer ?chunk ?max_worker_deaths ?heartbeat_timeout
+      ?journal ?resume cfg
   in
   for _ = 1 to max 1 workers do
     ignore (Controller.add_worker t)

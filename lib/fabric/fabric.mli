@@ -18,12 +18,18 @@
     exactly the in-process supervisor's verdict for a trial that keeps
     failing.
 
+    Every link is a reliable, ordered byte stream, so the protocol
+    ({!Wire}) has no acknowledgements and nothing is re-sent. The recovery
+    paths are the ones real failures reach: a worker that dies or goes
+    silent past the heartbeat deadline, a trial that keeps killing its
+    owners, and a write that races a worker's orderly exit.
+
     {b Determinism.} Trial records are pure functions of trial specs
     ({!Ferrite_injection.Trial}), specs are derived counter-style from the
     campaign config, and the controller merges by trial index. So records,
     traces, collector stats, telemetry counters and the result-store bytes
     are byte-identical to a sequential run under {e any} worker count,
-    join/leave schedule, kill schedule or wire-chaos seed — only the
+    join/leave schedule, kill schedule or harness-fault seed — only the
     diagnostics ([reboots], [cache], and boots-derived [tl_boots]) depend on
     scheduling, as they already do under the domain-pool executor. *)
 
@@ -33,8 +39,10 @@ module Supervisor = Ferrite_injection.Supervisor
 type report = {
   fb_workers : int;  (** workers that ever joined *)
   fb_results : int;  (** fresh results merged *)
-  fb_dup_results : int;  (** retransmitted or twice-run duplicates dropped *)
-  fb_retransmitted : int;  (** result re-sends reported by departing workers *)
+  fb_dup_results : int;  (** results dropped because their trial was already merged *)
+  fb_retransmitted : int;
+      (** always 0: links are reliable streams and nothing is re-sent. Kept
+          while the benchmark's [fabric.retransmitted] reads it. *)
   fb_steals : int;
       (** always 0: the fabric no longer steals work. Kept while the
           benchmark's [fabric.steals] reads it. *)
@@ -55,9 +63,9 @@ type report = {
           may differ from a sequential run, and they differ the same way an
           in-process quarantine does *)
 }
-(** Fabric bookkeeping — the knobs chaos is allowed to move. Every
-    convergence test asserts that records stay identical while {e only}
-    these counters change. *)
+(** Fabric bookkeeping — the only figures fleet churn and harness faults are
+    allowed to move. Every convergence test asserts that records stay
+    identical while {e only} these counters change. *)
 
 module Worker : sig
   val serve :
@@ -77,8 +85,8 @@ module Worker : sig
       (or [max_leases] leases are done — the orderly mid-campaign leave).
       Sends a {!Wire.Heartbeat} between trials so the controller can tell a
       hung worker from a busy one. Unless [handle_signals] is [false],
-      SIGTERM/SIGINT mean {e drain}: finish the in-flight trial, flush
-      unacked results, send [Bye] with diagnostics, exit cleanly.
+      SIGTERM/SIGINT mean {e drain}: finish and send the in-flight trial,
+      send [Bye] with diagnostics, exit cleanly.
       [die_at] is the crash test hook: the process exits without warning
       just before executing that trial index. *)
 end
@@ -90,8 +98,6 @@ module Controller : sig
     ?policy:Supervisor.policy ->
     ?chaos:Supervisor.chaos ->
     ?tracer:Ferrite_trace.Tracer.config ->
-    ?wire_chaos:Wire.wire_chaos ->
-    ?wire_seed:int64 ->
     ?chunk:int ->
     ?max_worker_deaths:int ->
     ?heartbeat_timeout:float ->
@@ -105,10 +111,7 @@ module Controller : sig
       profile from them. [chunk] defaults to
       {!Ferrite_injection.Executor.chunk_size} over four workers; a trial
       orphaned by more than [max_worker_deaths] (default 2) deaths is
-      quarantined. [wire_chaos] arms seeded message
-      drop/duplication/reordering on {e every} link, in both directions;
-      the verbatim re-grant of a still-live lease recovers every lost
-      message (see {!Wire.Lease_grant}).
+      quarantined.
 
       [heartbeat_timeout] (default 30 s; workers heartbeat every 0.25 s
       between trials) is the one deadline: a worker silent for longer is
@@ -178,8 +181,6 @@ val run_campaign :
   ?policy:Supervisor.policy ->
   ?chaos:Supervisor.chaos ->
   ?tracer:Ferrite_trace.Tracer.config ->
-  ?wire_chaos:Wire.wire_chaos ->
-  ?wire_seed:int64 ->
   ?chunk:int ->
   ?max_worker_deaths:int ->
   ?heartbeat_timeout:float ->

@@ -3,37 +3,15 @@ module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
 
-let protocol_version = 4
+let protocol_version = 5
 
 (* Same ceiling as the journal's frame walk: a length field beyond this is
    garbage, not a message we have not finished receiving. *)
 let max_payload = 64 * 1024 * 1024
 
-type wire_chaos = { wc_drop : float; wc_dup : float; wc_reorder : float }
-
-let validated_chaos c =
-  let rate name r =
-    if not (r >= 0.0 && r <= 1.0) then
-      invalid_arg (Printf.sprintf "Wire.validated_chaos: %s=%g outside [0,1]" name r)
-  in
-  rate "drop" c.wc_drop;
-  rate "dup" c.wc_dup;
-  rate "reorder" c.wc_reorder;
-  if c.wc_drop +. c.wc_dup +. c.wc_reorder > 1.0 then
-    invalid_arg "Wire.validated_chaos: rates sum past 1";
-  c
-
-(* Draws 0 and 1 of a seed pick its I/O fault plan (Iofault.plan_of_seed);
-   the link half starts at draw 2 so the two halves stay independent. *)
-let chaos_of_seed seed =
-  let draw i = Ferrite_machine.Rng.derive ~seed ~index:(2 + i) in
-  let rate i ceiling = ceiling *. Ferrite_machine.Rng.(float (create ~seed:(draw i))) in
-  ({ wc_drop = rate 0 0.2; wc_dup = rate 1 0.1; wc_reorder = rate 2 0.1 }, draw 3)
-
 type bye_stats = {
   by_reboots : int;
   by_cache : Ferrite_machine.Cache_stats.t;
-  by_retransmitted : int;
   by_leases : int;
 }
 
@@ -44,31 +22,20 @@ type welcome = {
   w_policy : Supervisor.policy;
   w_chaos : Supervisor.chaos;
   w_tracer : Ferrite_trace.Tracer.config;
-  w_wire_chaos : wire_chaos option;
-  w_wire_seed : int64;
 }
 
 type msg =
   | Hello of { h_pid : int; h_protocol : int }
   | Welcome of welcome
-  | Lease_request of { lr_results : int }
-  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int; lg_results : int }
+  | Lease_request
+  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
   | Result of {
-      rs_seq : int;
       rs_index : int;
       rs_entry : Journal.entry;
       rs_dump : Crash_dump.t option;
     }
-  | Ack of { ak_seq : int }
   | Heartbeat of { hb_worker : int }
   | Bye of { bye_stats : bye_stats option }
-
-(* The handshake and goodbye are exempt: chaos starts only once the retry
-   machinery (lease re-request, verbatim re-grant, result retransmit) that
-   absorbs it is live. *)
-let chaos_eligible = function
-  | Hello _ | Welcome _ | Bye _ -> false
-  | Lease_request _ | Lease_grant _ | Result _ | Ack _ | Heartbeat _ -> true
 
 (* {2 Encoding} *)
 
@@ -94,28 +61,21 @@ let encode_payload msg =
   | Welcome w ->
     Buffer.add_char b 'W';
     Buffer.add_string b (Marshal.to_string w [])
-  | Lease_request { lr_results } ->
-    Buffer.add_char b 'L';
-    put_u32 b lr_results
-  | Lease_grant { lg_lease; lg_lo; lg_hi; lg_results } ->
+  | Lease_request -> Buffer.add_char b 'L'
+  | Lease_grant { lg_lease; lg_lo; lg_hi } ->
     Buffer.add_char b 'G';
     put_u32 b lg_lease;
     put_u32 b lg_lo;
-    put_u32 b lg_hi;
-    put_u32 b lg_results
-  | Result { rs_seq; rs_index; rs_entry; rs_dump } ->
+    put_u32 b lg_hi
+  | Result { rs_index; rs_entry; rs_dump } ->
     (* the entry blob is the journal's own payload encoding: a fabric result
        in flight is a journal frame whose file has not been written yet *)
     let entry = Journal.encode_entry rs_entry in
     Buffer.add_char b 'R';
-    put_u32 b rs_seq;
     put_u32 b rs_index;
     put_u32 b (String.length entry);
     Buffer.add_string b entry;
     Buffer.add_string b (Marshal.to_string rs_dump [])
-  | Ack { ak_seq } ->
-    Buffer.add_char b 'A';
-    put_u32 b ak_seq
   | Heartbeat { hb_worker } ->
     Buffer.add_char b 'K';
     put_u32 b hb_worker
@@ -143,31 +103,22 @@ let decode_payload s =
       match (unmarshal_from s 1 : welcome option) with
       | Some w -> Some (Welcome w)
       | None -> None)
-    | 'L' -> fixed 4 (fun () -> Some (Lease_request { lr_results = get_u32 s 1 }))
+    | 'L' -> fixed 0 (fun () -> Some Lease_request)
     | 'G' ->
-      fixed 16 (fun () ->
-          Some
-            (Lease_grant
-               {
-                 lg_lease = get_u32 s 1;
-                 lg_lo = get_u32 s 5;
-                 lg_hi = get_u32 s 9;
-                 lg_results = get_u32 s 13;
-               }))
+      fixed 12 (fun () ->
+          Some (Lease_grant { lg_lease = get_u32 s 1; lg_lo = get_u32 s 5; lg_hi = get_u32 s 9 }))
     | 'R' ->
-      if n < 13 then None
+      if n < 9 then None
       else
-        let elen = get_u32 s 9 in
-        if elen < 0 || n < 13 + elen then None
+        let elen = get_u32 s 5 in
+        if elen < 0 || n < 9 + elen then None
         else (
-          match Journal.decode_entry (String.sub s 13 elen) with
+          match Journal.decode_entry (String.sub s 9 elen) with
           | None -> None
           | Some rs_entry -> (
-            match (unmarshal_from s (13 + elen) : Crash_dump.t option option) with
+            match (unmarshal_from s (9 + elen) : Crash_dump.t option option) with
             | None -> None
-            | Some rs_dump ->
-              Some (Result { rs_seq = get_u32 s 1; rs_index = get_u32 s 5; rs_entry; rs_dump })))
-    | 'A' -> fixed 4 (fun () -> Some (Ack { ak_seq = get_u32 s 1 }))
+            | Some rs_dump -> Some (Result { rs_index = get_u32 s 1; rs_entry; rs_dump })))
     | 'K' -> fixed 4 (fun () -> Some (Heartbeat { hb_worker = get_u32 s 1 }))
     | 'B' -> (
       match (unmarshal_from s 1 : bye_stats option option) with

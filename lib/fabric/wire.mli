@@ -17,7 +17,13 @@
     and the controller grants ({!Lease_grant}) by the lease table's one
     rule, the rule the in-process executors follow. No message moves work
     between workers: a lease stays its holder's until it finishes, leaves
-    or is declared dead. *)
+    or is declared dead.
+
+    Every link is a reliable, ordered byte stream (a socketpair, or an
+    exec'd worker's stdin/stdout), so the protocol carries no sequence
+    numbers, acknowledgements or retransmissions: a message either arrives
+    once, in order, or the link dies and the controller's death path takes
+    over. *)
 
 module Journal = Ferrite_injection.Journal
 module Campaign = Ferrite_injection.Campaign
@@ -30,29 +36,9 @@ val protocol_version : int
 
 (** {2 Messages} *)
 
-type wire_chaos = {
-  wc_drop : float;  (** per-message loss probability *)
-  wc_dup : float;  (** duplication probability *)
-  wc_reorder : float;  (** hold-one-back swap probability *)
-}
-(** Seeded message-level chaos applied by {!Link} senders — the fabric
-    analogue of the collector's lossy UDP channel. *)
-
-val validated_chaos : wire_chaos -> wire_chaos
-(** Raises [Invalid_argument] unless each rate is in [0, 1] and they sum to
-    at most 1. *)
-
-val chaos_of_seed : int64 -> wire_chaos * int64
-(** The link half of a harness-fault seed ([--harness-fault SEED]; the I/O
-    half is {!Ferrite_iofault.Iofault.plan_of_seed}): drop, duplicate and
-    reorder rates drawn in [0, 0.2], [0, 0.1] and [0, 0.1], the ranges the
-    fabric converges under in its tests, and the seed of the links' chaos
-    streams. Deterministic in the seed. *)
-
 type bye_stats = {
   by_reboots : int;  (** the worker's boot count (diagnostic) *)
   by_cache : Ferrite_machine.Cache_stats.t;
-  by_retransmitted : int;  (** result frames re-sent beyond the first *)
   by_leases : int;  (** leases the worker completed *)
 }
 (** A worker's parting diagnostics. Lost with the worker when it is killed —
@@ -70,38 +56,30 @@ type welcome = {
   w_policy : Supervisor.policy;
   w_chaos : Supervisor.chaos;
   w_tracer : Ferrite_trace.Tracer.config;
-  w_wire_chaos : wire_chaos option;  (** chaos the {e worker} applies when sending *)
-  w_wire_seed : int64;  (** seed for the worker's chaos stream *)
 }
 
 type msg =
   | Hello of { h_pid : int; h_protocol : int }
       (** worker → controller, first message on a fresh link *)
   | Welcome of welcome  (** controller → worker, the campaign briefing *)
-  | Lease_request of { lr_results : int }
-      (** worker → controller: I am idle, grant me a chunk. [lr_results]
-          counts the results the worker has sent. Resent until a grant
-          arrives; the controller answers every copy it can grant. *)
-  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int; lg_results : int }
+  | Lease_request
+      (** worker → controller: I am idle, grant me a chunk. Resent every
+          30 ms until a grant arrives; the controller answers every copy it
+          can grant. *)
+  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
       (** controller → worker: run trials [lg_lo, lg_hi) under lease
-          [lg_lease]; [lg_results] echoes the request's [lr_results]. A lease
-          the worker already accepted is re-granted verbatim while the
-          controller counts it live. The worker acts on that only if it has
-          finished the lease and [lg_results] is at least its count then: a
-          result was lost, so it retransmits its unacked results below
-          [lg_results]. Any other re-grant is stale and ignored. *)
+          [lg_lease]. A lease still live is re-granted verbatim to its
+          holder, so the worker's resent requests draw copies of a grant it
+          has already accepted. Lease ids only grow, so the worker ignores
+          any grant whose id is not above the last one it accepted. *)
   | Result of {
-      rs_seq : int;  (** per-worker sequence number, echoed by {!Ack} *)
       rs_index : int;  (** trial index — the controller's dedup key *)
       rs_entry : Journal.entry;
       rs_dump : Crash_dump.t option;
           (** crash dumps ride alongside the journal entry: the journal's
               on-disk format predates dumps, but the result store needs them,
               so the wire carries what the file format cannot *)
-    }
-      (** worker → controller; kept until acked, resent when a re-grant
-          shows it lost and on leaving *)
-  | Ack of { ak_seq : int }  (** controller → worker, per received {!Result} *)
+    }  (** worker → controller, one per executed trial *)
   | Heartbeat of { hb_worker : int }
       (** worker → controller: I am alive and making progress. Sent on a
           timer between trials; a worker silent past the controller's
@@ -112,14 +90,6 @@ type msg =
   | Bye of { bye_stats : bye_stats option }
       (** orderly shutdown. Controller → worker carries [None] (campaign
           drained); worker → controller carries [Some] diagnostics. *)
-
-val chaos_eligible : msg -> bool
-(** Messages the chaos {!Link} may drop/duplicate/reorder: lease, result,
-    ack and heartbeat traffic — everything the retry protocol is
-    built to survive. {!Hello}, {!Welcome} and {!Bye} are exempt: the handshake runs
-    before any retransmission machinery exists, and a worker that dies
-    instead of saying [Bye] is already covered by the death path (its link's
-    EOF, or the heartbeat deadline). *)
 
 (** {2 Codec} *)
 

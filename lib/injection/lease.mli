@@ -13,12 +13,12 @@
     one deadline (the fabric's heartbeat timeout), which ends in
     {!worker_dead}.
 
-    {b Idempotency over reliability.} The wire may drop, duplicate or reorder
-    any lease or result message, so no transition assumes exactly-once
-    delivery: completions are deduplicated by trial index, and grants are
-    re-issued verbatim to a still-leased worker that asks again (its grant
-    or a result was lost). Records are pure functions of trial specs, so
-    running a trial twice is wasteful but harmless. *)
+    {b Idempotency.} An idle worker polls, so a grant may arrive twice:
+    grants are re-issued verbatim to a still-leased worker that asks again,
+    and lease ids only grow, so the worker can tell a copy from a new
+    lease. No transition assumes a trial completes once: completions are
+    deduplicated by trial index. Records are pure functions of trial specs,
+    so running a trial twice is wasteful but harmless. *)
 
 type decision =
   | Grant of { d_lease : int; d_lo : int; d_hi : int }
@@ -28,7 +28,7 @@ type decision =
 
 type completion =
   | Fresh  (** first result for this trial — store it *)
-  | Duplicate  (** retransmission or straggler — drop it *)
+  | Duplicate  (** already complete — drop it *)
 
 type t
 

@@ -48,8 +48,8 @@ val complete :
   ?recovered:bool -> t -> Journal.entry -> Crash_dump.t option -> Lease.completion
 (** Complete the entry's trial. {!Lease.Fresh} stores the entry and dump and
     appends the entry to the journal — unless [recovered] (default [false])
-    says it was read from that journal. {!Lease.Duplicate} (a retransmission,
-    a straggler, an out-of-range index) changes nothing. *)
+    says it was read from that journal. {!Lease.Duplicate} (a trial already
+    complete, an out-of-range index) changes nothing. *)
 
 val missing : t -> int
 (** Trials not yet completed: 0 on a finished campaign, the size of what a

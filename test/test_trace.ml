@@ -136,24 +136,14 @@ let check_golden name rendered =
   else check_string (name ^ " timeline is byte-identical to the golden file") (read_file path)
          rendered
 
-let scenario_render ?executor name =
+let scenario_render name =
   match Ferrite.Scenario.find name with
   | None -> Alcotest.failf "unknown scenario %s" name
-  | Some sc -> Ferrite.Scenario.render (Ferrite.Scenario.run ?executor sc)
+  | Some sc -> Ferrite.Scenario.render (Ferrite.Scenario.run sc)
 
 let test_golden_fig7 () = check_golden "fig7" (scenario_render "fig7")
 let test_golden_fig13 () = check_golden "fig13" (scenario_render "fig13")
 let test_golden_fig14 () = check_golden "fig14" (scenario_render "fig14")
-
-let test_scenarios_executor_independent () =
-  List.iter
-    (fun sc ->
-      let name = sc.Ferrite.Scenario.sc_name in
-      check_string
-        (name ^ " identical under sequential and parallel executors")
-        (scenario_render ~executor:Executor.Sequential name)
-        (scenario_render ~executor:(Executor.Parallel { domains = 4 }) name))
-    Ferrite.Scenario.all
 
 (* ---------- campaign traces across executors ---------- *)
 
@@ -210,7 +200,6 @@ let () =
           Alcotest.test_case "fig7" `Quick test_golden_fig7;
           Alcotest.test_case "fig13" `Quick test_golden_fig13;
           Alcotest.test_case "fig14" `Quick test_golden_fig14;
-          Alcotest.test_case "executor independent" `Quick test_scenarios_executor_independent;
         ] );
       ( "campaign",
         [

@@ -22,11 +22,11 @@ let test_tags_roundtrip () =
 
 (* ---------- the §5 case studies bucket as the paper read them ---------- *)
 
-let scenario_bucket ?(jobs = 1) name =
+let scenario_bucket name =
   match Scenario.find name with
   | None -> Alcotest.failf "no scenario %s" name
   | Some sc ->
-    let r = Scenario.run ~executor:(Executor.of_jobs jobs) sc in
+    let r = Scenario.run sc in
     (match Triage.of_record r.Scenario.outcome r.Scenario.dump with
     | Some b -> Triage.tag b
     | None -> "(not a failure)")
@@ -37,20 +37,6 @@ let test_section5_families () =
   check_string "Fig. 13 is bad-pointer propagation (sec. 5.3)" "bad_pointer"
     (scenario_bucket "fig13");
   check_string "Fig. 14 is a decoder resync (sec. 5.4)" "resync" (scenario_bucket "fig14")
-
-let test_buckets_jobs_invariant () =
-  List.iter
-    (fun sc ->
-      let name = sc.Scenario.sc_name in
-      let reference = scenario_bucket ~jobs:1 name in
-      List.iter
-        (fun jobs ->
-          check_string
-            (Printf.sprintf "%s bucket with --jobs %d" name jobs)
-            reference
-            (scenario_bucket ~jobs name))
-        [ 2; 4 ])
-    Scenario.all
 
 (* ---------- outcome-level buckets ---------- *)
 
@@ -137,7 +123,6 @@ let () =
         [
           Alcotest.test_case "tags roundtrip" `Quick test_tags_roundtrip;
           Alcotest.test_case "sec. 5 case studies" `Quick test_section5_families;
-          Alcotest.test_case "jobs-invariant" `Quick test_buckets_jobs_invariant;
           Alcotest.test_case "outcome-level buckets" `Quick test_of_record_outcomes;
         ] );
       ("totality", [ q prop_capture_render_total ]);
