@@ -2,7 +2,6 @@ open Ferrite_machine
 open Insn
 
 type op = Insn.decoded
-type cache = op Tcache.t
 
 type t = {
   mem : Memory.t;
@@ -35,6 +34,8 @@ type t = {
   recorder : recorder;
 }
 
+and cache = (op, t) Tcache.t
+
 (* The recording decode's fetch, built once per CPU so that a decode
    allocates no closure: [rec_fetch] reads a byte and writes it into
    [rec_bytes] at its offset from [rec_pc]. *)
@@ -43,6 +44,8 @@ and recorder = {
   mutable rec_bytes : Bytes.t;
   rec_fetch : int -> int;
 }
+
+type uop = (op, t) Tcache.uop
 
 let eax = 0
 let ecx = 1
@@ -164,7 +167,7 @@ let[@inline] note_data t addr len write =
 
 let len_of = function S8 -> 1 | S16 -> 2 | S32 -> 4
 
-let data_read t size addr =
+let[@inline] data_read t size addr =
   poison_check t addr false;
   let v =
     try
@@ -181,7 +184,7 @@ let data_read t size addr =
   note_data t addr (len_of size) false;
   v
 
-let data_write t size addr v =
+let[@inline] data_write t size addr v =
   poison_check t addr true;
   (try
      match size with
@@ -217,7 +220,7 @@ let ea t m =
 
 (* --- operand access ----------------------------------------------------- *)
 
-let read_reg t size r =
+let[@inline] read_reg t size r =
   match size with
   | S32 -> Array.unsafe_get t.regs r
   | S16 -> Array.unsafe_get t.regs r land 0xFFFF
@@ -225,7 +228,7 @@ let read_reg t size r =
     if r < 4 then Array.unsafe_get t.regs r land 0xFF
     else (Array.unsafe_get t.regs (r - 4) lsr 8) land 0xFF
 
-let write_reg t size r v =
+let[@inline] write_reg t size r v =
   match size with
   | S32 -> Array.unsafe_set t.regs r (Word.mask v)
   | S16 ->
@@ -320,9 +323,9 @@ let[@inline] sub_flags size a b r =
   lor szp size r
 
 let set_szp t size r = write_flags t szp_mask (szp size r)
-let flags_logic t size r = write_flags t arith_mask (szp size r)
-let flags_add t size a b r = write_flags t arith_mask (add_flags size a b r)
-let flags_sub t size a b r = write_flags t arith_mask (sub_flags size a b r)
+let[@inline] flags_logic t size r = write_flags t arith_mask (szp size r)
+let[@inline] flags_add t size a b r = write_flags t arith_mask (add_flags size a b r)
+let[@inline] flags_sub t size a b r = write_flags t arith_mask (sub_flags size a b r)
 
 (* MUL and IMUL set CF and OF together, to whether the product overflowed
    its destination (IMUL: left the signed range, tested as [p + 2^(bits-1)]
@@ -403,45 +406,55 @@ let cycles_of_insn (d : decoded) =
   | Hlt -> 2
   | _ -> 3
 
-let exec_alu t op size dst src =
-  let addr = rmw_ea t dst in
-  let a = rmw_read t size dst addr in
-  let b = read_operand t size src in
+(* [a op b] at [size]: sets the flags and returns the result, which every
+   op but [Cmp] writes back. *)
+let[@inline] alu t op size a b =
   let m = size_mask size in
   match op with
   | Add ->
     let r = a + b in
     flags_add t size a b r;
-    rmw_write t size dst addr (r land m)
+    r land m
   | Adc ->
     let cin = (t.eflags lsr flag_cf) land 1 in
     let r = a + b + cin in
     flags_add t size a b r;
-    rmw_write t size dst addr (r land m)
-  | Sub ->
+    r land m
+  | Sub | Cmp ->
     let r = (a - b) land m in
     flags_sub t size a b r;
-    rmw_write t size dst addr r
+    r
   | Sbb ->
     let cin = (t.eflags lsr flag_cf) land 1 in
     let r = (a - b - cin) land m in
     flags_sub t size a b r;
-    rmw_write t size dst addr r
-  | Cmp ->
-    let r = (a - b) land m in
-    flags_sub t size a b r
+    r
   | And ->
     let r = a land b in
     flags_logic t size r;
-    rmw_write t size dst addr r
+    r
   | Or ->
     let r = a lor b in
     flags_logic t size r;
-    rmw_write t size dst addr r
+    r
   | Xor ->
     let r = a lxor b in
     flags_logic t size r;
-    rmw_write t size dst addr r
+    r
+
+let exec_alu t op size dst src =
+  let addr = rmw_ea t dst in
+  let a = rmw_read t size dst addr in
+  let b = read_operand t size src in
+  let r = alu t op size a b in
+  if op <> Cmp then rmw_write t size dst addr r
+
+(* [r <- a * b] for signed 32-bit [a] and [b] (two- and three-operand
+   IMUL): CF and OF tell a product that left the signed range. *)
+let[@inline] imul32 t r a b =
+  let p = a * b in
+  t.regs.(r) <- Word.mask p;
+  flags_mul t ((p + 0x80000000) lsr 32 <> 0)
 
 let exec_shift t op size dst count =
   let n = (match count with Count_imm k -> k | Count_cl -> t.regs.(ecx)) land 31 in
@@ -673,15 +686,9 @@ let exec t pc (d : decoded) =
   | Popf -> t.eflags <- (pop32 t lor 2) land 0xFFFFFFFF
   | Grp3 (g, size, op1) -> exec_muldiv t g size op1
   | Imul2 (r, src) ->
-    let a = Word.signed t.regs.(r) and b = Word.signed (read_operand t S32 src) in
-    let p = a * b in
-    t.regs.(r) <- Word.mask p;
-    flags_mul t ((p + 0x80000000) lsr 32 <> 0)
+    imul32 t r (Word.signed t.regs.(r)) (Word.signed (read_operand t S32 src))
   | Imul3 (r, src, k) ->
-    let a = Word.signed (read_operand t S32 src) and b = Word.signed (Word.mask k) in
-    let p = a * b in
-    t.regs.(r) <- Word.mask p;
-    flags_mul t ((p + 0x80000000) lsr 32 <> 0)
+    imul32 t r (Word.signed (read_operand t S32 src)) (Word.signed (Word.mask k))
   | Shift (op, size, dst, count) -> exec_shift t op size dst count
   | Jcc (c, rel) -> if eval_cond t c then t.eip <- Word.add t.eip rel
   | Jmp_rel rel -> t.eip <- Word.add t.eip rel
@@ -796,6 +803,70 @@ let exec t pc (d : decoded) =
     if t.regs.(ecx) <> 0 && not (getf t flag_zf) then t.eip <- Word.add t.eip rel
   | Jcxz rel -> if t.regs.(ecx) = 0 then t.eip <- Word.add t.eip rel
 
+(* --- compiled micro-ops --------------------------------------------------- *)
+
+(* The superblock engine's micro-op for [d] at [pc] ([Translate]). The
+   forms that make up most of the kernel's executed mix (EXPERIMENTS,
+   "Compiled micro-ops") get a closure with their operands folded in: the
+   operand size, the register numbers, the immediate, a [base+disp] address
+   (no index, no segment override), the branch target and the fall-through.
+   Each calls the helpers [exec] calls, in the same order, so it does what
+   [exec t pc d] does once EIP is [pc + length]; a branch that is not taken
+   sets that fall-through EIP itself. Every other form is [Exec d], which
+   the run loop hands to [exec]; so is any form with a REP prefix, which
+   [is_cf] marks as a redirect and which therefore needs the run loop to
+   set EIP before it runs. *)
+let compile pc (d : decoded) : uop =
+  let open Tcache in
+  let next = pc + d.length in
+  match d.insn with
+  | _ when d.rep -> Exec d
+  | Mov (S32, Reg r, Reg s) -> Fn (fun t -> write_reg t S32 r (read_reg t S32 s))
+  | Mov (S32, Reg r, Imm v) ->
+    let v = Word.mask v in
+    Fn (fun t -> write_reg t S32 r v)
+  | Mov (S32, Reg r, Mem { base = Some b; index = None; seg = None; disp }) ->
+    Fn (fun t -> write_reg t S32 r (data_read t S32 (Word.mask (t.regs.(b) + disp))))
+  | Mov (S32, Mem { base = Some b; index = None; seg = None; disp }, Reg s) ->
+    Fn (fun t -> data_write t S32 (Word.mask (t.regs.(b) + disp)) (read_reg t S32 s))
+  | Mov (S8, Mem { base = Some b; index = None; seg = None; disp }, Reg s) ->
+    Fn (fun t -> data_write t S8 (Word.mask (t.regs.(b) + disp)) (read_reg t S8 s))
+  | Movzx (S8, r, Mem { base = Some b; index = None; seg = None; disp }) ->
+    Fn (fun t -> t.regs.(r) <- data_read t S8 (Word.mask (t.regs.(b) + disp)))
+  | Movzx (S16, r, Mem { base = Some b; index = None; seg = None; disp }) ->
+    Fn (fun t -> t.regs.(r) <- data_read t S16 (Word.mask (t.regs.(b) + disp)))
+  | Alu (op, S32, Reg r, Reg s) ->
+    Fn
+      (fun t ->
+        let v = alu t op S32 (read_reg t S32 r) (read_reg t S32 s) in
+        if op <> Cmp then write_reg t S32 r v)
+  | Alu (op, S32, Reg r, Imm k) ->
+    let k = Word.mask k in
+    Fn
+      (fun t ->
+        let v = alu t op S32 (read_reg t S32 r) k in
+        if op <> Cmp then write_reg t S32 r v)
+  | Alu (op, S32, Reg r, Mem { base = Some b; index = None; seg = None; disp }) ->
+    Fn
+      (fun t ->
+        let a = read_reg t S32 r in
+        let v = alu t op S32 a (data_read t S32 (Word.mask (t.regs.(b) + disp))) in
+        if op <> Cmp then write_reg t S32 r v)
+  | Imul2 (r, Reg s) ->
+    Fn (fun t -> imul32 t r (Word.signed t.regs.(r)) (Word.signed (read_reg t S32 s)))
+  | Imul3 (r, Reg s, k) ->
+    let k = Word.signed (Word.mask k) in
+    Fn (fun t -> imul32 t r (Word.signed (read_reg t S32 s)) k)
+  | Push (Reg s) -> Fn (fun t -> push32 t (read_reg t S32 s))
+  | Pop (Reg r) -> Fn (fun t -> write_reg t S32 r (pop32 t))
+  | Jcc (c, rel) ->
+    let target = Word.add next rel in
+    Fn (fun t -> t.eip <- (if eval_cond t c then target else next))
+  | Jmp_rel rel ->
+    let target = Word.add next rel in
+    Fn (fun t -> t.eip <- target)
+  | _ -> Exec d
+
 (* --- step results and fault delivery ----------------------------------- *)
 
 type 'fault step = 'fault Step.result =
@@ -836,7 +907,7 @@ let decode_record t pc bytes =
    reads (decoding is streaming: whether byte [k] is read depends only on
    bytes [0..k-1], which matched), so a fetch fault here is the one a fresh
    decode would raise. *)
-let rec matches t pc (e : op Tcache.dentry) k =
+let rec matches t pc (e : (op, t) Tcache.dentry) k =
   k >= e.d_op.length
   || Memory.fetch8 t.mem (pc + k) = Char.code (Bytes.unsafe_get e.d_bytes k)
      && matches t pc e (k + 1)

@@ -3,14 +3,16 @@
    module (dune copy_files), so every call below into [Isa] is a direct call
    to a known function. The ISA supplies only semantics: the fetch check, a
    plain decode, a decode that records the bytes it read, the compare of
-   recorded bytes against memory, the fault mappings, cycle costs, [exec]
-   and the halt rule. *)
+   recorded bytes against memory, the fault mappings, cycle costs, [exec],
+   [compile] and the halt rule. Only the block builder compiles micro-ops
+   ([Isa.compile]), through [uop], which keeps each in its decode-cache
+   entry: the precise step and the profiler never compile. *)
 
 open Ferrite_machine
 
 (* Point [e] at the page(s) holding [pc]'s [len] bytes, at their current
    generations; [false], leaving [e] as it was, if either is unmapped. *)
-let set_pages t (e : Isa.op Tcache.dentry) pc len =
+let set_pages t (e : (Isa.op, Isa.t) Tcache.dentry) pc len =
   let mem = t.Isa.mem in
   match (Memory.page_at_opt mem pc, Memory.page_at_opt mem (pc + len - 1)) with
   | Some pg1, Some pg2 ->
@@ -23,12 +25,14 @@ let set_pages t (e : Isa.op Tcache.dentry) pc len =
 
 (* Decode [pc] afresh into [e], recording the bytes the decoder reads. [e]
    is marked empty first: the decoder writes over its bytes, and a failed
-   decode must not leave them under a live pc. *)
-let fill t (c : Isa.op Tcache.t) (e : Isa.op Tcache.dentry) pc =
+   decode must not leave them under a live pc; the new op is not compiled
+   yet. *)
+let fill t (c : (Isa.op, Isa.t) Tcache.t) (e : (Isa.op, Isa.t) Tcache.dentry) pc =
   e.d_pc <- -1;
   let op = Isa.decode_record t pc e.d_bytes in
   let cost = Isa.cycles_of_insn op in
   e.d_op <- op;
+  e.d_uop <- c.no_uop;
   e.d_cost <- cost;
   c.last_cost <- cost;
   op
@@ -94,6 +98,20 @@ let decode t pc =
       end
     end
   end
+
+(* The micro-op of [op], which [decode] has just returned for [pc]:
+   compiled on the first call and kept in the decode-cache entry that holds
+   [op], so a block rebuilt over the same bytes reuses it. An [op] that no
+   entry holds (a bypass-streak decode, the cache off, an unmappable page)
+   is compiled afresh. *)
+let uop t pc op =
+  let c = t.Isa.cache in
+  let e = Array.unsafe_get c.dcache (Isa.slot pc) in
+  if e.d_pc = pc && e.d_op == op then begin
+    if e.d_uop == c.no_uop then e.d_uop <- Isa.compile pc op;
+    e.d_uop
+  end
+  else Isa.compile pc op
 
 (* Execute (at most) one instruction: an armed execute breakpoint at the pc
    is reported before anything runs (unless [skip_ibp]); a fetch or decode

@@ -5,8 +5,12 @@
    make those calls indirect: OCaml without flambda does not specialise a
    functor's body to its argument.
 
-   Micro-ops run through the same [Isa.exec] and fault delivery as the
-   precise [Fetch.step], so the layer is observationally invisible. *)
+   A micro-op is either the decoded instruction, which the run loop passes
+   to [Isa.exec] by a direct call, or the closure [Isa.compile] specialised
+   to its operands when the block was built; calling that closure is the
+   run loop's one indirect call. Both run through the same access helpers
+   and fault delivery as the precise [Fetch.step], so the layer is
+   observationally invisible. *)
 
 open Ferrite_machine
 
@@ -14,7 +18,8 @@ open Ferrite_machine
    statically-known branch targets ([Isa.followed]: direct jumps and calls,
    and backward conditional branches predicted taken — the common shape of a
    loop back-edge), so tight loops unroll into the block instead of paying
-   the block-entry overhead every iteration. [b_succ] records each
+   the block-entry overhead every iteration. Each micro-op comes compiled
+   from its decode-cache entry ([Fetch.uop]). [b_succ] records each
    micro-op's expected post-exec pc; execution compares the pc against it
    and leaves the block precisely — with the pc already exact — on any
    mispredicted or indirect redirect. Returns [true], and counts the block
@@ -26,7 +31,7 @@ open Ferrite_machine
    [b], as a zero-length block validated by the terminator's pages: the run
    loop then steps that pc precisely at once instead of decoding and
    failing a build on every visit. *)
-let sb_build t (b : Isa.op Tcache.block) pc =
+let sb_build t (b : (Isa.op, Isa.t) Tcache.block) pc =
   b.b_pc <- -1;
   let entry_terminator = ref false in
   let n = ref 0 in
@@ -69,7 +74,7 @@ let sb_build t (b : Isa.op Tcache.block) pc =
        if not (claim_op !p (next - 1)) then raise Exit;
        let target = Isa.followed op !p next in
        let succ = if target >= 0 then target else next in
-       b.b_ops.(!n) <- op;
+       b.b_uops.(!n) <- Fetch.uop t !p op;
        b.b_pcs.(!n) <- !p;
        b.b_succ.(!n) <- succ;
        b.b_flags.(!n) <-
@@ -166,7 +171,7 @@ let run t ~max_steps =
     end
     else begin
       (* the tight loop: no per-step dispatch, batched accounting *)
-      let ops = b.b_ops and flags = b.b_flags in
+      let uops = b.b_uops and flags = b.b_flags in
       let pcs = b.b_pcs and succs = b.b_succ in
       let limit =
         let budget = max_steps - !retired in
@@ -190,13 +195,17 @@ let run t ~max_steps =
          while (not !exit_block) && !i < limit do
            let k = !i in
            let fl = Array.unsafe_get flags k in
-           let mpc = Array.unsafe_get pcs k and op = Array.unsafe_get ops k in
-           (* control-flow micro-ops compute their target from the pre-set
-              fall-through pc; no other micro-op reads it, so the write is
-              elided for them and every block exit re-establishes the pc *)
-           if fl land Tcache.flag_cf <> 0 then
-             Isa.set_pc t (mpc + Isa.length op);
-           Isa.exec t mpc op;
+           (match Array.unsafe_get uops k with
+           | Tcache.Fn f -> f t
+           | Tcache.Exec op ->
+             let mpc = Array.unsafe_get pcs k in
+             (* [exec]'s control flow computes its target from the pre-set
+                fall-through pc; no other micro-op reads it, so the write
+                is elided for them and every block exit re-establishes the
+                pc *)
+             if fl land Tcache.flag_cf <> 0 then
+               Isa.set_pc t (mpc + Isa.length op);
+             Isa.exec t mpc op);
            cyc := !cyc + (fl land Tcache.cost_mask);
            incr i;
            (* the [step] epilogue's observation order: stop sentinel first,

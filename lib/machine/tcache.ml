@@ -1,18 +1,27 @@
 (* The translation caches both CPUs keep: the decode cache, the two-way
    superblock table and their counters. Polymorphic in the ISA's decoded
-   instruction (['op]); the fetch path and the run loop that use them are
-   compiled into each ISA library (engine/), so their calls into the ISA
-   are direct. *)
+   instruction (['op]) and its CPU record (['cpu]); the fetch path and the
+   run loop that use them are compiled into each ISA library (engine/), so
+   their calls into the ISA are direct. *)
+
+(* A micro-op as a block runs it: the decoded instruction, which the run
+   loop hands to the ISA's [exec] by a direct call, or a closure the ISA's
+   [compile] specialised to the instruction's operands. A control-flow
+   closure sets the pc itself, the fall-through included. *)
+type ('op, 'cpu) uop = Exec of 'op | Fn of ('cpu -> unit)
 
 (* Decode-cache entry: the instruction decoded at [d_pc], valid while the
    generations of the page(s) its bytes were fetched from are unchanged. Two
    page slots because an instruction may straddle a page boundary (a CISC
    instruction, or a RISC word at an injected misaligned pc); a one-page
    entry names its page twice. [d_bytes] holds the raw bytes [d_op] was
-   decoded from, for byte revalidation. *)
-type 'op dentry = {
+   decoded from, for byte revalidation. [d_uop] is [d_op]'s micro-op,
+   compiled the first time a block is built over the entry and kept until
+   the entry is refilled; until then it is the table's [no_uop]. *)
+type ('op, 'cpu) dentry = {
   mutable d_pc : int;  (* -1: empty *)
   mutable d_op : 'op;
+  mutable d_uop : ('op, 'cpu) uop;
   mutable d_cost : int;  (* the ISA's cycles_of_insn, cached with the decode *)
   d_bytes : Bytes.t;
   mutable d_pg1 : Memory.page;
@@ -22,16 +31,16 @@ type 'op dentry = {
   mutable d_warm : bool;  (* installed by the post-boot pre-warm pass *)
 }
 
-(* Superblock: a straight-line run of decoded instructions flattened into
-   parallel arrays and executed in a tight loop with no per-step dispatch
-   (no breakpoint poll, no decode-cache probe, batched counter accounting).
+(* Superblock: a straight-line run of micro-ops flattened into parallel
+   arrays and executed in a tight loop with no per-step dispatch (no
+   breakpoint poll, no decode-cache probe, batched counter accounting).
    Validity is the same page-generation scheme as the decode cache: any
    store, poke, injected flip or restore blit to a backing page bumps its
    generation and the block misses on entry. *)
-type 'op block = {
+type ('op, 'cpu) block = {
   mutable b_pc : int;  (* entry pc, or -1 *)
   mutable b_len : int;
-  b_ops : 'op array;
+  b_uops : ('op, 'cpu) uop array;  (* shared with the decode-cache entries *)
   b_pcs : int array;  (* per micro-op pc (non-contiguous across branches) *)
   b_succ : int array;  (* expected post-exec pc: the followed branch target,
                           else the fall-through *)
@@ -42,8 +51,8 @@ type 'op block = {
   mutable b_wg2 : int;
 }
 
-type 'op t = {
-  dcache : 'op dentry array;  (* PC-keyed, indexed by the ISA's [slot] *)
+type ('op, 'cpu) t = {
+  dcache : ('op, 'cpu) dentry array;  (* PC-keyed, indexed by the ISA's [slot] *)
   bypass_bytes : Bytes.t;  (* where a bypass-streak decode records its bytes *)
   dc_enabled : bool;
   mutable dc_hits : int;
@@ -53,11 +62,11 @@ type 'op t = {
   mutable last_cost : int;  (* cycle cost of the insn the fetch path returned *)
   mutable prewarmed : int;  (* entries + blocks installed by [prewarm] *)
   mutable warming : bool;  (* inside [prewarm]: mark inserts as warm *)
-  nop : 'op;  (* filler for fresh entries and blocks *)
-  no_entry : 'op dentry;
-  empty : 'op block;
-  way0 : 'op block array;
-  way1 : 'op block array;  (* rebuilds of blocks stale in this trial *)
+  no_uop : ('op, 'cpu) uop;  (* "not compiled yet", and the blocks' filler *)
+  no_entry : ('op, 'cpu) dentry;
+  empty : ('op, 'cpu) block;
+  way0 : ('op, 'cpu) block array;
+  way1 : ('op, 'cpu) block array;  (* rebuilds of blocks stale in this trial *)
   sb_enabled : bool;
   mutable sb_hits : int;  (* block entries served from the table *)
   mutable sb_blocks : int;  (* blocks built *)
@@ -93,14 +102,16 @@ let flag_st = 0x20000
    CPU allocates only what it fills. Neither is ever written: [empty]'s
    generation [-1] is one no page ever has, so it never validates, and
    [no_entry]'s pc is [-1]. They are one per table because a shared
-   mutable polymorphic value would be weak. The decode cache, like the
-   block table, has [2^slot_bits] slots, indexed by the ISA's [slot]. *)
+   mutable polymorphic value would be weak; [no_uop] is too, and is told
+   apart by physical equality. The decode cache, like the block table, has
+   [2^slot_bits] slots, indexed by the ISA's [slot]. *)
 let create mem ~slot_bits ~nop =
+  let no_uop = Exec nop in
   let empty =
     {
       b_pc = -1;
       b_len = 0;
-      b_ops = [||];
+      b_uops = [||];
       b_pcs = [||];
       b_succ = [||];
       b_flags = [||];
@@ -114,6 +125,7 @@ let create mem ~slot_bits ~nop =
     {
       d_pc = -1;
       d_op = nop;
+      d_uop = no_uop;
       d_cost = 0;
       d_bytes = Bytes.empty;
       d_pg1 = Memory.null_page;
@@ -134,7 +146,7 @@ let create mem ~slot_bits ~nop =
     last_cost = 0;
     prewarmed = 0;
     warming = false;
-    nop;
+    no_uop;
     no_entry;
     empty;
     way0 = Array.make (1 lsl slot_bits) empty;
@@ -174,7 +186,7 @@ let block_at c table slot =
     let b =
       {
         c.empty with
-        b_ops = Array.make sb_max c.nop;
+        b_uops = Array.make sb_max c.no_uop;
         b_pcs = Array.make sb_max 0;
         b_succ = Array.make sb_max 0;
         b_flags = Array.make sb_max 0;

@@ -2,7 +2,6 @@ open Ferrite_machine
 open Insn
 
 type op = Insn.t
-type cache = op Tcache.t
 
 type t = {
   mem : Memory.t;
@@ -29,6 +28,10 @@ type t = {
   mutable last_store_addr : int;
   cache : cache;
 }
+
+and cache = (op, t) Tcache.t
+
+type uop = (op, t) Tcache.uop
 
 let msr_ee = 0x8000
 let msr_pr = 0x4000
@@ -176,7 +179,7 @@ let width_len = function Byte -> 1 | Half -> 2 | Word -> 4
 let check_multiword_alignment addr =
   if addr land 3 <> 0 then raise (Cpu_fault (Exn.Alignment { addr }))
 
-let data_read t width addr =
+let[@inline] data_read t width addr =
   check_translation t addr ~fetch:false ~write:false;
   let v =
     try
@@ -192,7 +195,7 @@ let data_read t width addr =
   note_data t addr (width_len width) false;
   v
 
-let data_write t width addr v =
+let[@inline] data_write t width addr v =
   check_translation t addr ~fetch:false ~write:true;
   (try
      match width with
@@ -241,7 +244,7 @@ let decode_record t pc bytes =
 
 (* Whether the word recorded in [e] is still the one at [pc], compared
    whole. *)
-let matches t pc (e : op Tcache.dentry) _from =
+let matches t pc (e : (op, t) Tcache.dentry) _from =
   fetch_word t pc = Int32.to_int (Bytes.get_int32_be e.d_bytes 0) land 0xFFFFFFFF
 
 (* The fault a failed fetch or decode stands for; other exceptions
@@ -291,7 +294,7 @@ let spr_write t spr v =
 
 (* --- branch condition evaluation ----------------------------------------- *)
 
-let branch_taken t bo bi =
+let[@inline] branch_taken t bo bi =
   let bo0 = bo land 16 <> 0 in
   let bo1 = bo land 8 <> 0 in
   let bo2 = bo land 4 <> 0 in
@@ -315,7 +318,7 @@ let indirect_target t target =
     target
   end
 
-let goto t target =
+let[@inline] goto t target =
   t.pc <- Word.mask target;
   if t.pc = t.stop_addr then t.stopped <- true
 
@@ -330,6 +333,10 @@ let trap_fires to_ a b =
   || (to_ land 1 <> 0 && a > b)
 
 (* --- execution ------------------------------------------------------------ *)
+
+(* The CR field of comparing [a] with [b] (LT, GT or EQ; SO is or-ed in by
+   the caller). *)
+let[@inline] cr_compare a b = if a < b then 8 else if a > b then 4 else 2
 
 let ea_update t ra addr = if ra <> 0 then t.gpr.(ra) <- addr
 
@@ -404,22 +411,14 @@ let exec t pc insn =
   | Cmpi (unsigned, crf, ra, imm) ->
     let a = g.(ra) in
     let f =
-      if unsigned then
-        if a < imm then 8 else if a > imm then 4 else 2
-      else begin
-        let a = Word.signed a and b = Word.signed (Word.mask imm) in
-        if a < b then 8 else if a > b then 4 else 2
-      end
+      if unsigned then cr_compare a imm
+      else cr_compare (Word.signed a) (Word.signed (Word.mask imm))
     in
     set_cr_field t crf (f lor so_bit t)
   | Cmp (unsigned, crf, ra, rb) ->
     let a = g.(ra) and b = g.(rb) in
     let f =
-      if unsigned then if a < b then 8 else if a > b then 4 else 2
-      else begin
-        let a = Word.signed a and b = Word.signed b in
-        if a < b then 8 else if a > b then 4 else 2
-      end
+      if unsigned then cr_compare a b else cr_compare (Word.signed a) (Word.signed b)
     in
     set_cr_field t crf (f lor so_bit t)
   | Rlwinm (ra, rs, sh, mb, me, rc) ->
@@ -554,6 +553,96 @@ let exec t pc insn =
       if crm land (1 lsl (7 - f)) <> 0 then set_cr_field t f ((v lsr (28 - (4 * f))) land 0xF)
     done
   | Sync | Isync | Eieio -> ()
+
+(* --- compiled micro-ops --------------------------------------------------- *)
+
+(* The superblock engine's micro-op for [insn] at [pc] ([Translate]). The
+   forms that make up most of the kernel's executed mix (EXPERIMENTS,
+   "Compiled micro-ops") get a closure with their operands folded in: the
+   register numbers, the immediate (with [addi]/[addis]'s [(rA|0)] base of
+   0), the access width, the branch target and the link value. Each calls the helpers [exec]
+   calls, in the same order, so it does what [exec t pc insn] does once the
+   pc is [pc + 4]; a branch that is not taken sets that fall-through pc
+   itself. Every other form is [Exec insn], which the run loop hands to
+   [exec]. *)
+let compile pc insn : uop =
+  let open Tcache in
+  match insn with
+  | Darith (((Addi | Addis) as op), rd, ra, simm) -> (
+    let k = if op = Addis then Word.shl simm 16 else simm in
+    match ra with
+    | 0 ->
+      let v = Word.add 0 k in
+      Fn (fun t -> t.gpr.(rd) <- v)
+    | _ -> Fn (fun t -> t.gpr.(rd) <- Word.add t.gpr.(ra) k))
+  | Dlogic (((Ori | Oris) as op), ra, rs, uimm) ->
+    let k = if op = Oris then uimm lsl 16 else uimm in
+    Fn (fun t -> t.gpr.(ra) <- Word.mask (t.gpr.(rs) lor k))
+  | Dlogic (((Xori | Xoris) as op), ra, rs, uimm) ->
+    let k = if op = Xoris then uimm lsl 16 else uimm in
+    Fn (fun t -> t.gpr.(ra) <- Word.mask (t.gpr.(rs) lxor k))
+  | Dlogic (Andi_rc, ra, rs, uimm) ->
+    Fn
+      (fun t ->
+        t.gpr.(ra) <- Word.mask (t.gpr.(rs) land uimm);
+        record_cr0 t t.gpr.(ra))
+  | Load ({ width; algebraic = false; update = false }, rd, ra, d) -> (
+    (* one closure per width, written out, so that the inlined access
+       helper's match on it folds away *)
+    match width with
+    | Word -> Fn (fun t -> t.gpr.(rd) <- data_read t Word (Word.add (base t.gpr ra) d))
+    | Half -> Fn (fun t -> t.gpr.(rd) <- data_read t Half (Word.add (base t.gpr ra) d))
+    | Byte -> Fn (fun t -> t.gpr.(rd) <- data_read t Byte (Word.add (base t.gpr ra) d)))
+  | Store ({ width; update = false; _ }, rs, ra, d) -> (
+    match width with
+    | Word -> Fn (fun t -> data_write t Word (Word.add (base t.gpr ra) d) t.gpr.(rs))
+    | Half -> Fn (fun t -> data_write t Half (Word.add (base t.gpr ra) d) t.gpr.(rs))
+    | Byte -> Fn (fun t -> data_write t Byte (Word.add (base t.gpr ra) d) t.gpr.(rs)))
+  | Store ({ width = Word; update = true; _ }, rs, ra, d) ->
+    Fn
+      (fun t ->
+        let addr = Word.add t.gpr.(ra) d in
+        data_write t Word addr t.gpr.(rs);
+        ea_update t ra addr)
+  | Cmpi (true, crf, ra, imm) ->
+    Fn (fun t -> set_cr_field t crf (cr_compare t.gpr.(ra) imm lor so_bit t))
+  | Cmpi (false, crf, ra, imm) ->
+    let b = Word.signed (Word.mask imm) in
+    Fn (fun t -> set_cr_field t crf (cr_compare (Word.signed t.gpr.(ra)) b lor so_bit t))
+  | Cmp (true, crf, ra, rb) ->
+    Fn (fun t -> set_cr_field t crf (cr_compare t.gpr.(ra) t.gpr.(rb) lor so_bit t))
+  | Cmp (false, crf, ra, rb) ->
+    Fn
+      (fun t ->
+        let f = cr_compare (Word.signed t.gpr.(ra)) (Word.signed t.gpr.(rb)) in
+        set_cr_field t crf (f lor so_bit t))
+  | Xarith (Add, rd, ra, rb, false) ->
+    Fn (fun t -> t.gpr.(rd) <- Word.add t.gpr.(ra) t.gpr.(rb))
+  | Xarith (Subf, rd, ra, rb, false) ->
+    Fn (fun t -> t.gpr.(rd) <- Word.sub t.gpr.(rb) t.gpr.(ra))
+  | Xarith (Mullw, rd, ra, rb, false) ->
+    Fn (fun t -> t.gpr.(rd) <- Word.mul t.gpr.(ra) t.gpr.(rb))
+  | Xlogic (Or, ra, rs, rb, false) when rs = rb -> Fn (fun t -> t.gpr.(ra) <- t.gpr.(rs))
+  | Xlogic (Or, ra, rs, rb, false) ->
+    Fn (fun t -> t.gpr.(ra) <- t.gpr.(rs) lor t.gpr.(rb))
+  | Xlogic (And, ra, rs, rb, false) ->
+    Fn (fun t -> t.gpr.(ra) <- t.gpr.(rs) land t.gpr.(rb))
+  | Xlogic (Xor, ra, rs, rb, false) ->
+    Fn (fun t -> t.gpr.(ra) <- t.gpr.(rs) lxor t.gpr.(rb))
+  | B (li, aa, lk) ->
+    let target = if aa then li else Word.add pc li in
+    if lk then begin
+      let link = Word.add pc 4 in
+      Fn
+        (fun t ->
+          t.lr <- link;
+          goto t target)
+    end
+    else Fn (fun t -> goto t target)
+  | Bc (bo, bi, bd, aa, false) ->
+    let target = if aa then bd else Word.add pc bd and next = pc + 4 in
+    Fn (fun t -> if branch_taken t bo bi then goto t target else t.pc <- next)
+  | _ -> Exec insn
 
 (* --- step results and fault delivery ------------------------------------ *)
 

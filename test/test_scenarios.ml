@@ -107,26 +107,6 @@ let test_figure15_mflr_to_lhax () =
     | Outcome.Hang | Outcome.Unknown_crash -> ()
     | o -> Alcotest.failf "unexpected outcome %s" (Outcome.outcome_label o))
 
-(* --- golden replays -------------------------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* The Figs. 7/13/14 replays render byte-identically to their golden files. *)
-let test_figures_golden () =
-  List.iter
-    (fun sc ->
-      let name = sc.Ferrite.Scenario.sc_name in
-      Alcotest.(check string)
-        (name ^ " matches the golden file")
-        (read_file (Filename.concat "golden" (name ^ ".trace")))
-        (Ferrite.Scenario.render (Ferrite.Scenario.run sc)))
-    Ferrite.Scenario.all
-
 (* --- oops rendering ------------------------------------------------------- *)
 
 let force_fault arch =
@@ -243,7 +223,6 @@ let () =
           Alcotest.test_case "Figure 8: kupdate stack (P4)" `Quick test_figure8_kupdate_stack_errors;
           Alcotest.test_case "Figure 9: kjournald stack (G4)" `Quick test_figure9_kjournald_stack_errors;
           Alcotest.test_case "Figure 15: mflr->lhax (G4)" `Quick test_figure15_mflr_to_lhax;
-          Alcotest.test_case "Figs. 7/13/14 golden" `Quick test_figures_golden;
         ] );
       ( "oops",
         [

@@ -136,14 +136,14 @@ let check_golden name rendered =
   else check_string (name ^ " timeline is byte-identical to the golden file") (read_file path)
          rendered
 
-let scenario_render name =
-  match Ferrite.Scenario.find name with
-  | None -> Alcotest.failf "unknown scenario %s" name
-  | Some sc -> Ferrite.Scenario.render (Ferrite.Scenario.run sc)
-
-let test_golden_fig7 () = check_golden "fig7" (scenario_render "fig7")
-let test_golden_fig13 () = check_golden "fig13" (scenario_render "fig13")
-let test_golden_fig14 () = check_golden "fig14" (scenario_render "fig14")
+(* One case per scenario replay (Figs. 7/13/14), named after it. *)
+let golden_cases =
+  List.map
+    (fun sc ->
+      let name = sc.Ferrite.Scenario.sc_name in
+      Alcotest.test_case name `Quick (fun () ->
+          check_golden name (Ferrite.Scenario.render (Ferrite.Scenario.run sc))))
+    Ferrite.Scenario.all
 
 (* ---------- campaign traces across executors ---------- *)
 
@@ -195,12 +195,7 @@ let () =
           Alcotest.test_case "line shape" `Quick test_jsonl_line_shape;
           Alcotest.test_case "escaping" `Quick test_jsonl_escaping;
         ] );
-      ( "golden",
-        [
-          Alcotest.test_case "fig7" `Quick test_golden_fig7;
-          Alcotest.test_case "fig13" `Quick test_golden_fig13;
-          Alcotest.test_case "fig14" `Quick test_golden_fig14;
-        ] );
+      ("golden", golden_cases);
       ( "campaign",
         [
           Alcotest.test_case "traces across executors" `Quick
