@@ -51,9 +51,7 @@ let containment () =
     }
   in
   let supervision =
-    { Campaign.default_supervision with
-      Campaign.sv_policy = Supervisor.instant_policy;
-      sv_chaos = chaos }
+    { Campaign.default_supervision with Campaign.sv_chaos = chaos }
   in
   let undisturbed = Campaign.run cfg in
   let seq = Campaign.run ~supervision cfg in
@@ -182,9 +180,7 @@ let outage () =
     | None -> fail "outage: drill plan for %d injections has no outage window" cfg.Campaign.injections
   in
   let supervision =
-    { Campaign.default_supervision with
-      Campaign.sv_policy = Supervisor.instant_policy;
-      sv_chaos = chaos }
+    { Campaign.default_supervision with Campaign.sv_chaos = chaos }
   in
   let r = Campaign.run ~supervision cfg in
   if List.length r.Campaign.records <> cfg.Campaign.injections then

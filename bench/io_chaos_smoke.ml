@@ -122,7 +122,7 @@ let () =
   let journal = Filename.temp_file "ferrite_iochaos" ".journal" in
   Sys.remove journal;
   Iofault.arm ~seed:recoverable_seed ();
-  let r, report = Fabric.run_campaign ~workers:2 ~journal cfg in
+  let r, report = Fabric.run_campaign ~workers:2 ~supervision:(sv journal false) cfg in
   let stats = Iofault.stats () in
   Iofault.disarm ();
   if stats.Iofault.st_faults = 0 then

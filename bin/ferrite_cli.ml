@@ -12,7 +12,6 @@
      trace     replay a paper scenario (fig7/fig13/fig14) as an event timeline
      triage    bucket crashes into the paper's sec. 5 root-cause families
      fuzz      fuzz the codecs and the differential trial oracle
-     worker    serve one campaign as a fabric worker over stdin/stdout
 
    Every flag is declared once. The campaign commands assemble theirs from
    shared terms: the campaign config, the run (executor and progress), the
@@ -26,6 +25,8 @@ module Boot = Ferrite_kernel.Boot
 module Campaign = Ferrite_injection.Campaign
 module Executor = Ferrite_injection.Executor
 module Target = Ferrite_injection.Target
+module Trial = Ferrite_injection.Trial
+module Outcome = Ferrite_injection.Outcome
 module Crash_cause = Ferrite_injection.Crash_cause
 module Supervisor = Ferrite_injection.Supervisor
 module Journal = Ferrite_injection.Journal
@@ -283,10 +284,10 @@ let supervision_term =
      and+ max_retries =
        let doc =
          "Retry a trial that crashed the harness (or overran its host deadline) \
-          up to $(docv) times from a fresh boot, with exponential backoff, before \
-          quarantining it as an infrastructure failure; quarantined trials are \
-          excluded from the outcome percentages. Passing the flag enables \
-          supervision even without a journal."
+          up to $(docv) times from a fresh boot before quarantining it as an \
+          infrastructure failure; quarantined trials are excluded from the \
+          outcome percentages. Passing the flag enables supervision even \
+          without a journal."
        in
        Arg.(value & opt (some count) None & info [ "max-retries" ] ~docv:"N" ~doc)
      and+ chaos =
@@ -382,14 +383,6 @@ let arm_harness_fault =
       in
       Iofault.arm ~plan ~seed ())
 
-(* exec'd workers are fresh processes: the seed rides their argv (forked
-   workers inherit the armed state) *)
-let harness_fault_argv = function
-  | None -> []
-  | Some (seed, onset) ->
-    "--harness-fault" :: Int64.to_string seed
-    :: Option.fold onset ~none:[] ~some:(fun n -> [ "--io-enospc-after"; string_of_int n ])
-
 (* Printed after any campaign run under --harness-fault: the fault/retry
    counters, and — when any writer degraded — a loud salvage banner. The
    banner is the invariant's second arm: either byte-identical completion,
@@ -428,19 +421,15 @@ let print_fabric_report (rep : Fabric.report) =
     (fun (i, reason) -> Printf.printf "  trial %d quarantined: %s\n" i reason)
     rep.Fabric.fb_quarantined
 
-(* Drive the controller by hand (rather than [Fabric.run_campaign]) so
-   --progress can watch trials merge, and so SIGTERM/SIGINT can flip the
-   drain flag: the loop below exits, [finish] salvages what is merged, and
-   the process still prints a (partial) report and a valid journal. Leases
-   are sized for the fleet, as [Fabric.run_campaign] sizes them. *)
-let run_fabric ~workers ~distributed ~(supervision : Campaign.supervision) ~tracer ~harness ~exec
-    cfg =
-  let { Campaign.sv_policy; sv_chaos; sv_journal; sv_resume } = supervision in
-  let total = cfg.Campaign.injections in
-  let c =
-    Fabric.Controller.create ~policy:sv_policy ~chaos:sv_chaos ~tracer
-      ~chunk:(Executor.chunk_size ~total ~workers) ?journal:sv_journal ~resume:sv_resume cfg
-  in
+(* Install the SIGTERM/SIGINT drain handlers between creating the
+   controller and forking its workers: a signal then ends [finish]'s loop,
+   [finish] salvages what is merged, and the process still prints a
+   (partial) report and leaves a valid journal. Forked workers inherit the
+   armed --harness-fault plan. Leases are sized for the fleet, as
+   [Fabric.run_campaign] sizes them. *)
+let run_fabric ~workers ?supervision ~tracer ~exec cfg =
+  let chunk = Executor.chunk_size ~total:cfg.Campaign.injections ~workers in
+  let c = Fabric.Controller.create ?supervision ~tracer ~chunk cfg in
   let install signal =
     try
       ignore
@@ -449,22 +438,10 @@ let run_fabric ~workers ~distributed ~(supervision : Campaign.supervision) ~trac
   in
   install Sys.sigterm;
   install Sys.sigint;
-  let args = Array.of_list (Sys.executable_name :: "worker" :: harness_fault_argv harness) in
   for _ = 1 to workers do
-    if distributed then
-      ignore (Fabric.Controller.add_exec_worker c ~prog:Sys.executable_name ~args)
-    else ignore (Fabric.Controller.add_worker c)
+    ignore (Fabric.Controller.add_worker c)
   done;
-  let last = ref (-1) in
-  while (not (Fabric.Controller.finished c)) && not (Fabric.Controller.draining c) do
-    Fabric.Controller.step c ~timeout:0.05;
-    let done_ = Fabric.Controller.completed c in
-    if done_ <> !last then begin
-      last := done_;
-      progress_fn exec "" ~done_ ~total
-    end
-  done;
-  Fabric.Controller.finish c
+  Fabric.Controller.finish ~progress:(progress_fn exec "") c
 
 (* --- boot --- *)
 
@@ -566,26 +543,16 @@ let print_campaign (res : Campaign.result) =
   Printf.printf "telemetry:\n%s\n" (Ferrite_trace.Telemetry.render res.Campaign.telemetry)
 
 let inject_cmd =
-  let fleet_term =
-    let+ workers =
-      let doc =
-        "Run the campaign on the distributed fabric with $(docv) worker \
-         processes (forked; see --distributed for exec'd workers). The merged \
-         records, traces and store bytes are byte-identical to --jobs 1 for \
-         every worker count; only the fabric diagnostics differ."
-      in
-      Arg.(value & opt count 0 & info [ "workers" ] ~docv:"N" ~doc)
-    and+ distributed =
-      let doc =
-        "Spawn fabric workers as fresh 'ferrite worker' processes over \
-         stdin/stdout links instead of forked copies (implies --workers 2 \
-         unless --workers is given)."
-      in
-      Arg.(value & flag & info [ "distributed" ] ~doc)
+  let workers_arg =
+    let doc =
+      "Run the campaign on the distributed fabric with $(docv) forked worker \
+       processes. The merged records, traces and store bytes are \
+       byte-identical to --jobs 1 for every worker count; only the fabric \
+       diagnostics differ."
     in
-    if workers > 0 then Some (workers, distributed) else if distributed then Some (2, true) else None
+    Arg.(value & opt count 0 & info [ "workers" ] ~docv:"N" ~doc)
   in
-  let run cfg exec outputs supervision harness fleet =
+  let run cfg exec outputs supervision harness workers =
     arm_harness_fault harness;
     let tracer =
       if outputs.trace_dir = None then Tracer.telemetry_only else Tracer.default_config
@@ -595,17 +562,13 @@ let inject_cmd =
     let supervision = supervision cfg in
     let res, fabric_report =
       with_journal_errors (fun () ->
-          match fleet with
-          | None ->
+          match workers with
+          | 0 ->
             ( Campaign.run ~progress:(progress_fn exec "") ~executor:exec.executor ~tracer
                 ?supervision cfg,
               None )
-          | Some (workers, distributed) ->
-            let res, rep =
-              run_fabric ~workers ~distributed
-                ~supervision:(Option.value supervision ~default:Campaign.default_supervision)
-                ~tracer ~harness ~exec cfg
-            in
+          | workers ->
+            let res, rep = run_fabric ~workers ?supervision ~tracer ~exec cfg in
             (res, Some rep))
     in
     end_progress exec;
@@ -619,7 +582,7 @@ let inject_cmd =
     Term.(
       const run
       $ config_term ~injections:500
-      $ exec_term $ outputs_term () $ supervision_term $ harness_fault_term $ fleet_term)
+      $ exec_term $ outputs_term () $ supervision_term $ harness_fault_term $ workers_arg)
 
 (* --- suite / report --- *)
 
@@ -677,43 +640,29 @@ let report_cmd =
 
 let oops_cmd =
   let run arch kind seed =
-    (* inject until something crashes, then print the kernel's crash dump *)
-    let image = Boot.build_image arch in
-    let rng = Ferrite_machine.Rng.create ~seed in
-    let hot = [ ("kmemcpy", 0.4); ("schedule", 0.3); ("getblk", 0.3) ] in
-    let rec attempt n =
-      if n = 0 then prerr_endline "no crash in 200 injections; try another seed"
-      else begin
-        let sys = Boot.boot ~image arch in
-        let wl = Ferrite_workload.Workload.mix ~ops:12 () in
-        let runner =
-          Ferrite_workload.Runner.create sys
-            ~ops:(wl.Ferrite_workload.Workload.wl_ops rng)
-        in
-        let target = Target.generate sys kind ~hot rng in
-        let collector = Ferrite_injection.Collector.create ~loss_rate:0.0 ~seed:1L () in
-        (* drive manually so the faulted machine state is still in hand *)
-        let record =
-          Ferrite_injection.Engine.run_one ~sys ~runner ~target ~collector
-            Ferrite_injection.Engine.default_config
-        in
-        match record.Ferrite_injection.Outcome.r_outcome with
-        | Ferrite_injection.Outcome.Known_crash { ci_cause; ci_latency; _ } ->
-          Printf.printf "injection: %s\n" (Target.describe target);
-          Printf.printf "reported cause: %s (cycles-to-crash %d)\n\n"
-            (Crash_cause.label ci_cause) ci_latency;
-          (* the machine is still at the crash point: render its dump *)
-          print_endline (Ferrite_injection.Oops.registers sys);
-          print_newline ();
-          print_endline (Ferrite_injection.Oops.code_window sys);
-          print_newline ();
-          print_endline (Ferrite_injection.Oops.stack_dump sys);
-          if Ferrite_injection.Oops.stack_overflow_signature sys then
-            print_endline "Note: repeating return-address pattern - stack overflow suspected"
-        | _ -> attempt (n - 1)
-      end
+    (* the campaign's own trial path, trial by trial, until a crash dump
+       reaches the collector *)
+    let cfg = { (Campaign.default ~arch ~kind ~injections:200) with Campaign.seed } in
+    let env = Campaign.environment cfg in
+    let cache = Trial.cache_create () in
+    let crash =
+      Seq.find_map
+        (fun spec ->
+          match Trial.run ~trace:Tracer.default_config env cache spec with
+          | record, _, _, Some dump -> Some (record, dump)
+          | _ -> None)
+        (Array.to_seq (Campaign.plan cfg))
     in
-    attempt 200
+    match crash with
+    | None -> prerr_endline "no crash in 200 injections; try another seed"
+    | Some (record, dump) ->
+      Printf.printf "injection: %s\n" (Target.describe record.Outcome.r_target);
+      (match record.Outcome.r_outcome with
+      | Outcome.Known_crash { ci_cause; ci_latency; _ } ->
+        Printf.printf "reported cause: %s (cycles-to-crash %d)\n\n"
+          (Crash_cause.label ci_cause) ci_latency
+      | _ -> ());
+      print_string (Ferrite_injection.Oops.render_dump dump)
   in
   Cmd.v
     (Cmd.info "oops" ~doc:"Inject errors until one crashes, then print the kernel crash dump")
@@ -899,25 +848,6 @@ let fuzz_cmd =
           oracle until the time budget runs out; shrunk reproducers land in --out-dir")
     Term.(const run $ budget_arg $ seed_arg 1L $ out_arg)
 
-(* --- worker --- *)
-
-let worker_cmd =
-  let run harness =
-    arm_harness_fault harness;
-    (* stdout is the wire: nothing in the serve path may print to it *)
-    Fabric.Worker.serve ~input:Unix.stdin ~output:Unix.stdout ()
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Serve one campaign as a distributed-fabric worker: speak the fabric \
-          protocol over stdin/stdout until the controller says goodbye. \
-          Normally spawned by 'ferrite inject --distributed', not by hand. \
-          --harness-fault arms the I/O faults the controller runs under \
-          (exec'd workers do not inherit them, so the controller passes the \
-          flag along).")
-    Term.(const run $ harness_fault_term)
-
 (* --- disasm --- *)
 
 let disasm_cmd =
@@ -959,4 +889,4 @@ let () =
     Cmd.info "ferrite" ~version:"1.0.0"
       ~doc:"Error sensitivity of a miniature kernel on CISC/RISC simulators (DSN 2004 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group ~default info [ boot_cmd; profile_cmd; inject_cmd; suite_cmd; report_cmd; ablate_cmd; oops_cmd; disasm_cmd; trace_cmd; triage_cmd; fuzz_cmd; worker_cmd ]))
+  exit (Cmd.eval (Cmd.group ~default info [ boot_cmd; profile_cmd; inject_cmd; suite_cmd; report_cmd; ablate_cmd; oops_cmd; disasm_cmd; trace_cmd; triage_cmd; fuzz_cmd ]))

@@ -69,12 +69,11 @@ let heartbeat_every = 0.25
 
 module Worker = struct
   type state = {
-    ws_tx : Iofault.t;
-    ws_input : Unix.file_descr;  (* raw fd for select *)
+    ws_fd : Unix.file_descr;  (* raw fd for select *)
     ws_in_io : Iofault.t;  (* the same fd, fault-routed for reads *)
+    ws_tx : Iofault.t;  (* the same fd, fault-routed for writes *)
     ws_dec : Wire.decoder;
     ws_buf : Bytes.t;  (* the link's read buffer; [Wire.feed] copies out of it *)
-    ws_worker : int;
     (* the current lease's next unstarted index and exclusive end; idle
        once they meet *)
     mutable ws_next : int;
@@ -95,12 +94,12 @@ module Worker = struct
         st.ws_hi <- lg_hi
       end
     | Wire.Bye _ -> st.ws_controller_bye <- true
-    | Wire.Hello _ | Wire.Welcome _ | Wire.Lease_request | Wire.Result _ | Wire.Heartbeat _ ->
+    | Wire.Lease_request | Wire.Result _ | Wire.Heartbeat ->
       (* the controller never sends these *)
       ()
 
   let drain ?(timeout = 0.0) st =
-    if readable ~timeout [ st.ws_input ] <> [] then begin
+    if readable ~timeout [ st.ws_fd ] <> [] then begin
       (match read_some st.ws_in_io st.ws_buf with
       | None -> raise Link_dead
       | Some n -> Wire.feed st.ws_dec st.ws_buf n);
@@ -121,21 +120,7 @@ module Worker = struct
       by_leases = st.ws_leases_done;
     }
 
-  let wait_welcome dec in_io buf =
-    let rec go () =
-      match Wire.next dec with
-      | Some (Wire.Welcome w) -> w
-      | Some _ -> go ()
-      | None -> (
-        match read_some in_io buf with
-        | None -> failwith "fabric worker: controller hung up before Welcome"
-        | Some n ->
-          Wire.feed dec buf n;
-          go ())
-    in
-    go ()
-
-  let serve ?die_at ?max_leases ?(handle_signals = true) ?inputs ~input ~output () =
+  let serve ?die_at ?max_leases ?(handle_signals = true) ~supervisor ~tracer env specs fd =
     ignore_sigpipe ();
     (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial and
        say Bye. A worker that must die NOW is SIGKILLed, and the
@@ -146,20 +131,13 @@ module Worker = struct
       (try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ());
       try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ()
     end;
-    let in_io = Iofault.wrap_stream ~label:"wire-rx" input in
-    let tx = Iofault.wrap_stream ~label:"wire-tx" output in
-    send tx (Wire.Hello { h_pid = Unix.getpid (); h_protocol = Wire.protocol_version });
-    let dec = Wire.decoder () in
-    let buf = Bytes.create 65536 in
-    let w = wait_welcome dec in_io buf in
     let st =
       {
-        ws_tx = tx;
-        ws_input = input;
-        ws_in_io = in_io;
-        ws_dec = dec;
-        ws_buf = buf;
-        ws_worker = w.Wire.w_worker;
+        ws_fd = fd;
+        ws_in_io = Iofault.wrap_stream ~label:"wire-rx" fd;
+        ws_tx = Iofault.wrap_stream ~label:"wire-tx" fd;
+        ws_dec = Wire.decoder ();
+        ws_buf = Bytes.create 65536;
         ws_next = 0;
         ws_hi = 0;
         ws_last_lease = -1;
@@ -167,16 +145,6 @@ module Worker = struct
         ws_controller_bye = false;
       }
     in
-    (* specs close over workload code and never travel, so the plan is
-       rebuilt locally from the wire config; so are the inputs, unless a
-       forked worker inherited the controller's *)
-    let env =
-      match inputs with
-      | Some i -> Campaign.environment_with i w.Wire.w_config
-      | None -> Campaign.environment w.Wire.w_config
-    in
-    let specs = Campaign.plan w.Wire.w_config in
-    let sv = Supervisor.create ~policy:w.Wire.w_policy ~chaos:w.Wire.w_chaos () in
     let cache = Trial.cache_create () in
     let last_hb = ref (Unix.gettimeofday ()) in
     try
@@ -184,7 +152,7 @@ module Worker = struct
         let now = Unix.gettimeofday () in
         if now -. !last_hb >= heartbeat_every then begin
           last_hb := now;
-          send st.ws_tx (Wire.Heartbeat { hb_worker = st.ws_worker })
+          send st.ws_tx Wire.Heartbeat
         end;
         drain st;
         if (not st.ws_controller_bye) && not !stop then
@@ -197,7 +165,7 @@ module Worker = struct
               Unix._exit 42
             | _ -> ());
             let record, stats, trace, dump =
-              Supervisor.run_trial sv ~trace:w.Wire.w_tracer env cache specs.(i)
+              Supervisor.run_trial supervisor ~trace:tracer env cache specs.(i)
             in
             st.ws_next <- i + 1;
             send st.ws_tx
@@ -233,7 +201,7 @@ module Controller = struct
     c_worker : int;
     c_fd : Unix.file_descr;  (* raw fd for select *)
     c_in_io : Iofault.t;  (* the same fd, fault-routed for reads *)
-    mutable c_pid : int option;
+    c_pid : int;
     c_tx : Iofault.t;  (* the same fd, fault-routed for writes *)
     c_dec : Wire.decoder;
     mutable c_alive : bool;
@@ -242,12 +210,15 @@ module Controller = struct
     mutable c_stats : Wire.bye_stats option;
   }
 
+  (* Everything a forked worker runs is a field here: the child inherits
+     it as OCaml values, so nothing about the campaign crosses the wire. *)
   type t = {
     t_cfg : Campaign.config;
-    t_inputs : Campaign.inputs;  (* forked workers inherit them; merge reads the hot set *)
+    t_env : Trial.env;  (* merge reads the hot set from it too *)
     t_specs : Trial.spec array;
-    t_policy : Supervisor.policy;
-    t_chaos : Supervisor.chaos;
+    t_supervisor : Supervisor.t;
+        (* never used here, so it stays fresh: each forked worker runs its
+           trials through its own copy *)
     t_tracer : Tracer.config;
     t_max_deaths : int;
     t_heartbeat : float;
@@ -271,9 +242,8 @@ module Controller = struct
     mutable t_quarantined : (int * string) list;
   }
 
-  let create ?(policy = Supervisor.default_policy) ?(chaos = Supervisor.no_chaos)
-      ?(tracer = Tracer.telemetry_only) ?chunk
-      ?(max_worker_deaths = 2) ?(heartbeat_timeout = 30.0) ?journal ?(resume = false) cfg =
+  let create ?(supervision = Campaign.default_supervision) ?(tracer = Tracer.telemetry_only)
+      ?chunk ?(max_worker_deaths = 2) ?(heartbeat_timeout = 30.0) cfg =
     ignore_sigpipe ();
     let specs = Campaign.plan cfg in
     let total = Array.length specs in
@@ -287,25 +257,24 @@ module Controller = struct
         c
       | None -> Executor.chunk_size ~total ~workers:4
     in
-    let inputs = Campaign.build_inputs ~variant:cfg.Campaign.variant cfg.Campaign.arch in
+    let env = Campaign.environment cfg in
+    let supervisor =
+      Supervisor.create ~policy:supervision.Campaign.sv_policy
+        ~chaos:supervision.Campaign.sv_chaos ()
+    in
     (* The table appends every merged entry as it lands, so a drained
        (SIGTERM) or degraded campaign leaves a valid journal any later run
        can resume. *)
-    let writer, recovery =
-      Campaign.open_journal
-        { Campaign.sv_policy = policy; sv_chaos = chaos; sv_journal = journal; sv_resume = resume }
-        cfg
-    in
+    let writer, recovery = Campaign.open_journal supervision cfg in
     let table = Trial_table.create ?journal:writer ~max_deaths:max_worker_deaths ~chunk total in
     List.iter
       (fun e -> ignore (Trial_table.complete ~recovered:true table e None))
       recovery.Journal.rc_entries;
     {
       t_cfg = cfg;
-      t_inputs = inputs;
+      t_env = env;
       t_specs = specs;
-      t_policy = Supervisor.validated_policy policy;
-      t_chaos = chaos;
+      t_supervisor = supervisor;
       t_tracer = Tracer.validated tracer;
       t_max_deaths = max_worker_deaths;
       t_heartbeat = heartbeat_timeout;
@@ -327,38 +296,6 @@ module Controller = struct
       t_quarantined = [];
     }
 
-  let welcome t ~worker =
-    Wire.Welcome
-      {
-        Wire.w_worker = worker;
-        w_total = Array.length t.t_specs;
-        w_config = t.t_cfg;
-        w_policy = t.t_policy;
-        w_chaos = t.t_chaos;
-        w_tracer = t.t_tracer;
-      }
-
-  let register t ~fd ~pid =
-    let worker = t.t_next_worker in
-    t.t_next_worker <- worker + 1;
-    let conn =
-      {
-        c_worker = worker;
-        c_fd = fd;
-        c_in_io = Iofault.wrap_stream ~label:"wire-rx" fd;
-        c_pid = pid;
-        c_tx = Iofault.wrap_stream ~label:"wire-tx" fd;
-        c_dec = Wire.decoder ();
-        c_alive = true;
-        c_bye = false;
-        c_last_heard = Unix.gettimeofday ();
-        c_stats = None;
-      }
-    in
-    t.t_conns <- t.t_conns @ [ conn ];
-    (try send conn.c_tx (welcome t ~worker) with Link_dead -> conn.c_alive <- false);
-    worker
-
   let add_worker ?die_at ?max_leases t =
     let parent_end, child_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.fork () with
@@ -368,19 +305,31 @@ module Controller = struct
       Unix.close parent_end;
       List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.t_conns;
       (try
-         Worker.serve ?die_at ?max_leases ~inputs:t.t_inputs ~input:child_end
-           ~output:child_end ()
+         Worker.serve ?die_at ?max_leases ~supervisor:t.t_supervisor ~tracer:t.t_tracer
+           t.t_env t.t_specs child_end
        with _ -> Unix._exit 2);
       Unix._exit 0
     | pid ->
       Unix.close child_end;
-      register t ~fd:parent_end ~pid:(Some pid)
-
-  let add_exec_worker t ~prog ~args =
-    let parent_end, child_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let pid = Unix.create_process prog args child_end child_end Unix.stderr in
-    Unix.close child_end;
-    register t ~fd:parent_end ~pid:(Some pid)
+      let worker = t.t_next_worker in
+      t.t_next_worker <- worker + 1;
+      t.t_conns <-
+        t.t_conns
+        @ [
+            {
+              c_worker = worker;
+              c_fd = parent_end;
+              c_in_io = Iofault.wrap_stream ~label:"wire-rx" parent_end;
+              c_pid = pid;
+              c_tx = Iofault.wrap_stream ~label:"wire-tx" parent_end;
+              c_dec = Wire.decoder ();
+              c_alive = true;
+              c_bye = false;
+              c_last_heard = Unix.gettimeofday ();
+              c_stats = None;
+            };
+          ];
+      worker
 
   let quarantine t index =
     (* the fabric's verdict for a poison trial matches the in-process
@@ -456,10 +405,6 @@ module Controller = struct
 
   and handle t conn msg =
     match msg with
-    | Wire.Hello { h_pid; h_protocol } ->
-      if h_protocol <> Wire.protocol_version then
-        raise (Wire.Corrupt (Printf.sprintf "worker speaks protocol %d" h_protocol));
-      if conn.c_pid = None then conn.c_pid <- Some h_pid
     | Wire.Lease_request -> (
       match Lease.request t.t_lease ~worker:conn.c_worker with
       | Lease.Grant { d_lease; d_lo; d_hi } ->
@@ -478,9 +423,8 @@ module Controller = struct
         t.t_left <- t.t_left + 1;
         ignore (Lease.worker_leave t.t_lease ~worker:conn.c_worker)
       end
-    | Wire.Heartbeat _ (* liveness only: any byte read resets [c_last_heard] *)
-    | Wire.Welcome _ | Wire.Lease_grant _ ->
-      (* workers never send these *)
+    | Wire.Heartbeat (* liveness only: any byte read resets [c_last_heard] *)
+    | Wire.Lease_grant _ (* workers never send these *) ->
       ()
 
   let alive_conns t = List.filter (fun c -> c.c_alive) t.t_conns
@@ -543,31 +487,27 @@ module Controller = struct
   let completed t = Lease.completed t.t_lease
   let workers_alive t = List.length (alive_conns t)
 
-  let worker_pid t worker =
-    Option.bind (conn_of t worker) (fun c -> c.c_pid)
+  let worker_pid t worker = Option.map (fun c -> c.c_pid) (conn_of t worker)
 
   let reap t =
     List.iter
       (fun c ->
-        match c.c_pid with
-        | None -> ()
-        | Some pid ->
-          let deadline = Unix.gettimeofday () +. 2.0 in
-          let rec wait () =
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ ->
-              if Unix.gettimeofday () > deadline then begin
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                ignore (Unix.waitpid [] pid)
-              end
-              else begin
-                ignore (readable ~timeout:0.01 []);
-                wait ()
-              end
-            | _ -> ()
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-          in
-          wait ())
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        let rec wait () =
+          match Unix.waitpid [ Unix.WNOHANG ] c.c_pid with
+          | 0, _ ->
+            if Unix.gettimeofday () > deadline then begin
+              (try Unix.kill c.c_pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (Unix.waitpid [] c.c_pid)
+            end
+            else begin
+              ignore (readable ~timeout:0.01 []);
+              wait ()
+            end
+          | _ -> ()
+          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+        in
+        wait ())
       t.t_conns
 
   (* Workers report their diagnostics in their goodbye; the table folds the
@@ -581,7 +521,7 @@ module Controller = struct
           | None -> (rb, cs))
         (0, Cache_stats.zero) t.t_conns
     in
-    Campaign.of_outcome t.t_cfg ~hot:t.t_inputs.Campaign.in_hot
+    Campaign.of_outcome t.t_cfg ~hot:t.t_env.Trial.env_hot
       (Trial_table.outcome t.t_table ~reboots ~cache)
 
   let report t =
@@ -605,15 +545,21 @@ module Controller = struct
      Safe to call from a signal handler — it only flips a flag that
      [finish]'s loop reads. *)
   let request_drain t = t.t_draining <- true
-  let draining t = t.t_draining
 
-  let finish t =
+  let finish ?(progress = fun ~done_:_ ~total:_ -> ()) t =
+    let total = Array.length t.t_specs in
+    let last = ref (-1) in
     while (not (finished t)) && not t.t_draining do
       if workers_alive t = 0 then
         failwith
           (Printf.sprintf "fabric: %d trials remain and every worker is gone"
-             (Array.length t.t_specs - Lease.completed t.t_lease));
-      step t ~timeout:0.05
+             (total - completed t));
+      step t ~timeout:0.05;
+      let done_ = completed t in
+      if done_ <> !last then begin
+        last := done_;
+        progress ~done_ ~total
+      end
     done;
     t.t_finishing <- true;
     List.iter (fun c -> send_to t c (Wire.Bye { bye_stats = None })) (alive_conns t);
@@ -640,8 +586,8 @@ module Controller = struct
     (merge t, report t)
 end
 
-let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?chunk ?max_worker_deaths
-    ?heartbeat_timeout ?journal ?resume cfg =
+let run_campaign ?(workers = 2) ?supervision ?tracer ?chunk ?max_worker_deaths
+    ?heartbeat_timeout cfg =
   let chunk =
     match chunk with
     | Some _ -> chunk
@@ -649,8 +595,7 @@ let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?chunk ?max_worker_deaths
       Some (Executor.chunk_size ~total:cfg.Campaign.injections ~workers:(max 1 workers))
   in
   let t =
-    Controller.create ?policy ?chaos ?tracer ?chunk ?max_worker_deaths ?heartbeat_timeout
-      ?journal ?resume cfg
+    Controller.create ?supervision ?tracer ?chunk ?max_worker_deaths ?heartbeat_timeout cfg
   in
   for _ = 1 to max 1 workers do
     ignore (Controller.add_worker t)

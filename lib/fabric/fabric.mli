@@ -3,14 +3,17 @@
 
     The fabric is the process-level sibling of
     {!Ferrite_injection.Executor.Parallel}: the same plan → execute → merge
-    decomposition, with OS processes over stream sockets instead of domains
-    over shared memory — and the same scheduler and merge: the controller
-    owns a {!Ferrite_injection.Trial_table} (the {!Ferrite_injection.Lease}
-    table plus the completed-trial slots), exactly as the in-process
-    executor does; workers own everything expensive (boot, profile, trial
-    execution). Workers self-schedule by leasing trial-index chunks under
-    the in-process rule — the next pending chunk, or wait, or drained — so
-    a worker that runs dry while others still hold leases waits for one to
+    decomposition, with forked OS processes over socketpairs instead of
+    domains over shared memory — and the same scheduler and merge: the
+    controller owns a {!Ferrite_injection.Trial_table} (the
+    {!Ferrite_injection.Lease} table plus the completed-trial slots),
+    exactly as the in-process executor does. The controller builds the plan
+    and environment once; every worker is a fork of it and inherits them,
+    with the supervision and tracer config, as OCaml values, so only
+    trial-index ranges cross the wire ({!Wire}) and results come back.
+    Workers boot their own machines and run the trials. They self-schedule
+    by leasing trial-index chunks under the in-process rule — the next
+    pending chunk, or wait, or drained — so a worker that runs dry while others still hold leases waits for one to
     be requeued rather than taking work from them. Workers may join and
     leave mid-campaign, and are survived by it: a killed worker's
     in-flight chunk is re-leased, and a trial that keeps killing its owners
@@ -35,6 +38,7 @@
 
 module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
+module Trial = Ferrite_injection.Trial
 
 type report = {
   fb_workers : int;  (** workers that ever joined *)
@@ -72,17 +76,18 @@ module Worker : sig
     ?die_at:int ->
     ?max_leases:int ->
     ?handle_signals:bool ->
-    ?inputs:Campaign.inputs ->
-    input:Unix.file_descr ->
-    output:Unix.file_descr ->
-    unit ->
+    supervisor:Supervisor.t ->
+    tracer:Ferrite_trace.Tracer.config ->
+    Trial.env ->
+    Trial.spec array ->
+    Unix.file_descr ->
     unit
-  (** Serve one campaign over a controller link ([input] and [output] may be
-      the same socket). Says [Hello], waits for the [Welcome] briefing,
-      rebuilds the plan locally from the wire config, and the environment
-      over [inputs] or, without them, over inputs it builds itself, then
-      leases, executes and streams results until the controller says [Bye]
-      (or [max_leases] leases are done — the orderly mid-campaign leave).
+  (** [serve ~supervisor ~tracer env specs fd] serves one campaign over a
+      controller link, the stream socket [fd]: it leases trial-index ranges,
+      runs [specs.(i)] through [supervisor] and streams results until the
+      controller says [Bye] (or [max_leases] leases are done — the orderly
+      mid-campaign leave). {!Controller.add_worker} calls it in the forked
+      child with the controller's own values.
       Sends a {!Wire.Heartbeat} between trials so the controller can tell a
       hung worker from a busy one. Unless [handle_signals] is [false],
       SIGTERM/SIGINT mean {e drain}: finish and send the in-flight trial,
@@ -95,20 +100,21 @@ module Controller : sig
   type t
 
   val create :
-    ?policy:Supervisor.policy ->
-    ?chaos:Supervisor.chaos ->
+    ?supervision:Campaign.supervision ->
     ?tracer:Ferrite_trace.Tracer.config ->
     ?chunk:int ->
     ?max_worker_deaths:int ->
     ?heartbeat_timeout:float ->
-    ?journal:string ->
-    ?resume:bool ->
     Campaign.config ->
     t
-  (** A controller with no workers yet. It builds the campaign's inputs
-      ({!Ferrite_injection.Campaign.build_inputs}) once: the workers
-      {!add_worker} forks inherit them, and {!finish}'s merge takes the hot
-      profile from them. [chunk] defaults to
+  (** A controller with no workers yet. It builds the campaign's plan and
+      environment ({!Ferrite_injection.Campaign.environment}) once: the
+      workers {!add_worker} forks inherit them, and {!finish}'s merge takes
+      the hot profile from the environment. [supervision] (default
+      {!Ferrite_injection.Campaign.default_supervision}) is the one
+      {!Ferrite_injection.Campaign.run} takes: its policy and chaos plan
+      run every trial in the workers, and its journal is the controller's.
+      [chunk] defaults to
       {!Ferrite_injection.Executor.chunk_size} over four workers; a trial
       orphaned by more than [max_worker_deaths] (default 2) deaths is
       quarantined.
@@ -119,22 +125,18 @@ module Controller : sig
       trials re-granted — even if its process is still running. Leases
       themselves never expire.
 
-      [journal] appends every merged entry (results and quarantines) to a
-      campaign journal as it lands. It is opened by
+      A [sv_journal] receives every merged entry (results and quarantines)
+      as it lands. It is opened by
       {!Ferrite_injection.Campaign.open_journal}, exactly as the in-process
-      run opens its own, so either resumes the other's file; with [resume]
-      the journal's valid prefix is recovered first and those trials are
-      never re-granted. An existing journal without [resume] is replaced. *)
+      run opens its own, so either resumes the other's file; with
+      [sv_resume] the journal's valid prefix is recovered first and those
+      trials are never re-granted. An existing journal without [sv_resume]
+      is replaced. *)
 
   val add_worker : ?die_at:int -> ?max_leases:int -> t -> int
-  (** Fork a worker process connected over a socketpair and brief it;
+  (** Fork a worker process connected over a socketpair ({!Worker.serve});
       returns its worker id. May be called at any time — late joiners are
       how a killed worker is replaced. *)
-
-  val add_exec_worker : t -> prog:string -> args:string array -> int
-  (** Spawn a worker as a fresh executable (its stdin/stdout become the
-      link) — the [ferrite worker] path, one rung closer to real multi-host
-      operation than {!add_worker}'s forked address-space copy. *)
 
   val step : t -> timeout:float -> unit
   (** One event-loop turn: wait up to [timeout] seconds for traffic, absorb
@@ -157,11 +159,12 @@ module Controller : sig
   (** Ask {!finish} to stop granting work and salvage what is merged — the
       SIGTERM/SIGINT path. Only flips a flag; safe from a signal handler. *)
 
-  val draining : t -> bool
-
-  val finish : t -> Campaign.result * report
+  val finish :
+    ?progress:(done_:int -> total:int -> unit) -> t -> Campaign.result * report
   (** Drive {!step} until every trial is merged, then exchange goodbyes,
-      reap the fleet and build the campaign result. The result's [records],
+      reap the fleet and build the campaign result. [progress] gets the
+      merged count after the first turn and after every turn that changes
+      it. The result's [records],
       [traces], [dumps], [collector] and [telemetry] counters are
       byte-identical to [Campaign.run cfg] — see the module preamble.
       [supervision] is [None]; fabric bookkeeping lives in the returned
@@ -173,19 +176,16 @@ module Controller : sig
       immediately, the straggler window lands in-flight results, and the
       result is the {e salvage state} — the completed subset merged in
       trial-index order, [fb_missing] counting what was left behind. With a
-      [journal] the file is a valid resumable prefix either way. *)
+      journal the file is a valid resumable prefix either way. *)
 end
 
 val run_campaign :
   ?workers:int ->
-  ?policy:Supervisor.policy ->
-  ?chaos:Supervisor.chaos ->
+  ?supervision:Campaign.supervision ->
   ?tracer:Ferrite_trace.Tracer.config ->
   ?chunk:int ->
   ?max_worker_deaths:int ->
   ?heartbeat_timeout:float ->
-  ?journal:string ->
-  ?resume:bool ->
   Campaign.config ->
   Campaign.result * report
 (** Create a controller, fork [workers] (default 2) workers, run to

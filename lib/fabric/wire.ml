@@ -1,9 +1,5 @@
 module Journal = Ferrite_injection.Journal
-module Campaign = Ferrite_injection.Campaign
-module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
-
-let protocol_version = 5
 
 (* Same ceiling as the journal's frame walk: a length field beyond this is
    garbage, not a message we have not finished receiving. *)
@@ -15,18 +11,7 @@ type bye_stats = {
   by_leases : int;
 }
 
-type welcome = {
-  w_worker : int;
-  w_total : int;
-  w_config : Campaign.config;
-  w_policy : Supervisor.policy;
-  w_chaos : Supervisor.chaos;
-  w_tracer : Ferrite_trace.Tracer.config;
-}
-
 type msg =
-  | Hello of { h_pid : int; h_protocol : int }
-  | Welcome of welcome
   | Lease_request
   | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
   | Result of {
@@ -34,7 +19,7 @@ type msg =
       rs_entry : Journal.entry;
       rs_dump : Crash_dump.t option;
     }
-  | Heartbeat of { hb_worker : int }
+  | Heartbeat
   | Bye of { bye_stats : bye_stats option }
 
 (* {2 Encoding} *)
@@ -54,13 +39,6 @@ let get_u32 s off =
 let encode_payload msg =
   let b = Buffer.create 64 in
   (match msg with
-  | Hello { h_pid; h_protocol } ->
-    Buffer.add_char b 'H';
-    put_u32 b h_pid;
-    put_u32 b h_protocol
-  | Welcome w ->
-    Buffer.add_char b 'W';
-    Buffer.add_string b (Marshal.to_string w [])
   | Lease_request -> Buffer.add_char b 'L'
   | Lease_grant { lg_lease; lg_lo; lg_hi } ->
     Buffer.add_char b 'G';
@@ -76,9 +54,7 @@ let encode_payload msg =
     put_u32 b (String.length entry);
     Buffer.add_string b entry;
     Buffer.add_string b (Marshal.to_string rs_dump [])
-  | Heartbeat { hb_worker } ->
-    Buffer.add_char b 'K';
-    put_u32 b hb_worker
+  | Heartbeat -> Buffer.add_char b 'K'
   | Bye { bye_stats } ->
     Buffer.add_char b 'B';
     Buffer.add_string b (Marshal.to_string bye_stats []));
@@ -97,12 +73,6 @@ let decode_payload s =
   else
     let fixed len k = if n = len + 1 then k () else None in
     match s.[0] with
-    | 'H' ->
-      fixed 8 (fun () -> Some (Hello { h_pid = get_u32 s 1; h_protocol = get_u32 s 5 }))
-    | 'W' -> (
-      match (unmarshal_from s 1 : welcome option) with
-      | Some w -> Some (Welcome w)
-      | None -> None)
     | 'L' -> fixed 0 (fun () -> Some Lease_request)
     | 'G' ->
       fixed 12 (fun () ->
@@ -119,7 +89,7 @@ let decode_payload s =
             match (unmarshal_from s (9 + elen) : Crash_dump.t option option) with
             | None -> None
             | Some rs_dump -> Some (Result { rs_index = get_u32 s 1; rs_entry; rs_dump })))
-    | 'K' -> fixed 4 (fun () -> Some (Heartbeat { hb_worker = get_u32 s 1 }))
+    | 'K' -> fixed 0 (fun () -> Some Heartbeat)
     | 'B' -> (
       match (unmarshal_from s 1 : bye_stats option option) with
       | Some bye_stats -> Some (Bye { bye_stats })

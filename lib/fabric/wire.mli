@@ -8,10 +8,17 @@
     torn at any point recovers exactly like a torn journal tail (longest valid
     prefix, {!decode_prefix}).
 
+    Nothing about the campaign crosses the wire. A worker is a forked child
+    of its controller and inherits the plan, environment, supervision and
+    tracer config as OCaml values; the wire carries only trial-index ranges
+    out and results back. Its [Marshal]led payloads (a {!Result}'s dump, a
+    {!Bye}'s diagnostics) therefore pass only between one binary and its
+    own forked child.
+
     The codec never trusts the peer: {!decode_prefix} never raises on torn or
     corrupt input, and the incremental {!decoder} used on live links raises
     {!Corrupt} only for a {e complete} frame whose payload is undecodable —
-    which on a TCP-like stream socket means a peer bug, not a torn tail.
+    which on a stream socket means a peer bug, not a torn tail.
 
     Scheduling takes two messages: an idle worker asks ({!Lease_request})
     and the controller grants ({!Lease_grant}) by the lease table's one
@@ -19,20 +26,13 @@
     between workers: a lease stays its holder's until it finishes, leaves
     or is declared dead.
 
-    Every link is a reliable, ordered byte stream (a socketpair, or an
-    exec'd worker's stdin/stdout), so the protocol carries no sequence
-    numbers, acknowledgements or retransmissions: a message either arrives
-    once, in order, or the link dies and the controller's death path takes
-    over. *)
+    Every link is a reliable, ordered byte stream (a socketpair), so the
+    protocol carries no sequence numbers, acknowledgements or
+    retransmissions: a message either arrives once, in order, or the link
+    dies and the controller's death path takes over. *)
 
 module Journal = Ferrite_injection.Journal
-module Campaign = Ferrite_injection.Campaign
-module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
-
-val protocol_version : int
-(** Carried by {!Hello}; a controller treats a worker that speaks another
-    version as a corrupt link. *)
 
 (** {2 Messages} *)
 
@@ -45,23 +45,7 @@ type bye_stats = {
     like [reboots]/[cache] under the domain-pool executor, these never feed
     records or telemetry. *)
 
-type welcome = {
-  w_worker : int;  (** controller-assigned worker id *)
-  w_total : int;  (** campaign trial count *)
-  w_config : Campaign.config;
-      (** the full campaign config — workers re-derive the plan and
-          environment locally ({!Campaign.plan}, {!Campaign.environment});
-          trial specs themselves never cross the wire (they close over
-          workload code) *)
-  w_policy : Supervisor.policy;
-  w_chaos : Supervisor.chaos;
-  w_tracer : Ferrite_trace.Tracer.config;
-}
-
 type msg =
-  | Hello of { h_pid : int; h_protocol : int }
-      (** worker → controller, first message on a fresh link *)
-  | Welcome of welcome  (** controller → worker, the campaign briefing *)
   | Lease_request
       (** worker → controller: I am idle, grant me a chunk. Resent every
           30 ms until a grant arrives; the controller answers every copy it
@@ -80,7 +64,7 @@ type msg =
               on-disk format predates dumps, but the result store needs them,
               so the wire carries what the file format cannot *)
     }  (** worker → controller, one per executed trial *)
-  | Heartbeat of { hb_worker : int }
+  | Heartbeat
       (** worker → controller: I am alive and making progress. Sent on a
           timer between trials; a worker silent past the controller's
           heartbeat deadline is declared {e hung} and treated exactly like a

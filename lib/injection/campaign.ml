@@ -152,9 +152,8 @@ let environment_with inputs cfg =
     env_targeting = cfg.targeting;
   }
 
-(* Pure in the config, so every fabric worker process rebuilding it from the
-   wire config derives the same environment the controller (and a
-   sequential run) uses. *)
+(* Pure in the config: every caller derives the environment a sequential
+   run uses. *)
 let environment cfg = environment_with (build_inputs ~variant:cfg.variant cfg.arch) cfg
 
 (* The one journal open, for the in-process run and the fabric controller

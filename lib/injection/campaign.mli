@@ -41,7 +41,7 @@ val default :
 
     Campaigns run unsupervised by default — any harness failure aborts the
     run, exactly as before. Passing [?supervision] to {!run} threads every
-    trial through {!Supervisor}: crash containment with retry/backoff and
+    trial through {!Supervisor}: crash containment with retry and
     quarantine, optional chaos drills, and an optional checkpoint journal. *)
 
 type supervision = {
@@ -127,10 +127,9 @@ val environment_with : inputs -> config -> Trial.env
 
 val environment : config -> Trial.env
 (** [environment_with (build_inputs ~variant:cfg.variant cfg.arch) cfg].
-    Pure in the config: a distributed worker process rebuilding it from the
-    wire config derives exactly the environment a sequential run uses, which
-    is one half of the fabric's byte-identity argument (the other is
-    {!Trial.run}'s purity in the spec). *)
+    Pure in the config: every caller derives the environment a sequential
+    run uses, which is one half of every executor's byte-identity argument
+    (the other is {!Trial.run}'s purity in the spec). *)
 
 val open_journal : supervision -> config -> Journal.writer option * Journal.recovery
 (** Open [sv_journal] (if any) for appending, bound to

@@ -43,10 +43,6 @@ let render_registers arch regs =
             (hex (v "ctr")) (hex (v "cr"))
          :: !rows))
 
-let registers sys = render_registers sys.System.arch (Crash_dump.registers sys)
-
-let code_window sys = String.concat "\n" (Crash_dump.code_window_lines sys)
-
 (* Four words per row; every row — including a trailing partial one — starts
    with a single space before each word and ends with a newline. Triage and
    the golden-format test parse this, so the shape is a contract. *)

@@ -14,12 +14,6 @@ val banner : Ferrite_kernel.System.t -> Ferrite_kernel.System.fault -> string
     or ["kernel access of bad area at 0000004d"]. Total: an image without the
     [panic_code] global renders the generic wording instead of raising. *)
 
-val registers : Ferrite_kernel.System.t -> string
-(** The architecture's register dump (EAX..EDI/EIP/EFLAGS or r0..r31/LR/CR). *)
-
-val code_window : Ferrite_kernel.System.t -> string
-(** Disassembly around the faulting PC, symbolised. *)
-
 val stack_dump : ?words:int -> Ferrite_kernel.System.t -> string
 (** Raw words above the stack pointer (default 16), four per row; every row
     (including a trailing partial one) is newline-terminated. *)

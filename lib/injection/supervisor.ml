@@ -1,4 +1,4 @@
-(* Campaign supervision: crash containment, retry with backoff, quarantine,
+(* Campaign supervision: crash containment, retry, quarantine,
    resume bookkeeping and chaos drills.
 
    The paper's campaigns survived >115,000 injections because the NFTAPE
@@ -18,36 +18,17 @@ module Rng = Ferrite_machine.Rng
 
 type policy = {
   sp_max_retries : int;  (* retries after the first attempt *)
-  sp_backoff_base : float;  (* seconds before the first retry *)
-  sp_backoff_factor : float;  (* multiplier per further retry *)
-  sp_backoff_max : float;  (* backoff ceiling, seconds *)
   sp_host_deadline : float option;  (* wall-clock budget per attempt *)
 }
 
-let default_policy =
-  {
-    sp_max_retries = 2;
-    sp_backoff_base = 0.05;
-    sp_backoff_factor = 4.0;
-    sp_backoff_max = 1.0;
-    sp_host_deadline = None;
-  }
-
-(* Zero backoff: CI drills and tests retry instantly. *)
-let instant_policy = { default_policy with sp_backoff_base = 0.0; sp_backoff_max = 0.0 }
+let default_policy = { sp_max_retries = 2; sp_host_deadline = None }
 
 let validated_policy p =
   if p.sp_max_retries < 0 then invalid_arg "Supervisor.policy: sp_max_retries must be >= 0";
-  if p.sp_backoff_base < 0.0 || p.sp_backoff_factor < 1.0 || p.sp_backoff_max < 0.0 then
-    invalid_arg "Supervisor.policy: backoff must be non-negative and non-shrinking";
   (match p.sp_host_deadline with
   | Some d when d <= 0.0 -> invalid_arg "Supervisor.policy: sp_host_deadline must be positive"
   | _ -> ());
   p
-
-let backoff_seconds p k =
-  (* k = 0 before the first retry *)
-  min p.sp_backoff_max (p.sp_backoff_base *. (p.sp_backoff_factor ** float_of_int k))
 
 (* ---------- chaos drills ---------- *)
 
@@ -294,8 +275,6 @@ let run_trial t ~trace env cache (spec : Trial.spec) =
       Trial.cache_invalidate cache;
       if attempt < t.policy.sp_max_retries then begin
         note_retry t index attempt reason;
-        let pause = backoff_seconds t.policy attempt in
-        if pause > 0.0 then Unix.sleepf pause;
         go (attempt + 1) (reason :: reasons)
       end
       else

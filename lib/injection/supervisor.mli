@@ -1,5 +1,5 @@
-(** Campaign supervision: crash containment, retry with exponential backoff,
-    quarantine, resume bookkeeping and chaos drills.
+(** Campaign supervision: crash containment, retry, quarantine, resume
+    bookkeeping and chaos drills.
 
     The paper's >115,000-injection campaigns only completed because the
     NFTAPE harness tolerated its own failures (watchdog-card reboots,
@@ -18,10 +18,10 @@
 (** {2 Retry policy} *)
 
 type policy = {
-  sp_max_retries : int;  (** retries after the first attempt (total attempts = 1 + this) *)
-  sp_backoff_base : float;  (** seconds before the first retry *)
-  sp_backoff_factor : float;  (** multiplier per further retry (>= 1) *)
-  sp_backoff_max : float;  (** backoff ceiling, seconds *)
+  sp_max_retries : int;
+      (** retries after the first attempt (total attempts = 1 + this). A
+          retry runs at once: it re-runs a pure trial on a fresh boot, so a
+          pause before it could change only the wall time. *)
   sp_host_deadline : float option;
       (** wall-clock budget per attempt. Checked after the attempt returns:
           in-simulator hangs are already bounded by the engine's step-budget
@@ -32,17 +32,11 @@ type policy = {
 }
 
 val default_policy : policy
-(** 2 retries; backoff 0.05 s × 4ᵏ capped at 1 s; no host deadline. *)
-
-val instant_policy : policy
-(** {!default_policy} with zero backoff — CI drills and tests. *)
+(** 2 retries; no host deadline. *)
 
 val validated_policy : policy -> policy
-(** Raises [Invalid_argument] on negative retries/backoff or a non-positive
+(** Raises [Invalid_argument] on negative retries or a non-positive
     deadline. *)
-
-val backoff_seconds : policy -> int -> float
-(** [backoff_seconds p k] is the pause before retry [k] (0-based). *)
 
 (** {2 Chaos drills}
 
@@ -139,8 +133,7 @@ val run_trial :
   Outcome.record * Collector.stats * Ferrite_trace.Tracer.trial * Crash_dump.t option
 (** {!Trial.run} wrapped in containment: chaos is applied, unexpected
     exceptions and deadline overruns invalidate the worker's machine cache
-    (so the retry starts from a fresh boot), retries back off exponentially,
-    and a trial whose every attempt failed yields an
+    (so the retry starts from a fresh boot), and a trial whose every attempt failed yields an
     {!Outcome.Infrastructure_failure} record with a zero collector tally and
     a synthesized trace carrying its failed attempts.
 

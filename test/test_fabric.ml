@@ -51,30 +51,16 @@ let mk_entry i =
 
 (* ---------- wire codec ---------- *)
 
-let mk_welcome i =
-  {
-    Wire.w_worker = i;
-    w_total = 10 + i;
-    w_config = small_cfg (8 + i);
-    w_policy = (if i land 1 = 0 then Supervisor.default_policy else Supervisor.instant_policy);
-    w_chaos =
-      (if i land 2 = 0 then Supervisor.no_chaos
-       else Supervisor.drill_plan ~seed:7L ~injections:16);
-    w_tracer = (if i land 1 = 0 then Tracer.telemetry_only else Tracer.default_config);
-  }
-
 let mk_bye i = { Wire.by_reboots = i mod 5; by_cache = Cache_stats.zero; by_leases = i mod 7 }
 
 (* Deterministic message zoo indexed by a small int — every constructor,
-   including marshalled briefing/result/goodbye payloads. *)
+   including marshalled result/goodbye payloads. *)
 let mk_msg i =
-  match i mod 7 with
-  | 0 -> Wire.Hello { h_pid = 17 * i; h_protocol = Wire.protocol_version }
-  | 1 -> Wire.Welcome (mk_welcome (i mod 4))
-  | 2 -> Wire.Lease_request
-  | 3 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7 }
-  | 4 -> Wire.Result { rs_index = i mod 11; rs_entry = mk_entry (i mod 11); rs_dump = None }
-  | 5 -> Wire.Heartbeat { hb_worker = i }
+  match i mod 5 with
+  | 0 -> Wire.Lease_request
+  | 1 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7 }
+  | 2 -> Wire.Result { rs_index = i mod 11; rs_entry = mk_entry (i mod 11); rs_dump = None }
+  | 3 -> Wire.Heartbeat
   | _ -> Wire.Bye { bye_stats = (if i land 1 = 0 then None else Some (mk_bye i)) }
 
 let prop_codec_roundtrip =
@@ -130,7 +116,7 @@ let prop_torn_stream =
          && (garbage > 0 || (n = expect && used = consumed))))
 
 let test_codec_rejects_bad_crc () =
-  let good = Wire.encode (Wire.Heartbeat { hb_worker = 7 }) in
+  let good = Wire.encode (Wire.Lease_grant { lg_lease = 7; lg_lo = 0; lg_hi = 3 }) in
   let bad = Bytes.of_string good in
   Bytes.set bad (Bytes.length bad - 1) 'X';
   check_bool "flipped byte stops the walk" true
@@ -275,6 +261,10 @@ let prop_lease_accounting =
 
 (* ---------- full campaigns ---------- *)
 
+(* The default supervision with a journal at [path]. *)
+let journalled ?(resume = false) path =
+  { Campaign.default_supervision with Campaign.sv_journal = Some path; sv_resume = resume }
+
 let boots_blind t = Telemetry.with_boots t 0
 
 let read_file path =
@@ -370,17 +360,21 @@ let test_fleet_sweep () =
         [ 2; 3; 4 ])
     [ None; Some 8 ]
 
-(* Fork a worker and play its controller by hand over a socketpair: answer
-   its Hello with a Welcome over [trials] trials, then hand [drive] a [send]
-   for frames to the worker and a [next] that returns the worker's next
-   message, or [None] when [within] seconds pass without one. The worker is
-   told Bye when [drive] returns. *)
+(* Fork a worker over a campaign of [trials] trials and play its controller
+   by hand over a socketpair: hand [drive] a [send] for frames to the worker
+   and a [next] that returns the worker's next message, or [None] when
+   [within] seconds pass without one. The worker is told Bye when [drive]
+   returns. *)
 let with_hand_controller ~trials drive =
+  let cfg = small_cfg trials in
+  let env = Campaign.environment cfg in
   let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with
   | 0 ->
     Unix.close ours;
-    (try Worker.serve ~handle_signals:false ~input:theirs ~output:theirs ()
+    (try
+       Worker.serve ~handle_signals:false ~supervisor:(Supervisor.create ())
+         ~tracer:Tracer.telemetry_only env (Campaign.plan cfg) theirs
      with _ -> Unix._exit 2);
     Unix._exit 0
   | pid ->
@@ -403,21 +397,6 @@ let with_hand_controller ~trials drive =
           Wire.feed dec buf n;
           next ~within)
     in
-    (match next ~within:30.0 with
-    | Some (Wire.Hello _) -> ()
-    | _ -> Alcotest.fail "the worker did not say Hello");
-    send
-      [
-        Wire.Welcome
-          {
-            Wire.w_worker = 0;
-            w_total = trials;
-            w_config = small_cfg trials;
-            w_policy = Supervisor.default_policy;
-            w_chaos = Supervisor.no_chaos;
-            w_tracer = Tracer.telemetry_only;
-          };
-      ];
     Fun.protect
       ~finally:(fun () ->
         send [ Wire.Bye { bye_stats = None } ];
@@ -572,14 +551,11 @@ let test_sigterm_drains_to_valid_journal () =
       | 0 ->
         (* child: the CLI's drain loop in miniature *)
         (try
-           let t = Controller.create ~journal:path cfg in
+           let t = Controller.create ~supervision:(journalled path) cfg in
            Sys.set_signal Sys.sigterm
              (Sys.Signal_handle (fun _ -> Controller.request_drain t));
            ignore (Controller.add_worker t);
            ignore (Controller.add_worker t);
-           while (not (Controller.finished t)) && not (Controller.draining t) do
-             Controller.step t ~timeout:0.05
-           done;
            let _r, rep = Controller.finish t in
            Unix._exit (if rep.fb_missing > 0 then 42 else 0)
          with _ -> Unix._exit 1)
@@ -602,16 +578,9 @@ let test_sigterm_drains_to_valid_journal () =
           (status = Unix.WEXITED 42 || status = Unix.WEXITED 0));
       (* the journal is a valid prefix bound to this plan, and every entry
          matches the reference record at its index *)
-      let sv =
-        {
-          Campaign.sv_policy = Supervisor.default_policy;
-          sv_chaos = Supervisor.no_chaos;
-          sv_journal = Some path;
-          sv_resume = true;
-        }
-      in
       let hash =
-        Journal.plan_hash_of_string (Campaign.plan_fingerprint ~supervision:sv cfg)
+        Journal.plan_hash_of_string
+          (Campaign.plan_fingerprint ~supervision:(journalled ~resume:true path) cfg)
       in
       let rc = Journal.recover ~path ~plan_hash:hash in
       check_int "no torn tail after a drain" 0 rc.Journal.rc_truncated_bytes;
@@ -625,7 +594,9 @@ let test_sigterm_drains_to_valid_journal () =
             = List.nth reference.Campaign.records e.Journal.je_index))
         rc.Journal.rc_entries;
       (* and the salvage state resumes to the full campaign *)
-      let r, _ = run_campaign ~workers:2 ~journal:path ~resume:true cfg in
+      let r, _ =
+        run_campaign ~workers:2 ~supervision:(journalled ~resume:true path) cfg
+      in
       check_bool "resume completes the drained campaign: records" true
         (r.Campaign.records = reference.Campaign.records);
       check_bool "resume completes the drained campaign: collector" true
@@ -671,7 +642,7 @@ let test_fabric_journal_resumes_in_process () =
   let cfg = small_cfg 40 in
   let reference = Campaign.run cfg in
   with_journal (fun path ->
-      let t = Controller.create ~journal:path ~chunk:10 cfg in
+      let t = Controller.create ~supervision:(journalled path) ~chunk:10 cfg in
       ignore (Controller.add_worker ~die_at:3 t);
       let deadline = Unix.gettimeofday () +. 60.0 in
       while Controller.workers_alive t > 0 && Unix.gettimeofday () < deadline do
@@ -694,12 +665,10 @@ let test_fabric_journal_resumes_in_process () =
         (fun jobs ->
           with_journal (fun copy ->
               copy_file path copy;
-              let supervision =
-                { Campaign.default_supervision with
-                  Campaign.sv_journal = Some copy;
-                  sv_resume = true }
+              let r =
+                Campaign.run ~executor:(Executor.of_jobs jobs)
+                  ~supervision:(journalled ~resume:true copy) cfg
               in
-              let r = Campaign.run ~executor:(Executor.of_jobs jobs) ~supervision cfg in
               check_resumed (Printf.sprintf "jobs %d" jobs) reference r;
               match r.Campaign.supervision with
               | Some sup ->
@@ -713,8 +682,7 @@ let test_in_process_journal_resumes_on_fabric () =
   let cfg = small_cfg 40 in
   let reference = Campaign.run cfg in
   with_journal (fun path ->
-      let supervision = { Campaign.default_supervision with Campaign.sv_journal = Some path } in
-      ignore (Campaign.run ~supervision cfg);
+      ignore (Campaign.run ~supervision:(journalled path) cfg);
       let kept = 17 in
       let cut =
         List.fold_left
@@ -726,7 +694,9 @@ let test_in_process_journal_resumes_on_fabric () =
       let rc = journal_entries path cfg in
       check_int "the cut lands on a frame boundary" 0 rc.Journal.rc_truncated_bytes;
       check_int "the cut keeps the first frames" kept (List.length rc.Journal.rc_entries);
-      let r, report = run_campaign ~workers:2 ~journal:path ~resume:true cfg in
+      let r, report =
+        run_campaign ~workers:2 ~supervision:(journalled ~resume:true path) cfg
+      in
       check_resumed "fabric resume" reference r;
       check_int "only the lost trials ran" (40 - kept) report.fb_results;
       check_int "the journal is complete again" 40
