@@ -17,7 +17,6 @@ module Campaign = Ferrite_injection.Campaign
 module Executor = Ferrite_injection.Executor
 module Trial_table = Ferrite_injection.Trial_table
 module Engine = Ferrite_injection.Engine
-module Fault_model = Ferrite_injection.Fault_model
 module Target = Ferrite_injection.Target
 module Trial = Ferrite_injection.Trial
 module Boot = Ferrite_kernel.Boot
@@ -59,35 +58,23 @@ let gen_spec rng ~injections ~step_budget =
     df_step_budget = step_budget;
   }
 
-(* image + hot profile per arch, built once (they are pure, read-only inputs
+(* campaign inputs per arch, built once (they are pure, read-only inputs
    shared by every configuration; profiling equivalence across fast paths is
    pinned separately by test_cache's campaign-level property) *)
-let envs : (Image.arch, Image.t * (string * float) list) Hashtbl.t = Hashtbl.create 2
+let inputs : (Image.arch, Campaign.inputs) Hashtbl.t = Hashtbl.create 2
 
-let image_and_hot arch =
-  match Hashtbl.find_opt envs arch with
-  | Some v -> v
+let inputs_of arch =
+  match Hashtbl.find_opt inputs arch with
+  | Some i -> i
   | None ->
     let i = Campaign.build_inputs arch in
-    let v = (i.Campaign.in_image, i.Campaign.in_hot) in
-    Hashtbl.replace envs arch v;
-    v
+    Hashtbl.replace inputs arch i;
+    i
 
 let env_of s =
-  let image, hot = image_and_hot s.df_arch in
-  {
-    Trial.env_arch = s.df_arch;
-    env_kind = s.df_kind;
-    env_image = image;
-    env_hot = hot;
-    env_engine =
-      Engine.validated
-        { Engine.default_config with Engine.step_budget = s.df_step_budget };
-    env_collector_loss = (Campaign.default ~arch:s.df_arch ~kind:s.df_kind ~injections:1).Campaign.collector_loss;
-    env_collector_retries = 0;
-    env_fault_model = Fault_model.Single_bit_transient;
-    env_targeting = Target.Uniform;
-  }
+  Campaign.environment_with (inputs_of s.df_arch)
+    { (Campaign.default ~arch:s.df_arch ~kind:s.df_kind ~injections:s.df_injections) with
+      Campaign.engine = { Engine.default_config with Engine.step_budget = s.df_step_budget } }
 
 let with_fast fast f =
   Memory.set_fast_paths_default fast;

@@ -12,7 +12,7 @@ module System = Ferrite_kernel.System
 module Boot = Ferrite_kernel.Boot
 module Workload = Ferrite_workload.Workload
 module Target = Ferrite_injection.Target
-module Engine = Ferrite_injection.Engine
+module Campaign = Ferrite_injection.Campaign
 module Trial = Ferrite_injection.Trial
 module Executor = Ferrite_injection.Executor
 module Trial_table = Ferrite_injection.Trial_table
@@ -126,21 +126,15 @@ let spec_of sc target =
   }
 
 let run ?(trace = Tracer.default_config) sc =
-  let image = Boot.build_image ~variant:Boot.standard sc.sc_arch in
+  let inputs = Campaign.build_inputs sc.sc_arch in
   (* resolve the paper's target against a probe boot of the same image *)
-  let target = sc.sc_target (Boot.boot ~image sc.sc_arch) in
+  let target = sc.sc_target (Boot.boot ~image:inputs.Campaign.in_image sc.sc_arch) in
+  (* a default campaign's environment, but with a lossless collector: the
+     forced target means the hot set is never read *)
   let env =
-    {
-      Trial.env_arch = sc.sc_arch;
-      env_kind = sc.sc_kind;
-      env_image = image;
-      env_hot = [];
-      env_engine = Engine.default_config;
-      env_collector_loss = 0.0;
-      env_collector_retries = 0;
-      env_fault_model = Ferrite_injection.Fault_model.Single_bit_transient;
-      env_targeting = Target.Uniform;
-    }
+    Campaign.environment_with inputs
+      { (Campaign.default ~arch:sc.sc_arch ~kind:sc.sc_kind ~injections:1) with
+        Campaign.collector_loss = 0.0 }
   in
   let out = Executor.run ~trace Executor.Sequential env [| spec_of sc target |] in
   {

@@ -78,21 +78,14 @@ module Worker = struct
        once they meet *)
     mutable ws_next : int;
     mutable ws_hi : int;
-    mutable ws_last_lease : int;  (* the last lease id accepted, -1 before any *)
-    mutable ws_leases_done : int;
     mutable ws_controller_bye : bool;
   }
 
   let handle st msg =
     match msg with
-    | Wire.Lease_grant { lg_lease; lg_lo; lg_hi } ->
-      (* lease ids only grow, so an id we have seen is a copy of a grant we
-         accepted: the answer to a request resent before it arrived *)
-      if lg_lease > st.ws_last_lease then begin
-        st.ws_last_lease <- lg_lease;
-        st.ws_next <- lg_lo;
-        st.ws_hi <- lg_hi
-      end
+    | Wire.Lease_grant { lg_lo; lg_hi } ->
+      st.ws_next <- lg_lo;
+      st.ws_hi <- lg_hi
     | Wire.Bye _ -> st.ws_controller_bye <- true
     | Wire.Lease_request | Wire.Result _ | Wire.Heartbeat ->
       (* the controller never sends these *)
@@ -113,14 +106,7 @@ module Worker = struct
       pump ()
     end
 
-  let stats_of st ~cache =
-    {
-      Wire.by_reboots = Trial.reboots cache;
-      by_cache = Trial.cache_stats cache;
-      by_leases = st.ws_leases_done;
-    }
-
-  let serve ?die_at ?max_leases ?(handle_signals = true) ~supervisor ~tracer env specs fd =
+  let serve ?die_at ?(handle_signals = true) ~supervisor ~tracer env specs fd =
     ignore_sigpipe ();
     (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial and
        say Bye. A worker that must die NOW is SIGKILLed, and the
@@ -140,14 +126,15 @@ module Worker = struct
         ws_buf = Bytes.create 65536;
         ws_next = 0;
         ws_hi = 0;
-        ws_last_lease = -1;
-        ws_leases_done = 0;
         ws_controller_bye = false;
       }
     in
     let cache = Trial.cache_create () in
     let last_hb = ref (Unix.gettimeofday ()) in
     try
+      (* ask once at the start and once when each lease runs out: the
+         answer is a grant, or Bye at the campaign's end *)
+      send st.ws_tx Wire.Lease_request;
       while (not st.ws_controller_bye) && not !stop do
         let now = Unix.gettimeofday () in
         if now -. !last_hb >= heartbeat_every then begin
@@ -171,26 +158,28 @@ module Worker = struct
             send st.ws_tx
               (Wire.Result
                  {
-                   rs_index = i;
                    rs_entry =
                      { Journal.je_index = i; je_record = record; je_stats = stats; je_trace = trace };
                    rs_dump = dump;
                  });
-            if st.ws_next = st.ws_hi then begin
-              st.ws_leases_done <- st.ws_leases_done + 1;
-              match max_leases with
-              | Some n when st.ws_leases_done >= n -> stop := true (* the orderly leave *)
-              | _ -> ()
-            end
+            if st.ws_next = st.ws_hi then send st.ws_tx Wire.Lease_request
           end
-          else begin
-            send st.ws_tx Wire.Lease_request;
-            drain ~timeout:0.03 st
-          end
+          else
+            (* idle: wait for the answer, waking to heartbeat (a signal
+               interrupts the wait too); a negative select timeout would
+               block forever *)
+            drain
+              ~timeout:(Float.max 0.0 (!last_hb +. heartbeat_every -. Unix.gettimeofday ()))
+              st
       done;
       (* every result is already on the stream ahead of this; the controller
          merges them before it reads the goodbye *)
-      send st.ws_tx (Wire.Bye { bye_stats = Some (stats_of st ~cache) })
+      send st.ws_tx
+        (Wire.Bye
+           {
+             bye_stats =
+               Some { Wire.by_reboots = Trial.reboots cache; by_cache = Trial.cache_stats cache };
+           })
     with Link_dead -> ()
 end
 
@@ -206,6 +195,7 @@ module Controller = struct
     c_dec : Wire.decoder;
     mutable c_alive : bool;
     mutable c_bye : bool;  (* said goodbye: a later EOF is not a death *)
+    mutable c_waiting : bool;  (* its request drew [Wait]: answer it when work is requeued *)
     mutable c_last_heard : float;  (* when a byte last arrived: the one deadline's clock *)
     mutable c_stats : Wire.bye_stats option;
   }
@@ -296,7 +286,7 @@ module Controller = struct
       t_quarantined = [];
     }
 
-  let add_worker ?die_at ?max_leases t =
+  let add_worker ?die_at t =
     let parent_end, child_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.fork () with
     | 0 ->
@@ -305,7 +295,7 @@ module Controller = struct
       Unix.close parent_end;
       List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.t_conns;
       (try
-         Worker.serve ?die_at ?max_leases ~supervisor:t.t_supervisor ~tracer:t.t_tracer
+         Worker.serve ?die_at ~supervisor:t.t_supervisor ~tracer:t.t_tracer
            t.t_env t.t_specs child_end
        with _ -> Unix._exit 2);
       Unix._exit 0
@@ -325,6 +315,7 @@ module Controller = struct
               c_dec = Wire.decoder ();
               c_alive = true;
               c_bye = false;
+              c_waiting = false;
               c_last_heard = Unix.gettimeofday ();
               c_stats = None;
             };
@@ -403,21 +394,29 @@ module Controller = struct
     go 64;
     pump ()
 
+  (* Answer a worker's one open request: with a grant, or by parking it
+     until a leave or a death requeues trials ([step] offers again), or not
+     at all once drained or finishing: [Bye] answers it then. *)
+  and offer t conn =
+    conn.c_waiting <- false;
+    if not t.t_finishing then
+      match Lease.request t.t_lease ~worker:conn.c_worker with
+      | Lease.Grant { d_lo; d_hi } -> send_to t conn (Wire.Lease_grant { lg_lo = d_lo; lg_hi = d_hi })
+      | Lease.Wait -> conn.c_waiting <- true
+      | Lease.Drained -> ()
+
   and handle t conn msg =
     match msg with
-    | Wire.Lease_request -> (
-      match Lease.request t.t_lease ~worker:conn.c_worker with
-      | Lease.Grant { d_lease; d_lo; d_hi } ->
-        send_to t conn (Wire.Lease_grant { lg_lease = d_lease; lg_lo = d_lo; lg_hi = d_hi })
-      | Lease.Wait | Lease.Drained -> ())
-    | Wire.Result { rs_index; rs_entry; rs_dump } ->
+    | Wire.Lease_request -> offer t conn
+    | Wire.Result { rs_entry; rs_dump } -> (
       (* deduplicated by trial index, like every completion *)
-      if rs_entry.Journal.je_index = rs_index then (
-        match Trial_table.complete t.t_table rs_entry rs_dump with
-        | Lease.Fresh -> t.t_results <- t.t_results + 1
-        | Lease.Duplicate -> t.t_dup_results <- t.t_dup_results + 1)
+      match Trial_table.complete t.t_table rs_entry rs_dump with
+      | Lease.Fresh -> t.t_results <- t.t_results + 1
+      | Lease.Duplicate -> t.t_dup_results <- t.t_dup_results + 1)
     | Wire.Bye { bye_stats } ->
       conn.c_bye <- true;
+      (* a lease granted after the goodbye would never be requeued *)
+      conn.c_waiting <- false;
       conn.c_stats <- bye_stats;
       if not t.t_finishing then begin
         t.t_left <- t.t_left + 1;
@@ -442,7 +441,7 @@ module Controller = struct
       (fun c ->
         if c.c_alive && (not c.c_bye) && now -. c.c_last_heard > t.t_heartbeat then begin
           let held =
-            List.filter (fun (_, w, _, _) -> w = c.c_worker) (Lease.live_leases t.t_lease)
+            List.filter (fun (w, _, _) -> w = c.c_worker) (Lease.live_leases t.t_lease)
           in
           t.t_hung <- t.t_hung + 1;
           t.t_expired <- t.t_expired + List.length held;
@@ -453,7 +452,9 @@ module Controller = struct
   (* Silence is judged after every ready link has been read, against the
      time taken before the wait: anything a worker sent by then is in its
      link and counts, so a controller that stalls past the deadline does not
-     declare a talking worker hung. *)
+     declare a talking worker hung. Deaths, leaves and hung-worker expiries
+     all requeue here, so the turn ends by offering work to every parked
+     worker. *)
   let step t ~timeout =
     let now = Unix.gettimeofday () in
     let conns = alive_conns t in
@@ -480,7 +481,8 @@ module Controller = struct
                 pump ()
               with Wire.Corrupt _ -> on_death t c))
         conns;
-      expire_hung t ~now
+      expire_hung t ~now;
+      List.iter (fun c -> if c.c_alive && c.c_waiting then offer t c) t.t_conns
     end
 
   let finished t = Lease.finished t.t_lease

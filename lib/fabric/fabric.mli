@@ -13,8 +13,10 @@
     trial-index ranges cross the wire ({!Wire}) and results come back.
     Workers boot their own machines and run the trials. They self-schedule
     by leasing trial-index chunks under the in-process rule — the next
-    pending chunk, or wait, or drained — so a worker that runs dry while others still hold leases waits for one to
-    be requeued rather than taking work from them. Workers may join and
+    pending chunk, or wait, or drained. An idle worker asks once; a request
+    that draws a wait stays open, the worker parked, until a leave, a death
+    or a hung-worker expiry requeues trials, so a worker that runs dry
+    never takes work from another's live lease. Workers may join and
     leave mid-campaign, and are survived by it: a killed worker's
     in-flight chunk is re-leased, and a trial that keeps killing its owners
     is quarantined as {!Ferrite_injection.Outcome.Infrastructure_failure} —
@@ -22,10 +24,11 @@
     failing.
 
     Every link is a reliable, ordered byte stream, so the protocol
-    ({!Wire}) has no acknowledgements and nothing is re-sent. The recovery
-    paths are the ones real failures reach: a worker that dies or goes
-    silent past the heartbeat deadline, a trial that keeps killing its
-    owners, and a write that races a worker's orderly exit.
+    ({!Wire}) has no acknowledgements or lease ids, nothing is re-sent and
+    a live lease is never granted twice. The recovery paths are the ones
+    real failures reach: a worker that dies or goes silent past the
+    heartbeat deadline, a trial that keeps killing its owners, and a write
+    that races a worker's orderly exit.
 
     {b Determinism.} Trial records are pure functions of trial specs
     ({!Ferrite_injection.Trial}), specs are derived counter-style from the
@@ -74,7 +77,6 @@ type report = {
 module Worker : sig
   val serve :
     ?die_at:int ->
-    ?max_leases:int ->
     ?handle_signals:bool ->
     supervisor:Supervisor.t ->
     tracer:Ferrite_trace.Tracer.config ->
@@ -85,13 +87,14 @@ module Worker : sig
   (** [serve ~supervisor ~tracer env specs fd] serves one campaign over a
       controller link, the stream socket [fd]: it leases trial-index ranges,
       runs [specs.(i)] through [supervisor] and streams results until the
-      controller says [Bye] (or [max_leases] leases are done — the orderly
-      mid-campaign leave). {!Controller.add_worker} calls it in the forked
-      child with the controller's own values.
-      Sends a {!Wire.Heartbeat} between trials so the controller can tell a
-      hung worker from a busy one. Unless [handle_signals] is [false],
-      SIGTERM/SIGINT mean {e drain}: finish and send the in-flight trial,
-      send [Bye] with diagnostics, exit cleanly.
+      controller says [Bye]. {!Controller.add_worker} calls it in the forked
+      child with the controller's own values. An idle worker sends one
+      {!Wire.Lease_request} and waits for its answer.
+      Sends a {!Wire.Heartbeat} between trials, and while it waits, so the
+      controller can tell a hung worker from a busy one. Unless
+      [handle_signals] is [false], SIGTERM/SIGINT mean {e drain}: finish
+      and send the in-flight trial, send [Bye] with diagnostics, exit
+      cleanly.
       [die_at] is the crash test hook: the process exits without warning
       just before executing that trial index. *)
 end
@@ -133,7 +136,7 @@ module Controller : sig
       trials are never re-granted. An existing journal without [sv_resume]
       is replaced. *)
 
-  val add_worker : ?die_at:int -> ?max_leases:int -> t -> int
+  val add_worker : ?die_at:int -> t -> int
   (** Fork a worker process connected over a socketpair ({!Worker.serve});
       returns its worker id. May be called at any time — late joiners are
       how a killed worker is replaced. *)
@@ -143,7 +146,9 @@ module Controller : sig
       messages, detect deaths, then declare hung every worker that has sent
       nothing for [heartbeat_timeout] up to the start of the turn. Links are
       read before silence is judged, so a controller that itself stalls past
-      the deadline does not condemn a worker whose traffic sat unread. *)
+      the deadline does not condemn a worker whose traffic sat unread. The
+      turn ends by granting requeued trials to workers whose request is
+      still open. *)
 
   val finished : t -> bool
 

@@ -8,14 +8,12 @@ let max_payload = 64 * 1024 * 1024
 type bye_stats = {
   by_reboots : int;
   by_cache : Ferrite_machine.Cache_stats.t;
-  by_leases : int;
 }
 
 type msg =
   | Lease_request
-  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
+  | Lease_grant of { lg_lo : int; lg_hi : int }
   | Result of {
-      rs_index : int;
       rs_entry : Journal.entry;
       rs_dump : Crash_dump.t option;
     }
@@ -40,17 +38,15 @@ let encode_payload msg =
   let b = Buffer.create 64 in
   (match msg with
   | Lease_request -> Buffer.add_char b 'L'
-  | Lease_grant { lg_lease; lg_lo; lg_hi } ->
+  | Lease_grant { lg_lo; lg_hi } ->
     Buffer.add_char b 'G';
-    put_u32 b lg_lease;
     put_u32 b lg_lo;
     put_u32 b lg_hi
-  | Result { rs_index; rs_entry; rs_dump } ->
+  | Result { rs_entry; rs_dump } ->
     (* the entry blob is the journal's own payload encoding: a fabric result
        in flight is a journal frame whose file has not been written yet *)
     let entry = Journal.encode_entry rs_entry in
     Buffer.add_char b 'R';
-    put_u32 b rs_index;
     put_u32 b (String.length entry);
     Buffer.add_string b entry;
     Buffer.add_string b (Marshal.to_string rs_dump [])
@@ -75,20 +71,19 @@ let decode_payload s =
     match s.[0] with
     | 'L' -> fixed 0 (fun () -> Some Lease_request)
     | 'G' ->
-      fixed 12 (fun () ->
-          Some (Lease_grant { lg_lease = get_u32 s 1; lg_lo = get_u32 s 5; lg_hi = get_u32 s 9 }))
+      fixed 8 (fun () -> Some (Lease_grant { lg_lo = get_u32 s 1; lg_hi = get_u32 s 5 }))
     | 'R' ->
-      if n < 9 then None
+      if n < 5 then None
       else
-        let elen = get_u32 s 5 in
-        if elen < 0 || n < 9 + elen then None
+        let elen = get_u32 s 1 in
+        if elen < 0 || n < 5 + elen then None
         else (
-          match Journal.decode_entry (String.sub s 9 elen) with
+          match Journal.decode_entry (String.sub s 5 elen) with
           | None -> None
           | Some rs_entry -> (
-            match (unmarshal_from s (9 + elen) : Crash_dump.t option option) with
+            match (unmarshal_from s (5 + elen) : Crash_dump.t option option) with
             | None -> None
-            | Some rs_dump -> Some (Result { rs_index = get_u32 s 1; rs_entry; rs_dump })))
+            | Some rs_dump -> Some (Result { rs_entry; rs_dump })))
     | 'K' -> fixed 0 (fun () -> Some Heartbeat)
     | 'B' -> (
       match (unmarshal_from s 1 : bye_stats option option) with
@@ -101,9 +96,8 @@ let encode msg = Journal.frame (encode_payload msg)
 (* {2 Frame walking} *)
 
 (* One frame at [off]: [Complete (msg, next_off)] | [Partial] (need more
-   bytes) | [Invalid] (bad length, CRC or payload). The same three-way split
-   serves [decode_prefix] (Partial and Invalid both stop the walk) and the
-   live decoder (Partial waits, Invalid raises). *)
+   bytes) | [Invalid] (bad length, CRC or payload). The live decoder waits
+   on Partial and raises on Invalid. *)
 type parse = Complete of msg * int | Partial | Invalid of string
 
 let parse_frame s off =
@@ -121,14 +115,6 @@ let parse_frame s off =
         match decode_payload payload with
         | Some m -> Complete (m, off + 8 + len)
         | None -> Invalid "undecodable payload"
-
-let decode_prefix s =
-  let rec walk acc off =
-    match parse_frame s off with
-    | Complete (m, off') -> walk (m :: acc) off'
-    | Partial | Invalid _ -> (List.rev acc, off)
-  in
-  walk [] 0
 
 (* {2 Incremental decoder} *)
 

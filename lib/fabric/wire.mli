@@ -4,9 +4,7 @@
     [payload_len | crc32 | payload] — so the fabric's checkpoint format {e is}
     the journal's: a {!Result} payload embeds the exact
     {!Ferrite_injection.Journal.encode_entry} bytes the in-process supervisor
-    would have appended to a journal file, and a byte stream of fabric results
-    torn at any point recovers exactly like a torn journal tail (longest valid
-    prefix, {!decode_prefix}).
+    would have appended to a journal file.
 
     Nothing about the campaign crosses the wire. A worker is a forked child
     of its controller and inherits the plan, environment, supervision and
@@ -15,19 +13,20 @@
     {!Bye}'s diagnostics) therefore pass only between one binary and its
     own forked child.
 
-    The codec never trusts the peer: {!decode_prefix} never raises on torn or
-    corrupt input, and the incremental {!decoder} used on live links raises
-    {!Corrupt} only for a {e complete} frame whose payload is undecodable —
-    which on a stream socket means a peer bug, not a torn tail.
+    The codec never trusts the peer: the incremental {!decoder} waits on a
+    torn tail and raises {!Corrupt} only for a {e complete} frame whose CRC
+    or payload is invalid — which on a stream socket means a peer bug.
 
-    Scheduling takes two messages: an idle worker asks ({!Lease_request})
-    and the controller grants ({!Lease_grant}) by the lease table's one
-    rule, the rule the in-process executors follow. No message moves work
-    between workers: a lease stays its holder's until it finishes, leaves
-    or is declared dead.
+    Scheduling takes two messages: an idle worker asks once
+    ({!Lease_request}) and the controller answers once, with a
+    {!Lease_grant} by the lease table's one rule, the rule the in-process
+    executors follow. While nothing is left to grant, the request stays
+    open until a leave or a death requeues trials, or the campaign ends in
+    {!Bye}. No message moves work between workers: a lease stays its
+    holder's until it finishes, leaves or is declared dead.
 
     Every link is a reliable, ordered byte stream (a socketpair), so the
-    protocol carries no sequence numbers, acknowledgements or
+    protocol carries no sequence numbers, lease ids, acknowledgements or
     retransmissions: a message either arrives once, in order, or the link
     dies and the controller's death path takes over. *)
 
@@ -39,7 +38,6 @@ module Crash_dump = Ferrite_injection.Crash_dump
 type bye_stats = {
   by_reboots : int;  (** the worker's boot count (diagnostic) *)
   by_cache : Ferrite_machine.Cache_stats.t;
-  by_leases : int;  (** leases the worker completed *)
 }
 (** A worker's parting diagnostics. Lost with the worker when it is killed —
     like [reboots]/[cache] under the domain-pool executor, these never feed
@@ -47,18 +45,14 @@ type bye_stats = {
 
 type msg =
   | Lease_request
-      (** worker → controller: I am idle, grant me a chunk. Resent every
-          30 ms until a grant arrives; the controller answers every copy it
-          can grant. *)
-  | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
-      (** controller → worker: run trials [lg_lo, lg_hi) under lease
-          [lg_lease]. A lease still live is re-granted verbatim to its
-          holder, so the worker's resent requests draw copies of a grant it
-          has already accepted. Lease ids only grow, so the worker ignores
-          any grant whose id is not above the last one it accepted. *)
+      (** worker → controller: I am idle, grant me a chunk. Sent once per
+          idle period; the answer is a grant as soon as there is work, or
+          [Bye] when the campaign ends. *)
+  | Lease_grant of { lg_lo : int; lg_hi : int }
+      (** controller → worker: run trials [lg_lo, lg_hi), the answer to
+          the worker's one open request *)
   | Result of {
-      rs_index : int;  (** trial index — the controller's dedup key *)
-      rs_entry : Journal.entry;
+      rs_entry : Journal.entry;  (** its [je_index] is the controller's dedup key *)
       rs_dump : Crash_dump.t option;
           (** crash dumps ride alongside the journal entry: the journal's
               on-disk format predates dumps, but the result store needs them,
@@ -66,11 +60,11 @@ type msg =
     }  (** worker → controller, one per executed trial *)
   | Heartbeat
       (** worker → controller: I am alive and making progress. Sent on a
-          timer between trials; a worker silent past the controller's
-          heartbeat deadline is declared {e hung} and treated exactly like a
-          dead one (leases reclaimed, trials re-granted), even if the
-          process still exists — a spin-looped worker must not stall the
-          campaign. *)
+          timer between trials and while waiting for a grant; a worker
+          silent past the controller's heartbeat deadline is declared
+          {e hung} and treated exactly like a dead one (leases reclaimed,
+          trials re-granted), even if the process still exists — a
+          spin-looped worker must not stall the campaign. *)
   | Bye of { bye_stats : bye_stats option }
       (** orderly shutdown. Controller → worker carries [None] (campaign
           drained); worker → controller carries [Some] diagnostics. *)
@@ -85,12 +79,6 @@ val decode_payload : string -> msg option
 
 val encode : msg -> string
 (** [Journal.frame (encode_payload m)] — the bytes that go on the wire. *)
-
-val decode_prefix : string -> msg list * int
-(** [decode_prefix bytes] walks the longest valid prefix of framed messages
-    and returns them with the number of bytes consumed. Never raises: a torn
-    frame, a CRC mismatch or an undecodable payload stops the walk exactly
-    like journal recovery stops at a torn tail. *)
 
 (** {2 Incremental decoding (live links)} *)
 

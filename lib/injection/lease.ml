@@ -1,12 +1,11 @@
 type decision =
-  | Grant of { d_lease : int; d_lo : int; d_hi : int }
+  | Grant of { d_lo : int; d_hi : int }
   | Wait
   | Drained
 
 type completion = Fresh | Duplicate
 
 type lease = {
-  l_id : int;
   l_worker : int;
   l_lo : int;
   l_hi : int;  (* exclusive *)
@@ -23,7 +22,6 @@ type t = {
   done_ : bool array;
   mutable ndone : int;
   mutable leases : lease list;  (* insertion order *)
-  mutable next_id : int;
   deaths : int array;  (* worker deaths charged per trial *)
 }
 
@@ -39,7 +37,6 @@ let create ~total ~chunk ~max_deaths =
     done_ = Array.make total false;
     ndone = 0;
     leases = [];
-    next_id = 0;
     deaths = Array.make total 0;
   }
 
@@ -96,22 +93,11 @@ let rec pop_chunk t =
 let request t ~worker =
   if t.ndone = t.total then Drained
   else
-    match List.find_opt (fun l -> l.l_worker = worker) t.leases with
-    | Some l ->
-      (* the worker is asking for work it already owns: its grant or a
-         result was lost. Re-issue verbatim — the worker tells a stale
-         request's re-grant from news by the result count it echoes. *)
-      Grant { d_lease = l.l_id; d_lo = l.l_lo; d_hi = l.l_hi }
-    | None -> (
-      match pop_chunk t with
-      | Some (lo, hi) ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        t.leases <-
-          t.leases
-          @ [ { l_id = id; l_worker = worker; l_lo = lo; l_hi = hi; l_incomplete = hi - lo } ];
-        Grant { d_lease = id; d_lo = lo; d_hi = hi }
-      | None -> Wait)
+    match pop_chunk t with
+    | Some (lo, hi) ->
+      t.leases <- t.leases @ [ { l_worker = worker; l_lo = lo; l_hi = hi; l_incomplete = hi - lo } ];
+      Grant { d_lo = lo; d_hi = hi }
+    | None -> Wait
 
 (* Live leases are disjoint, so at most one holds [index]; it leaves the
    table with its last incomplete trial. *)
@@ -158,4 +144,4 @@ let completed t = t.ndone
 let pending_trials t =
   List.fold_left (fun n (lo, hi) -> n + incomplete_in t lo hi) 0 t.pending
 
-let live_leases t = List.map (fun l -> (l.l_id, l.l_worker, l.l_lo, l.l_hi)) t.leases
+let live_leases t = List.map (fun l -> (l.l_worker, l.l_lo, l.l_hi)) t.leases

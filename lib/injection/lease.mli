@@ -4,26 +4,24 @@
     The table is the only code that picks the next trial, for every
     scheduler: the sequential loop, the domain pool ({!Executor}) and the
     distributed fabric's controller. It is the single source of truth for
-    campaign progress, and it has one grant policy: a worker with no lease
-    gets the next pending chunk, or {!Wait}, or {!Drained}. It is a plain
-    state machine with no clock and no I/O, so every transition the fabric
-    relies on (grant, worker death, poison quarantine) is unit-testable
-    without processes. A lease lives until its trials complete or its owner
-    leaves or dies: deciding that a silent owner is dead is the caller's
-    one deadline (the fabric's heartbeat timeout), which ends in
-    {!worker_dead}.
+    campaign progress, and it has one grant policy: a worker that has run
+    out of work gets the next pending chunk, or {!Wait}, or {!Drained}. It
+    is a plain state machine with no clock and no I/O, so every transition
+    the fabric relies on (grant, worker death, poison quarantine) is
+    unit-testable without processes. A lease lives until its trials
+    complete or its owner leaves or dies: deciding that a silent owner is
+    dead is the caller's one deadline (the fabric's heartbeat timeout),
+    which ends in {!worker_dead}.
 
-    {b Idempotency.} An idle worker polls, so a grant may arrive twice:
-    grants are re-issued verbatim to a still-leased worker that asks again,
-    and lease ids only grow, so the worker can tell a copy from a new
-    lease. No transition assumes a trial completes once: completions are
+    No transition assumes a trial completes once: completions are
     deduplicated by trial index. Records are pure functions of trial specs,
     so running a trial twice is wasteful but harmless. *)
 
 type decision =
-  | Grant of { d_lease : int; d_lo : int; d_hi : int }
-      (** fresh lease (or the verbatim re-issue of the asker's live lease) *)
-  | Wait  (** nothing pending, but live leases remain — ask again later *)
+  | Grant of { d_lo : int; d_hi : int }  (** a fresh lease of trials [d_lo, d_hi) *)
+  | Wait
+      (** nothing pending, but live leases remain: one may yet be requeued
+          by a leave or a death *)
   | Drained  (** every trial is complete *)
 
 type completion =
@@ -39,10 +37,10 @@ val create : total:int -> chunk:int -> max_deaths:int -> t
     [max_deaths]. *)
 
 val request : t -> worker:int -> decision
-(** Serve a worker's request for work. A worker that still holds a live lease
-    gets that lease re-granted verbatim (its grant or a result of it was
-    dropped); otherwise the next pending chunk, cut short before any
-    already-completed trial; otherwise {!Wait} or {!Drained}. *)
+(** Serve a worker's request for work: the next pending chunk, cut short
+    before any already-completed trial; otherwise {!Wait} or {!Drained}.
+    Every {!Grant} is a new lease, so a worker asks only when it has run
+    out of work. *)
 
 val complete : t -> index:int -> completion
 (** Record one trial result. {!Fresh} exactly once per index, under any
@@ -66,5 +64,5 @@ val completed : t -> int
 val pending_trials : t -> int
 (** Trials neither complete nor currently leased. *)
 
-val live_leases : t -> (int * int * int * int) list
-(** [(lease, worker, lo, hi)] for every live lease, oldest first. *)
+val live_leases : t -> (int * int * int) list
+(** [(worker, lo, hi)] for every live lease, oldest first. *)

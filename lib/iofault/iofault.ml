@@ -145,7 +145,6 @@ let arm ?plan ~seed () =
       Hashtbl.reset label_instances)
 
 let disarm () = with_lock (fun () -> ambient := None)
-let armed () = !ambient <> None
 let armed_seed () = match !ambient with Some a -> Some a.am_seed | None -> None
 let stats () =
   with_lock (fun () ->
@@ -238,8 +237,6 @@ let wrap ~file ?(label = "io") fd =
 
 let wrap_file ?label fd = wrap ~file:true ?label fd
 let wrap_stream ?label fd = wrap ~file:false ?label fd
-let fd t = t.t_fd
-let chaotic t = t.t_chaos <> None
 
 let draw cs =
   let i = cs.cs_counter in

@@ -58,7 +58,6 @@ val disarm : unit -> unit
 (** Return to passthrough. Already-wrapped chaotic handles keep their
     streams; newly wrapped handles are passthrough. Counters are kept. *)
 
-val armed : unit -> bool
 val armed_seed : unit -> int64 option
 
 type t
@@ -71,9 +70,6 @@ val wrap_file : ?label:string -> Unix.file_descr -> t
 
 val wrap_stream : ?label:string -> Unix.file_descr -> t
 (** Wrap a socket/pipe descriptor: same faults, exempt from ENOSPC. *)
-
-val fd : t -> Unix.file_descr
-val chaotic : t -> bool
 
 val read : t -> bytes -> int -> int -> int
 (** [read t buf pos len]: like [Unix.read], possibly perturbed (short read,
@@ -114,10 +110,6 @@ val stats : unit -> stats
 
 val reset_stats : unit -> unit
 (** Zero every counter, the call counts included ({!arm} does too). *)
-
-val note_retry : unit -> unit
-(** Count a retry absorbed by an external retry loop (e.g. the fabric's
-    link transmitter). *)
 
 val note_salvage : string -> unit
 (** Record a degradation event under a short label ("journal", "store",

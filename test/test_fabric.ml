@@ -51,82 +51,97 @@ let mk_entry i =
 
 (* ---------- wire codec ---------- *)
 
-let mk_bye i = { Wire.by_reboots = i mod 5; by_cache = Cache_stats.zero; by_leases = i mod 7 }
+let mk_bye i = { Wire.by_reboots = i mod 5; by_cache = Cache_stats.zero }
 
 (* Deterministic message zoo indexed by a small int — every constructor,
    including marshalled result/goodbye payloads. *)
 let mk_msg i =
   match i mod 5 with
   | 0 -> Wire.Lease_request
-  | 1 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7 }
-  | 2 -> Wire.Result { rs_index = i mod 11; rs_entry = mk_entry (i mod 11); rs_dump = None }
+  | 1 -> Wire.Lease_grant { lg_lo = 3 * i; lg_hi = (3 * i) + 7 }
+  | 2 -> Wire.Result { rs_entry = mk_entry (i mod 11); rs_dump = None }
   | 3 -> Wire.Heartbeat
   | _ -> Wire.Bye { bye_stats = (if i land 1 = 0 then None else Some (mk_bye i)) }
+
+(* Feed [bytes] to a live decoder in pieces of the given sizes (cycled;
+   the whole stream at once when there are none), reading every complete
+   message back after each piece, as a link's reader does. *)
+let decode_in_pieces pieces bytes =
+  let d = Wire.decoder () in
+  let out = ref [] in
+  let rec pump () =
+    match Wire.next d with
+    | Some m ->
+      out := m :: !out;
+      pump ()
+    | None -> ()
+  in
+  let sizes = Array.of_list (List.map (fun p -> 1 + p) pieces) in
+  let n = String.length bytes in
+  let rec go off k =
+    if off < n then begin
+      let len = if sizes = [||] then n else min (n - off) sizes.(k mod Array.length sizes) in
+      Wire.feed d (Bytes.of_string (String.sub bytes off len)) len;
+      pump ();
+      go (off + len) (k + 1)
+    end
+  in
+  go 0 0;
+  List.rev !out
 
 let prop_codec_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"encode → decode is the identity for every message" ~count:200
-       QCheck.(small_list (int_range 0 80))
-       (fun picks ->
+       QCheck.(pair (small_list (int_range 0 80)) (small_list (int_range 0 96)))
+       (fun (picks, pieces) ->
          let msgs = List.map mk_msg picks in
          (* each payload decodes alone… *)
          List.for_all
            (fun m -> Wire.decode_payload (Wire.encode_payload m) = Some m)
            msgs
-         (* …and a concatenated stream decodes in order, fully consumed *)
-         &&
-         let bytes = String.concat "" (List.map Wire.encode msgs) in
-         Wire.decode_prefix bytes = (msgs, String.length bytes)))
+         (* …and a concatenated stream, however it is split, decodes in order *)
+         && decode_in_pieces pieces (String.concat "" (List.map Wire.encode msgs)) = msgs))
 
 let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
 
-(* The torn-frame property, mirroring journal recovery: however the stream is
-   cut (mid-frame, mid-payload) and whatever garbage follows, decoding
-   returns the longest valid prefix and never raises. *)
+(* The torn-frame property: however the stream is cut (mid-frame,
+   mid-payload) and however the rest arrives in pieces, the live decoder
+   yields exactly the complete messages, then [None], and never raises. *)
 let prop_torn_stream =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"a torn stream decodes to its longest valid prefix" ~count:200
-       QCheck.(triple (small_list (int_range 0 80)) (int_range 0 10_000) (int_range 0 48))
-       (fun (picks, cut_frac, garbage) ->
+       QCheck.(triple (small_list (int_range 0 80)) (int_range 0 10_000) (small_list (int_range 0 96)))
+       (fun (picks, cut_frac, pieces) ->
          let msgs = List.map mk_msg picks in
          let frames = List.map Wire.encode msgs in
          let bytes = String.concat "" frames in
          let cut = cut_frac * String.length bytes / 10_000 in
-         let torn =
-           String.sub bytes 0 cut
-           ^ String.init garbage (fun i -> Char.chr (i * 37 mod 256))
-         in
-         (* how many whole frames survive the cut — stop at the first torn
-            one; later frames are unreachable even if they'd fit in [cut] *)
-         let expect, consumed =
+         (* how many whole frames survive the cut *)
+         let expect =
            let rec walk n off = function
              | frame :: rest when off + String.length frame <= cut ->
                walk (n + 1) (off + String.length frame) rest
-             | _ -> (n, off)
+             | _ -> n
            in
            walk 0 0 frames
          in
-         let decoded, used = Wire.decode_prefix torn in
-         (* Garbage may coincidentally restore the torn frame's missing tail
-            (it is deterministic, not adversarial), so with garbage the
-            decoder may legally get {e ahead} of [expect] — but only ever
-            along the true message sequence. Pure truncation is exact. *)
-         let n = List.length decoded in
-         decoded = take n msgs && n >= expect && used >= consumed
-         && (garbage > 0 || (n = expect && used = consumed))))
+         decode_in_pieces pieces (String.sub bytes 0 cut) = take expect msgs))
 
+let corrupt bytes =
+  let d = Wire.decoder () in
+  Wire.feed d (Bytes.of_string bytes) (String.length bytes);
+  match Wire.next d with exception Wire.Corrupt _ -> true | _ -> false
+
+(* A complete frame that is not a message is a peer bug, never a torn tail:
+   a flipped byte (CRC mismatch), a well-framed unknown payload and an
+   absurd length all raise. *)
 let test_codec_rejects_bad_crc () =
-  let good = Wire.encode (Wire.Lease_grant { lg_lease = 7; lg_lo = 0; lg_hi = 3 }) in
+  let good = Wire.encode (Wire.Lease_grant { lg_lo = 0; lg_hi = 3 }) in
   let bad = Bytes.of_string good in
   Bytes.set bad (Bytes.length bad - 1) 'X';
-  check_bool "flipped byte stops the walk" true
-    (Wire.decode_prefix (Bytes.to_string bad) = ([], 0));
-  let d = Wire.decoder () in
-  Wire.feed d bad (Bytes.length bad);
-  check_bool "live decoder raises Corrupt" true
-    (match Wire.next d with
-    | exception Wire.Corrupt _ -> true
-    | _ -> false)
+  check_bool "a flipped byte raises Corrupt" true (corrupt (Bytes.to_string bad));
+  check_bool "a garbage frame raises Corrupt" true (corrupt (Journal.frame "Zgarbage"));
+  check_bool "an absurd length raises Corrupt" true (corrupt (String.make 8 '\xff'))
 
 let test_codec_carries_real_dump () =
   (* a Result must carry a genuine crash dump intact: store rows are derived
@@ -135,7 +150,7 @@ let test_codec_carries_real_dump () =
   match List.find_opt Option.is_some r.Campaign.dumps with
   | None -> Alcotest.fail "no crash dump in 12 stack injections (seed drift?)"
   | Some dump ->
-    let msg = Wire.Result { rs_index = 5; rs_entry = mk_entry 5; rs_dump = dump } in
+    let msg = Wire.Result { rs_entry = mk_entry 5; rs_dump = dump } in
     check_bool "dump survives the codec" true
       (Wire.decode_payload (Wire.encode_payload msg) = Some msg)
 
@@ -144,22 +159,18 @@ let test_codec_carries_real_dump () =
 let test_lease_grant_and_drain () =
   let t = Lease.create ~total:7 ~chunk:3 ~max_deaths:2 in
   (match Lease.request t ~worker:0 with
-  | Lease.Grant { d_lease = 0; d_lo = 0; d_hi = 3 } -> ()
+  | Lease.Grant { d_lo = 0; d_hi = 3 } -> ()
   | _ -> Alcotest.fail "first grant should be [0,3)");
-  (* a repeated request re-issues the live lease verbatim *)
-  (match Lease.request t ~worker:0 with
-  | Lease.Grant { d_lease = 0; d_lo = 0; d_hi = 3 } -> ()
-  | _ -> Alcotest.fail "lost grant should be re-issued verbatim");
   for i = 0 to 2 do
     check_bool "fresh" true (Lease.complete t ~index:i = Lease.Fresh)
   done;
   check_bool "dup detected" true (Lease.complete t ~index:1 = Lease.Duplicate);
   check_bool "out of range is dup" true (Lease.complete t ~index:99 = Lease.Duplicate);
   (match Lease.request t ~worker:0 with
-  | Lease.Grant { d_lo = 3; d_hi = 6; _ } -> ()
+  | Lease.Grant { d_lo = 3; d_hi = 6 } -> ()
   | _ -> Alcotest.fail "second grant should be [3,6)");
   (match Lease.request t ~worker:1 with
-  | Lease.Grant { d_lo = 6; d_hi = 7; _ } -> ()
+  | Lease.Grant { d_lo = 6; d_hi = 7 } -> ()
   | _ -> Alcotest.fail "tail grant should be [6,7)");
   List.iter (fun i -> ignore (Lease.complete t ~index:i)) [ 3; 4; 5; 6 ];
   check_bool "finished" true (Lease.finished t);
@@ -170,7 +181,7 @@ let test_lease_grant_and_drain () =
 let test_lease_idle_worker_waits () =
   let t = Lease.create ~total:10 ~chunk:10 ~max_deaths:2 in
   (match Lease.request t ~worker:0 with
-  | Lease.Grant { d_lo = 0; d_hi = 10; _ } -> ()
+  | Lease.Grant { d_lo = 0; d_hi = 10 } -> ()
   | _ -> Alcotest.fail "expected the whole plan in one lease");
   check_bool "the idle worker waits" true (Lease.request t ~worker:1 = Lease.Wait);
   List.iter (fun i -> ignore (Lease.complete t ~index:i)) [ 0; 1; 2; 3 ];
@@ -178,7 +189,7 @@ let test_lease_idle_worker_waits () =
     (Lease.request t ~worker:1 = Lease.Wait);
   check_int "the holder's leave requeues its tail" 6 (Lease.worker_leave t ~worker:0);
   (match Lease.request t ~worker:1 with
-  | Lease.Grant { d_lo = 4; d_hi = 10; _ } -> ()
+  | Lease.Grant { d_lo = 4; d_hi = 10 } -> ()
   | _ -> Alcotest.fail "the idle worker should be granted the requeued tail");
   check_int "nothing left unleased" 0 (Lease.pending_trials t);
   check_bool "now the leaver waits" true (Lease.request t ~worker:0 = Lease.Wait);
@@ -230,7 +241,7 @@ let prop_lease_accounting =
            | Lease.Duplicate -> ()
          in
          let accounted () =
-           let incomplete (_, _, lo, hi) =
+           let incomplete (_, lo, hi) =
              List.length (List.filter (fun i -> fresh.(i) = 0) (List.init (hi - lo) (( + ) lo)))
            in
            let leased = List.map incomplete (Lease.live_leases t) in
@@ -404,38 +415,39 @@ let with_hand_controller ~trials drive =
         Unix.close ours)
       (fun () -> drive ~send ~next)
 
-(* An idle worker polls every 30 ms, and the controller re-grants a live
-   lease verbatim to its holder, so copies of a grant the worker has already
-   accepted keep arriving. Lease ids only grow, and the worker must run each
-   lease once. This test plays the controller by hand, runs lease 0 and then
-   lease 1 (one trial each), and for half a second after each result
-   answers every poll with the lease already accepted. *)
-let test_stale_regrant_ignored () =
+(* Every message the worker sends in the next [seconds], heartbeats apart. *)
+let collect ~next seconds =
+  let until = Unix.gettimeofday () +. seconds in
+  let rec go msgs beats =
+    match next ~within:(until -. Unix.gettimeofday ()) with
+    | None -> (List.rev msgs, beats)
+    | Some Wire.Heartbeat -> go msgs (beats + 1)
+    | Some m -> go (m :: msgs) beats
+  in
+  go [] 0
+
+(* An idle worker asks once and waits for the answer, heartbeating while
+   it waits. This test plays the controller by hand: it leaves the first
+   request open for a second, then grants one trial, and after its result
+   expects exactly one further request. *)
+let test_idle_worker_asks_once () =
   with_hand_controller ~trials:2 (fun ~send ~next ->
-      let arrived = Array.make 2 0 in
-      let serve lease =
-        let deadline = Unix.gettimeofday () +. 30.0 in
-        let stale_until = ref deadline in
-        let stale_grants = ref 0 in
-        while Unix.gettimeofday () < !stale_until do
-          match next ~within:(!stale_until -. Unix.gettimeofday ()) with
-          | Some Wire.Lease_request ->
-            if arrived.(lease) > 0 then incr stale_grants;
-            send [ Wire.Lease_grant { lg_lease = lease; lg_lo = lease; lg_hi = lease + 1 } ]
-          | Some (Wire.Result { rs_index; _ }) ->
-            arrived.(rs_index) <- arrived.(rs_index) + 1;
-            if rs_index = lease && arrived.(lease) = 1 then
-              stale_until := Unix.gettimeofday () +. 0.5
-          | Some _ | None -> ()
-        done;
-        if arrived.(lease) = 0 then Alcotest.failf "lease %d never ran" lease;
-        check_bool (Printf.sprintf "lease %d was re-granted" lease) true (!stale_grants > 0)
+      let rec next_message () =
+        match next ~within:30.0 with
+        | Some Wire.Heartbeat -> next_message ()
+        | Some m -> m
+        | None -> Alcotest.fail "the worker fell silent"
       in
-      serve 0;
-      serve 1;
-      Array.iteri
-        (fun i n -> check_int (Printf.sprintf "trial %d arrived exactly once" i) 1 n)
-        arrived)
+      check_bool "an idle worker asks" true (next_message () = Wire.Lease_request);
+      let unanswered, beats = collect ~next 1.0 in
+      check_int "no request repeated while the first is open" 0 (List.length unanswered);
+      check_bool "a waiting worker heartbeats" true (beats > 0);
+      send [ Wire.Lease_grant { lg_lo = 0; lg_hi = 1 } ];
+      (match next_message () with
+      | Wire.Result { rs_entry; _ } -> check_int "the granted trial ran" 0 rs_entry.Journal.je_index
+      | _ -> Alcotest.fail "expected the granted trial's result");
+      let after, _ = collect ~next 0.6 in
+      check_bool "exactly one request after the lease" true (after = [ Wire.Lease_request ]))
 
 (* A trial that kills every worker that touches it must not kill the
    campaign: after max deaths it is quarantined exactly like an in-process
@@ -506,6 +518,16 @@ let test_hung_worker_declared_dead () =
     | 0, _ -> true
     | _ -> false
     | exception Unix.Unix_error _ -> false);
+  (* the waiting worker must receive the reclaimed lease: step under the
+     deadline, so a request left unanswered fails here instead of hanging *)
+  while (not (Controller.finished t)) && Unix.gettimeofday () < deadline do
+    Controller.step t ~timeout:0.05
+  done;
+  if not (Controller.finished t) then begin
+    (* a stopped child would outlive the test, holding its output open *)
+    Unix.kill pid Sys.sigkill;
+    Alcotest.fail "the waiting worker never received the reclaimed lease"
+  end;
   let r, report = Controller.finish t in
   check_int "declared hung" 1 report.fb_hung;
   check_int "a hung worker is a dead worker" 1 report.fb_worker_deaths;
@@ -724,8 +746,7 @@ let () =
           Alcotest.test_case "2 workers byte-identical" `Quick test_two_workers_identical;
           Alcotest.test_case "kill and rejoin" `Quick test_kill_and_rejoin;
           Alcotest.test_case "fleet sweep byte-identical" `Quick test_fleet_sweep;
-          Alcotest.test_case "stale re-grant draws no retransmission" `Quick
-            test_stale_regrant_ignored;
+          Alcotest.test_case "idle worker asks once" `Quick test_idle_worker_asks_once;
           Alcotest.test_case "poison trial quarantined" `Quick
             test_poison_trial_quarantined;
           Alcotest.test_case "hung worker declared dead" `Quick
