@@ -10,7 +10,10 @@
    next trial reuses, and the two runs must still agree byte for byte. Last,
    a P4 stack campaign (seed 11, 14 trials) whose one wild march through
    zero-filled lowmem the cached run must fast-forward, against the
-   reference interpreter the same way. *)
+   reference interpreter the same way. Then two P4 campaigns share one
+   [Campaign.inputs], so the kernel boots once and they take turns on its
+   machine: run sequentially and then each on a 2-domain pool, both must
+   reproduce the standalone runs' records. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -51,6 +54,28 @@ let check_reference ?(seed = 0x2004L) ?(march = false) arch kind ~injections =
   Printf.printf "bench-smoke ok: %s campaign, %d injections identical to the reference\n"
     name (List.length cached.Campaign.records)
 
+(* Two campaigns on one inputs against their standalone records: a code
+   campaign leaves blocks of flipped bytes behind in the shared machine for
+   the stack campaign that takes it next. *)
+let check_shared ~stack ~stack_records =
+  let code =
+    { (Campaign.default ~arch:Image.Cisc ~kind:Target.Code ~injections:40) with
+      Campaign.seed = 0x2004L }
+  in
+  let code_records = (Campaign.run code).Campaign.records in
+  let inputs = Campaign.build_inputs Image.Cisc in
+  List.iter
+    (fun (label, executor) ->
+      List.iter
+        (fun (cfg, records) ->
+          if (Campaign.run ~executor ~inputs cfg).Campaign.records <> records then
+            fail "shared inputs, %s: records differ from a standalone run" label)
+        [ (code, code_records); (stack, stack_records) ])
+    [ ("sequential", Executor.Sequential); ("2 domains", Executor.Parallel { domains = 2 }) ];
+  Printf.printf
+    "bench-smoke ok: two campaigns on one inputs, sequential and on 2 domains, identical to \
+     standalone runs\n"
+
 let () =
   let cfg =
     { (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:12) with
@@ -79,6 +104,7 @@ let () =
      fast-path modes (%s)\n"
     (List.length seq.Campaign.records)
     (Format.asprintf "%a" Cache_stats.render seq.Campaign.cache);
+  check_shared ~stack:cfg ~stack_records:seq.Campaign.records;
   check_reference Image.Cisc Target.Code ~injections:40;
   check_reference Image.Risc Target.Code ~injections:40;
   check_reference ~seed:11L ~march:true Image.Cisc Target.Stack ~injections:14

@@ -643,8 +643,9 @@ let oops_cmd =
     (* the campaign's own trial path, trial by trial, until a crash dump
        reaches the collector *)
     let cfg = { (Campaign.default ~arch ~kind ~injections:200) with Campaign.seed } in
-    let env = Campaign.environment cfg in
-    let cache = Trial.cache_create () in
+    let inputs = Campaign.build_inputs arch in
+    let env = Campaign.environment_with inputs cfg in
+    let cache = Trial.cache_create (Campaign.machines inputs) in
     let crash =
       Seq.find_map
         (fun spec ->

@@ -58,9 +58,11 @@ let gen_spec rng ~injections ~step_budget =
     df_step_budget = step_budget;
   }
 
-(* campaign inputs per arch, built once (they are pure, read-only inputs
-   shared by every configuration; profiling equivalence across fast paths is
-   pinned separately by test_cache's campaign-level property) *)
+(* campaign inputs per arch, built once and shared by every configuration
+   (they depend only on the kernel; the spare machine serves the runs in
+   the fast-path mode it was made in, and the others build theirs from the
+   snapshot; profiling equivalence across fast paths is pinned separately
+   by test_cache's campaign-level property) *)
 let inputs : (Image.arch, Campaign.inputs) Hashtbl.t = Hashtbl.create 2
 
 let inputs_of arch =
@@ -80,8 +82,8 @@ let with_fast fast f =
   Memory.set_fast_paths_default fast;
   Fun.protect ~finally:(fun () -> Memory.set_fast_paths_default true) f
 
-let run_specs ~fast ~executor env specs =
-  with_fast fast (fun () -> Executor.run ~trace:Tracer.default_config executor env specs)
+let run_specs ~fast ~executor ~machines env specs =
+  with_fast fast (fun () -> Executor.run ~trace:Tracer.default_config executor ~machines env specs)
 
 let first_diff a b =
   let n = min (Array.length a) (Array.length b) in
@@ -120,25 +122,26 @@ let configs =
     ("reference/parallel", false, parallel);
   ]
 
-let run_on env specs =
-  let base = run_specs ~fast:false ~executor:Executor.Sequential env specs in
+let run_on s specs =
+  let env = env_of s and machines = Campaign.machines (inputs_of s.df_arch) in
+  let base = run_specs ~fast:false ~executor:Executor.Sequential ~machines env specs in
   List.fold_left
     (fun acc (name, fast, executor) ->
       match acc with
       | Error _ -> acc
-      | Ok () -> compare_outcomes name base (run_specs ~fast ~executor env specs))
+      | Ok () -> compare_outcomes name base (run_specs ~fast ~executor ~machines env specs))
     (Ok ()) configs
 
 let plan s = Trial.plan ~seed:s.df_seed ~injections:s.df_injections ~variant:Boot.standard
 
-let run_spec s = run_on (env_of s) (plan s)
+let run_spec s = run_on s (plan s)
 
 let run_trial s ~trial =
   if trial < 0 || trial >= s.df_injections then
     invalid_arg "Diff.run_trial: trial out of range";
   (* counter-style seeds: the spec at [trial] is the same in any plan that
      is long enough, so a one-element slice replays it in isolation *)
-  run_on (env_of s) [| (plan s).(trial) |]
+  run_on s [| (plan s).(trial) |]
 
 (* Reduce a failing spec to a minimal reproducer: pin the first mismatching
    trial, then minimise the step budget that still shows the divergence. *)

@@ -127,16 +127,17 @@ let spec_of sc target =
 
 let run ?(trace = Tracer.default_config) sc =
   let inputs = Campaign.build_inputs sc.sc_arch in
-  (* resolve the paper's target against a probe boot of the same image *)
-  let target = sc.sc_target (Boot.boot ~image:inputs.Campaign.in_image sc.sc_arch) in
-  (* a default campaign's environment, but with a lossless collector: the
-     forced target means the hot set is never read *)
+  let machines = Campaign.machines inputs in
+  (* resolve the paper's target against the booted kernel *)
+  let target = Trial.with_machine machines sc.sc_target in
+  (* a default campaign's environment, but with a lossless collector; the
+     forced target never reads the hot set, so it is never profiled *)
   let env =
-    Campaign.environment_with inputs
+    Campaign.forced_environment inputs
       { (Campaign.default ~arch:sc.sc_arch ~kind:sc.sc_kind ~injections:1) with
         Campaign.collector_loss = 0.0 }
   in
-  let out = Executor.run ~trace Executor.Sequential env [| spec_of sc target |] in
+  let out = Executor.run ~trace Executor.Sequential ~machines env [| spec_of sc target |] in
   {
     scenario = sc;
     target;

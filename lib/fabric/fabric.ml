@@ -106,7 +106,7 @@ module Worker = struct
       pump ()
     end
 
-  let serve ?die_at ?(handle_signals = true) ~supervisor ~tracer env specs fd =
+  let serve ?die_at ?(handle_signals = true) ~supervisor ~tracer ~machines env specs fd =
     ignore_sigpipe ();
     (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial and
        say Bye. A worker that must die NOW is SIGKILLed, and the
@@ -129,7 +129,7 @@ module Worker = struct
         ws_controller_bye = false;
       }
     in
-    let cache = Trial.cache_create () in
+    let cache = Trial.cache_create machines in
     let last_hb = ref (Unix.gettimeofday ()) in
     try
       (* ask once at the start and once when each lease runs out: the
@@ -205,6 +205,9 @@ module Controller = struct
   type t = {
     t_cfg : Campaign.config;
     t_env : Trial.env;  (* merge reads the hot set from it too *)
+    t_machines : Trial.machines;
+        (* the post-boot snapshot alone: each forked worker builds its
+           machine from it, and no child inherits a live one *)
     t_specs : Trial.spec array;
     t_supervisor : Supervisor.t;
         (* never used here, so it stays fresh: each forked worker runs its
@@ -247,7 +250,8 @@ module Controller = struct
         c
       | None -> Executor.chunk_size ~total ~workers:4
     in
-    let env = Campaign.environment cfg in
+    let inputs = Campaign.build_inputs ~variant:cfg.Campaign.variant cfg.Campaign.arch in
+    let env = Campaign.environment_with inputs cfg in
     let supervisor =
       Supervisor.create ~policy:supervision.Campaign.sv_policy
         ~chaos:supervision.Campaign.sv_chaos ()
@@ -263,6 +267,7 @@ module Controller = struct
     {
       t_cfg = cfg;
       t_env = env;
+      t_machines = Trial.snapshot_only (Campaign.machines inputs);
       t_specs = specs;
       t_supervisor = supervisor;
       t_tracer = Tracer.validated tracer;
@@ -296,7 +301,7 @@ module Controller = struct
       List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.t_conns;
       (try
          Worker.serve ?die_at ~supervisor:t.t_supervisor ~tracer:t.t_tracer
-           t.t_env t.t_specs child_end
+           ~machines:t.t_machines t.t_env t.t_specs child_end
        with _ -> Unix._exit 2);
       Unix._exit 0
     | pid ->

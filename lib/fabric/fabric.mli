@@ -8,10 +8,12 @@
     controller owns a {!Ferrite_injection.Trial_table} (the
     {!Ferrite_injection.Lease} table plus the completed-trial slots),
     exactly as the in-process executor does. The controller builds the plan
-    and environment once; every worker is a fork of it and inherits them,
-    with the supervision and tracer config, as OCaml values, so only
-    trial-index ranges cross the wire ({!Wire}) and results come back.
-    Workers boot their own machines and run the trials. They self-schedule
+    and environment once, booting the kernel once, and keeps the post-boot
+    snapshot but not the booted machine; every worker is a fork of it and
+    inherits them, with the supervision and tracer config, as OCaml values,
+    so only trial-index ranges cross the wire ({!Wire}) and results come
+    back. Each worker builds its machine from the snapshot
+    ({!Ferrite_kernel.Boot.of_snapshot}) and runs the trials. They self-schedule
     by leasing trial-index chunks under the in-process rule — the next
     pending chunk, or wait, or drained. An idle worker asks once; a request
     that draws a wait stays open, the worker parked, until a leave, a death
@@ -80,13 +82,15 @@ module Worker : sig
     ?handle_signals:bool ->
     supervisor:Supervisor.t ->
     tracer:Ferrite_trace.Tracer.config ->
+    machines:Trial.machines ->
     Trial.env ->
     Trial.spec array ->
     Unix.file_descr ->
     unit
-  (** [serve ~supervisor ~tracer env specs fd] serves one campaign over a
+  (** [serve ~supervisor ~tracer ~machines env specs fd] serves one campaign over a
       controller link, the stream socket [fd]: it leases trial-index ranges,
-      runs [specs.(i)] through [supervisor] and streams results until the
+      runs [specs.(i)] through [supervisor] on a machine taken from
+      [machines], and streams results until the
       controller says [Bye]. {!Controller.add_worker} calls it in the forked
       child with the controller's own values. An idle worker sends one
       {!Wire.Lease_request} and waits for its answer.
@@ -110,10 +114,12 @@ module Controller : sig
     ?heartbeat_timeout:float ->
     Campaign.config ->
     t
-  (** A controller with no workers yet. It builds the campaign's plan and
-      environment ({!Ferrite_injection.Campaign.environment}) once: the
-      workers {!add_worker} forks inherit them, and {!finish}'s merge takes
-      the hot profile from the environment. [supervision] (default
+  (** A controller with no workers yet. It builds the campaign's plan,
+      inputs ({!Ferrite_injection.Campaign.build_inputs}) and environment
+      once, and keeps the inputs' snapshot alone
+      ({!Ferrite_injection.Trial.snapshot_only}): the workers {!add_worker}
+      forks inherit them, and {!finish}'s merge takes the hot profile from
+      the environment. [supervision] (default
       {!Ferrite_injection.Campaign.default_supervision}) is the one
       {!Ferrite_injection.Campaign.run} takes: its policy and chaos plan
       run every trial in the workers, and its journal is the controller's.

@@ -59,16 +59,6 @@ type result = {
   supervision : Supervisor.report option;  (* Some iff run under supervision *)
 }
 
-let hot_profile image arch =
-  let sys = Boot.boot ~image arch in
-  let samples = Profiler.profile sys in
-  let hot = Profiler.hot_functions ~coverage:0.95 samples in
-  List.filter_map
-    (fun (s : Profiler.sample) ->
-      if List.mem s.Profiler.fn_name hot then Some (s.Profiler.fn_name, s.Profiler.fraction)
-      else None)
-    samples
-
 let plan cfg = Trial.plan ~seed:cfg.seed ~injections:cfg.injections ~variant:cfg.variant
 
 (* The canonical plan description hashed into a journal header. Everything
@@ -115,27 +105,51 @@ let plan_fingerprint ?supervision cfg =
       | None -> "none"
       | Some (lo, hi) -> Printf.sprintf "%d-%d" lo hi)
 
-(* A kernel's campaign inputs: the compiled image and its profiled hot set.
-   They depend only on (arch, variant), so a caller running several
-   campaigns of one kernel derives them once and passes them to each. *)
+(* A kernel's campaign inputs: the compiled image, its post-boot machines
+   and its profiled hot set. They depend only on (arch, variant), so a
+   caller running several campaigns of one kernel derives them once and
+   passes them to each. *)
 type inputs = {
   in_arch : Image.arch;
   in_variant : Boot.variant;
   in_image : Image.t;
-  in_hot : (string * float) list;
+  in_machines : Trial.machines;
+  in_hot : (string * float) list Lazy.t;
+  in_lock : Mutex.t;  (* [Lazy.force] is not domain-safe: force under it *)
 }
 
 (* Derivations in this process; a count, never a cache. *)
 let built = Atomic.make 0
 
+(* The profile runs on one of the kernel's machines, usually the spare,
+   which it hands back rolled forward; the next taker restores it. *)
+let hot_profile machines =
+  Trial.with_machine machines (fun sys ->
+      let samples = Profiler.profile sys in
+      let hot = Profiler.hot_functions ~coverage:0.95 samples in
+      List.filter_map
+        (fun (s : Profiler.sample) ->
+          if List.mem s.Profiler.fn_name hot then Some (s.Profiler.fn_name, s.Profiler.fraction)
+          else None)
+        samples)
+
 let build_inputs ?(variant = Boot.standard) arch =
   Atomic.incr built;
   let image = Boot.build_image ~variant arch in
-  { in_arch = arch; in_variant = variant; in_image = image; in_hot = hot_profile image arch }
+  let machines = Trial.boot_machines image in
+  {
+    in_arch = arch;
+    in_variant = variant;
+    in_image = image;
+    in_machines = machines;
+    in_hot = lazy (hot_profile machines);
+    in_lock = Mutex.create ();
+  }
 
 let inputs_built () = Atomic.get built
+let machines inputs = inputs.in_machines
 
-let environment_with inputs cfg =
+let env_of inputs cfg hot =
   if not (cfg.collector_loss >= 0.0 && cfg.collector_loss <= 1.0) then
     invalid_arg (Printf.sprintf "Campaign: collector_loss %g outside [0,1]" cfg.collector_loss);
   if inputs.in_arch <> cfg.arch || inputs.in_variant <> cfg.variant then
@@ -144,7 +158,7 @@ let environment_with inputs cfg =
     Trial.env_arch = cfg.arch;
     env_kind = cfg.kind;
     env_image = inputs.in_image;
-    env_hot = inputs.in_hot;
+    env_hot = hot ();
     env_engine = Engine.validated cfg.engine;
     env_collector_loss = cfg.collector_loss;
     env_collector_retries = cfg.collector_retries;
@@ -152,9 +166,10 @@ let environment_with inputs cfg =
     env_targeting = cfg.targeting;
   }
 
-(* Pure in the config: every caller derives the environment a sequential
-   run uses. *)
-let environment cfg = environment_with (build_inputs ~variant:cfg.variant cfg.arch) cfg
+let environment_with inputs cfg =
+  env_of inputs cfg (fun () -> Mutex.protect inputs.in_lock (fun () -> Lazy.force inputs.in_hot))
+
+let forced_environment inputs cfg = env_of inputs cfg (fun () -> [])
 
 (* The one journal open, for the in-process run and the fabric controller
    alike: the journal is bound to the supervision fingerprint, so either
@@ -188,11 +203,10 @@ let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
     ?(tracer = Ferrite_trace.Tracer.telemetry_only) ?supervision ?inputs cfg =
   (* plan → execute → merge: take (or build) the shared read-only inputs,
      decompose the campaign into pure trial specs, hand them to the executor *)
-  let env =
-    match inputs with
-    | Some i -> environment_with i cfg
-    | None -> environment cfg
+  let inputs =
+    match inputs with Some i -> i | None -> build_inputs ~variant:cfg.variant cfg.arch
   in
+  let env = environment_with inputs cfg in
   let writer, recovery =
     Option.fold supervision ~none:(None, Journal.empty_recovery) ~some:(fun sv -> open_journal sv cfg)
   in
@@ -206,7 +220,8 @@ let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
       ~finally:(fun () -> Option.iter Journal.close writer)
       (fun () ->
         Executor.run ~progress ~trace:tracer ?supervisor ?journal:writer
-          ~recovered:recovery.Journal.rc_entries executor env (plan cfg))
+          ~recovered:recovery.Journal.rc_entries executor ~machines:inputs.in_machines env
+          (plan cfg))
   in
   of_outcome cfg ~hot:env.Trial.env_hot ?supervision:(Option.map Supervisor.report supervisor) out
 

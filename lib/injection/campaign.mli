@@ -81,10 +81,14 @@ type result = {
       (** exact campaign counters; [tl_boots] is filled from [reboots] and is
           the only executor-dependent field *)
   hot_profile : (string * float) list;  (** the profiled function weights used *)
-  reboots : int;  (** boots + policy reboots, summed over workers *)
+  reboots : int;
+      (** boots + policy reboots, summed over workers; each worker's machine
+          counts as one boot, whether it was the shared spare or built from
+          the snapshot (see {!Trial.cache}) *)
   collector : Collector.stats;  (** merged dump-channel delivery tallies *)
   cache : Ferrite_machine.Cache_stats.t;
-      (** TLB / dirty-restore / decode-cache counters summed over workers —
+      (** TLB / dirty-restore / decode-cache counters summed over workers,
+          each counted from when the worker took its machine —
           scheduling-dependent diagnostics, like [reboots] *)
   supervision : Supervisor.report option;
       (** retry / quarantine / resume bookkeeping; [Some] iff {!run} was
@@ -96,40 +100,46 @@ val plan : config -> Trial.spec array
 
 (** {2 Campaign inputs}
 
-    A campaign's expensive read-only inputs depend only on the kernel it
-    attacks, (arch, variant): the compiled image and the hot set profiled
-    from a fault-free workload run. A caller that runs several campaigns of
+    A campaign's expensive inputs depend only on the kernel it attacks,
+    (arch, variant): the compiled image, the kernel's post-boot machines
+    ({!Trial.machines}: the snapshot taken after its one boot, and the
+    booted machine as a spare) and the hot set profiled from a fault-free
+    workload run on that machine. A caller that runs several campaigns of
     one kernel builds them once with {!build_inputs} and hands them to each
-    {!run}. Nothing caches them behind the caller's back: every run that is
-    not handed inputs derives its own, as a user's invocation does. *)
+    {!run}: the kernel then boots once, and each campaign in turn takes the
+    warm spare. Nothing caches them behind the caller's back: every run
+    that is not handed inputs derives its own, as a user's invocation
+    does. *)
 
-type inputs = private {
-  in_arch : Ferrite_kir.Image.arch;
-  in_variant : Ferrite_kernel.Boot.variant;
-  in_image : Ferrite_kir.Image.t;
-  in_hot : (string * float) list;  (** becomes [env_hot] and [hot_profile] *)
-}
+type inputs
 
 val build_inputs : ?variant:Ferrite_kernel.Boot.variant -> Ferrite_kir.Image.arch -> inputs
 (** Compile the kernel ([variant] defaults to {!Ferrite_kernel.Boot.standard})
-    and profile it. Pure in its arguments. *)
+    and boot it once ({!Trial.boot_machines}). The hot set is profiled on
+    first use, by {!environment_with}. Deterministic in its arguments. *)
 
 val inputs_built : unit -> int
 (** How many times {!build_inputs} has run in this process (tests use it to
     show that sharing happens and that nothing is memoised). *)
 
+val machines : inputs -> Trial.machines
+(** The kernel's post-boot machines, for callers that drive {!Executor.run}
+    or a {!Trial.cache} themselves. *)
+
 val environment_with : inputs -> config -> Trial.env
 (** The campaign's read-only execution environment over prebuilt inputs —
-    image, hot set ([env_hot]), validated engine and fault model. Raises
-    [Invalid_argument] for a [collector_loss] outside [0, 1], as {!run}
-    does before it opens a journal, and for inputs built for another
-    (arch, variant) than the config names. *)
+    image, hot set ([env_hot]), validated engine and fault model. The first
+    call on an [inputs] runs the profile (on the spare, which it hands
+    back), under a lock, so concurrent calls from several domains are safe.
+    Raises [Invalid_argument] for a [collector_loss] outside [0, 1], as
+    {!run} does before it opens a journal, and for inputs built for another
+    (arch, variant) than the config names; either is raised before any
+    profiling. *)
 
-val environment : config -> Trial.env
-(** [environment_with (build_inputs ~variant:cfg.variant cfg.arch) cfg].
-    Pure in the config: every caller derives the environment a sequential
-    run uses, which is one half of every executor's byte-identity argument
-    (the other is {!Trial.run}'s purity in the spec). *)
+val forced_environment : inputs -> config -> Trial.env
+(** {!environment_with} with an empty [env_hot], and no profile run: for
+    trials whose every spec carries a [forced_target], which never read the
+    hot set (the scenario replays). *)
 
 val open_journal : supervision -> config -> Journal.writer option * Journal.recovery
 (** Open [sv_journal] (if any) for appending, bound to
@@ -157,7 +167,8 @@ val run :
   config ->
   result
 (** Run every trial. [inputs] defaults to [build_inputs ~variant:cfg.variant
-    cfg.arch]; passing prebuilt ones changes nothing but the set-up time.
+    cfg.arch]; passing prebuilt ones changes nothing but the set-up time and
+    the diagnostics [cache].
     [executor] defaults to {!Executor.default}
     (sequential); [Executor.Parallel] produces the identical [records],
     [collector], [traces] and [telemetry] fields — only the diagnostics

@@ -4,8 +4,9 @@ type t =
 
 let default = Sequential
 
-(* More domains than cores just multiplies per-worker boots (each worker
-   boots its own machine) without any parallelism to pay for them. *)
+(* More domains than cores just multiplies per-worker machines (each worker
+   past the first builds its own from the snapshot) without any parallelism
+   to pay for them. *)
 let of_jobs n =
   if n < 0 then
     invalid_arg (Printf.sprintf "Executor.of_jobs: %d is not a worker count" n)
@@ -38,12 +39,13 @@ let empty =
   }
 
 let run ?(progress = no_progress) ?(trace = Ferrite_trace.Tracer.telemetry_only) ?supervisor
-    ?journal ?(recovered = []) t env specs =
+    ?journal ?(recovered = []) t ~machines env specs =
   let total = Array.length specs in
   if total = 0 then empty
   else
-    (* Never spin up a worker for fewer than ~4 trials: a worker's first act
-       is a full boot, which only amortises over a handful of trials. *)
+    (* Never spin up a worker for fewer than ~4 trials: a worker without the
+       spare builds and pre-warms its own machine, which only amortises over
+       a handful of trials. *)
     let workers =
       match t with
       | Sequential -> 1
@@ -79,7 +81,7 @@ let run ?(progress = no_progress) ?(trace = Ferrite_trace.Tracer.telemetry_only)
        again. [Wait] means nothing is left unleased, so it stops and the
        live leases' owners finish them. *)
     let work id () =
-      let cache = Trial.cache_create () in
+      let cache = Trial.cache_create machines in
       let rec loop () =
         match Mutex.protect lock (fun () -> Lease.request (Trial_table.lease table) ~worker:id) with
         | Lease.Grant { d_lo; d_hi; _ } ->
@@ -91,7 +93,9 @@ let run ?(progress = no_progress) ?(trace = Ferrite_trace.Tracer.telemetry_only)
         | Lease.Wait | Lease.Drained -> ()
       in
       loop ();
-      (Trial.reboots cache, Trial.cache_stats cache)
+      let stats = (Trial.reboots cache, Trial.cache_stats cache) in
+      Trial.cache_release cache;
+      stats
     in
     let per_worker =
       if workers = 1 then [ work 0 () ]

@@ -9,9 +9,10 @@
     because each trial's record is a pure function of its spec (see
     {!Trial}) and the table merges by index. The only fields allowed to
     differ between executors are the diagnostics [reboots] and [cache]:
-    every worker boots its own machine once, so a parallel run reports up
-    to [domains - 1] extra boots (and correspondingly different cache
-    counters). *)
+    every worker takes one machine, the spare or one built from the
+    snapshot (see {!Trial.machines}), and counts it as a boot, so a parallel
+    run reports up to [domains - 1] extra boots (and correspondingly
+    different cache counters). *)
 
 type t =
   | Sequential  (** one worker, in-order — the default, today's behaviour *)
@@ -25,7 +26,7 @@ val of_jobs : int -> t
 (** [of_jobs n] is the [--jobs N] CLI mapping: {!Sequential} for [n] of 0 or
     1, otherwise [Parallel] with [n] clamped to
     [Domain.recommended_domain_count ()] (extra domains beyond the cores only
-    multiply per-worker boots) — which is again {!Sequential} when the clamp
+    multiply per-worker machines) — which is again {!Sequential} when the clamp
     yields 1. Raises [Invalid_argument] on negative [n]. *)
 
 val auto : unit -> t
@@ -52,10 +53,13 @@ val run :
   ?journal:Journal.writer ->
   ?recovered:Journal.entry list ->
   t ->
+  machines:Trial.machines ->
   Trial.env ->
   Trial.spec array ->
   outcome
-(** Execute every trial.
+(** Execute every trial on machines taken from [machines]: one worker takes
+    the spare, and hands it back when its trials are done (not after an
+    exception, nor a machine the supervisor invalidated).
 
     {b Progress ordering guarantee.} [progress] calls are serialized behind a
     mutex, and the completed-trial counter is incremented {e inside} that

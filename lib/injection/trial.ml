@@ -58,52 +58,103 @@ type env = {
   env_targeting : Target.targeting;
 }
 
+(* A kernel's machines: the snapshot taken right after its one boot, and a
+   slot for at most one live machine in that state (the spare), with
+   whether its translation caches are pre-warmed. *)
+type machines = {
+  m_image : Image.t;
+  m_snapshot : System.snapshot;
+  m_spare : (System.t * bool) option Atomic.t;
+}
+
+let boot_machines image =
+  let sys = Boot.boot ~image image.Image.img_arch in
+  { m_image = image; m_snapshot = System.snapshot sys; m_spare = Atomic.make (Some (sys, false)) }
+
+let snapshot_only ms = { ms with m_spare = Atomic.make None }
+
+(* A machine in the snapshot's state, its counters at that moment and
+   whether it is pre-warmed: the spare, taken atomically and rolled back,
+   if it was made under the current fast-path and superblock defaults (a
+   machine in another mode stays in the slot); otherwise a new one built
+   from the snapshot, whose counters all count. [warm] pre-warms a cold
+   one, after the counters are read: the first trials on it are the
+   taker's. *)
+let take ~warm ms =
+  let warm_up sys warmed =
+    if warm && not warmed then System.prewarm sys;
+    warm || warmed
+  in
+  match Atomic.get ms.m_spare with
+  | Some (sys, warmed) as cur
+    when Memory.matches_defaults sys.System.mem && Atomic.compare_and_set ms.m_spare cur None ->
+    let before = System.cache_stats sys in
+    System.restore sys ms.m_snapshot;
+    (sys, before, warm_up sys warmed)
+  | _ ->
+    let sys = Boot.of_snapshot ~image:ms.m_image ms.m_snapshot in
+    (sys, Cache_stats.zero, warm_up sys false)
+
+let hand_back ms spare = ignore (Atomic.compare_and_set ms.m_spare None (Some spare))
+
+let with_machine ms f =
+  let sys, _, warmed = take ~warm:false ms in
+  let x = f sys in
+  hand_back ms (sys, warmed);
+  x
+
 type cache = {
-  mutable booted : (System.t * System.snapshot) option;
+  machines : machines;
+  mutable booted : (System.t * Cache_stats.t) option;
+      (* the machine and its counters when this cache took it *)
   mutable pristine : bool;  (* machine state equals the post-boot snapshot *)
   mutable policy_reboot : bool;  (* last run manifested: the paper reboots *)
   mutable reboots : int;
 }
 
-let cache_create () = { booted = None; pristine = false; policy_reboot = false; reboots = 0 }
+let cache_create machines =
+  { machines; booted = None; pristine = false; policy_reboot = false; reboots = 0 }
 
 let reboots cache = cache.reboots
 
 (* Drop the cached machine entirely. After a contained harness failure the
    machine may be mid-trial in an arbitrary state (the exception could have
-   escaped from anywhere), so the supervisor discards it; the next trial
-   performs a full boot, which is counted as a reboot as usual. *)
+   escaped from anywhere), so the supervisor discards it, and it is never
+   handed back; the next trial takes a fresh machine, which is counted as a
+   reboot as usual. *)
 let cache_invalidate cache =
   cache.booted <- None;
   cache.pristine <- false;
   cache.policy_reboot <- false
 
+let cache_release cache =
+  Option.iter (fun (sys, _) -> hand_back cache.machines (sys, true)) cache.booted;
+  cache_invalidate cache
+
 let cache_stats cache =
   match cache.booted with
   | None -> Cache_stats.zero
-  | Some (sys, _) -> System.cache_stats sys
+  | Some (sys, before) -> Cache_stats.delta ~before ~after:(System.cache_stats sys)
 
-(* Hand out a machine in pristine post-boot state. The first call boots and
-   snapshots; later calls roll back to the snapshot instead of re-running
-   boot. A rollback after a manifested run is counted as a reboot (the
-   paper's STEP 3 policy); the rollback after a non-activated run is the
-   bookkeeping that keeps trials order-independent and is not counted. *)
-let cache_system env cache =
+(* Hand out a machine in pristine post-boot state. The first call takes
+   one, the spare (rolled back to the snapshot) or a new one built from the
+   snapshot, pre-warms it unless that was done before, and counts it as the
+   cache's boot; later calls roll back to the snapshot. A rollback after a
+   manifested run is counted as a reboot (the paper's STEP 3 policy); the
+   rollback after a non-activated run is the bookkeeping that keeps trials
+   order-independent and is not counted. *)
+let cache_system cache =
   match cache.booted with
   | None ->
-    let sys = Boot.boot ~image:env.env_image env.env_arch in
-    (* warm the decode/superblock caches from the image before the first
-       trial; cache-only, so the snapshot below is unaffected *)
-    System.prewarm sys;
-    let snap = System.snapshot sys in
-    cache.booted <- Some (sys, snap);
+    let sys, before, _ = take ~warm:true cache.machines in
+    cache.booted <- Some (sys, before);
     cache.pristine <- true;
     cache.policy_reboot <- false;
     cache.reboots <- cache.reboots + 1;
     sys
-  | Some (sys, snap) ->
+  | Some (sys, _) ->
     if not cache.pristine then begin
-      System.restore sys snap;
+      System.restore sys cache.machines.m_snapshot;
       cache.pristine <- true;
       if cache.policy_reboot then cache.reboots <- cache.reboots + 1;
       cache.policy_reboot <- false
@@ -112,7 +163,7 @@ let cache_system env cache =
 
 let run ?(trace = Ferrite_trace.Tracer.telemetry_only) env cache spec =
   let module Event = Ferrite_trace.Event in
-  let sys = cache_system env cache in
+  let sys = cache_system cache in
   let workload_rng = Rng.create ~seed:spec.workload_seed in
   let runner = Runner.create sys ~ops:(spec.workload.Workload.wl_ops workload_rng) in
   let target_rng = Rng.create ~seed:spec.target_seed in

@@ -45,27 +45,71 @@ type env = {
           until that copy is replaced (ROADMAP item 5) *)
 }
 
+(** {2 Machines} *)
+
+type machines
+(** A kernel's post-boot machines: the snapshot taken right after its one
+    boot, and a slot holding at most one live machine, the spare. A {!cache} takes the spare atomically, so at most one cache
+    holds it at a time, and {!cache_release} hands it back; when the slot
+    is empty, or its machine was made under other fast-path or superblock
+    defaults ({!Ferrite_machine.Memory.matches_defaults}), the cache builds
+    a new machine from the snapshot ({!Ferrite_kernel.Boot.of_snapshot})
+    instead of running boot code. A cache pre-warms the machine it takes
+    ({!Ferrite_kernel.System.prewarm}) unless that was done before. Either
+    way the machine starts each trial in the snapshot's state, so records
+    never depend on which one ran. *)
+
+val boot_machines : Ferrite_kir.Image.t -> machines
+(** Boot the image ({!Ferrite_kernel.Boot.boot}) and snapshot it; the
+    booted machine becomes the spare. *)
+
+val snapshot_only : machines -> machines
+(** The same snapshot with an empty slot of its own: every machine is built
+    from the snapshot. A process that forks workers keeps this, so no child
+    inherits a live machine. *)
+
+val with_machine : machines -> (Ferrite_kernel.System.t -> 'a) -> 'a
+(** [with_machine ms f] runs [f] on a machine in the snapshot's state, taken
+    as a {!cache} takes one but without pre-warming it, and hands the
+    machine back afterwards (not if [f] raises). Not counted as a boot
+    anywhere. *)
+
+(** {2 The per-worker cache} *)
+
 type cache
 (** A worker's system cache — the paper's "reuse the system after Not
-    Activated" STEP 3 policy made explicit.  The cache owns one booted
-    machine plus its pristine post-boot snapshot; every trial starts from
-    that snapshot (a cheap logical reboot via {!Ferrite_kernel.System.restore}),
-    so records never depend on which worker ran the trial or in what order.
-    {!reboots} counts boots plus the rollbacks the paper's policy would have
-    performed as real reboots (i.e. after manifested runs). *)
+    Activated" STEP 3 policy made explicit.  The cache holds one machine,
+    taken from its {!machines} on the first {!run}; every trial starts from
+    the post-boot snapshot (a cheap logical reboot via
+    {!Ferrite_kernel.System.restore}), so records never depend on which
+    worker ran the trial or in what order. {!reboots} counts the machines
+    the cache took (the spare's first rollback, or a build from the
+    snapshot, each counted as the one boot a fresh worker performs) plus
+    the rollbacks the paper's policy would have performed as real reboots
+    (i.e. after manifested runs). *)
 
-val cache_create : unit -> cache
+val cache_create : machines -> cache
 val reboots : cache -> int
 
 val cache_invalidate : cache -> unit
-(** Drop the cached machine (but keep the reboot tally). Used by the
-    supervisor after a contained harness failure, whose machine may be stuck
-    mid-trial in an arbitrary state: the next {!run} performs a full boot, so
-    every retry starts from a genuinely fresh machine. *)
+(** Drop the cached machine (but keep the reboot tally); it is never handed
+    back. Used by the supervisor after a contained harness failure, whose
+    machine may be stuck mid-trial in an arbitrary state: the next {!run}
+    takes another machine, so every retry starts from a genuinely fresh
+    one. *)
+
+val cache_release : cache -> unit
+(** Hand the cache's machine back as its {!machines}' spare, if it holds one
+    and the slot is empty, and let go of it: a later {!run} takes a machine
+    again, and {!cache_stats} reads zero. The executors call it when a
+    worker's trials are done. *)
 
 val cache_stats : cache -> Ferrite_machine.Cache_stats.t
-(** Cache-layer counters of the cache's machine ({!Ferrite_kernel.System.cache_stats});
-    {!Ferrite_machine.Cache_stats.zero} if the cache never booted. Like
+(** Cache-layer counters ({!Ferrite_kernel.System.cache_stats}) of the
+    cache's machine since the cache took it, its rollback and pre-warm
+    included: a campaign on the shared spare reports its own blocks and
+    misses, not the machine's lifetime totals.
+    {!Ferrite_machine.Cache_stats.zero} if the cache holds no machine. Like
     {!reboots}, these depend on how trials were scheduled over workers, so
     they are diagnostics — never part of records or telemetry. *)
 
@@ -75,7 +119,7 @@ val run :
   cache ->
   spec ->
   Outcome.record * Collector.stats * Ferrite_trace.Tracer.trial * Crash_dump.t option
-(** Execute one trial: restore/boot a pristine system from the cache, draw
+(** Execute one trial: take or restore a pristine system in the cache, draw
     the target and workload from the spec's seeds, run the §3.2 automaton,
     and report the record plus the trial's collector delivery tally, its
     event trace, and the structured crash dump ([Some] exactly for

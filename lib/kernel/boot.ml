@@ -104,7 +104,21 @@ let poke_task_field (sys : System.t) i fname value =
       System.poke8 sys addr ((value lsr 8) land 0xFF);
       System.poke8 sys (addr + 1) (value land 0xFF))
 
+(* Boots in this process; a count, never a cache. *)
+let booted = Atomic.make 0
+
+let boots () = Atomic.get booted
+
+let create_cpu arch mem =
+  match arch with
+  | Image.Cisc -> System.Ccpu (Ferrite_cisc.Cpu.create ~mem ~stop_addr)
+  | Image.Risc -> System.Rcpu (Ferrite_risc.Cpu.create ~mem ~stop_addr)
+
+let of_snapshot ~image snap =
+  System.of_snapshot ~image ~cpu:(create_cpu image.Image.img_arch) snap
+
 let boot ?image arch =
+  Atomic.incr booted;
   let image = match image with Some i -> i | None -> build_image arch in
   let mem = Memory.create () in
   (* text: read+execute; data and stacks: rwx — there was no NX protection on
@@ -126,22 +140,17 @@ let boot ?image arch =
      mapped memory and propagate, rather than faulting on the spot *)
   Memory.set_auto_map mem ~lo:Layout.kernel_base ~hi:(Layout.kernel_base + 0x1000000)
     ~perm:Memory.perm_rwx;
-  let cpu =
-    match arch with
-    | Image.Cisc ->
-      let c = Ferrite_cisc.Cpu.create ~mem ~stop_addr in
-      c.Ferrite_cisc.Cpu.eip <- Image.symbol image "kernel_entry";
-      c.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.esp) <- Abi.stack_top_of_task 0;
-      System.Ccpu c
-    | Image.Risc ->
-      let r = Ferrite_risc.Cpu.create ~mem ~stop_addr in
-      r.Ferrite_risc.Cpu.pc <- Image.symbol image "kernel_entry";
-      r.Ferrite_risc.Cpu.gpr.(1) <- Abi.stack_top_of_task 0;
-      r.Ferrite_risc.Cpu.lr <- stop_addr;
-      (* SPRG2 carries the current task pointer (boot task 0) *)
-      r.Ferrite_risc.Cpu.sprs.(Ferrite_risc.Cpu.spr_sprg2) <- Abi.task_addr 0;
-      System.Rcpu r
-  in
+  let cpu = create_cpu arch mem in
+  (match cpu with
+  | System.Ccpu c ->
+    c.Ferrite_cisc.Cpu.eip <- Image.symbol image "kernel_entry";
+    c.Ferrite_cisc.Cpu.regs.(Ferrite_cisc.Cpu.esp) <- Abi.stack_top_of_task 0
+  | System.Rcpu r ->
+    r.Ferrite_risc.Cpu.pc <- Image.symbol image "kernel_entry";
+    r.Ferrite_risc.Cpu.gpr.(1) <- Abi.stack_top_of_task 0;
+    r.Ferrite_risc.Cpu.lr <- stop_addr;
+    (* SPRG2 carries the current task pointer (boot task 0) *)
+    r.Ferrite_risc.Cpu.sprs.(Ferrite_risc.Cpu.spr_sprg2) <- Abi.task_addr 0);
   let sys = { System.arch; image; mem; cpu } in
   (* plant stacks for all non-boot tasks and publish sp/stack_lo *)
   for i = 0 to Abi.ntasks - 1 do

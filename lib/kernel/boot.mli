@@ -31,4 +31,13 @@ val boot : ?image:Ferrite_kir.Image.t -> Ferrite_kir.Image.arch -> System.t
     tick. Raises [Failure] if the kernel does not come up — which would be a
     bug in Ferrite itself, not an experiment outcome. *)
 
+val boots : unit -> int
+(** How many times {!boot} has run in this process (tests use it to show
+    that a suite boots each kernel once). A count, never a cache. *)
+
+val of_snapshot : image:Ferrite_kir.Image.t -> System.snapshot -> System.t
+(** A new machine in the state a snapshot of a booted [image] captured
+    ({!System.of_snapshot}), without running boot code: the way every
+    machine but a kernel's first is made. Not counted by {!boots}. *)
+
 val boot_steps_budget : int

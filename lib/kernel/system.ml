@@ -180,9 +180,18 @@ let snapshot t =
   in
   { sn_mem = Memory.snapshot t.mem; sn_cpu }
 
-let restore t s =
-  (match t.cpu, s.sn_cpu with
+let restore_cpu cpu s =
+  match cpu, s.sn_cpu with
   | Ccpu c, Csnap sc -> Ferrite_cisc.Cpu.restore c sc
   | Rcpu r, Rsnap sr -> Ferrite_risc.Cpu.restore r sr
-  | _ -> invalid_arg "System.restore: snapshot from the other architecture");
+  | _ -> invalid_arg "System.restore: snapshot from the other architecture"
+
+let restore t s =
+  restore_cpu t.cpu s;
   Memory.restore t.mem s.sn_mem
+
+let of_snapshot ~image ~cpu s =
+  let mem = Memory.of_snapshot s.sn_mem in
+  let t = { arch = image.Image.img_arch; image; mem; cpu = cpu mem } in
+  restore_cpu t.cpu s;
+  t

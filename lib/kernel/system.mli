@@ -114,3 +114,11 @@ val restore : t -> snapshot -> unit
 (** Roll the machine back to a captured state — a logical reboot at a small
     fraction of the cost of re-running boot. Raises [Invalid_argument] if the
     snapshot came from a system of the other architecture. *)
+
+val of_snapshot : image:Ferrite_kir.Image.t -> cpu:(Ferrite_machine.Memory.t -> cpu) -> snapshot -> t
+(** A new machine in the captured state: a memory built by
+    {!Ferrite_machine.Memory.of_snapshot}, so later restores to the same
+    snapshot keep its generations, and a CPU made by [cpu] over that memory
+    with the captured registers, counters and breakpoints. Its caches start
+    empty. Raises [Invalid_argument] if [cpu] makes the other architecture's
+    CPU. *)

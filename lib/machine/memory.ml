@@ -114,6 +114,9 @@ end
 
 type t = {
   id : int;  (* tells this memory's snapshots from other memories' *)
+  adopted : int;
+      (* the snapshot this memory was built from ({!of_snapshot}), whose
+         recorded generations it trusts as its own; -1 for none *)
   mutable clock : int;  (* the last generation handed out *)
   pages : page Radix.t;
   (* Direct-mapped ("lowmem") window: pages in [lo, hi) materialise
@@ -142,10 +145,11 @@ type t = {
 (* Process-global, like snapshot ids below, so no two memories share one. *)
 let memory_ids = Atomic.make 0
 
-let create () =
+let make ~adopted ~clock =
   {
     id = Atomic.fetch_and_add memory_ids 1;
-    clock = 0;
+    adopted;
+    clock;
     pages = Radix.create ();
     auto_lo = 0;
     auto_hi = 0;
@@ -167,8 +171,11 @@ let create () =
     stat_restore_pages = 0;
   }
 
+let create () = make ~adopted:(-1) ~clock:0
+
 let fast_paths t = t.fast
 let superblocks t = t.sb
+let matches_defaults t = t.fast = !fast_default && t.sb = !sb_default
 
 let tlb_flush t =
   Array.fill t.tlb_r_idx 0 tlb_size (-1);
@@ -548,6 +555,7 @@ type spage = { sp_idx : int; sp_data : Bytes.t; sp_perm : perm; sp_gen : int }
 type snapshot = {
   s_id : int;
   s_mem : int;  (* id of the memory the snapshot was taken from *)
+  s_clock : int;  (* that memory's clock: no recorded generation exceeds it *)
   s_pages : spage array;  (* in page-index order *)
   s_index : spage Radix.t;
   s_auto_lo : int;
@@ -572,6 +580,7 @@ let snapshot t =
   {
     s_id = Atomic.fetch_and_add snapshot_ids 1;
     s_mem = t.id;
+    s_clock = t.clock;
     s_pages = arr;
     s_index = index;
     s_auto_lo = t.auto_lo;
@@ -581,9 +590,11 @@ let snapshot t =
 
 (* The generation a page rewound to [sp] takes: the recorded one when the
    snapshot came from this memory, whose clock issued it for exactly these
-   contents; a fresh one otherwise, since another memory's clock may have
-   issued the same value for different contents here. *)
-let rewound_gen t s sp = if s.s_mem = t.id then sp.sp_gen else fresh t
+   contents, or is the one this memory was built from, whose clock starts
+   past every value the snapshot recorded; a fresh one otherwise, since
+   another memory's clock may have issued the same value for different
+   contents here. *)
+let rewound_gen t s sp = if s.s_mem = t.id || s.s_id = t.adopted then sp.sp_gen else fresh t
 
 let rewind t s page sp =
   Bytes.blit sp.sp_data 0 page.data 0 page_size;
@@ -644,6 +655,11 @@ let restore t s =
   t.auto_hi <- s.s_auto_hi;
   t.auto_perm <- s.s_auto_perm;
   tlb_flush t
+
+let of_snapshot s =
+  let t = make ~adopted:s.s_id ~clock:s.s_clock in
+  restore t s;
+  t
 
 let cache_stats t =
   {

@@ -53,6 +53,10 @@ val set_fast_paths_default : bool -> unit
 val fast_paths : t -> bool
 (** Whether this memory was created with fast paths enabled. *)
 
+val matches_defaults : t -> bool
+(** Whether this memory was created under the current fast-path and
+    superblock defaults, i.e. equals what {!create} would make now. *)
+
 val set_superblocks_default : bool -> unit
 (** Enable/disable superblock translation for CPUs attached to memories
     created {e after} this call ([true] initially). Orthogonal to
@@ -195,4 +199,13 @@ val restore : t -> snapshot -> unit
     reboot". Restoring to the same snapshot repeatedly (the per-trial reboot
     pattern) only rewinds pages touched since the previous restore. Each
     rewound page takes back the generation {!snapshot} recorded for it when
-    [s] was taken from [t], and a fresh one otherwise. *)
+    [s] was taken from [t] or [t] was built from [s] ({!of_snapshot}), and a
+    fresh one otherwise. *)
+
+val of_snapshot : snapshot -> t
+(** A fresh memory in exactly the captured state, under the current
+    defaults (like {!create}). It adopts [s]'s generations: its clock starts
+    past every value [s] recorded, so each page keeps its recorded
+    generation, and every later {!restore} to [s] rewinds pages to them, as
+    on the memory [s] was taken from. Translations built from [s]'s bytes
+    therefore validate again after the per-trial restore. *)

@@ -439,8 +439,16 @@ let gen_memory () =
   Memory.map mem ~addr:gen_base ~size:(gen_pages * Memory.page_size) ~perm:Memory.perm_rw;
   mem
 
-let prop_generation_names_contents =
-  QCheck.Test.make ~name:"a page object's generation names its contents" ~count:300
+(* With [adopt], the memory under test is built from the other memory's
+   snapshot ([Memory.of_snapshot]) and keeps its recorded generations, on
+   every restore to it too, while the other memory goes on issuing values
+   from its own clock. *)
+let prop_generation_names_contents ~adopt =
+  QCheck.Test.make
+    ~name:
+      (if adopt then "an adopted snapshot's generations name its contents"
+       else "a page object's generation names its contents")
+    ~count:300
     QCheck.(
       pair
         (make QCheck.Gen.(list_size (int_range 1 60) (mem_op_gen ~foreign:true)))
@@ -449,7 +457,8 @@ let prop_generation_names_contents =
       let other = gen_memory () in
       List.iter (apply_op other ~snaps:(ref []) ~foreign:None) foreign_ops;
       let foreign = Some (Memory.snapshot other) in
-      let mem = gen_memory () in
+      let mem = match foreign with Some s when adopt -> Memory.of_snapshot s | _ -> gen_memory () in
+      if adopt then List.iter (apply_op other ~snaps:(ref []) ~foreign:None) foreign_ops;
       let snaps = ref [] in
       (* every page object seen, with the contents seen under each generation *)
       let seen : (Memory.page * (int, string * Memory.perm) Hashtbl.t) list ref = ref [] in
@@ -562,7 +571,11 @@ let () =
           Alcotest.test_case "warm entry under translation poison" `Quick
             test_poisoned_warm_entry;
         ] );
-      ("generations", [ q prop_generation_names_contents ]);
+      ( "generations",
+        [
+          q (prop_generation_names_contents ~adopt:false);
+          q (prop_generation_names_contents ~adopt:true);
+        ] );
       ( "differential",
         [
           q prop_fast_paths_invisible;

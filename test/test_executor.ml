@@ -156,6 +156,133 @@ let test_restore_cross_arch_rejected () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "cross-architecture restore must be rejected"
 
+(* ---------- one kernel, one boot: the shared post-boot machine ---------- *)
+
+let arch_name = function Image.Cisc -> "p4" | Image.Risc -> "g4"
+
+let cfg_of ?(seed = 0x5A4EL) arch kind injections =
+  { (Campaign.default ~arch ~kind ~injections) with Campaign.seed = seed }
+
+(* Everything but the diagnostics [cache]: records, traces, dumps, collector,
+   telemetry (boots included) and the reboot count. *)
+let check_same label (a : Campaign.result) (b : Campaign.result) =
+  check_bool (label ^ ": records") true (a.Campaign.records = b.Campaign.records);
+  check_bool (label ^ ": traces") true (a.Campaign.traces = b.Campaign.traces);
+  check_bool (label ^ ": dumps") true (a.Campaign.dumps = b.Campaign.dumps);
+  check_bool (label ^ ": collector") true (a.Campaign.collector = b.Campaign.collector);
+  check_bool (label ^ ": telemetry") true (a.Campaign.telemetry = b.Campaign.telemetry);
+  check_int (label ^ ": reboots") a.Campaign.reboots b.Campaign.reboots
+
+let tracer = Ferrite_trace.Tracer.default_config
+
+(* A machine built from the snapshot runs a campaign exactly as the booted
+   one does, with the fast paths on and off: the run on the inputs' spare
+   (the machine Boot.boot made) against one on the snapshot alone. *)
+let test_of_snapshot_equals_boot () =
+  List.iter
+    (fun (arch, kind) ->
+      List.iter
+        (fun fast ->
+          Ferrite_machine.Memory.set_fast_paths_default fast;
+          Fun.protect
+            ~finally:(fun () -> Ferrite_machine.Memory.set_fast_paths_default true)
+            (fun () ->
+              let cfg = cfg_of arch kind 40 in
+              let inputs = Campaign.build_inputs arch in
+              let booted = Campaign.run ~tracer ~inputs cfg in
+              let env = Campaign.environment_with inputs cfg in
+              let n0 = Boot.boots () in
+              let out =
+                Executor.run ~trace:tracer Executor.Sequential
+                  ~machines:(Trial.snapshot_only (Campaign.machines inputs))
+                  env (Campaign.plan cfg)
+              in
+              check_int "no boot code run" 0 (Boot.boots () - n0);
+              let label = Printf.sprintf "%s %s fast=%b" (arch_name arch) (kind_name kind) fast in
+              check_same label booted (Campaign.of_outcome cfg ~hot:env.Trial.env_hot out);
+              (* the built machine keeps the snapshot's page generations, so
+                 a rewound code page revalidates its blocks as on the booted
+                 machine, and both build the same blocks *)
+              check_int (label ^ ": blocks built")
+                booted.Campaign.cache.Ferrite_machine.Cache_stats.cs_sb_blocks
+                out.Trial_table.cache.Ferrite_machine.Cache_stats.cs_sb_blocks))
+        [ true; false ])
+    [ (Image.Cisc, Target.Code); (Image.Risc, Target.Stack) ]
+
+(* Code flips leave blocks built from flipped bytes in the shared machine's
+   caches; the data campaign that takes it next must not see them. *)
+let test_code_then_data () =
+  List.iter
+    (fun arch ->
+      let inputs = Campaign.build_inputs arch in
+      let n0 = Boot.boots () in
+      List.iter
+        (fun kind ->
+          let cfg = cfg_of arch kind 30 in
+          check_same
+            (Printf.sprintf "%s %s" (arch_name arch) (kind_name kind))
+            (Campaign.run ~tracer cfg)
+            (Campaign.run ~tracer ~inputs cfg))
+        [ Target.Code; Target.Data ];
+      (* the two standalone runs booted once each; the shared ones never *)
+      check_int "standalone runs boot once each" 2 (Boot.boots () - n0))
+    [ Image.Cisc; Image.Risc ]
+
+(* Each campaign's [cache] counts from when it took the machine: the second
+   campaign on one inputs reports the blocks and misses it caused, not the
+   spare's lifetime totals. *)
+let test_second_campaign_own_stats () =
+  let inputs = Campaign.build_inputs Image.Cisc in
+  let lifetime () =
+    Trial.with_machine (Campaign.machines inputs) Ferrite_kernel.System.cache_stats
+  in
+  let first = Campaign.run ~inputs (cfg_of Image.Cisc Target.Stack 20) in
+  let mid = lifetime () in
+  let second = Campaign.run ~inputs (cfg_of Image.Cisc Target.Data 20) in
+  let after = lifetime () in
+  let open Ferrite_machine.Cache_stats in
+  let own = delta ~before:mid ~after in
+  check_bool "the first campaign built blocks" true (first.Campaign.cache.cs_sb_blocks > 0);
+  check_int "second: its own blocks" own.cs_sb_blocks second.Campaign.cache.cs_sb_blocks;
+  check_int "second: its own decode misses" own.cs_decode_misses
+    second.Campaign.cache.cs_decode_misses;
+  check_bool "fewer than the machine's lifetime" true
+    (second.Campaign.cache.cs_sb_blocks < after.cs_sb_blocks);
+  check_int "pre-warmed by the first taker only" 0 second.Campaign.cache.cs_prewarmed
+
+(* A contained harness failure drops the machine: it is never handed back,
+   and the next campaign on the inputs still equals a standalone run. *)
+let test_contained_failure_drops_machine () =
+  let inputs = Campaign.build_inputs Image.Cisc in
+  let ms = Campaign.machines inputs in
+  let spare () = Trial.with_machine ms Fun.id in
+  let cfg = cfg_of Image.Cisc Target.Stack 12 in
+  let s0 = spare () in
+  ignore (Campaign.run ~inputs cfg);
+  check_bool "a clean campaign hands the spare back" true (spare () == s0);
+  let chaos = { Supervisor.no_chaos with Supervisor.ch_raise = [ (4, 1) ] } in
+  let supervision = { Campaign.default_supervision with Campaign.sv_chaos = chaos } in
+  let r = Campaign.run ~supervision ~inputs cfg in
+  check_bool "the retried trial ran" true
+    (match r.Campaign.supervision with
+    | Some s -> s.Supervisor.sup_retries = 1
+    | None -> false);
+  check_bool "the failed campaign's machine is gone" true (spare () != s0);
+  let next = cfg_of ~seed:0x77L Image.Cisc Target.Data 16 in
+  check_same "next campaign" (Campaign.run ~tracer next) (Campaign.run ~tracer ~inputs next)
+
+(* Two campaigns on one inputs from two domains: one takes the spare, the
+   other builds its machine from the snapshot, and both equal sequential
+   runs. *)
+let test_two_domains_share_inputs () =
+  let inputs = Campaign.build_inputs Image.Risc in
+  let a = cfg_of Image.Risc Target.Stack 24 and b = cfg_of Image.Risc Target.Code 24 in
+  let run cfg () = Campaign.run ~tracer ~inputs cfg in
+  let da = Domain.spawn (run a) and db = Domain.spawn (run b) in
+  let ra = Domain.join da and rb = Domain.join db in
+  check_same "stack" (Campaign.run ~tracer a) ra;
+  check_same "code" (Campaign.run ~tracer b) rb
+
 (* ---------- collector stats ---------- *)
 
 let test_collector_stats_merge () =
@@ -207,6 +334,15 @@ let () =
         [
           Alcotest.test_case "restore == fresh boot" `Quick test_restore_equals_fresh_boot;
           Alcotest.test_case "cross-arch rejected" `Quick test_restore_cross_arch_rejected;
+        ] );
+      ( "shared machine",
+        [
+          Alcotest.test_case "of_snapshot == boot" `Quick test_of_snapshot_equals_boot;
+          Alcotest.test_case "code then data" `Quick test_code_then_data;
+          Alcotest.test_case "second campaign's own stats" `Quick test_second_campaign_own_stats;
+          Alcotest.test_case "contained failure drops machine" `Quick
+            test_contained_failure_drops_machine;
+          Alcotest.test_case "two domains share inputs" `Quick test_two_domains_share_inputs;
         ] );
       ( "collector",
         [

@@ -378,14 +378,16 @@ let test_fleet_sweep () =
    returns. *)
 let with_hand_controller ~trials drive =
   let cfg = small_cfg trials in
-  let env = Campaign.environment cfg in
+  let inputs = Campaign.build_inputs cfg.Campaign.arch in
+  let env = Campaign.environment_with inputs cfg in
   let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with
   | 0 ->
     Unix.close ours;
     (try
        Worker.serve ~handle_signals:false ~supervisor:(Supervisor.create ())
-         ~tracer:Tracer.telemetry_only env (Campaign.plan cfg) theirs
+         ~tracer:Tracer.telemetry_only ~machines:(Campaign.machines inputs) env
+         (Campaign.plan cfg) theirs
      with _ -> Unix._exit 2);
     Unix._exit 0
   | pid ->

@@ -92,7 +92,9 @@ let test_suite_runs () =
 
 (* Sharing one kernel's inputs across a suite's campaigns is invisible: each
    campaign equals a standalone run of its own config, which derives its
-   own inputs. *)
+   own inputs and boots its own machine. The suite's campaigns take turns
+   on one booted machine, so equal telemetry (tl_boots included) shows
+   that each counts its turn as the one boot a standalone run makes. *)
 let test_suite_equals_standalone_runs suite () =
   let s = Lazy.force suite in
   List.iter
@@ -108,15 +110,19 @@ let test_suite_equals_standalone_runs suite () =
       [ ("stack", s.stack); ("sysreg", s.sysreg); ("data", s.data); ("code", s.code) ]
 
 (* Each Suite.run builds its inputs exactly once, and a second call builds
-   them again: shared within a run, never memoised across runs. *)
+   them again: shared within a run, never memoised across runs. The kernel
+   boots once per build: the profile and the four campaigns share the
+   booted machine. *)
 let test_suite_builds_inputs_once () =
   let scale = { Ferrite.Suite.stack_n = 2; sysreg_n = 2; data_n = 2; code_n = 2 } in
   let run () = Ferrite.Suite.run ~seed:0xBBL ~scale Image.Risc in
-  let n0 = Campaign.inputs_built () in
+  let n0 = Campaign.inputs_built () and b0 = Ferrite_kernel.Boot.boots () in
   let first = run () in
   check_int "one build for four campaigns" 1 (Campaign.inputs_built () - n0);
+  check_int "one boot for four campaigns" 1 (Ferrite_kernel.Boot.boots () - b0);
   let second = run () in
   check_int "a second run builds again" 2 (Campaign.inputs_built () - n0);
+  check_int "and boots again" 2 (Ferrite_kernel.Boot.boots () - b0);
   check_bool "and matches the first" true
     (List.for_all2
        (fun (a : Campaign.result) (b : Campaign.result) ->
