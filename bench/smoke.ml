@@ -13,7 +13,8 @@
    reference interpreter the same way. Then two P4 campaigns share one
    [Campaign.inputs], so the kernel boots once and they take turns on its
    machine: run sequentially and then each on a 2-domain pool, both must
-   reproduce the standalone runs' records. *)
+   reproduce the standalone runs' records. Last, a G4 data campaign on fresh
+   inputs must not run the hot-set profile, which only code targets read. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -76,6 +77,17 @@ let check_shared ~stack ~stack_records =
     "bench-smoke ok: two campaigns on one inputs, sequential and on 2 domains, identical to \
      standalone runs\n"
 
+let check_data_never_profiles () =
+  let p0 = Campaign.profiles_run () in
+  let r =
+    Campaign.run
+      { (Campaign.default ~arch:Image.Risc ~kind:Target.Data ~injections:20) with
+        Campaign.seed = 0x2004L }
+  in
+  if Campaign.profiles_run () <> p0 then fail "a data campaign ran the hot-set profile";
+  if r.Campaign.hot_profile <> [] then fail "a data campaign reports a hot set";
+  print_endline "bench-smoke ok: a data campaign on fresh inputs never profiles"
+
 let () =
   let cfg =
     { (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:12) with
@@ -107,4 +119,5 @@ let () =
   check_shared ~stack:cfg ~stack_records:seq.Campaign.records;
   check_reference Image.Cisc Target.Code ~injections:40;
   check_reference Image.Risc Target.Code ~injections:40;
-  check_reference ~seed:11L ~march:true Image.Cisc Target.Stack ~injections:14
+  check_reference ~seed:11L ~march:true Image.Cisc Target.Stack ~injections:14;
+  check_data_never_profiles ()

@@ -206,8 +206,9 @@ module Controller = struct
     t_cfg : Campaign.config;
     t_env : Trial.env;  (* merge reads the hot set from it too *)
     t_machines : Trial.machines;
-        (* the post-boot snapshot alone: each forked worker builds its
-           machine from it, and no child inherits a live one *)
+        (* the inputs' machines: a worker forked before the first [step]
+           takes its copy of the warm spare, and [step] drops the spare,
+           so a later one builds its machine from the snapshot *)
     t_specs : Trial.spec array;
     t_supervisor : Supervisor.t;
         (* never used here, so it stays fresh: each forked worker runs its
@@ -267,7 +268,7 @@ module Controller = struct
     {
       t_cfg = cfg;
       t_env = env;
-      t_machines = Trial.snapshot_only (Campaign.machines inputs);
+      t_machines = Campaign.machines inputs;
       t_specs = specs;
       t_supervisor = supervisor;
       t_tracer = Tracer.validated tracer;
@@ -459,8 +460,10 @@ module Controller = struct
      link and counts, so a controller that stalls past the deadline does not
      declare a talking worker hung. Deaths, leaves and hung-worker expiries
      all requeue here, so the turn ends by offering work to every parked
-     worker. *)
+     worker. The turn starts by dropping the spare, which only workers
+     forked before the first turn take. *)
   let step t ~timeout =
+    Trial.drop_spare t.t_machines;
     let now = Unix.gettimeofday () in
     let conns = alive_conns t in
     if conns = [] then (if timeout > 0.0 then ignore (readable ~timeout []))

@@ -8,12 +8,15 @@
     controller owns a {!Ferrite_injection.Trial_table} (the
     {!Ferrite_injection.Lease} table plus the completed-trial slots),
     exactly as the in-process executor does. The controller builds the plan
-    and environment once, booting the kernel once, and keeps the post-boot
-    snapshot but not the booted machine; every worker is a fork of it and
-    inherits them, with the supervision and tracer config, as OCaml values,
-    so only trial-index ranges cross the wire ({!Wire}) and results come
-    back. Each worker builds its machine from the snapshot
-    ({!Ferrite_kernel.Boot.of_snapshot}) and runs the trials. They self-schedule
+    and environment once, booting the kernel once, and keeps the booted
+    (and, for a code campaign, profiled) machine as a spare until its first
+    {!Controller.step}, then the post-boot snapshot alone; every worker is
+    a fork of it and inherits them, with the supervision and tracer config,
+    as OCaml values, so only trial-index ranges cross the wire ({!Wire})
+    and results come back. A worker forked before that first step takes
+    its copy-on-write copy of the spare as its machine; a later one builds
+    its machine from the snapshot ({!Ferrite_kernel.Boot.of_snapshot}).
+    Either way it counts that machine as its one boot. They self-schedule
     by leasing trial-index chunks under the in-process rule — the next
     pending chunk, or wait, or drained. An idle worker asks once; a request
     that draws a wait stays open, the worker parked, until a leave, a death
@@ -116,8 +119,9 @@ module Controller : sig
     t
   (** A controller with no workers yet. It builds the campaign's plan,
       inputs ({!Ferrite_injection.Campaign.build_inputs}) and environment
-      once, and keeps the inputs' snapshot alone
-      ({!Ferrite_injection.Trial.snapshot_only}): the workers {!add_worker}
+      once, and keeps the inputs' machines, booted spare included, until
+      the first {!step} drops the spare
+      ({!Ferrite_injection.Trial.drop_spare}): the workers {!add_worker}
       forks inherit them, and {!finish}'s merge takes the hot profile from
       the environment. [supervision] (default
       {!Ferrite_injection.Campaign.default_supervision}) is the one
@@ -145,10 +149,13 @@ module Controller : sig
   val add_worker : ?die_at:int -> t -> int
   (** Fork a worker process connected over a socketpair ({!Worker.serve});
       returns its worker id. May be called at any time — late joiners are
-      how a killed worker is replaced. *)
+      how a killed worker is replaced. A worker forked before the first
+      {!step} runs its trials on its copy of the controller's warm spare;
+      one forked later builds its machine from the snapshot. *)
 
   val step : t -> timeout:float -> unit
-  (** One event-loop turn: wait up to [timeout] seconds for traffic, absorb
+  (** One event-loop turn: drop the spare machine if it is still kept,
+      wait up to [timeout] seconds for traffic, absorb
       messages, detect deaths, then declare hung every worker that has sent
       nothing for [heartbeat_timeout] up to the start of the turn. Links are
       read before silence is judged, so a controller that itself stalls past

@@ -118,13 +118,17 @@ type inputs = {
   in_lock : Mutex.t;  (* [Lazy.force] is not domain-safe: force under it *)
 }
 
-(* Derivations in this process; a count, never a cache. *)
+(* Derivations and profile runs in this process; counts, never caches. *)
 let built = Atomic.make 0
+let profiled = Atomic.make 0
 
 (* The profile runs on one of the kernel's machines, usually the spare,
-   which it hands back rolled forward; the next taker restores it. *)
+   which it hands back rolled forward and warm: its workload mix decoded
+   the paths and built the blocks that trials run, so the next taker
+   restores it and skips the pre-warm. *)
 let hot_profile machines =
-  Trial.with_machine machines (fun sys ->
+  Atomic.incr profiled;
+  Trial.with_machine ~warms:true machines (fun sys ->
       let samples = Profiler.profile sys in
       let hot = Profiler.hot_functions ~coverage:0.95 samples in
       List.filter_map
@@ -147,6 +151,7 @@ let build_inputs ?(variant = Boot.standard) arch =
   }
 
 let inputs_built () = Atomic.get built
+let profiles_run () = Atomic.get profiled
 let machines inputs = inputs.in_machines
 
 let env_of inputs cfg hot =
@@ -166,8 +171,12 @@ let env_of inputs cfg hot =
     env_targeting = cfg.targeting;
   }
 
+(* Only code targets read the hot set (Target.generate), as only the
+   paper's code campaigns profile (§3). *)
 let environment_with inputs cfg =
-  env_of inputs cfg (fun () -> Mutex.protect inputs.in_lock (fun () -> Lazy.force inputs.in_hot))
+  env_of inputs cfg (fun () ->
+      if cfg.kind <> Target.Code then []
+      else Mutex.protect inputs.in_lock (fun () -> Lazy.force inputs.in_hot))
 
 let forced_environment inputs cfg = env_of inputs cfg (fun () -> [])
 

@@ -80,7 +80,9 @@ type result = {
   telemetry : Ferrite_trace.Telemetry.t;
       (** exact campaign counters; [tl_boots] is filled from [reboots] and is
           the only executor-dependent field *)
-  hot_profile : (string * float) list;  (** the profiled function weights used *)
+  hot_profile : (string * float) list;
+      (** the profiled function weights used: [[]] unless the campaign
+          targets code, the one kind that reads them *)
   reboots : int;
       (** boots + policy reboots, summed over workers; each worker's machine
           counts as one boot, whether it was the shared spare or built from
@@ -104,10 +106,10 @@ val plan : config -> Trial.spec array
     (arch, variant): the compiled image, the kernel's post-boot machines
     ({!Trial.machines}: the snapshot taken after its one boot, and the
     booted machine as a spare) and the hot set profiled from a fault-free
-    workload run on that machine. A caller that runs several campaigns of
-    one kernel builds them once with {!build_inputs} and hands them to each
-    {!run}: the kernel then boots once, and each campaign in turn takes the
-    warm spare. Nothing caches them behind the caller's back: every run
+    workload run on that machine, which only code campaigns read. A caller
+    that runs several campaigns of one kernel builds them once with
+    {!build_inputs} and hands them to each {!run}: the kernel then boots
+    once, and each campaign in turn takes the warm spare. Nothing caches them behind the caller's back: every run
     that is not handed inputs derives its own, as a user's invocation
     does. *)
 
@@ -116,11 +118,17 @@ type inputs
 val build_inputs : ?variant:Ferrite_kernel.Boot.variant -> Ferrite_kir.Image.arch -> inputs
 (** Compile the kernel ([variant] defaults to {!Ferrite_kernel.Boot.standard})
     and boot it once ({!Trial.boot_machines}). The hot set is profiled on
-    first use, by {!environment_with}. Deterministic in its arguments. *)
+    first use, by the first {!environment_with} for a code campaign.
+    Deterministic in its arguments. *)
 
 val inputs_built : unit -> int
 (** How many times {!build_inputs} has run in this process (tests use it to
     show that sharing happens and that nothing is memoised). *)
+
+val profiles_run : unit -> int
+(** How many hot-set profiles have run in this process, a count like
+    {!inputs_built}: tests use it to show that only code campaigns
+    profile. *)
 
 val machines : inputs -> Trial.machines
 (** The kernel's post-boot machines, for callers that drive {!Executor.run}
@@ -128,9 +136,12 @@ val machines : inputs -> Trial.machines
 
 val environment_with : inputs -> config -> Trial.env
 (** The campaign's read-only execution environment over prebuilt inputs —
-    image, hot set ([env_hot]), validated engine and fault model. The first
-    call on an [inputs] runs the profile (on the spare, which it hands
-    back), under a lock, so concurrent calls from several domains are safe.
+    image, hot set ([env_hot]), validated engine and fault model. Only a
+    code campaign's [env_hot] is the hot set; every other kind gets [[]],
+    and never runs the profile. The first code campaign's call on an
+    [inputs] runs the profile (on the spare, which it hands back warm, so
+    its next taker skips the pre-warm), under a lock, so concurrent calls
+    from several domains are safe.
     Raises [Invalid_argument] for a [collector_loss] outside [0, 1], as
     {!run} does before it opens a journal, and for inputs built for another
     (arch, variant) than the config names; either is raised before any

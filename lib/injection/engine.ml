@@ -68,16 +68,14 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?fault_seed:(_ :
   let dr = System.debug_regs sys in
   let st = { activation = None; injected = false } in
   let module Event = Ferrite_trace.Event in
+  let stamp () =
+    let cycles, instructions = Counters.stamp counters in
+    let pc = System.pc sys in
+    { Event.s_cycles = cycles; s_instructions = instructions; s_pc = pc;
+      s_function = symbolize sys pc }
+  in
   let emit ev =
-    match tracer with
-    | None -> ()
-    | Some tr ->
-      let cycles, instructions = Counters.stamp counters in
-      let pc = System.pc sys in
-      Ferrite_trace.Tracer.record tr
-        { Event.s_cycles = cycles; s_instructions = instructions; s_pc = pc;
-          s_function = symbolize sys pc }
-        ev
+    match tracer with None -> () | Some tr -> Ferrite_trace.Tracer.record_with tr stamp ev
   in
   let activate cycle =
     if st.activation = None then st.activation <- Some cycle

@@ -60,7 +60,8 @@ type env = {
 
 (* A kernel's machines: the snapshot taken right after its one boot, and a
    slot for at most one live machine in that state (the spare), with
-   whether its translation caches are pre-warmed. *)
+   whether its translation caches are warm: pre-warmed, or filled by the
+   hot-set profile's run. *)
 type machines = {
   m_image : Image.t;
   m_snapshot : System.snapshot;
@@ -71,10 +72,10 @@ let boot_machines image =
   let sys = Boot.boot ~image image.Image.img_arch in
   { m_image = image; m_snapshot = System.snapshot sys; m_spare = Atomic.make (Some (sys, false)) }
 
-let snapshot_only ms = { ms with m_spare = Atomic.make None }
+let drop_spare ms = Atomic.set ms.m_spare None
 
 (* A machine in the snapshot's state, its counters at that moment and
-   whether it is pre-warmed: the spare, taken atomically and rolled back,
+   whether it is warm: the spare, taken atomically and rolled back,
    if it was made under the current fast-path and superblock defaults (a
    machine in another mode stays in the slot); otherwise a new one built
    from the snapshot, whose counters all count. [warm] pre-warms a cold
@@ -97,10 +98,10 @@ let take ~warm ms =
 
 let hand_back ms spare = ignore (Atomic.compare_and_set ms.m_spare None (Some spare))
 
-let with_machine ms f =
+let with_machine ?(warms = false) ms f =
   let sys, _, warmed = take ~warm:false ms in
   let x = f sys in
-  hand_back ms (sys, warmed);
+  hand_back ms (sys, warmed || warms);
   x
 
 type cache = {
@@ -138,7 +139,7 @@ let cache_stats cache =
 
 (* Hand out a machine in pristine post-boot state. The first call takes
    one, the spare (rolled back to the snapshot) or a new one built from the
-   snapshot, pre-warms it unless that was done before, and counts it as the
+   snapshot, pre-warms it unless it is warm already, and counts it as the
    cache's boot; later calls roll back to the snapshot. A rollback after a
    manifested run is counted as a reboot (the paper's STEP 3 policy); the
    rollback after a non-activated run is the bookkeeping that keeps trials
@@ -190,7 +191,7 @@ let run ?(trace = Ferrite_trace.Tracer.telemetry_only) env cache spec =
         Option.map (fun f -> f.Image.fs_name) (Image.function_at sys.System.image pc);
     }
   in
-  Ferrite_trace.Tracer.record tracer (stamp ())
+  Ferrite_trace.Tracer.record_with tracer stamp
     (Event.Trial_begin { trial = spec.index; target = Target.describe target });
   let dump = ref None in
   let record =
@@ -198,7 +199,7 @@ let run ?(trace = Ferrite_trace.Tracer.telemetry_only) env cache spec =
       ~on_dump:(fun d -> dump := Some d)
       ~sys ~runner ~target ~collector env.env_engine
   in
-  Ferrite_trace.Tracer.record tracer (stamp ())
+  Ferrite_trace.Tracer.record_with tracer stamp
     (Event.Trial_end
        { trial = spec.index; outcome = Outcome.outcome_label record.Outcome.r_outcome });
   cache.pristine <- false;

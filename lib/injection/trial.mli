@@ -55,24 +55,31 @@ type machines
     defaults ({!Ferrite_machine.Memory.matches_defaults}), the cache builds
     a new machine from the snapshot ({!Ferrite_kernel.Boot.of_snapshot})
     instead of running boot code. A cache pre-warms the machine it takes
-    ({!Ferrite_kernel.System.prewarm}) unless that was done before. Either
-    way the machine starts each trial in the snapshot's state, so records
-    never depend on which one ran. *)
+    ({!Ferrite_kernel.System.prewarm}) unless it is already warm: pre-warmed
+    by an earlier cache, or handed back by a {!with_machine} [~warms:true]
+    (the hot-set profile). A machine that has run nothing since boot or
+    since it was built from the snapshot is always pre-warmed. Either way
+    the machine starts each trial in the snapshot's state, so records never
+    depend on which one ran. *)
 
 val boot_machines : Ferrite_kir.Image.t -> machines
 (** Boot the image ({!Ferrite_kernel.Boot.boot}) and snapshot it; the
     booted machine becomes the spare. *)
 
-val snapshot_only : machines -> machines
-(** The same snapshot with an empty slot of its own: every machine is built
-    from the snapshot. A process that forks workers keeps this, so no child
-    inherits a live machine. *)
+val drop_spare : machines -> unit
+(** Empty the slot: the next taker builds its machine from the snapshot,
+    and the spare, unless a cache still holds it, becomes garbage. A machine
+    handed back later fills the slot again. The fleet controller calls it
+    at its first event-loop turn: workers forked before then inherit the
+    warm spare, and later ones build from the snapshot. *)
 
-val with_machine : machines -> (Ferrite_kernel.System.t -> 'a) -> 'a
+val with_machine : ?warms:bool -> machines -> (Ferrite_kernel.System.t -> 'a) -> 'a
 (** [with_machine ms f] runs [f] on a machine in the snapshot's state, taken
     as a {!cache} takes one but without pre-warming it, and hands the
-    machine back afterwards (not if [f] raises). Not counted as a boot
-    anywhere. *)
+    machine back afterwards (not if [f] raises). [warms] (default [false])
+    marks it warm on the way back: [f] ran enough of the kernel (the
+    hot-set profile's workload mix) that its next taker skips the
+    pre-warm. Not counted as a boot anywhere. *)
 
 (** {2 The per-worker cache} *)
 

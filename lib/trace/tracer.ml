@@ -76,10 +76,12 @@ let count t ev =
   | Event.Bp_hit { stray = false; _ } | Event.Watch_hit _ | Event.Handler_done _
   | Event.Classified _ -> ()
 
-let record t stamp ev =
+let record_with t stamp ev =
   count t ev;
-  if t.capacity > 0 then t.ring.(t.total mod t.capacity) <- Some (stamp, ev);
+  if t.capacity > 0 then t.ring.(t.total mod t.capacity) <- Some (stamp (), ev);
   t.total <- t.total + 1
+
+let record t stamp ev = record_with t (fun () -> stamp) ev
 
 let recorded t = t.total
 

@@ -26,6 +26,10 @@ val record : t -> Event.stamp -> Event.t -> unit
 (** Append an event (dropping the oldest retained one when the ring is full)
     and bump the telemetry counters. *)
 
+val record_with : t -> (unit -> Event.stamp) -> Event.t -> unit
+(** {!record}, computing the stamp only if the tracer keeps events: a
+    capacity-0 tracer counts the event and never calls [stamp]. *)
+
 val recorded : t -> int
 (** Total events ever recorded, including dropped ones. *)
 

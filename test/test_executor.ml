@@ -177,7 +177,9 @@ let tracer = Ferrite_trace.Tracer.default_config
 
 (* A machine built from the snapshot runs a campaign exactly as the booted
    one does, with the fast paths on and off: the run on the inputs' spare
-   (the machine Boot.boot made) against one on the snapshot alone. *)
+   (the machine Boot.boot made) against one on the snapshot alone. The code
+   campaign's profile leaves the spare warm, so the built machine runs the
+   same profile first: both then start in the same warm state. *)
 let test_of_snapshot_equals_boot () =
   List.iter
     (fun (arch, kind) ->
@@ -191,11 +193,14 @@ let test_of_snapshot_equals_boot () =
               let inputs = Campaign.build_inputs arch in
               let booted = Campaign.run ~tracer ~inputs cfg in
               let env = Campaign.environment_with inputs cfg in
+              let ms = Campaign.machines inputs in
+              Trial.drop_spare ms;
               let n0 = Boot.boots () in
+              if kind = Target.Code then
+                Trial.with_machine ~warms:true ms (fun sys ->
+                    ignore (Ferrite_workload.Profiler.profile sys));
               let out =
-                Executor.run ~trace:tracer Executor.Sequential
-                  ~machines:(Trial.snapshot_only (Campaign.machines inputs))
-                  env (Campaign.plan cfg)
+                Executor.run ~trace:tracer Executor.Sequential ~machines:ms env (Campaign.plan cfg)
               in
               check_int "no boot code run" 0 (Boot.boots () - n0);
               let label = Printf.sprintf "%s %s fast=%b" (arch_name arch) (kind_name kind) fast in
@@ -208,6 +213,40 @@ let test_of_snapshot_equals_boot () =
                 out.Trial_table.cache.Ferrite_machine.Cache_stats.cs_sb_blocks))
         [ true; false ])
     [ (Image.Cisc, Target.Code); (Image.Risc, Target.Stack) ]
+
+(* Only a code campaign reads the hot set, so only it profiles: the other
+   kinds on fresh inputs leave the profile unforced and report no hot set.
+   The code campaign's hot set, profiled on the spare those campaigns ran
+   on, is the one a freshly booted machine yields, and a second code
+   campaign on the inputs reuses it. *)
+let test_only_code_profiles () =
+  let module Profiler = Ferrite_workload.Profiler in
+  List.iter
+    (fun arch ->
+      let inputs = Campaign.build_inputs arch in
+      let p0 = Campaign.profiles_run () in
+      List.iter
+        (fun kind ->
+          let label = Printf.sprintf "%s %s" (arch_name arch) (kind_name kind) in
+          let r = Campaign.run ~inputs (cfg_of arch kind 4) in
+          check_int (label ^ ": no profile run") 0 (Campaign.profiles_run () - p0);
+          check_bool (label ^ ": no hot set") true (r.Campaign.hot_profile = []))
+        [ Target.Data; Target.Stack; Target.Register ];
+      let code = Campaign.run ~inputs (cfg_of arch Target.Code 4) in
+      ignore (Campaign.run ~inputs (cfg_of ~seed:0x77L arch Target.Code 4));
+      let label = arch_name arch ^ " code" in
+      check_int (label ^ ": one profile run") 1 (Campaign.profiles_run () - p0);
+      let samples = Profiler.profile (Boot.boot arch) in
+      let hot = Profiler.hot_functions ~coverage:0.95 samples in
+      let fresh =
+        List.filter_map
+          (fun (s : Profiler.sample) ->
+            if List.mem s.Profiler.fn_name hot then Some (s.Profiler.fn_name, s.Profiler.fraction)
+            else None)
+          samples
+      in
+      check_bool (label ^ ": a fresh boot's hot set") true (code.Campaign.hot_profile = fresh))
+    [ Image.Cisc; Image.Risc ]
 
 (* Code flips leave blocks built from flipped bytes in the shared machine's
    caches; the data campaign that takes it next must not see them. *)
@@ -338,6 +377,7 @@ let () =
       ( "shared machine",
         [
           Alcotest.test_case "of_snapshot == boot" `Quick test_of_snapshot_equals_boot;
+          Alcotest.test_case "only code campaigns profile" `Quick test_only_code_profiles;
           Alcotest.test_case "code then data" `Quick test_code_then_data;
           Alcotest.test_case "second campaign's own stats" `Quick test_second_campaign_own_stats;
           Alcotest.test_case "contained failure drops machine" `Quick

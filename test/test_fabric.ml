@@ -321,6 +321,34 @@ let test_two_workers_identical () =
   check_int "no deaths" 0 report.fb_worker_deaths;
   check_int "every trial merged fresh exactly once" 24 report.fb_results
 
+(* Workers forked before the controller's first step take their copy of
+   its warm spare, which a code campaign's profile left warm, so they never
+   pre-warm; the first step drops the spare, and a worker forked after it
+   builds its machine from the snapshot and pre-warms it. Any mix merges
+   byte-identical to the sequential run. *)
+let test_warm_spare_and_late_joiner () =
+  let cfg = { (small_cfg 24) with Campaign.kind = Target.Code } in
+  let reference = Campaign.run cfg in
+  let prewarmed (r : Campaign.result) = r.Campaign.cache.Cache_stats.cs_prewarmed in
+  let r, _ = run_campaign ~workers:2 cfg in
+  check_identical "forked from the spare" reference r;
+  check_int "the spare was warm" 0 (prewarmed r);
+  let fleet ~early ~late =
+    let t = Controller.create cfg in
+    for _ = 1 to early do
+      ignore (Controller.add_worker t)
+    done;
+    Controller.step t ~timeout:0.0;
+    for _ = 1 to late do
+      ignore (Controller.add_worker t)
+    done;
+    fst (Controller.finish t)
+  in
+  let r = fleet ~early:0 ~late:1 in
+  check_identical "late joiner" reference r;
+  check_bool "a late joiner pre-warms its machine" true (prewarmed r > 0);
+  check_identical "one from the spare, one late" reference (fleet ~early:1 ~late:1)
+
 (* The golden resilience drill: four workers, one SIGKILLed mid-campaign, a
    replacement joining late — the merge must not show a scar. *)
 let test_kill_and_rejoin () =
@@ -748,6 +776,7 @@ let () =
           Alcotest.test_case "2 workers byte-identical" `Quick test_two_workers_identical;
           Alcotest.test_case "kill and rejoin" `Quick test_kill_and_rejoin;
           Alcotest.test_case "fleet sweep byte-identical" `Quick test_fleet_sweep;
+          Alcotest.test_case "warm spare and late joiner" `Quick test_warm_spare_and_late_joiner;
           Alcotest.test_case "idle worker asks once" `Quick test_idle_worker_asks_once;
           Alcotest.test_case "poison trial quarantined" `Quick
             test_poison_trial_quarantined;

@@ -55,6 +55,25 @@ let test_telemetry_only_keeps_counters () =
   check_int "activations" 1 tl.Telemetry.tl_activations;
   check_int "events counted" 4 tl.Telemetry.tl_events
 
+(* [record_with] stamps only events a tracer keeps, and counts them all. *)
+let test_record_with_stamps_kept_events () =
+  let stamped = ref 0 in
+  let next () =
+    incr stamped;
+    stamp !stamped
+  in
+  let none = Tracer.create Tracer.telemetry_only in
+  Tracer.record_with none next (flip 0);
+  Tracer.record_with none next (Event.Activated { via = "data watchpoint" });
+  check_int "telemetry-only: no stamp built" 0 !stamped;
+  check_int "telemetry-only: both counted" 2 (Tracer.telemetry none).Telemetry.tl_events;
+  let kept = Tracer.create { Tracer.trace_capacity = 2 } in
+  Tracer.record_with kept next (flip 0);
+  Tracer.record_with kept next (flip 1);
+  check_int "one stamp per kept event" 2 !stamped;
+  check_bool "the stamps it built" true
+    (List.map (fun (s, _) -> s.Event.s_cycles) (Tracer.events kept) = [ 100; 200 ])
+
 let test_negative_capacity_rejected () =
   match Tracer.create { Tracer.trace_capacity = -1 } with
   | exception Invalid_argument _ -> ()
@@ -184,6 +203,8 @@ let () =
           Alcotest.test_case "under capacity" `Quick test_ring_under_capacity;
           Alcotest.test_case "telemetry-only" `Quick test_telemetry_only_keeps_counters;
           Alcotest.test_case "negative capacity" `Quick test_negative_capacity_rejected;
+          Alcotest.test_case "record_with stamps kept events" `Quick
+            test_record_with_stamps_kept_events;
         ] );
       ( "telemetry",
         [
